@@ -29,10 +29,12 @@ from .tuples import (
     QuasinormalFlags,
     adjoint_tuple,
     conjugate_by_unitary,
+    hereditary_shift,
     is_doubly_commuting,
     make_tuple,
     null_reducing_check,
     permute_tuple,
+    power_levels,
     quasinormal_class,
     tuple_power,
 )

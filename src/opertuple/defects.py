@@ -9,6 +9,11 @@ the inner alternating sum (with (-1)^k signs) by the monomial T^q. The two
 sign conventions differ by a global factor (-1)^m, so zero-tests agree; norms
 are reported under the (-1)^k convention.
 
+The level sums L_k = Phi_{T*,T}^k(I) come from ``tuples.power_levels``, once
+per call and shared by all its defects; multi-index enumeration is kept as the
+oracle in ``minverse``. The vector-state forms are summed term by term over
+multi-indices, independently of the levels.
+
 Because the sums alternate and cancel, every zero-test is relative to the
 largest level summand rather than to the final value.
 """
@@ -16,7 +21,7 @@ largest level summand rather than to the final value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .reports import (
     Witness,
     build_report,
 )
-from .tuples import OperatorTuple, null_reducing_check, quasinormal_class, tuple_power
+from .tuples import OperatorTuple, null_reducing_check, power_levels, quasinormal_class, tuple_power
 
 
 @dataclass(frozen=True)
@@ -50,16 +55,21 @@ class DefectResult:
     is_zero: bool
 
 
-def level_sums(t: OperatorTuple, kmax: int) -> list[np.ndarray]:
-    """The inner sums sum_{|alpha|=k} (k!/alpha!) (T^alpha)* (T^alpha), k = 0..kmax."""
-    sums = []
-    for k in range(kmax + 1):
-        acc = np.zeros((t.dim, t.dim), dtype=np.complex128)
-        for alpha in enumerate_multiindices(t.d, k):
-            power = tuple_power(t, alpha)
-            acc += multinomial_weight(alpha) * (adjoint(power) @ power)
-        sums.append(acc)
-    return sums
+def _levels(t: OperatorTuple, kmax: int) -> list[np.ndarray]:
+    """The level sums sum_{|alpha|=k} (k!/alpha!) (T^alpha)* (T^alpha), k = 0..kmax."""
+    return power_levels([adjoint(m) for m in t], t, kmax)
+
+
+def _defect(levels: list[np.ndarray], m: int, tol: ToleranceModel, front=None) -> DefectResult:
+    """front @ sum_k (-1)^k C(m,k) L_k, scaled by its largest summand."""
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+    fronted = levels[: m + 1] if front is None else (front @ lv for lv in levels[: m + 1])
+    terms = [math.comb(m, k) * lv for k, lv in enumerate(fronted)]
+    defect = sum((-1) ** k * term for k, term in enumerate(terms))
+    scale = max(frobenius_norm(term) for term in terms)
+    norm = frobenius_norm(defect)
+    return DefectResult(matrix=defect, norm=norm, scale=scale, is_zero=tol.is_zero(norm, scale))
 
 
 def _validated_exponent(t: OperatorTuple, q) -> tuple[int, ...]:
@@ -69,35 +79,23 @@ def _validated_exponent(t: OperatorTuple, q) -> tuple[int, ...]:
     return q
 
 
-def isometry_defect(
-    t: OperatorTuple, m: int, tol: ToleranceModel = DEFAULT_TOL
-) -> DefectResult:
+def isometry_defect(t: OperatorTuple, m: int, tol: ToleranceModel = DEFAULT_TOL) -> DefectResult:
     """The m-isometry defect, with its (-1)^(m-k) signs as defined."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    inner = level_sums(t, m)
-    defect = sum(
-        (-1) ** (m - k) * math.comb(m, k) * inner[k] for k in range(m + 1)
-    )
-    scale = max(math.comb(m, k) * frobenius_norm(inner[k]) for k in range(m + 1))
-    norm = frobenius_norm(defect)
-    return DefectResult(matrix=defect, norm=norm, scale=scale, is_zero=tol.is_zero(norm, scale))
+    result = _defect(_levels(t, m), m, tol)
+    return replace(result, matrix=(-1) ** m * result.matrix)
 
 
 def partial_isometry_defect(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL
 ) -> DefectResult:
     """The joint (m; q)-partial-isometry defect T^q sum_k (-1)^k C(m,k) (...)."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    q = _validated_exponent(t, q)
-    inner = level_sums(t, m)
-    front = tuple_power(t, q)
-    levels = [math.comb(m, k) * (front @ inner[k]) for k in range(m + 1)]
-    defect = sum((-1) ** k * levels[k] for k in range(m + 1))
-    scale = max(frobenius_norm(lv) for lv in levels)
-    norm = frobenius_norm(defect)
-    return DefectResult(matrix=defect, norm=norm, scale=scale, is_zero=tol.is_zero(norm, scale))
+    return _partial_defects(t, (m,), _validated_exponent(t, q), tol)[0]
+
+
+def _partial_defects(t: OperatorTuple, orders, q, tol: ToleranceModel) -> list[DefectResult]:
+    """The (m; q)-partial-isometry defects for each m in ``orders``, on one set of levels."""
+    levels, front = _levels(t, max(orders)), tuple_power(t, q)
+    return [_defect(levels, m, tol, front) for m in orders]
 
 
 def scalar_defect(t: OperatorTuple, m: int, q, x, check_tol: float = 1e-8) -> float:
@@ -195,8 +193,9 @@ def classify(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL
 ) -> ClassificationReport:
     q = _validated_exponent(t, q)
-    partial = partial_isometry_defect(t, m, q, tol)
-    isom = isometry_defect(t, m, tol)
+    levels = _levels(t, m)
+    partial = _defect(levels, m, tol, tuple_power(t, q))
+    isom = _defect(levels, m, tol)
     flags = quasinormal_class(t, tol)
     reducing, basis = null_reducing_check(t, q, tol)
     return ClassificationReport(
@@ -337,10 +336,8 @@ def audit_theorem_2_3(
 ) -> AuditReport:
     """Ascent: an (m; q)-partial isometry with reducing N(T^q) stays one at m+1, m+2."""
     q = _validated_exponent(t, q)
-    base = partial_isometry_defect(t, m, q, tol)
+    base, up1, up2 = _partial_defects(t, (m, m + 1, m + 2), q, tol)
     reducing, _ = null_reducing_check(t, q, tol)
-    up1 = partial_isometry_defect(t, m + 1, q, tol)
-    up2 = partial_isometry_defect(t, m + 2, q, tol)
     hyp = base.is_zero and reducing
     subs = (
         SubVerdict(
@@ -376,9 +373,10 @@ def audit_theorem_2_2(
 ) -> AuditReport:
     """Stable null spaces collapse any (m; q)-partial isometry to q = (1,...,1)."""
     q = _validated_exponent(t, q)
-    base = partial_isometry_defect(t, m, q, tol)
+    levels = _levels(t, m)
+    base = _defect(levels, m, tol, tuple_power(t, q))
     stable = _null_spaces_stable(t, tol)
-    ones = partial_isometry_defect(t, m, (1,) * t.d, tol)
+    ones = _defect(levels, m, tol, tuple_power(t, (1,) * t.d))
     hyp = base.is_zero and stable
     subs = (
         SubVerdict(
@@ -414,8 +412,7 @@ def audit_proposition_2_1(
     """
     ones = (1,) * t.d
     flags = quasinormal_class(t, tol)
-    base = partial_isometry_defect(t, m, ones, tol)
-    first = partial_isometry_defect(t, 1, ones, tol)
+    base, first = _partial_defects(t, (m, 1), ones, tol)
     hyp = flags.joint and base.is_zero
     subs = (
         SubVerdict(
@@ -448,8 +445,7 @@ def audit_proposition_2_4(
     """Given an (m; q)-partial isometry, (m+1; q) holds iff the shifted
     vector-state sum over the components vanishes on all basis states."""
     q = _validated_exponent(t, q)
-    base = partial_isometry_defect(t, m, q, tol)
-    up = partial_isometry_defect(t, m + 1, q, tol)
+    base, up = _partial_defects(t, (m, m + 1), q, tol)
     eye = np.eye(t.dim, dtype=np.complex128)
     values = [_ascent_scalar(t, m, q, eye[:, i]) for i in range(t.dim)]
     worst = max(abs(v) for v in values)

@@ -8,6 +8,7 @@ cutoff instead of a fixed epsilon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,9 @@ class ToleranceModel:
     rank_factor: float = 1e3
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0 or self.rank_factor < 0:
-            raise ValueError("tolerance fields must be nonnegative")
+        fields = (self.abs_tol, self.rel_tol, self.rank_factor)
+        if not all(math.isfinite(f) and f >= 0 for f in fields):
+            raise ValueError("tolerance fields must be finite and nonnegative")
 
     def is_zero(self, norm: float, scale: float = 0.0) -> bool:
         return norm <= self.abs_tol + self.rel_tol * scale

@@ -1,14 +1,15 @@
 """Left and right m-inverses of commuting tuples via the beta polynomial.
 
 beta_m(S, T) = sum_k (-1)^(m-k) C(m,k) sum_{|alpha|=k} (k!/alpha!) S^alpha T^alpha
-vanishes exactly when S is a joint left m-inverse of T. Two evaluation routes
-are kept: direct enumeration over multi-indices, and the recurrence
+vanishes exactly when S is a joint left m-inverse of T. It is computed by
+Lemma 4.1's recurrence on Phi_{S,T}(X) = sum_j S_j X T_j (``tuples.hereditary_shift``),
 
-    beta_{k+1} = -beta_k + sum_j S_j beta_k T_j,  beta_0 = I,
+    beta_{k+1} = -beta_k + Phi_{S,T}(beta_k),  beta_0 = I.
 
-which doubles as a permanent self-test (the default cross-checks them for
-small m). Only internal commutativity of S and of T is assumed; components of
-S need not commute with components of T.
+Enumeration over multi-indices is kept as the independent oracle, which the
+default cross-checks for small m. The power-sum left side is the level
+Phi_{S,T}^n(I) from ``tuples.power_levels``. Only internal commutativity of S
+and of T is assumed; components of S need not commute with components of T.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, NumericalFailureError, ToleranceModel, frobenius_norm
-from .multiindex import enumerate_multiindices, multinomial_weight, pochhammer_descending
+from .multiindex import multinomial_weight, pochhammer_descending
 from .reports import (
     NOTE_FINITE_SURROGATE,
     NOTE_POCHHAMMER_ZERO,
@@ -31,7 +32,7 @@ from .reports import (
     build_report,
 )
 from .spectra import CLUSTER_TOL, _linf, joint_point_spectrum, zero_variety_member
-from .tuples import OperatorTuple, tuple_power
+from .tuples import OperatorTuple, hereditary_shift, power_levels
 
 _CROSS_CHECK_MAX_M = 4
 
@@ -51,26 +52,39 @@ def _check_shapes(s: OperatorTuple, t: OperatorTuple) -> None:
         )
 
 
+def _enumerated_levels(s: OperatorTuple, t: OperatorTuple, kmax: int) -> list[np.ndarray]:
+    """sum_{|alpha|=k} (k!/alpha!) S^alpha T^alpha for k = 0..kmax, by enumeration.
+
+    The monomials grow on a prefix tree (alpha's children are alpha + e_j for j
+    at or after its last nonzero entry): one product per node for S and for T.
+    """
+    eye = np.eye(t.dim, dtype=np.complex128)
+    levels = [np.zeros_like(eye) for _ in range(kmax + 1)]
+
+    def visit(alpha: tuple[int, ...], last: int, s_alpha: np.ndarray, t_alpha: np.ndarray):
+        k = sum(alpha)
+        levels[k] += multinomial_weight(alpha) * (s_alpha @ t_alpha)
+        if k < kmax:
+            for j in range(last, t.d):
+                child = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]
+                visit(child, j, s[j] @ s_alpha, t[j] @ t_alpha)
+
+    visit((0,) * t.d, 0, eye, eye)
+    return levels
+
+
 def _beta_enumeration(s: OperatorTuple, t: OperatorTuple, m: int) -> tuple[np.ndarray, float]:
-    total = np.zeros((t.dim, t.dim), dtype=np.complex128)
-    scale = 0.0
-    for k in range(m + 1):
-        level = np.zeros_like(total)
-        for alpha in enumerate_multiindices(t.d, k):
-            level += multinomial_weight(alpha) * (tuple_power(s, alpha) @ tuple_power(t, alpha))
-        level *= math.comb(m, k)
-        scale = max(scale, frobenius_norm(level))
-        total += (-1) ** (m - k) * level
-    return total, scale
+    terms = [math.comb(m, k) * level for k, level in enumerate(_enumerated_levels(s, t, m))]
+    total = sum((-1) ** (m - k) * term for k, term in enumerate(terms))
+    return total, max(frobenius_norm(term) for term in terms)
 
 
-def _beta_recurrence(s: OperatorTuple, t: OperatorTuple, m: int) -> tuple[np.ndarray, float]:
-    beta_k = np.eye(t.dim, dtype=np.complex128)
-    scale = frobenius_norm(beta_k)
+def _beta_levels(s: OperatorTuple, t: OperatorTuple, m: int) -> list[np.ndarray]:
+    """beta_0, ..., beta_m by the recurrence beta_{k+1} = -beta_k + Phi_{S,T}(beta_k)."""
+    betas = [np.eye(t.dim, dtype=np.complex128)]
     for _ in range(m):
-        beta_k = -beta_k + sum(s[j] @ beta_k @ t[j] for j in range(t.d))
-        scale = max(scale, frobenius_norm(beta_k))
-    return beta_k, scale
+        betas.append(hereditary_shift(s, t, betas[-1]) - betas[-1])
+    return betas
 
 
 def beta(
@@ -88,13 +102,14 @@ def beta(
     _check_shapes(s, t)
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    if method not in ("auto", "recurrence", "enumeration"):
+        raise ValueError(f"unknown beta method {method!r}")
     if method == "enumeration":
         matrix, scale = _beta_enumeration(s, t, m)
-    elif method == "recurrence":
-        matrix, scale = _beta_recurrence(s, t, m)
-    elif method == "auto":
-        matrix, scale = _beta_recurrence(s, t, m)
-        if m <= _CROSS_CHECK_MAX_M:
+    else:
+        betas = _beta_levels(s, t, m)
+        matrix, scale = betas[-1], max(frobenius_norm(b) for b in betas)
+        if method == "auto" and m <= _CROSS_CHECK_MAX_M:
             other, other_scale = _beta_enumeration(s, t, m)
             scale = max(scale, other_scale)
             gap = frobenius_norm(matrix - other)
@@ -104,8 +119,6 @@ def beta(
                     {"gap": gap, "scale": scale, "m": m},
                 )
         method = "recurrence"
-    else:
-        raise ValueError(f"unknown beta method {method!r}")
     return BetaResult(matrix=matrix, norm=frobenius_norm(matrix), scale=scale, method=method)
 
 
@@ -121,8 +134,16 @@ def is_right_m_inverse(
     r: OperatorTuple, t: OperatorTuple, m: int, tol: ToleranceModel = DEFAULT_TOL
 ) -> bool:
     """Right variant: the monomial roles swap, so this is beta_m(T, R) = 0."""
-    result = beta(t, r, m, tol=tol)
-    return tol.is_zero(result.norm, result.scale)
+    return is_left_m_inverse(t, r, m, tol)
+
+
+def _expansion(lhs, betas, n: int, mode: str, kmax: int) -> tuple[np.ndarray, float]:
+    """rhs = sum_{k <= kmax} coeff(n, k) beta_k and its deviation from lhs."""
+    rhs = sum(
+        (math.comb(n, k) if mode == "binomial" else pochhammer_descending(n, k)) * betas[k]
+        for k in range(kmax + 1)
+    )
+    return rhs, float(frobenius_norm(lhs - rhs) / max(1.0, frobenius_norm(lhs)))
 
 
 def expand_power_sum(
@@ -133,10 +154,11 @@ def expand_power_sum(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Both sides of the power-sum expansion, under a chosen coefficient set.
 
-    lhs = sum_{|alpha|=n} (n!/alpha!) S^alpha T^alpha by direct enumeration;
-    rhs = sum_k coeff(n, k) beta_k(S, T) with coeff either the binomial C(n,k)
-    (the corrected choice, an exact identity for all commuting pairs) or the
-    printed descending Pochhammer n^(k). Returns (lhs, rhs, deviation) where
+    lhs = sum_{|alpha|=n} (n!/alpha!) S^alpha T^alpha, computed as the level
+    Phi_{S,T}^n(I); rhs = sum_k coeff(n, k) beta_k(S, T) from the beta
+    recurrence, with coeff either the binomial C(n,k) (the corrected choice,
+    an exact identity for all commuting pairs) or the printed descending
+    Pochhammer n^(k). Returns (lhs, rhs, deviation) where
     deviation = ||lhs - rhs||_F / max(1, ||lhs||_F). Requires n >= 1: the
     Pochhammer convention 0^(0) = 0 breaks the n = 0 instance.
     """
@@ -145,21 +167,9 @@ def expand_power_sum(
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if coefficient_mode not in ("binomial", "pochhammer"):
         raise ValueError(f"unknown coefficient mode {coefficient_mode!r}")
-
-    lhs = np.zeros((t.dim, t.dim), dtype=np.complex128)
-    for alpha in enumerate_multiindices(t.d, n):
-        lhs += multinomial_weight(alpha) * (tuple_power(s, alpha) @ tuple_power(t, alpha))
-
-    rhs = np.zeros_like(lhs)
-    beta_k = np.eye(t.dim, dtype=np.complex128)
-    for k in range(n + 1):
-        if k > 0:
-            beta_k = -beta_k + sum(s[j] @ beta_k @ t[j] for j in range(t.d))
-        coeff = math.comb(n, k) if coefficient_mode == "binomial" else pochhammer_descending(n, k)
-        rhs += coeff * beta_k
-
-    deviation = frobenius_norm(lhs - rhs) / max(1.0, frobenius_norm(lhs))
-    return lhs, rhs, float(deviation)
+    lhs = power_levels(s, t, n)[n]
+    rhs, deviation = _expansion(lhs, _beta_levels(s, t, n), n, coefficient_mode, n)
+    return lhs, rhs, deviation
 
 
 def _mapped_point(lam, d: int) -> tuple[complex, ...]:
@@ -175,8 +185,7 @@ def _spectral_mapping_audit(
     claim_id: str,
     source: OperatorTuple,
     target: OperatorTuple,
-    inverse_holds: bool,
-    beta_norm: float,
+    beta_result: BetaResult,
     tol: ToleranceModel,
     seed: int,
 ) -> AuditReport:
@@ -188,6 +197,7 @@ def _spectral_mapping_audit(
     stronger disjointness reading is recorded separately and never drives the
     exit verdict.
     """
+    inverse_holds = tol.is_zero(beta_result.norm, beta_result.scale)
     src_points = joint_point_spectrum(source, tol, seed)
     tgt_points = joint_point_spectrum(target, tol, seed + 1)
 
@@ -242,7 +252,7 @@ def _spectral_mapping_audit(
         hypothesis_breakdown={"m_inverse": inverse_holds},
         sub_verdicts=subs,
         witnesses=witnesses,
-        norms={"beta_norm": beta_norm},
+        norms={"beta_norm": beta_result.norm},
         tolerances=tol,
         seed=seed,
         notes=(NOTE_THM41_SET, NOTE_FINITE_SURROGATE),
@@ -257,9 +267,7 @@ def audit_theorem_4_1(
     seed: int = 0,
 ) -> AuditReport:
     """Spectral consequences of a left m-inverse: sigma(T) maps into sigma(S)."""
-    result = beta(s, t, m, tol=tol)
-    holds = tol.is_zero(result.norm, result.scale)
-    return _spectral_mapping_audit("thm4.1", t, s, holds, result.norm, tol, seed)
+    return _spectral_mapping_audit("thm4.1", t, s, beta(s, t, m, tol=tol), tol, seed)
 
 
 def audit_theorem_4_2(
@@ -270,9 +278,7 @@ def audit_theorem_4_2(
     seed: int = 0,
 ) -> AuditReport:
     """Right-inverse variant: sigma(R) maps into sigma(T)."""
-    result = beta(t, r, m, tol=tol)
-    holds = tol.is_zero(result.norm, result.scale)
-    return _spectral_mapping_audit("thm4.2", r, t, holds, result.norm, tol, seed)
+    return _spectral_mapping_audit("thm4.2", r, t, beta(t, r, m, tol=tol), tol, seed)
 
 
 def audit_proposition_4_1(
@@ -291,76 +297,55 @@ def audit_proposition_4_1(
     given and S verifies as a left m-inverse, the truncated expansions over
     k <= m-1 (item (2)) are audited as well.
     """
-    deviations = {"binomial": [], "pochhammer": []}
-    for n in range(1, n_max + 1):
-        for mode in ("binomial", "pochhammer"):
-            _, _, dev = expand_power_sum(s, t, n, mode)
-            deviations[mode].append(dev)
+    _check_shapes(s, t)
+    levels, betas = power_levels(s, t, n_max), _beta_levels(s, t, n_max)
 
-    binom_ok = max(deviations["binomial"]) <= pass_tol
-    poch_ok = max(deviations["pochhammer"]) <= pass_tol
+    def max_deviation(mode: str, kmax: int) -> float:
+        """The largest deviation over n = 1..n_max, with the expansion cut at k <= kmax."""
+        return max(
+            _expansion(levels[n], betas, n, mode, min(kmax, n))[1] for n in range(1, n_max + 1)
+        )
 
+    poch, binom = max_deviation("pochhammer", n_max), max_deviation("binomial", n_max)
     subs = [
         SubVerdict(
             name="(1) expansion with printed pochhammer coefficients",
             hypotheses_hold=True,
-            conclusion_holds=poch_ok,
-            details={"max_deviation": max(deviations["pochhammer"]), "n_max": n_max},
+            conclusion_holds=poch <= pass_tol,
+            details={"max_deviation": poch, "n_max": n_max},
         ),
         SubVerdict(
             name="(1') expansion with binomial coefficients",
             hypotheses_hold=True,
-            conclusion_holds=binom_ok,
+            conclusion_holds=binom <= pass_tol,
             vacuous=True,  # the corrected variant; informational
-            details={"max_deviation": max(deviations["binomial"]), "n_max": n_max},
+            details={"max_deviation": binom, "n_max": n_max},
         ),
     ]
     breakdown = {"commuting_pair": True}
-    norms = {
-        "max_pochhammer_deviation": max(deviations["pochhammer"]),
-        "max_binomial_deviation": max(deviations["binomial"]),
-    }
+    norms = {"max_pochhammer_deviation": poch, "max_binomial_deviation": binom}
 
     if inverse_order is not None:
         holds = is_left_m_inverse(s, t, inverse_order, tol)
         breakdown["left_m_inverse"] = holds
-        truncated = {"binomial": 0.0, "pochhammer": 0.0}
-        for n in range(1, n_max + 1):
-            lhs = np.zeros((t.dim, t.dim), dtype=np.complex128)
-            for alpha in enumerate_multiindices(t.d, n):
-                lhs += multinomial_weight(alpha) * (
-                    tuple_power(s, alpha) @ tuple_power(t, alpha)
-                )
-            for mode in ("binomial", "pochhammer"):
-                rhs = np.zeros_like(lhs)
-                beta_k = np.eye(t.dim, dtype=np.complex128)
-                for k in range(min(inverse_order - 1, n) + 1):
-                    if k > 0:
-                        beta_k = -beta_k + sum(s[j] @ beta_k @ t[j] for j in range(t.d))
-                    coeff = (
-                        math.comb(n, k) if mode == "binomial" else pochhammer_descending(n, k)
-                    )
-                    rhs += coeff * beta_k
-                dev = frobenius_norm(lhs - rhs) / max(1.0, frobenius_norm(lhs))
-                truncated[mode] = max(truncated[mode], float(dev))
-        subs.append(
+        poch = max_deviation("pochhammer", inverse_order - 1)
+        binom = max_deviation("binomial", inverse_order - 1)
+        subs += [
             SubVerdict(
                 name="(2) truncated expansion, pochhammer coefficients",
                 hypotheses_hold=holds,
-                conclusion_holds=truncated["pochhammer"] <= pass_tol,
+                conclusion_holds=poch <= pass_tol,
                 vacuous=not holds,
-                details={"max_deviation": truncated["pochhammer"]},
-            )
-        )
-        subs.append(
+                details={"max_deviation": poch},
+            ),
             SubVerdict(
                 name="(2') truncated expansion, binomial coefficients",
                 hypotheses_hold=holds,
-                conclusion_holds=truncated["binomial"] <= pass_tol,
+                conclusion_holds=binom <= pass_tol,
                 vacuous=True,
-                details={"max_deviation": truncated["binomial"]},
-            )
-        )
+                details={"max_deviation": binom},
+            ),
+        ]
 
     return build_report(
         claim_id="prop4.1",

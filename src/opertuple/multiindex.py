@@ -34,11 +34,6 @@ def validate_multiindex(alpha) -> MultiIndex:
     return entries
 
 
-def order(alpha: MultiIndex) -> int:
-    """|alpha|: the sum of the entries."""
-    return sum(validate_multiindex(alpha))
-
-
 def enumerate_multiindices(d: int, k: int) -> list[MultiIndex]:
     """All alpha in Z_+^d with |alpha| = k, in descending lexicographic order.
 

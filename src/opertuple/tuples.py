@@ -118,6 +118,25 @@ def tuple_power(t: OperatorTuple, alpha) -> np.ndarray:
     return result
 
 
+def hereditary_shift(s, t, x: np.ndarray) -> np.ndarray:
+    """Phi_{S,T}(X) = sum_j S_j X T_j, the map every hereditary polynomial is built from."""
+    return sum(sj @ x @ tj for sj, tj in zip(s, t))
+
+
+def power_levels(s, t, kmax: int) -> list[np.ndarray]:
+    """L_k = Phi_{S,T}^k(I), k = 0..kmax, for two sequences of d matrices.
+
+    For commuting S and T, L_k = sum_{|alpha|=k} (k!/alpha!) S^alpha T^alpha:
+    the defects' level sums (S = T*) and the power-sum left sides.
+    """
+    if len(s) != len(t):
+        raise ValueError(f"sequences have {len(s)} and {len(t)} components")
+    levels = [np.eye(t[0].shape[0], dtype=np.complex128)]
+    for _ in range(kmax):
+        levels.append(hereditary_shift(s, t, levels[-1]))
+    return levels
+
+
 def conjugate_by_unitary(t: OperatorTuple, v, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
     """(V* T_1 V, ..., V* T_d V) for unitary V."""
     v = as_matrix(v)

@@ -58,6 +58,15 @@ def test_classify_bad_q_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_classify_non_finite_tol_exits_2(capsys, value):
+    code, out = run(
+        capsys, "classify", "--input", str(DATA / "example_2_1_d2.json"), "--tol", value
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_spectrum_golden(capsys):
     code, out = run(capsys, "spectrum", "--input", str(DATA / "golden_ratio_d2.json"), "--json")
     assert code == 0

@@ -201,6 +201,20 @@ def test_remark_2_4_adjoint_closure_doubly_commuting():
         assert forward and backward
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known false negative: roundoff in T^q L_k is of order eps ||T^q|| ||L_k||, "
+    "but the defect scale is ||T^q L_k||, which drops the growth of L_k on N(T^q)",
+)
+def test_classify_partial_isometry_at_mid_grid():
+    # Every diagonal column is a unit vector or has a zero coordinate, so the
+    # (m; 1,...,1) defect vanishes exactly; the computed one is 2.2e-9 at scale 3.0.
+    t = random_commuting_tuple(
+        GeneratorSpec("diagonal_conjugate", 1, 32, 4, {"unitary": True, "pi_diagonals": True})
+    )
+    assert classify(t, 6, (1, 1, 1, 1)).partial_isometry
+
+
 def test_audit_thm_2_1_equivalence_cases():
     # hypotheses hold, both sides zero
     rep = audit_theorem_2_1(unitary_scaled(2), 1, (1, 1))

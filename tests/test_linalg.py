@@ -132,3 +132,10 @@ def test_tolerance_model_validation():
     assert tol.is_zero(5e-11)
     assert not tol.is_zero(1e-3, scale=1.0)
     assert tol.is_zero(1e-3, scale=1e8)
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "rank_factor"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_tolerance_model_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ToleranceModel(**{field: value})
