@@ -3,7 +3,8 @@
 Exit codes: 0 when the requested verdict was computed (and, for audits, every
 binding conclusion held), 1 when an audit found counterexamples under
 satisfied hypotheses or a reproduction mismatched, 2 on input or usage
-errors. The environment variable OPERTUPLE_SEED supplies the default seed;
+errors and on numerical failures, whose diagnostics follow the error line on
+stderr. The environment variable OPERTUPLE_SEED supplies the default seed;
 the --seed flag overrides it. With --json all output is one JSON document,
 byte-stable for identical inputs and seed.
 """
@@ -482,6 +483,8 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (CliError, TupleFileError, NonCommutingError, NumericalFailureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NumericalFailureError):
+            print(f"diagnostics: {json.dumps(exc.diagnostics, sort_keys=True, default=str)}", file=sys.stderr)
         return 2
 
 

@@ -11,8 +11,9 @@ are reported under the (-1)^k convention.
 
 The level sums L_k = Phi_{T*,T}^k(I) come from ``tuples.power_levels``, once
 per call and shared by all its defects; multi-index enumeration is kept as the
-oracle in ``minverse``. The vector-state forms are summed term by term over
-multi-indices, independently of the levels.
+oracle in ``minverse``. The vector-state forms never go through L_k: all states
+are the columns of one matrix, pushed along the monomial prefix tree, so even
+the 2·dim² polarized states are affordable at dim 64.
 
 Because the sums alternate and cancel, every zero-test is relative to the
 largest level summand rather than to the final value.
@@ -33,7 +34,7 @@ from .linalg import (
     frobenius_norm,
     null_space_basis,
 )
-from .multiindex import enumerate_multiindices, multinomial_weight, validate_multiindex
+from .multiindex import multinomial_weight, prefix_tree, validate_multiindex
 from .reports import (
     NOTE_PROP21_HYPOTHESIS,
     NOTE_THM21_SIGN,
@@ -98,37 +99,48 @@ def _partial_defects(t: OperatorTuple, orders, q, tol: ToleranceModel) -> list[D
     return [_defect(levels, m, tol, front) for m in orders]
 
 
+def _state_levels(t: OperatorTuple, y: np.ndarray, kmax: int) -> np.ndarray:
+    """sum_{|alpha|=k} (k!/alpha!) <T^alpha y_c, T^alpha y_c>: row k = 0..kmax, column c of Y.
+
+    One product T_j Z per node of the monomial prefix tree. Each <z, z> is a complex
+    sum, as np.vdot takes it, so ``_state_sums`` can gate its imaginary residue.
+    """
+    levels = np.zeros((kmax + 1, y.shape[1]), dtype=np.complex128)
+    for alpha, z in prefix_tree(t.d, kmax, y, lambda j, z: t[j] @ z):
+        levels[sum(alpha)] += multinomial_weight(alpha) * np.einsum("ij,ij->j", z.conj(), z)
+    return levels
+
+
+def _state_sums(t: OperatorTuple, m: int, blocks, check_tol: float = 1e-8) -> np.ndarray:
+    """Per state (column), the sum over blocks Y (one at a time) of sum_k (-1)^k C(m,k) level_k(Y).
+
+    An imaginary part beyond check_tol times the state's largest term raises."""
+    signs = np.array([(-1) ** k * math.comb(m, k) for k in range(m + 1)])[:, None]
+    terms = sum(signs * _state_levels(t, y, m) for y in blocks)
+    totals, scales = terms.sum(axis=0), np.abs(terms).max(axis=0)
+    bad = np.flatnonzero(np.abs(totals.imag) > check_tol * np.maximum(1.0, scales))
+    if bad.size:
+        c = int(bad[0])
+        raise NumericalFailureError(
+            "scalar defect has a non-negligible imaginary part",
+            {"column": c, "imag": float(totals[c].imag), "scale": float(scales[c])},
+        )
+    return totals.real
+
+
 def scalar_defect(t: OperatorTuple, m: int, q, x, check_tol: float = 1e-8) -> float:
     """The vector-state defect sum_k (-1)^k C(m,k) sum_alpha (k!/alpha!) ||T^alpha T*^q x||^2.
 
-    Evaluated term by term, independent of the operator-defect path. The value
-    is real up to accumulation residue; a non-negligible imaginary part
-    (beyond check_tol times the largest level magnitude) raises.
+    One column of the kernel the audits run on all states at once (even the polarized ones at
+    dim 64), never through L_k, so independent of the operator path; ``_state_sums`` gates it.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    q = _validated_exponent(t, q)
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.shape[0] != t.dim:
         raise ValueError(f"vector has length {x.shape[0]}, expected {t.dim}")
-    shifted = adjoint(tuple_power(t, q)) @ x
-    total = 0.0 + 0.0j
-    level_magnitudes = []
-    for k in range(m + 1):
-        level = 0.0 + 0.0j
-        for alpha in enumerate_multiindices(t.d, k):
-            z = tuple_power(t, alpha) @ shifted
-            level += multinomial_weight(alpha) * np.vdot(z, z)
-        level *= math.comb(m, k)
-        level_magnitudes.append(abs(level))
-        total += (-1) ** k * level
-    scale = max(level_magnitudes)
-    if abs(total.imag) > check_tol * max(1.0, scale):
-        raise NumericalFailureError(
-            "scalar defect has a non-negligible imaginary part",
-            {"imag": total.imag, "scale": scale},
-        )
-    return float(total.real)
+    shifted = adjoint(tuple_power(t, _validated_exponent(t, q))) @ x[:, None]
+    return float(_state_sums(t, m, [shifted], check_tol)[0])
 
 
 def _entrywise_invertible(t: OperatorTuple, tol: ToleranceModel) -> tuple[bool, ...]:
@@ -217,17 +229,14 @@ def classify(
     )
 
 
-def _scalar_states(t: OperatorTuple, polarize: bool) -> list[np.ndarray]:
-    eye = np.eye(t.dim, dtype=np.complex128)
-    states = [eye[:, i] for i in range(t.dim)]
-    if polarize:
-        for i in range(t.dim):
-            for j in range(i + 1, t.dim):
-                states.append(eye[:, i] + eye[:, j])
-                states.append(eye[:, i] - eye[:, j])
-                states.append(eye[:, i] + 1j * eye[:, j])
-                states.append(eye[:, i] - 1j * eye[:, j])
-    return states
+def _scalar_states(dim: int, polarize: bool) -> np.ndarray:
+    """The states as columns: e_i, then e_i + e_j, e_i - e_j, e_i + i e_j, e_i - i e_j for i < j."""
+    basis = np.eye(dim, dtype=np.complex128)
+    if not polarize:
+        return basis
+    i, j = np.triu_indices(dim, 1)
+    pairs = basis[:, i, None] + basis[:, j, None] * np.array([1.0, -1.0, 1j, -1j])
+    return np.hstack([basis, pairs.reshape(dim, -1)])
 
 
 def audit_theorem_2_1(
@@ -248,21 +257,15 @@ def audit_theorem_2_1(
     reducing, basis = null_reducing_check(t, q, tol)
     operator = partial_isometry_defect(t, m, q, tol)
 
-    worst = 0.0
-    worst_state = None
-    scalar_all_zero = True
-    for x in _scalar_states(t, polarize):
-        value = scalar_defect(t, m, q, x)
-        if abs(value) > worst:
-            worst = abs(value)
-            worst_state = x
-        if not tol.is_zero(abs(value), operator.scale):
-            scalar_all_zero = False
+    states = _scalar_states(t.dim, polarize)
+    magnitudes = np.abs(_state_sums(t, m, [adjoint(tuple_power(t, q)) @ states]))
+    worst = float(magnitudes.max())
+    scalar_all_zero = all(tol.is_zero(v, operator.scale) for v in magnitudes)
 
     both_directions = operator.is_zero == scalar_all_zero
     witnesses = []
-    if worst_state is not None and not scalar_all_zero:
-        witnesses.append(Witness("max-scalar-defect state", tuple(worst_state)))
+    if not scalar_all_zero:
+        witnesses.append(Witness("max-scalar-defect state", tuple(states[:, magnitudes.argmax()])))
 
     subs = (
         SubVerdict(
@@ -314,21 +317,6 @@ def _null_spaces_stable(t: OperatorTuple, tol: ToleranceModel) -> bool:
         if gap > tol.abs_tol + tol.rel_tol + 1e-8:
             return False
     return True
-
-
-def _ascent_scalar(t: OperatorTuple, m: int, q, x) -> float:
-    """sum_j sum_k (-1)^k C(m,k) sum_{|alpha|=k} (k!/alpha!) ||T^alpha T_j T*^q x||^2."""
-    shifted = adjoint(tuple_power(t, q)) @ np.asarray(x, dtype=np.complex128).reshape(-1)
-    total = 0.0
-    for j in range(t.d):
-        y = t[j] @ shifted
-        for k in range(m + 1):
-            level = 0.0
-            for alpha in enumerate_multiindices(t.d, k):
-                z = tuple_power(t, alpha) @ y
-                level += multinomial_weight(alpha) * float(np.vdot(z, z).real)
-            total += (-1) ** k * math.comb(m, k) * level
-    return total
 
 
 def audit_theorem_2_3(
@@ -446,9 +434,9 @@ def audit_proposition_2_4(
     vector-state sum over the components vanishes on all basis states."""
     q = _validated_exponent(t, q)
     base, up = _partial_defects(t, (m, m + 1), q, tol)
-    eye = np.eye(t.dim, dtype=np.complex128)
-    values = [_ascent_scalar(t, m, q, eye[:, i]) for i in range(t.dim)]
-    worst = max(abs(v) for v in values)
+    # sum_j of the vector-state sum on T_j T*^q e_i, for every basis state e_i
+    shifted = adjoint(tuple_power(t, q))
+    worst = float(np.abs(_state_sums(t, m, (tj @ shifted for tj in t))).max())
     identity_zero = tol.is_zero(worst, max(1.0, base.scale))
     hyp = base.is_zero
     subs = (

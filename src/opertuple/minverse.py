@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, NumericalFailureError, ToleranceModel, frobenius_norm
-from .multiindex import multinomial_weight, pochhammer_descending
+from .multiindex import multinomial_weight, pochhammer_descending, prefix_tree
 from .reports import (
     NOTE_FINITE_SURROGATE,
     NOTE_POCHHAMMER_ZERO,
@@ -55,21 +55,13 @@ def _check_shapes(s: OperatorTuple, t: OperatorTuple) -> None:
 def _enumerated_levels(s: OperatorTuple, t: OperatorTuple, kmax: int) -> list[np.ndarray]:
     """sum_{|alpha|=k} (k!/alpha!) S^alpha T^alpha for k = 0..kmax, by enumeration.
 
-    The monomials grow on a prefix tree (alpha's children are alpha + e_j for j
-    at or after its last nonzero entry): one product per node for S and for T.
+    The monomials grow on the prefix tree: one product per node for S and for T.
     """
     eye = np.eye(t.dim, dtype=np.complex128)
     levels = [np.zeros_like(eye) for _ in range(kmax + 1)]
-
-    def visit(alpha: tuple[int, ...], last: int, s_alpha: np.ndarray, t_alpha: np.ndarray):
-        k = sum(alpha)
-        levels[k] += multinomial_weight(alpha) * (s_alpha @ t_alpha)
-        if k < kmax:
-            for j in range(last, t.d):
-                child = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]
-                visit(child, j, s[j] @ s_alpha, t[j] @ t_alpha)
-
-    visit((0,) * t.d, 0, eye, eye)
+    pairs = prefix_tree(t.d, kmax, (eye, eye), lambda j, pair: (s[j] @ pair[0], t[j] @ pair[1]))
+    for alpha, (s_alpha, t_alpha) in pairs:
+        levels[sum(alpha)] += multinomial_weight(alpha) * (s_alpha @ t_alpha)
     return levels
 
 

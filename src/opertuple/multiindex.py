@@ -52,6 +52,22 @@ def enumerate_multiindices(d: int, k: int) -> list[MultiIndex]:
     return out
 
 
+def prefix_tree(d: int, kmax: int, root, step):
+    """Walk every alpha in Z_+^d with |alpha| <= kmax depth first, yielding (alpha, value).
+
+    Children are alpha + e_j for j at or after alpha's last nonzero entry. alpha = 0
+    carries ``root``, a child ``step(j, parent's value)``; only the current path is alive.
+    """
+
+    def visit(alpha: MultiIndex, last: int, value):
+        yield alpha, value
+        if sum(alpha) < kmax:
+            for j in range(last, d):
+                yield from visit(alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :], j, step(j, value))
+
+    yield from visit((0,) * d, 0, root)
+
+
 def multinomial_weight(alpha) -> int:
     """|alpha|! / (alpha_1! ... alpha_d!), exactly."""
     entries = validate_multiindex(alpha)

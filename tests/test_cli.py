@@ -1,12 +1,16 @@
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opertuple import defects
 from opertuple.cli import main
 
-DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = ROOT / "data"
 
 
 def run(capsys, *argv):
@@ -73,6 +77,38 @@ def test_spectrum_golden(capsys):
     doc = json.loads(out)
     assert doc["spectral_radius"] == pytest.approx(1.2720196495140689, abs=1e-8)
     assert len(doc["point_spectrum"]) == 2
+
+
+def test_numerical_failure_prints_diagnostics(capsys, monkeypatch):
+    kernel = defects._state_levels
+
+    def residue_in_column_1(t, y, kmax):
+        levels = kernel(t, y, kmax)
+        levels[0, 1] += 1j
+        return levels
+
+    monkeypatch.setattr(defects, "_state_levels", residue_in_column_1)
+    code = main(["audit", "--claim", "thm2.1", "--input", str(DATA / "example_2_2.json"), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error, diagnostics = captured.err.splitlines()
+    assert error == "error: scalar defect has a non-negligible imaginary part"
+    prefix, _, payload = diagnostics.partition(" ")
+    assert prefix == "diagnostics:"
+    assert list(json.loads(payload)) == ["column", "imag", "scale"]
+    assert json.loads(payload)["column"] == 1
+
+
+def test_audit_battery_script_runs_clean():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_paper_audits.py"), "--trials", "2"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "audit battery complete; all results as documented" in proc.stdout.splitlines()
 
 
 def test_audit_file_pass_and_fail(capsys):

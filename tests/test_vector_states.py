@@ -1,0 +1,151 @@
+"""The batched vector-state kernels against the term-by-term reference and the operator route.
+
+The reference is the per-state loop: every multi-index separately, with T^alpha
+from ``tuple_power``. The operator route is Re<T^q D T*^q x, x>, with D the
+binomial combination of the levels L_k from ``power_levels``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from opertuple import defects
+from opertuple.defects import _scalar_states, _state_sums, audit_theorem_2_1, scalar_defect
+from opertuple.generators import GeneratorSpec, paper_example, random_commuting_tuple
+from opertuple.linalg import NumericalFailureError, adjoint
+from opertuple.multiindex import enumerate_multiindices, multinomial_weight
+from opertuple.tuples import power_levels, tuple_power
+
+GAP = 1e-12
+
+SCHEMES = {
+    "polynomial_family": {"degree": 2},
+    "diagonal_conjugate": {"unitary": False},
+}
+
+
+def termwise_terms(t, m, y):
+    """(-1)^k C(m,k) sum_{|alpha|=k} (k!/alpha!) <T^alpha y, T^alpha y>, k = 0..m, alpha by alpha."""
+    terms = []
+    for k in range(m + 1):
+        level = 0.0 + 0.0j
+        for alpha in enumerate_multiindices(t.d, k):
+            z = tuple_power(t, alpha) @ y
+            level += multinomial_weight(alpha) * np.vdot(z, z)
+        terms.append((-1) ** k * math.comb(m, k) * level)
+    return np.array(terms)
+
+
+def operator_value(t, m, q, x, ascent):
+    """Re<T^q D T*^q x, x>, D = sum_k (-1)^k C(m,k) L_(k + ascent)."""
+    levels = power_levels([adjoint(tj) for tj in t], t, m + 1)
+    d = sum((-1) ** k * math.comb(m, k) * levels[k + ascent] for k in range(m + 1))
+    tq = tuple_power(t, q)
+    return float(np.vdot(x, tq @ d @ adjoint(tq) @ x).real)
+
+
+@st.composite
+def instances(draw):
+    """(T, m, q, polarize) with d <= 3, dim <= 6, m <= 4, q_j <= 2."""
+    d = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 6))
+    scheme = draw(st.sampled_from(sorted(SCHEMES)))
+    spec = GeneratorSpec(scheme, draw(st.integers(0, 2**32)), dim, d, SCHEMES[scheme])
+    t = random_commuting_tuple(spec)
+    m = draw(st.integers(1, 4))
+    q = tuple(draw(st.integers(0, 2)) for _ in range(d))
+    return t, m, q, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_theorem_2_1_states_match_reference_and_operator_route(instance):
+    t, m, q, polarize = instance
+    states = _scalar_states(t.dim, polarize)
+    shift = adjoint(tuple_power(t, q))
+    values = _state_sums(t, m, [shift @ states])
+    for c in range(states.shape[1]):
+        terms = termwise_terms(t, m, shift @ states[:, c])
+        scale = np.abs(terms).max()
+        assert abs(values[c] - terms.sum().real) <= GAP * scale
+        assert abs(values[c] - operator_value(t, m, q, states[:, c], ascent=0)) <= GAP * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_proposition_2_4_sums_match_reference_and_operator_route(instance):
+    t, m, q, _ = instance
+    shift = adjoint(tuple_power(t, q))
+    values = _state_sums(t, m, (tj @ shift for tj in t))
+    for i, x in enumerate(np.eye(t.dim, dtype=np.complex128).T):
+        terms = sum(termwise_terms(t, m, tj @ shift @ x) for tj in t)
+        scale = np.abs(terms).max()
+        assert abs(values[i] - terms.sum().real) <= GAP * scale
+        assert abs(values[i] - operator_value(t, m, q, x, ascent=1)) <= GAP * scale
+
+
+def test_polarized_states_are_the_documented_combinations():
+    states = _scalar_states(3, True)
+    e = np.eye(3)
+    expected = [e[0], e[1], e[2]]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        expected += [e[i] + e[j], e[i] - e[j], e[i] + 1j * e[j], e[i] - 1j * e[j]]
+    np.testing.assert_array_equal(states, np.array(expected).T)
+    np.testing.assert_array_equal(_scalar_states(3, False), e)
+
+
+def test_imaginary_part_gate_raises():
+    ex = paper_example("2.2")
+    with pytest.raises(NumericalFailureError) as info:
+        scalar_defect(ex.tuple, 2, ex.q, np.eye(3)[:, 0], check_tol=-1.0)
+    assert info.value.diagnostics["column"] == 0
+
+
+def test_batched_gate_names_the_failing_column(monkeypatch):
+    ex = paper_example("2.2")
+    kernel = defects._state_levels
+
+    def residue_in_column_2(t, y, kmax):
+        levels = kernel(t, y, kmax)
+        levels[1, 2] += 1j * max(1.0, abs(levels[1, 2]))
+        return levels
+
+    monkeypatch.setattr(defects, "_state_levels", residue_in_column_2)
+    with pytest.raises(NumericalFailureError) as info:
+        _state_sums(ex.tuple, 2, [_scalar_states(3, True)])
+    assert info.value.diagnostics["column"] == 2
+    assert sorted(info.value.diagnostics) == ["column", "imag", "scale"]
+
+
+def _verdicts(report):
+    sv = report.sub_verdicts[0]
+    return (
+        report.hypotheses_hold,
+        report.conclusion_holds,
+        sv.conclusion_holds,
+        sv.details["operator_defect_zero"],
+        sv.details["scalar_defect_all_zero"],
+    )
+
+
+def test_polarized_example_2_2_keeps_verdicts():
+    ex = paper_example("2.2")
+    basis = audit_theorem_2_1(ex.tuple, 2, ex.q)
+    polarized = audit_theorem_2_1(ex.tuple, 2, ex.q, polarize=True)
+    assert _verdicts(polarized) == _verdicts(basis)
+    assert polarized.sub_verdicts[0].details["polarized_states"] is True
+    assert basis.sub_verdicts[0].details["polarized_states"] is False
+    assert polarized.norms["max_scalar_defect"] >= basis.norms["max_scalar_defect"]
+
+
+def test_polarized_pi_diagonal_at_dim_32():
+    spec = GeneratorSpec("diagonal_conjugate", 1, 32, 4, {"unitary": True, "pi_diagonals": True})
+    t = random_commuting_tuple(spec)
+    q = (1,) * 4
+    basis = audit_theorem_2_1(t, 4, q)
+    polarized = audit_theorem_2_1(t, 4, q, polarize=True)
+    assert _scalar_states(32, True).shape[1] == 2016
+    assert _verdicts(polarized) == _verdicts(basis)
+    assert polarized.conclusion_holds and not polarized.sub_verdicts[0].vacuous
