@@ -3,7 +3,8 @@
 Thin, contract-checked wrappers around numpy/scipy LAPACK routines: adjoints,
 Frobenius norms, rank-revealing null spaces, eigendecomposition, and complex
 Schur triangularization. Rank decisions use a scale-invariant singular-value
-cutoff instead of a fixed epsilon.
+cutoff instead of a fixed epsilon. scipy is imported on first use, by the
+Schur form alone, so callers that never triangularize never load it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -80,13 +80,14 @@ def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL) -> np.nda
     Accepts rectangular input so stacked systems [T_1 - l_1; ...; T_d - l_d]
     can be handled. Basis vectors are right singular vectors whose singular
     values fall at or below the rank cutoff; an exactly zero matrix yields the
-    full standard basis.
+    full standard basis. A tall or square input needs only the thin SVD; a
+    wide one needs the full ``vh``, whose extra rows span the null space.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
     n = a.shape[1]
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < n)
     sigma = np.zeros(n)
     sigma[: len(s)] = s
     sigma_max = float(sigma[0]) if n else 0.0
@@ -127,6 +128,8 @@ def eigendecomposition(a: np.ndarray) -> list[tuple[complex, np.ndarray]]:
 
 def unitary_triangularize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form: returns (Q, U) with A = Q U Q*, Q unitary, U upper."""
+    import scipy.linalg  # the package's only scipy use, imported on first call
+
     a = as_matrix(a)
     try:
         u, q = scipy.linalg.schur(a, output="complex")

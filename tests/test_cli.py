@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -109,6 +110,46 @@ def test_audit_battery_script_runs_clean():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "audit battery complete; all results as documented" in proc.stdout.splitlines()
+
+
+# Runs ``python -m opertuple.cli ARGS`` in a fresh interpreter and reports on
+# stderr's last line whether scipy was imported along the way.
+_MODULE_RUN_WRAPPER = """
+import runpy, sys
+sys.argv = ["opertuple"] + sys.argv[1:]
+try:
+    runpy.run_module("opertuple.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("scipy loaded:", "scipy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _cold_run(*argv):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-c", _MODULE_RUN_WRAPPER, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+def test_cold_classify_never_loads_scipy():
+    proc = _cold_run("classify", "--input", str(DATA / "example_2_1_d2.json"), "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["partial_isometry"] is True
+    assert proc.stderr.splitlines()[-1] == "scipy loaded: False"
+
+
+def test_cold_spectrum_loads_scipy_for_schur():
+    proc = _cold_run("spectrum", "--input", str(DATA / "golden_ratio_d2.json"), "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["point_spectrum"]) == 2
+    assert proc.stderr.splitlines()[-1] == "scipy loaded: True"
 
 
 def test_audit_file_pass_and_fail(capsys):

@@ -83,6 +83,42 @@ def test_null_space_properties_random_rank_deficient():
             assert np.linalg.norm(low @ basis[:, k]) <= 10 * cutoff
 
 
+def _full_svd_null_space(a):
+    """Reference: the null space from the full SVD, the same cutoff."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    sigma = np.zeros(a.shape[1])
+    sigma[: len(s)] = s
+    cutoff = DEFAULT_TOL.rank_cutoff(max(a.shape), float(sigma[0]))
+    return vh.conj().T[:, sigma <= cutoff]
+
+
+@pytest.mark.parametrize(
+    "rows, cols, rank",
+    [
+        (24, 6, 6),  # tall stacks [T_1 - l_1; ...; T_4 - l_4], null dimension k = 0, 1, 2
+        (24, 6, 5),
+        (24, 6, 4),
+        (3, 7, 3),  # wide: the null vectors are the rows of vh past the rank
+        (4, 7, 2),
+        (24, 6, 0),  # zero matrices
+        (3, 7, 0),
+        (5, 5, 0),
+    ],
+)
+def test_null_space_matches_full_svd_reference(rows, cols, rank):
+    rng = np.random.default_rng([rows, cols, rank])
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    a = left @ right
+    basis = null_space_basis(a)
+    reference = _full_svd_null_space(a)
+    assert basis.shape == reference.shape == (cols, cols - rank)
+    np.testing.assert_allclose(adjoint(basis) @ basis, np.eye(cols - rank), atol=1e-12)
+    np.testing.assert_allclose(
+        basis @ adjoint(basis), reference @ adjoint(reference), atol=1e-12
+    )
+
+
 def test_eigendecomposition_diagonal():
     pairs = eigendecomposition(np.diag([1.0, 2.0]))
     values = sorted(lam.real for lam, _ in pairs)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from opertuple.generators import (
     random_commuting_tuple,
     random_unitary,
 )
-from opertuple.linalg import eigendecomposition, frobenius_norm
+from opertuple.linalg import DEFAULT_TOL, eigendecomposition, frobenius_norm
 from opertuple.spectra import (
+    CLUSTER_TOL,
+    _confirmed_points,
+    _first_kept,
     audit_proposition_3_2,
     audit_theorem_3_1,
     joint_lower_bound,
@@ -23,11 +27,13 @@ from opertuple.spectra import (
     taylor_diagonal,
     zero_variety_member,
 )
+from opertuple.tuplefile import parse_tuple_file
 from opertuple.tuples import conjugate_by_unitary, make_tuple, permute_tuple
 
 RNG = np.random.default_rng(99)
 
 GOLDEN_A = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 
 def unitary_scaled(d, dim=4, seed=1):
@@ -263,3 +269,50 @@ def test_joint_spectrum_result_bundle():
     doc = result.to_dict()
     assert doc["seed"] == 5
     assert len(doc["point_spectrum"]) == 3
+
+
+@pytest.mark.parametrize("name", ["example_2_2", "golden_ratio", "non_normal_d3"])
+def test_one_triangularization_matches_standalone_calls(name):
+    t = {
+        "example_2_2": lambda: paper_example("2.2").tuple,
+        "golden_ratio": lambda: parse_tuple_file((DATA / "golden_ratio_d2.json").read_text()).tuple,
+        "non_normal_d3": lambda: random_commuting_tuple(
+            GeneratorSpec("diagonal_conjugate", seed=4, dim=6, d=3, params={"unitary": False})
+        ),
+    }[name]()
+    seed = 7
+    result = joint_spectrum(t, DEFAULT_TOL, seed)
+    points = joint_point_spectrum(t, DEFAULT_TOL, seed)
+    assert [lam for lam, _ in result.point_spectrum] == [lam for lam, _ in points]
+    assert [x for _, x in result.point_spectrum] == [tuple(x) for _, x in points]
+    assert list(result.taylor_diagonal) == taylor_diagonal(t, seed, DEFAULT_TOL)
+    assert result.spectral_radius == spectral_radius(t, DEFAULT_TOL, seed)
+    report = audit_theorem_3_1(t, 1, (1,) * t.d)
+    assert report.norms["spectral_radius"] == spectral_radius(t)
+    assert report.sub_verdicts[0].details["points_checked"] == len(joint_point_spectrum(t))
+
+
+def test_greedy_clustering_first_kept_wins():
+    tol = CLUSTER_TOL
+    # 0.6 tol is near both neighbours, 0 and 1.2 tol are not near each other:
+    # the relation is not transitive, and the earlier point decides.
+    assert _first_kept([(0.0,), (0.6 * tol,), (1.2 * tol,)], 1, tol) == [0, 2]
+    assert _first_kept([(0.6 * tol,), (0.0,), (1.2 * tol,)], 1, tol) == [0]
+    assert _first_kept([(0.0,), (tol,)], 1, tol) == [0]  # exactly tol merges
+    assert _first_kept([(0.0, 0.0), (0.0, 1.2 * tol)], 2, tol) == [0, 1]
+    assert _first_kept([], 2, tol) == []
+    t = make_tuple([np.diag([0.0, 0.6 * tol, 1.2 * tol])])
+    assert points_of(t, cluster_tol=tol) == [(0.0,), (1.2 * tol,)]
+
+
+def test_refined_dedup_follows_the_same_rule():
+    # Next to the eigenvalue 1e6 the rank cutoff (~4e-7) exceeds 2 tol, so the
+    # candidate 2 tol is confirmed by e_0, refines to 0 and merges into the
+    # first point; the candidate pass alone kept all three apart.
+    tol = CLUSTER_TOL
+    t = make_tuple([np.diag([0.0, 1e6])])
+    candidates = [(0.0,), (2 * tol,), (1e6,)]
+    assert _first_kept(candidates, 1, tol) == [0, 1, 2]
+    points = _confirmed_points(t, candidates, DEFAULT_TOL, tol)
+    assert [lam for lam, _ in points] == [(0.0,), (1e6,)]
+    assert abs(points[0][1][0]) == pytest.approx(1.0)
