@@ -4,7 +4,8 @@ Exit codes: 0 when the requested verdict was computed (and, for audits, every
 binding conclusion held), 1 when an audit found counterexamples under
 satisfied hypotheses or a reproduction mismatched, 2 on input or usage
 errors and on numerical failures, whose diagnostics follow the error line on
-stderr. The environment variable OPERTUPLE_SEED supplies the default seed;
+stderr. An order m outside 1..MAX_ORDER (32), from --m or a tuple file, is
+an input error. The environment variable OPERTUPLE_SEED supplies the default seed;
 the --seed flag overrides it. With --json all output is one JSON document,
 byte-stable for identical inputs and seed.
 """
@@ -40,7 +41,7 @@ from .minverse import (
 from .reports import NOTE_EX41_SCALING, report_to_dict
 from .spectra import audit_proposition_3_2, audit_theorem_3_1, joint_spectrum
 from .tuples import NonCommutingError, make_tuple
-from .tuplefile import TupleFileError, parse_partner, parse_tuple_file
+from .tuplefile import MAX_ORDER, TupleFileError, parse_partner, parse_tuple_file
 
 AUDIT_CLAIMS = (
     "thm2.1",
@@ -93,7 +94,7 @@ def _load_file(path: str, tol: ToleranceModel):
 
 def _emit(doc: dict, as_json: bool, text_lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -118,6 +119,8 @@ def _cmd_classify(args) -> int:
     m = args.m if args.m is not None else parsed.m
     if m is None:
         raise CliError("no --m given and the file carries none")
+    if not 1 <= m <= MAX_ORDER:
+        raise CliError(f"--m must be an integer from 1 to {MAX_ORDER}, got {m}")
     q = _parse_q(args.q, t.d) if args.q is not None else parsed.q
     if q is None:
         raise CliError("no --q given and the file carries none")

@@ -70,6 +70,11 @@ def _defect(levels: list[np.ndarray], m: int, tol: ToleranceModel, front=None) -
     defect = sum((-1) ** k * term for k, term in enumerate(terms))
     scale = max(frobenius_norm(term) for term in terms)
     norm = frobenius_norm(defect)
+    if not (math.isfinite(norm) and math.isfinite(scale)):
+        raise NumericalFailureError(
+            "defect is not finite: its level sums overflow",
+            {"m": m, "norm": repr(norm), "scale": repr(scale)},
+        )
     return DefectResult(matrix=defect, norm=norm, scale=scale, is_zero=tol.is_zero(norm, scale))
 
 

@@ -12,8 +12,15 @@ triangularizes every component. Degenerate draws are retried; if all retries
 fail the deterministic fallback deflates one common eigenvector at a time.
 
 Each call triangularizes once; the point spectrum and the spectral radius
-share its diagonal, whose candidates are confirmed by a thin SVD of the stacked
-system. Proximity of joint eigenvalues is one L-infinity distance matrix.
+share its diagonal. A candidate at diagonal position i is confirmed inside that
+Schur basis: back-substitution in the leading block of a fixed combination of
+the triangular factors gives a witness x, and a stacked residual
+||[T_j x - l_j x]_j|| at or below the rank cutoff of a lower bound on the
+stack's sigma_max certifies what its SVD would decide. Candidates the
+certificate cannot settle fall back to the null space of the stacked system,
+the only way a candidate is rejected. Every witness has a fixed phase: its
+first entry within a relative 1e-8 of the largest modulus is real and positive.
+Proximity of joint eigenvalues is one L-infinity distance matrix.
 """
 
 from __future__ import annotations
@@ -147,7 +154,11 @@ def taylor_diagonal(
 ) -> list[tuple[complex, ...]]:
     """Joint diagonal d-vectors (with multiplicity): the Taylor-spectrum surrogate."""
     _, us = simultaneous_triangularize(t, seed, tol)
-    return [tuple(complex(u[i, i]) for u in us) for i in range(t.dim)]
+    return _diagonal(us)
+
+
+def _diagonal(us) -> list[tuple[complex, ...]]:
+    return [tuple(complex(u[i, i]) for u in us) for i in range(us[0].shape[0])]
 
 
 def _linf_distances(a, b, d: int) -> np.ndarray:
@@ -172,18 +183,80 @@ def _near_spectrum(points, spectrum_points, d: int) -> list[bool]:
     return (_linf_distances(points, spectrum_points, d) <= atol[:, None]).any(axis=1).tolist()
 
 
+def _fixed_phase(x: np.ndarray) -> np.ndarray:
+    """x times the unit scalar that makes its first entry within a relative 1e-8
+    of the largest modulus real and positive."""
+    mod = np.abs(x)
+    k = int(np.argmax(mod >= (1.0 - 1e-8) * mod.max()))
+    out = x * (mod[k] / x[k])
+    out[k] = mod[k]
+    return out
+
+
+def _certificate_weights(d: int) -> np.ndarray:
+    """The fixed weights g of the combination sum_j g_j U_j that the certificate
+    back-substitutes in: unit moduli, phases irrational multiples of pi."""
+    return np.exp(1j * math.sqrt(2.0) * np.arange(1, d + 1))
+
+
+def _schur_witnesses(t: OperatorTuple, factors, diag, kept: list[int], tol: ToleranceModel):
+    """Unit witnesses from the triangular factors, one column per kept diagonal
+    position, and whether each one's stacked residual certifies it."""
+    q, us = factors
+    n, d = t.dim, t.d
+    combo = sum(gj * u for gj, u in zip(_certificate_weights(d), us))
+    shifts = np.diag(combo)[kept]
+    pos = np.array(kept)
+    # Back-substitution in the leading (i+1) x (i+1) block of combo - c_i I,
+    # all kept positions i at once: y_i = 1 and y_k = 0 below it.
+    y = np.zeros((n, len(kept)), dtype=np.complex128)
+    y[pos, np.arange(len(kept))] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 2, -1, -1):
+            above = pos > k
+            y[k, above] = -(combo[k, k + 1 :] @ y[k + 1 :, above]) / (combo[k, k] - shifts[above])
+        x = q @ y
+        x /= np.linalg.norm(x, axis=0)
+        lams = np.array([diag[i] for i in kept]).T
+        residual2 = sum(np.linalg.norm(m @ x - x * lj, axis=0) ** 2 for m, lj in zip(t, lams))
+    # The (d·n) x n stack has sigma_max >= ||stack||_F / sqrt(n). Each
+    # ||T_j - l_j I||_F^2 is summed as its off-diagonal part plus the
+    # |t_kk - l_j|^2, so nothing cancels when T_j is close to l_j I.
+    frob2 = sum(
+        frobenius_norm(m - np.diag(np.diag(m))) ** 2
+        + (np.abs(np.diag(m)[:, None] - lj) ** 2).sum(axis=0)
+        for m, lj in zip(t, lams)
+    )
+    cutoffs = [tol.rank_cutoff(d * n, math.sqrt(f / n)) for f in frob2]
+    return x, [bool(r <= c) for r, c in zip(np.sqrt(residual2), cutoffs)]
+
+
 def _confirmed_points(
-    t: OperatorTuple, diag, tol: ToleranceModel, cluster_tol: float
+    t: OperatorTuple, diag, tol: ToleranceModel, cluster_tol: float, factors=None
 ) -> list[tuple[tuple[complex, ...], np.ndarray]]:
-    """Candidates from a computed diagonal, confirmed by the stacked null space."""
+    """Candidates, confirmed by a residual certificate or the stacked null space.
+
+    ``factors`` is the (Q, [U_j]) whose diagonal ``diag`` is; with it each
+    candidate first tries the certificate of ``_schur_witnesses``. A candidate
+    it cannot settle, and every candidate without factors, is decided by the
+    SVD of [T_1 - l_1; ...; T_d - l_d] under the same ``rank_cutoff``.
+    """
+    kept = _first_kept(diag, t.d, cluster_tol)
+    certified = [False] * len(kept)
+    if factors is not None:
+        x_cert, certified = _schur_witnesses(t, factors, diag, kept, tol)
     confirmed = []
     eye = np.eye(t.dim)
-    for i in _first_kept(diag, t.d, cluster_tol):
-        stacked = np.vstack([m - lj * eye for m, lj in zip(t, diag[i])])
-        basis = null_space_basis(stacked, tol)
-        if basis.shape[1] == 0:
-            continue
-        x = basis[:, 0]
+    for c, i in enumerate(kept):
+        if certified[c]:
+            x = x_cert[:, c]
+        else:
+            stacked = np.vstack([m - lj * eye for m, lj in zip(t, diag[i])])
+            basis = null_space_basis(stacked, tol)
+            if basis.shape[1] == 0:
+                continue
+            x = basis[:, 0]
+        x = _fixed_phase(x)
         confirmed.append((tuple(complex(np.vdot(x, m @ x)) for m in t), x))
     return [confirmed[i] for i in _first_kept([lam for lam, _ in confirmed], t.d, cluster_tol)]
 
@@ -196,11 +269,24 @@ def joint_point_spectrum(
 ) -> list[tuple[tuple[complex, ...], np.ndarray]]:
     """Joint eigenvalues with one unit witness each.
 
-    Candidates come from the simultaneous-triangularization diagonal; each is
-    confirmed by a nonempty numerical null space of the stacked matrix
-    [T_1 - l_1; ...; T_d - l_d], then refined by a Rayleigh quotient.
+    Candidates come from the simultaneous-triangularization diagonal. Each is
+    confirmed in the Schur basis when the stacked residual of its
+    back-substituted witness is at or below the rank cutoff, and otherwise by a
+    nonempty numerical null space of the stacked matrix
+    [T_1 - l_1; ...; T_d - l_d]; then refined by a Rayleigh quotient. A witness
+    is fixed up to roundoff: its first entry within a relative 1e-8 of the
+    largest modulus is real and positive.
     """
-    return _confirmed_points(t, taylor_diagonal(t, seed, tol), tol, cluster_tol)
+    return _point_spectrum(t, tol, seed, cluster_tol)[1]
+
+
+def _point_spectrum(
+    t: OperatorTuple, tol: ToleranceModel, seed: int, cluster_tol: float = CLUSTER_TOL
+):
+    """One triangularization: its diagonal and the points it confirms."""
+    factors = simultaneous_triangularize(t, seed, tol)
+    diag = _diagonal(factors[1])
+    return diag, _confirmed_points(t, diag, tol, cluster_tol, factors)
 
 
 def point_residual(t: OperatorTuple, lam, x) -> float:
@@ -260,8 +346,7 @@ class JointSpectrumResult:
 def joint_spectrum(
     t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> JointSpectrumResult:
-    diag = taylor_diagonal(t, seed, tol)
-    points = _confirmed_points(t, diag, tol, CLUSTER_TOL)
+    diag, points = _point_spectrum(t, tol, seed)
     residuals = tuple(point_residual(t, lam, x) for lam, x in points)
     return JointSpectrumResult(
         point_spectrum=tuple((lam, tuple(x)) for lam, x in points),
@@ -286,8 +371,7 @@ def audit_theorem_3_1(
     reducing, _ = null_reducing_check(t, q, tol)
     hyp = defect.is_zero and reducing
 
-    diag = taylor_diagonal(t, seed, tol)
-    points = _confirmed_points(t, diag, tol, CLUSTER_TOL)
+    diag, points = _point_spectrum(t, tol, seed)
     witnesses = []
     all_located = True
     for lam, _x in points:

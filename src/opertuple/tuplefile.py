@@ -2,10 +2,10 @@
 
 A tuple file is a JSON object with integer fields "d" and "dim", a
 "matrices" array of shape d x dim x dim whose innermost entries are [re, im]
-pairs, and optional "q" (integer list), "m" (integer), and "metadata" (object)
-fields. For m-inverse audits the metadata may embed a partner tuple under
-"left_inverse" or "right_inverse" as {"matrices": [...]} with the same
-encoding and shape.
+pairs, and optional "q" (integer list), "m" (integer, 1 <= m <= MAX_ORDER),
+and "metadata" (object) fields. For m-inverse audits the metadata may embed a
+partner tuple under "left_inverse" or "right_inverse" as {"matrices": [...]}
+with the same encoding and shape.
 
 Serialization writes floats in Python's shortest round-trip form (at most 17
 significant digits), so emit/parse is lossless and byte-stable.
@@ -22,6 +22,13 @@ from .linalg import DEFAULT_TOL, ToleranceModel
 from .tuples import OperatorTuple, make_tuple
 
 
+# The largest order m accepted from outside the program. It is four times the
+# desk-scale envelope (m <= 8); at d = 4 the vector-state audits walk
+# C(m + 4, 4) monomials, ~59k at m = 32, and every C(m, k) stays far inside
+# the float range (it leaves it at m = 1030).
+MAX_ORDER = 32
+
+
 class TupleFileError(ValueError):
     """Schema violation, reported with the JSON path of the offending node."""
 
@@ -30,11 +37,13 @@ class TupleFileError(ValueError):
         self.path = path
 
 
-def _require_int(value, path: str, minimum: int | None = None) -> int:
+def _require_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TupleFileError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise TupleFileError(path, f"expected an integer >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise TupleFileError(path, f"expected an integer <= {maximum}, got {value}")
     return value
 
 
@@ -105,7 +114,7 @@ def parse_tuple_file(text: str, tol: ToleranceModel = DEFAULT_TOL) -> ParsedTupl
             raise TupleFileError("/q", f"expected a list of {d} integers")
         q = tuple(_require_int(v, f"/q/{i}", minimum=0) for i, v in enumerate(doc["q"]))
 
-    m = _require_int(doc["m"], "/m", minimum=1) if "m" in doc else None
+    m = _require_int(doc["m"], "/m", minimum=1, maximum=MAX_ORDER) if "m" in doc else None
 
     metadata = {}
     if "metadata" in doc:

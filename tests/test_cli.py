@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -7,8 +9,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opertuple import defects
+from opertuple import cli, defects
 from opertuple.cli import main
+from opertuple.tuplefile import MAX_ORDER
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -78,6 +81,64 @@ def test_spectrum_golden(capsys):
     doc = json.loads(out)
     assert doc["spectral_radius"] == pytest.approx(1.2720196495140689, abs=1e-8)
     assert len(doc["point_spectrum"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra", [["--m", "1100"], ["--m", "500", "--json"], ["--m", str(MAX_ORDER + 1)]]
+)
+def test_classify_order_above_maximum_exits_2_before_any_level(capsys, monkeypatch, extra):
+    def no_levels(*args):
+        raise AssertionError("a level was computed")
+
+    monkeypatch.setattr(defects, "power_levels", no_levels)
+    code, out = run(
+        capsys, "classify", "--input", str(DATA / "example_2_2.json"), "--q", "1,1", *extra
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_tuple_file_order_above_maximum_exits_2(capsys, tmp_path):
+    doc = json.loads((DATA / "example_2_2.json").read_text())
+    doc["m"] = MAX_ORDER + 1
+    path = tmp_path / "high_order.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "classify", "--input", str(path), "--json") == (2, "")
+    assert run(capsys, "audit", "--claim", "thm2.1", "--input", str(path), "--json") == (2, "")
+
+
+def test_classify_at_maximum_order_emits_json(capsys):
+    code, out = run(
+        capsys, "classify", "--input", str(DATA / "example_2_2.json"), "--q", "1,1",
+        "--m", str(MAX_ORDER), "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["m"] == MAX_ORDER
+
+
+def test_overflowing_defect_is_a_numerical_failure(capsys, tmp_path):
+    # ||L_k|| = 1e20^k leaves the float range at k = 16 <= MAX_ORDER
+    path = tmp_path / "huge.json"
+    doc = {"d": 1, "dim": 1, "m": MAX_ORDER, "q": [1], "matrices": [[[[1e10, 0]]]]}
+    path.write_text(json.dumps(doc))
+    with pytest.warns(RuntimeWarning):
+        code = main(["classify", "--input", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error, diagnostics = captured.err.splitlines()[-2:]
+    assert error == "error: defect is not finite: its level sums overflow"
+    assert json.loads(diagnostics.partition(" ")[2])["m"] == MAX_ORDER
+
+
+def test_non_finite_json_never_reaches_stdout(capsys, monkeypatch):
+    result = cli.joint_spectrum
+    monkeypatch.setattr(
+        cli, "joint_spectrum", lambda *a: dataclasses.replace(result(*a), spectral_radius=math.nan)
+    )
+    code, out = run(capsys, "spectrum", "--input", str(DATA / "golden_ratio_d2.json"), "--json")
+    assert code == 2
+    assert out == ""
 
 
 def test_numerical_failure_prints_diagnostics(capsys, monkeypatch):

@@ -3,7 +3,9 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from opertuple import spectra
 from opertuple.generators import (
     GeneratorSpec,
     example_2_1_matrix,
@@ -12,11 +14,14 @@ from opertuple.generators import (
     random_commuting_tuple,
     random_unitary,
 )
-from opertuple.linalg import DEFAULT_TOL, eigendecomposition, frobenius_norm
+from opertuple.linalg import DEFAULT_TOL, eigendecomposition, frobenius_norm, null_space_basis
 from opertuple.spectra import (
     CLUSTER_TOL,
+    _certificate_weights,
     _confirmed_points,
+    _diagonal,
     _first_kept,
+    _fixed_phase,
     audit_proposition_3_2,
     audit_theorem_3_1,
     joint_lower_bound,
@@ -316,3 +321,149 @@ def test_refined_dedup_follows_the_same_rule():
     points = _confirmed_points(t, candidates, DEFAULT_TOL, tol)
     assert [lam for lam, _ in points] == [(0.0,), (1e6,)]
     assert abs(points[0][1][0]) == pytest.approx(1.0)
+
+
+# ---- the stacked-SVD reference route ---------------------------------------
+
+
+def stacked_svd_points(t, diag, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
+    """Every kept candidate decided by the null space of its stacked system
+    [T_1 - l_1; ...; T_d - l_d], as (refined lambda, witness, nullity)."""
+    confirmed = []
+    for i in _first_kept(diag, t.d, cluster_tol):
+        stacked = np.vstack([m - lj * np.eye(t.dim) for m, lj in zip(t, diag[i])])
+        basis = null_space_basis(stacked, tol)
+        if basis.shape[1] == 0:
+            continue
+        x = basis[:, 0]
+        confirmed.append((tuple(complex(np.vdot(x, m @ x)) for m in t), x, basis.shape[1]))
+    return [confirmed[i] for i in _first_kept([lam for lam, _, _ in confirmed], t.d, cluster_tol)]
+
+
+def stacked_residual_and_cutoff(t, lam, x):
+    stacked = np.vstack([m - lj * np.eye(t.dim) for m, lj in zip(t, lam)])
+    sigma_max = float(np.linalg.svd(stacked, compute_uv=False)[0])
+    return float(np.linalg.norm(stacked @ x)), DEFAULT_TOL.rank_cutoff(t.d * t.dim, sigma_max)
+
+
+@st.composite
+def commuting_tuples(draw):
+    """d <= 3, dim <= 8: conjugated diagonals (unitary or not), diagonals with
+    repeated joint eigenvalues, or polynomials in a matrix with a Jordan block."""
+    kind = draw(st.sampled_from(["normal", "non_normal", "repeated", "jordan"]))
+    d, dim = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    v = random_unitary(dim, rng)
+    if kind == "jordan":
+        k = int(rng.integers(1, min(dim, 3) + 1))
+        b = np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        b[:k, :k] = rng.standard_normal() * np.eye(k) + np.diag(np.ones(k - 1), 1)
+        b = v @ b @ v.conj().T
+        coeffs = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        return make_tuple([c[0] * np.eye(dim) + c[1] * b + c[2] * b @ b for c in coeffs])
+    values = rng.standard_normal((d, dim)) + 1j * rng.standard_normal((d, dim))
+    if kind == "repeated":
+        values = values[:, rng.integers(max(1, dim // 2), size=dim)]
+    w, w_inv = v, v.conj().T
+    if kind == "non_normal":
+        w = v @ np.diag(np.exp(rng.uniform(-0.7, 0.7, dim))) @ random_unitary(dim, rng)
+        w_inv = np.linalg.inv(w)
+    return make_tuple([w @ np.diag(row) @ w_inv for row in values])
+
+
+@settings(max_examples=80, deadline=None)
+@given(commuting_tuples())
+def test_schur_certificate_agrees_with_stacked_svd(t):
+    factors = simultaneous_triangularize(t)
+    diag = _diagonal(factors[1])
+    points = _confirmed_points(t, diag, DEFAULT_TOL, CLUSTER_TOL, factors)
+    reference = stacked_svd_points(t, diag)
+    assert len(points) == len(reference)
+    scale = max(1.0, max(frobenius_norm(m) for m in t))
+    for (lam, x), (lam_ref, x_ref, nullity) in zip(points, reference):
+        assert max(abs(a - b) for a, b in zip(lam, lam_ref)) <= 1e-12 * scale
+        if nullity == 1:
+            assert abs(np.vdot(x, x_ref)) >= 1.0 - 1e-12
+        else:
+            residual, cutoff = stacked_residual_and_cutoff(t, lam, x)
+            assert residual <= cutoff
+
+
+def named_tuple(name):
+    if name == "example_2_2":
+        return paper_example("2.2").tuple
+    if name == "golden_ratio":
+        return parse_tuple_file((DATA / "golden_ratio_d2.json").read_text()).tuple
+    spec = GeneratorSpec(
+        "diagonal_conjugate", seed=1, dim=32, d=4, params={"unitary": True, "pi_diagonals": True}
+    )
+    return random_commuting_tuple(spec)
+
+
+def counting_null_spaces(monkeypatch):
+    """Patch spectra's stacked-SVD route; returns the list of nullities it decided."""
+    nullities = []
+
+    def counted(a, tol=DEFAULT_TOL):
+        basis = null_space_basis(a, tol)
+        nullities.append(basis.shape[1])
+        return basis
+
+    monkeypatch.setattr(spectra, "null_space_basis", counted)
+    return nullities
+
+
+@pytest.mark.parametrize("name", ["example_2_2", "golden_ratio", "pi_diagonal_32_4"])
+def test_certificate_confirms_without_a_stacked_svd(monkeypatch, name):
+    t = named_tuple(name)
+    nullities = counting_null_spaces(monkeypatch)
+    result = joint_spectrum(t)
+    assert nullities == []
+    assert result.point_spectrum
+
+
+def test_certificate_fallback_confirms_combination_collision(monkeypatch):
+    # (g_2, -g_1) and (0, 0) are distinct joint eigenvalues that the fixed
+    # combination sum_j g_j l_j maps to the same value: back-substitution divides
+    # 0 by 0, and the stacked SVD confirms the second point alone.
+    g = _certificate_weights(2)
+    t = make_tuple([np.diag([0.0, g[1], 1.0]), np.diag([0.0, -g[0], 1.0])])
+    nullities = counting_null_spaces(monkeypatch)
+    points = joint_point_spectrum(t)
+    assert nullities == [1]
+    expected = [(0j, 0j), (complex(g[1]), complex(-g[0])), (1 + 0j, 1 + 0j)]
+    assert [lam for lam, _ in points] == expected
+    assert np.array_equal(points[1][1], [0, 1, 0])
+
+
+def test_certificate_fallback_rejects_near_commuting_candidates(monkeypatch):
+    # The commutator ~4e-11 passes the commutativity gate, but no vector is a
+    # joint eigenvector: both candidates leave a stacked residual ~2e-11, above
+    # the rank cutoff ~1e-12, so the certificate fails and the SVD rejects them.
+    eps = 3e-11
+    t = make_tuple([np.diag([1.0, 2.0]), np.array([[0.0, eps], [eps, 1.0]])])
+    nullities = counting_null_spaces(monkeypatch)
+    assert joint_point_spectrum(t) == []
+    assert nullities == [0, 0]
+    assert len(taylor_diagonal(t)) == 2
+
+
+def witnesses_by_lambda(points):
+    return sorted(points, key=lambda p: tuple((round(z.real, 6), round(z.imag, 6)) for z in p[0]))
+
+
+@pytest.mark.parametrize("name", ["example_2_2", "golden_ratio"])
+def test_witnesses_of_simple_eigenvalues_are_fixed(name):
+    t = named_tuple(name)
+    reference = witnesses_by_lambda(joint_point_spectrum(t, seed=0))
+    v = random_unitary(t.dim, np.random.default_rng(17))
+    moved = conjugate_by_unitary(t, v)
+    runs = [joint_point_spectrum(t, seed=seed) for seed in range(1, 4)]
+    for seed in range(4):
+        runs.append([(lam, _fixed_phase(v @ x)) for lam, x in joint_point_spectrum(moved, seed=seed)])
+    for points in runs:
+        points = witnesses_by_lambda(points)
+        assert len(points) == len(reference)
+        for (lam, x), (lam_ref, x_ref) in zip(points, reference):
+            assert max(abs(a - b) for a, b in zip(lam, lam_ref)) <= 1e-12
+            assert np.linalg.norm(x - x_ref) <= 1e-12

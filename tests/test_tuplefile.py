@@ -14,6 +14,7 @@ from opertuple.reports import (
     report_to_dict,
 )
 from opertuple.tuplefile import (
+    MAX_ORDER,
     TupleFileError,
     matrices_to_json,
     parse_partner,
@@ -81,6 +82,13 @@ def test_schema_violations(mutate, path):
     with pytest.raises(TupleFileError) as err:
         parse_tuple_file(json.dumps(doc))
     assert err.value.path == path
+
+
+def test_order_above_cap_rejected():
+    doc = {"d": 2, "dim": 1, "matrices": [[[[1, 0]]], [[[2, 0]]]], "m": MAX_ORDER + 1}
+    with pytest.raises(TupleFileError) as err:
+        parse_tuple_file(json.dumps(doc))
+    assert err.value.path == "/m"
 
 
 def test_not_json_at_all():
