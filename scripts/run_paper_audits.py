@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Run the full audit battery: every claim on its shipped files plus random
-batches, printing one summary line per run. Exit 0 when nothing binding
-failed beyond the documented discrepancies (prop4.1's printed coefficients
-are expected to fail and are reported but tolerated here).
+"""Run the full audit battery: the claims on their shipped files, then a random
+batch for every claim in the registry ``opertuple.cli.CLAIMS``, printing one
+summary line per run. Exit 0 when nothing binding failed beyond the documented
+discrepancies (prop4.1's printed coefficients are expected to fail and are
+reported but tolerated here).
 
 Usage: python scripts/run_paper_audits.py [--seed N] [--trials N]
 """
@@ -15,7 +16,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from opertuple.cli import main as cli_main
+from opertuple.cli import CLAIMS, main as cli_main
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
@@ -32,19 +33,6 @@ FILE_CLAIMS = [
     ("prop4.1", "example_4_1_corrected.json"),
 ]
 
-RANDOM_CLAIMS = [
-    "thm2.1",
-    "thm2.2",
-    "thm2.3",
-    "prop2.1",
-    "prop2.4",
-    "thm3.1",
-    "prop3.2",
-    "thm4.1",
-    "thm4.2",
-    "prop4.1",
-]
-
 # Runs that demonstrate a documented paper discrepancy; their nonzero exit is
 # the finding, not a regression.
 EXPECTED_FINDINGS = {
@@ -59,24 +47,17 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=10)
     args = parser.parse_args()
 
+    runs = [(claim, name, "--input", str(DATA / name)) for claim, name in FILE_CLAIMS]
+    runs += [(claim, "random", "--random", str(args.trials)) for claim in CLAIMS]
     failures = []
-    for claim, name in FILE_CLAIMS:
-        rc = cli_main(["audit", "--claim", claim, "--input", str(DATA / name), "--seed", str(args.seed)])
+    for claim, name, flag, source in runs:
+        rc = cli_main(["audit", "--claim", claim, flag, source, "--seed", str(args.seed)])
         expected = (claim, name) in EXPECTED_FINDINGS
         tag = "finding (expected)" if (rc == 1 and expected) else ("ok" if rc == 0 else "FAILURE")
-        print(f"== {claim} on {name}: exit {rc} [{tag}]\n")
+        where = f"{args.trials} random instances" if name == "random" else name
+        print(f"== {claim} on {where}: exit {rc} [{tag}]\n")
         if rc == 2 or (rc == 1 and not expected):
             failures.append((claim, name, rc))
-
-    for claim in RANDOM_CLAIMS:
-        rc = cli_main(
-            ["audit", "--claim", claim, "--random", str(args.trials), "--seed", str(args.seed)]
-        )
-        expected = (claim, "random") in EXPECTED_FINDINGS
-        tag = "finding (expected)" if (rc == 1 and expected) else ("ok" if rc == 0 else "FAILURE")
-        print(f"== {claim} on {args.trials} random instances: exit {rc} [{tag}]\n")
-        if rc == 2 or (rc == 1 and not expected):
-            failures.append((claim, "random", rc))
 
     if failures:
         print("unexpected failures:", failures)

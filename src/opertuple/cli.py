@@ -1,5 +1,9 @@
 """Command-line interface: classify, spectrum, audit, reproduce.
 
+The auditable claims are the registry ``CLAIMS``: one entry per claim id, holding
+its audit, the partner tuple a file must carry, and its random-instance builder.
+The ``audit`` command and ``scripts/run_paper_audits.py`` both iterate it.
+
 Exit codes: 0 when the requested verdict was computed (and, for audits, every
 binding conclusion held), 1 when an audit found counterexamples under
 satisfied hypotheses or a reproduction mismatched, 2 on input or usage
@@ -17,6 +21,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .defects import (
     classify,
     partial_isometry_defect,
 )
-from .generators import GeneratorSpec, paper_example, random_commuting_tuple
+from .generators import GeneratorSpec, paper_example, random_commuting_tuple, random_unitary
 from .linalg import NumericalFailureError, ToleranceModel
 from .minverse import (
     audit_proposition_4_1,
@@ -42,19 +47,6 @@ from .reports import NOTE_EX41_SCALING, report_to_dict
 from .spectra import audit_proposition_3_2, audit_theorem_3_1, joint_spectrum
 from .tuples import NonCommutingError, make_tuple
 from .tuplefile import MAX_ORDER, TupleFileError, parse_partner, parse_tuple_file
-
-AUDIT_CLAIMS = (
-    "thm2.1",
-    "thm2.2",
-    "thm2.3",
-    "prop2.1",
-    "prop2.4",
-    "thm3.1",
-    "prop3.2",
-    "thm4.1",
-    "thm4.2",
-    "prop4.1",
-)
 
 _ZERO_TOL = 1e-12
 
@@ -156,37 +148,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _audit_from_file(claim: str, args, tol: ToleranceModel, seed: int):
-    parsed = _load_file(args.input, tol)
-    t = parsed.tuple
-    m = parsed.m if parsed.m is not None else 1
-    q = parsed.q if parsed.q is not None else (1,) * t.d
-    if claim == "thm2.1":
-        return [audit_theorem_2_1(t, m, q, tol, seed)]
-    if claim == "thm2.2":
-        return [audit_theorem_2_2(t, m, q, tol, seed)]
-    if claim == "thm2.3":
-        return [audit_theorem_2_3(t, m, q, tol, seed)]
-    if claim == "prop2.1":
-        return [audit_proposition_2_1(t, m, tol, seed)]
-    if claim == "prop2.4":
-        return [audit_proposition_2_4(t, m, q, tol, seed)]
-    if claim == "thm3.1":
-        return [audit_theorem_3_1(t, m, q, tol, seed)]
-    if claim == "prop3.2":
-        return [audit_proposition_3_2(t, m, q, tol, seed)]
-    if claim == "thm4.1":
-        s = parse_partner(parsed, "left_inverse", tol)
-        return [audit_theorem_4_1(s, t, m, tol, seed)]
-    if claim == "thm4.2":
-        r = parse_partner(parsed, "right_inverse", tol)
-        return [audit_theorem_4_2(r, t, m, tol, seed)]
-    if claim == "prop4.1":
-        s = parse_partner(parsed, "left_inverse", tol)
-        return [audit_proposition_4_1(s, t, tol, seed, inverse_order=m)]
-    raise CliError(f"unknown claim {claim!r}")
-
-
 def _shifted_invertible_pair(seed: int, d: int = 2, dim: int = 3):
     """T with every component shifted well away from singularity, and its
     normalized reciprocal S_j = (1/d) T_j^{-1}: a left (and right) 1-inverse."""
@@ -201,8 +162,6 @@ def _shifted_invertible_pair(seed: int, d: int = 2, dim: int = 3):
 def _unipotent_two_inverse_pair(seed: int):
     """A genuine left 2-inverse pair (beta_1 != 0, beta_2 = 0) built from
     commuting unipotents, conjugated by a random unitary."""
-    from .generators import random_unitary
-
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     n = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     eye = np.eye(2, dtype=np.complex128)
@@ -218,6 +177,9 @@ def _unipotent_two_inverse_pair(seed: int):
         make_tuple([vh @ m @ v for m in s_mats]),
         make_tuple([vh @ m @ v for m in t_mats]),
     )
+
+
+# Random-instance builders: (seed, trial) -> (s, t, m, q), s the partner tuple or None.
 
 
 def _partial_isometry_instance(seed: int, trial: int):
@@ -243,62 +205,84 @@ def _partial_isometry_instance(seed: int, trial: int):
             d=2,
             params={"base": "partial_isometry", "rank": 3},
         )
-    t = random_commuting_tuple(spec)
-    return t, 1, (1, 1)
+    return None, random_commuting_tuple(spec), 1, (1, 1)
 
 
-def _random_audits(claim: str, trials: int, seed: int, tol: ToleranceModel):
-    reports = []
-    child_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials)]
-    for trial, child in enumerate(child_seeds):
-        if claim in ("thm2.1", "thm2.2", "thm2.3", "prop2.4", "thm3.1", "prop3.2"):
-            t, m, q = _partial_isometry_instance(child, trial)
-            if claim == "thm2.1":
-                reports.append(audit_theorem_2_1(t, m, q, tol, child))
-            elif claim == "thm2.2":
-                reports.append(audit_theorem_2_2(t, m, q, tol, child))
-            elif claim == "thm2.3":
-                reports.append(audit_theorem_2_3(t, m, q, tol, child))
-            elif claim == "prop2.4":
-                reports.append(audit_proposition_2_4(t, m, q, tol, child))
-            elif claim == "thm3.1":
-                reports.append(audit_theorem_3_1(t, m, q, tol, child))
-            else:
-                reports.append(audit_proposition_3_2(t, m, q, tol, child))
-        elif claim == "prop2.1":
-            spec = GeneratorSpec(
-                scheme="diagonal_conjugate",
-                seed=child,
-                dim=4,
-                d=2,
-                params={"unitary": True, "pi_diagonals": True},
-            )
-            t = random_commuting_tuple(spec)
-            reports.append(audit_proposition_2_1(t, 1 + trial % 3, tol, child))
-        elif claim in ("thm4.1", "thm4.2"):
-            if trial % 2 == 0:
-                s, t = _shifted_invertible_pair(child)
-                m = 1
-            else:
-                s, t = _unipotent_two_inverse_pair(child)
-                m = 2
-            if claim == "thm4.1":
-                reports.append(audit_theorem_4_1(s, t, m, tol, child))
-            else:
-                reports.append(audit_theorem_4_2(s, t, m, tol, child))
-        elif claim == "prop4.1":
-            s = random_commuting_tuple(
-                GeneratorSpec(scheme="polynomial_family", seed=child, dim=3, d=2, params={"degree": 2})
-            )
-            t = random_commuting_tuple(
-                GeneratorSpec(
-                    scheme="polynomial_family", seed=child + 1, dim=3, d=2, params={"degree": 2}
-                )
-            )
-            reports.append(audit_proposition_4_1(s, t, tol, child))
-        else:
-            raise CliError(f"unknown claim {claim!r}")
-    return reports
+def _quasinormal_instance(seed: int, trial: int):
+    """Unitarily diagonalizable tuple with pi-diagonals, m cycling through 1..3."""
+    params = {"unitary": True, "pi_diagonals": True}
+    spec = GeneratorSpec(scheme="diagonal_conjugate", seed=seed, dim=4, d=2, params=params)
+    return None, random_commuting_tuple(spec), 1 + trial % 3, None
+
+
+def _inverse_pair_instance(seed: int, trial: int):
+    """A left 1-inverse pair on even trials, a left 2-inverse pair on odd ones."""
+    if trial % 2 == 0:
+        return (*_shifted_invertible_pair(seed), 1, None)
+    return (*_unipotent_two_inverse_pair(seed), 2, None)
+
+
+def _polynomial_pair_instance(seed: int, trial: int):
+    """Two independent polynomial-family tuples; m = None, so no inverse order is assumed."""
+    s, t = (
+        random_commuting_tuple(
+            GeneratorSpec(scheme="polynomial_family", seed=sd, dim=3, d=2, params={"degree": 2})
+        )
+        for sd in (seed, seed + 1)
+    )
+    return s, t, None, None
+
+
+class Claim(NamedTuple):
+    audit: Callable  # (s, t, m, q, tol, seed) -> AuditReport
+    partner: str | None  # metadata key of the partner tuple S that the file route reads
+    random_instance: Callable  # (seed, trial) -> (s, t, m, q)
+
+
+# The registry: every auditable claim of the paper, in presentation order. The
+# adapters name their audits at call time, so rebinding a module name reaches them.
+CLAIMS = {
+    "thm2.1": Claim(
+        lambda s, t, m, q, tol, seed: audit_theorem_2_1(t, m, q, tol, seed),
+        None, _partial_isometry_instance,
+    ),
+    "thm2.2": Claim(
+        lambda s, t, m, q, tol, seed: audit_theorem_2_2(t, m, q, tol, seed),
+        None, _partial_isometry_instance,
+    ),
+    "thm2.3": Claim(
+        lambda s, t, m, q, tol, seed: audit_theorem_2_3(t, m, q, tol, seed),
+        None, _partial_isometry_instance,
+    ),
+    "prop2.1": Claim(
+        lambda s, t, m, q, tol, seed: audit_proposition_2_1(t, m, tol, seed),
+        None, _quasinormal_instance,
+    ),
+    "prop2.4": Claim(
+        lambda s, t, m, q, tol, seed: audit_proposition_2_4(t, m, q, tol, seed),
+        None, _partial_isometry_instance,
+    ),
+    "thm3.1": Claim(
+        lambda s, t, m, q, tol, seed: audit_theorem_3_1(t, m, q, tol, seed),
+        None, _partial_isometry_instance,
+    ),
+    "prop3.2": Claim(
+        lambda s, t, m, q, tol, seed: audit_proposition_3_2(t, m, q, tol, seed),
+        None, _partial_isometry_instance,
+    ),
+    "thm4.1": Claim(
+        lambda s, t, m, q, tol, seed: audit_theorem_4_1(s, t, m, tol, seed),
+        "left_inverse", _inverse_pair_instance,
+    ),
+    "thm4.2": Claim(
+        lambda s, t, m, q, tol, seed: audit_theorem_4_2(s, t, m, tol, seed),
+        "right_inverse", _inverse_pair_instance,
+    ),
+    "prop4.1": Claim(
+        lambda s, t, m, q, tol, seed: audit_proposition_4_1(s, t, tol, seed, inverse_order=m),
+        "left_inverse", _polynomial_pair_instance,
+    ),
+}
 
 
 def _cmd_audit(args) -> int:
@@ -306,12 +290,20 @@ def _cmd_audit(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if (args.input is None) == (args.random is None):
         raise CliError("audit needs exactly one of --input FILE or --random TRIALS")
+    claim = CLAIMS[args.claim]
     if args.input is not None:
-        reports = _audit_from_file(args.claim, args, tol, seed)
+        parsed = _load_file(args.input, tol)
+        s = parse_partner(parsed, claim.partner, tol) if claim.partner else None
+        m = parsed.m if parsed.m is not None else 1
+        q = parsed.q if parsed.q is not None else (1,) * parsed.tuple.d
+        reports = [claim.audit(s, parsed.tuple, m, q, tol, seed)]
     else:
         if args.random < 1:
             raise CliError("--random needs a positive trial count")
-        reports = _random_audits(args.claim, args.random, seed, tol)
+        children = np.random.SeedSequence(seed).spawn(args.random)
+        reports = []
+        for trial, child in enumerate(int(c.generate_state(1)[0]) for c in children):
+            reports.append(claim.audit(*claim.random_instance(child, trial), tol, child))
 
     all_ok = all(r.conclusion_holds for r in reports)
     lines = []
@@ -454,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum.add_argument("--json", action="store_true")
 
     p_audit = sub.add_parser("audit", help="audit one claim on a file or random instances")
-    p_audit.add_argument("--claim", required=True, choices=AUDIT_CLAIMS)
+    p_audit.add_argument("--claim", required=True, choices=CLAIMS)
     p_audit.add_argument("--input", default=None, help="tuple JSON file")
     p_audit.add_argument("--random", type=int, default=None, metavar="TRIALS")
     p_audit.add_argument("--seed", type=int, default=None)

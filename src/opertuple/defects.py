@@ -57,19 +57,23 @@ class DefectResult:
 
 
 def _levels(t: OperatorTuple, kmax: int) -> list[np.ndarray]:
-    """The level sums sum_{|alpha|=k} (k!/alpha!) (T^alpha)* (T^alpha), k = 0..kmax."""
-    return power_levels([adjoint(m) for m in t], t, kmax)
+    """The level sums sum_{|alpha|=k} (k!/alpha!) (T^alpha)* (T^alpha), k = 0..kmax.
+
+    Levels that overflow are left non-finite for ``_defect``, which raises on them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return power_levels([adjoint(m) for m in t], t, kmax)
 
 
 def _defect(levels: list[np.ndarray], m: int, tol: ToleranceModel, front=None) -> DefectResult:
     """front @ sum_k (-1)^k C(m,k) L_k, scaled by its largest summand."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    fronted = levels[: m + 1] if front is None else (front @ lv for lv in levels[: m + 1])
-    terms = [math.comb(m, k) * lv for k, lv in enumerate(fronted)]
-    defect = sum((-1) ** k * term for k, term in enumerate(terms))
-    scale = max(frobenius_norm(term) for term in terms)
-    norm = frobenius_norm(defect)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        fronted = levels[: m + 1] if front is None else (front @ lv for lv in levels[: m + 1])
+        terms = [math.comb(m, k) * lv for k, lv in enumerate(fronted)]
+        defect = sum((-1) ** k * term for k, term in enumerate(terms))
+        scale = max(frobenius_norm(term) for term in terms)
+        norm = frobenius_norm(defect)
     if not (math.isfinite(norm) and math.isfinite(scale)):
         raise NumericalFailureError(
             "defect is not finite: its level sums overflow",

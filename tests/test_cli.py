@@ -11,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from opertuple import cli, defects
 from opertuple.cli import main
-from opertuple.tuplefile import MAX_ORDER
+from opertuple.linalg import ToleranceModel
+from opertuple.minverse import audit_theorem_4_2
+from opertuple.reports import report_to_dict
+from opertuple.tuplefile import MAX_ORDER, matrices_to_json, serialize_tuple_file
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -116,19 +119,24 @@ def test_classify_at_maximum_order_emits_json(capsys):
     assert json.loads(out)["m"] == MAX_ORDER
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_defect_is_a_numerical_failure(capsys, tmp_path):
-    # ||L_k|| = 1e20^k leaves the float range at k = 16 <= MAX_ORDER
+    # ||L_k|| = 1e20^k leaves the float range at k = 16 <= MAX_ORDER; no numpy warning
+    # may reach stderr ahead of the two documented lines
     path = tmp_path / "huge.json"
     doc = {"d": 1, "dim": 1, "m": MAX_ORDER, "q": [1], "matrices": [[[[1e10, 0]]]]}
     path.write_text(json.dumps(doc))
-    with pytest.warns(RuntimeWarning):
-        code = main(["classify", "--input", str(path), "--json"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    error, diagnostics = captured.err.splitlines()[-2:]
-    assert error == "error: defect is not finite: its level sums overflow"
-    assert json.loads(diagnostics.partition(" ")[2])["m"] == MAX_ORDER
+    single = [c for c, claim in cli.CLAIMS.items() if claim.partner is None]
+    for argv in [["classify"]] + [["audit", "--claim", c] for c in single]:
+        code = main([*argv, "--input", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        error, diagnostics = captured.err.splitlines()
+        assert error == "error: defect is not finite: its level sums overflow"
+        prefix, _, payload = diagnostics.partition(" ")
+        assert prefix == "diagnostics:"
+        assert json.loads(payload)["m"] == MAX_ORDER
 
 
 def test_non_finite_json_never_reaches_stdout(capsys, monkeypatch):
@@ -170,7 +178,10 @@ def test_audit_battery_script_runs_clean():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "audit battery complete; all results as documented" in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    assert "audit battery complete; all results as documented" in lines
+    random_batches = [line.split()[1] for line in lines if " on 2 random instances: " in line]
+    assert random_batches == list(cli.CLAIMS)
 
 
 # Runs ``python -m opertuple.cli ARGS`` in a fresh interpreter and reports on
@@ -251,6 +262,26 @@ def test_audit_requires_input_xor_random(capsys):
         "3",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("claim", list(cli.CLAIMS))
+def test_registry_runs_each_claims_own_audit(capsys, claim):
+    code, out = run(capsys, "audit", "--claim", claim, "--random", "2", "--seed", "5", "--json")
+    assert code == (1 if claim == "prop4.1" else 0)  # prop4.1: the Pochhammer finding
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 2
+    assert {r["claim_id"] for r in reports} == {claim}
+
+
+def test_audit_thm42_reads_right_inverse_from_file(capsys, tmp_path):
+    s, t = cli._shifted_invertible_pair(123)
+    path = tmp_path / "right_inverse.json"
+    partner = {"right_inverse": {"matrices": matrices_to_json(s.matrices)}}
+    path.write_text(serialize_tuple_file(t, m=1, metadata=partner))
+    code, out = run(capsys, "audit", "--claim", "thm4.2", "--input", str(path), "--seed", "7", "--json")
+    assert code == 0
+    expected = report_to_dict(audit_theorem_4_2(s, t, 1, ToleranceModel(), 7))
+    assert json.loads(out)["reports"] == [json.loads(json.dumps(expected))]
 
 
 def test_audit_random_prop41_reports_finding(capsys):
