@@ -42,8 +42,12 @@ from .reports import (
     SubVerdict,
     Witness,
     build_report,
+    tolerances_to_dict,
 )
 from .tuples import OperatorTuple, null_reducing_check, power_levels, quasinormal_class, tuple_power
+
+IMAG_TOL = 1e-8  # vector-state sums: imaginary part allowed, times max(1, largest term)
+NULL_SPACE_SLACK = 1e-8  # thm2.2: added to tol.threshold(1.0) for N(T_j) vs N(T_j^2)
 
 
 @dataclass(frozen=True)
@@ -120,14 +124,14 @@ def _state_levels(t: OperatorTuple, y: np.ndarray, kmax: int) -> np.ndarray:
     return levels
 
 
-def _state_sums(t: OperatorTuple, m: int, blocks, check_tol: float = 1e-8) -> np.ndarray:
+def _state_sums(t: OperatorTuple, m: int, blocks) -> np.ndarray:
     """Per state (column), the sum over blocks Y (one at a time) of sum_k (-1)^k C(m,k) level_k(Y).
 
-    An imaginary part beyond check_tol times the state's largest term raises."""
+    An imaginary part beyond IMAG_TOL times max(1, the state's largest term) raises."""
     signs = np.array([(-1) ** k * math.comb(m, k) for k in range(m + 1)])[:, None]
     terms = sum(signs * _state_levels(t, y, m) for y in blocks)
     totals, scales = terms.sum(axis=0), np.abs(terms).max(axis=0)
-    bad = np.flatnonzero(np.abs(totals.imag) > check_tol * np.maximum(1.0, scales))
+    bad = np.flatnonzero(np.abs(totals.imag) > IMAG_TOL * np.maximum(1.0, scales))
     if bad.size:
         c = int(bad[0])
         raise NumericalFailureError(
@@ -137,7 +141,7 @@ def _state_sums(t: OperatorTuple, m: int, blocks, check_tol: float = 1e-8) -> np
     return totals.real
 
 
-def scalar_defect(t: OperatorTuple, m: int, q, x, check_tol: float = 1e-8) -> float:
+def scalar_defect(t: OperatorTuple, m: int, q, x) -> float:
     """The vector-state defect sum_k (-1)^k C(m,k) sum_alpha (k!/alpha!) ||T^alpha T*^q x||^2.
 
     One column of the kernel the audits run on all states at once (even the polarized ones at
@@ -149,7 +153,7 @@ def scalar_defect(t: OperatorTuple, m: int, q, x, check_tol: float = 1e-8) -> fl
     if x.shape[0] != t.dim:
         raise ValueError(f"vector has length {x.shape[0]}, expected {t.dim}")
     shifted = adjoint(tuple_power(t, _validated_exponent(t, q))) @ x[:, None]
-    return float(_state_sums(t, m, [shifted], check_tol)[0])
+    return float(_state_sums(t, m, [shifted])[0])
 
 
 def _entrywise_invertible(t: OperatorTuple, tol: ToleranceModel) -> tuple[bool, ...]:
@@ -202,11 +206,7 @@ class ClassificationReport:
             "null_reducing": self.null_reducing,
             "null_dim": self.null_dim,
             "entrywise_invertible": list(self.entrywise_invertible),
-            "tolerances": {
-                "abs_tol": self.tolerances.abs_tol,
-                "rel_tol": self.tolerances.rel_tol,
-                "rank_factor": self.tolerances.rank_factor,
-            },
+            "tolerances": tolerances_to_dict(self.tolerances),
         }
 
 
@@ -323,7 +323,7 @@ def _null_spaces_stable(t: OperatorTuple, tol: ToleranceModel) -> bool:
             frobenius_norm((eye - p2) @ b1),
             frobenius_norm((eye - p1) @ b2),
         )
-        if gap > tol.abs_tol + tol.rel_tol + 1e-8:
+        if not gap <= tol.threshold(1.0) + NULL_SPACE_SLACK:
             return False
     return True
 

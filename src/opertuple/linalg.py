@@ -27,11 +27,11 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ToleranceModel:
-    """Thresholds governing "zero", "commuting", and rank decisions.
+    """Thresholds governing every "zero", "commuting", and rank decision.
 
     A quantity of norm ``x`` with reference magnitude ``scale`` counts as zero
-    when ``x <= abs_tol + rel_tol * scale``. Rank cutoffs are
-    ``rank_factor * eps * dim * sigma_max``.
+    when ``x <= threshold(scale) = abs_tol + rel_tol * scale``; a NaN norm or
+    scale is never zero. Rank cutoffs are ``rank_factor * eps * dim * sigma_max``.
     """
 
     abs_tol: float = 1e-10
@@ -43,8 +43,12 @@ class ToleranceModel:
         if not all(math.isfinite(f) and f >= 0 for f in fields):
             raise ValueError("tolerance fields must be finite and nonnegative")
 
+    def threshold(self, scale: float = 0.0) -> float:
+        """The largest norm that counts as zero at reference magnitude ``scale``."""
+        return self.abs_tol + self.rel_tol * scale
+
     def is_zero(self, norm: float, scale: float = 0.0) -> bool:
-        return norm <= self.abs_tol + self.rel_tol * scale
+        return norm <= self.threshold(scale)
 
     def rank_cutoff(self, dim: int, sigma_max: float) -> float:
         return self.rank_factor * _EPS * dim * sigma_max

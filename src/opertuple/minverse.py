@@ -35,6 +35,7 @@ from .spectra import _near_spectrum, joint_point_spectrum, zero_variety_member
 from .tuples import OperatorTuple, hereditary_shift, power_levels
 
 _CROSS_CHECK_MAX_M = 4
+PASS_TOL = 1e-10  # prop4.1: largest relative deviation of an expansion that passes
 
 
 @dataclass(frozen=True)
@@ -89,29 +90,37 @@ def beta(
     """beta_m(S, T) by the requested route.
 
     "auto" runs the recurrence and, for m <= 4, cross-checks it against direct
-    enumeration; disagreement beyond 1e-10 * scale raises.
+    enumeration; disagreement beyond 1e-10 * scale raises, and so does a beta
+    whose norm or scale overflows.
     """
     _check_shapes(s, t)
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
     if method not in ("auto", "recurrence", "enumeration"):
         raise ValueError(f"unknown beta method {method!r}")
-    if method == "enumeration":
-        matrix, scale = _beta_enumeration(s, t, m)
-    else:
-        betas = _beta_levels(s, t, m)
-        matrix, scale = betas[-1], max(frobenius_norm(b) for b in betas)
-        if method == "auto" and m <= _CROSS_CHECK_MAX_M:
-            other, other_scale = _beta_enumeration(s, t, m)
-            scale = max(scale, other_scale)
-            gap = frobenius_norm(matrix - other)
-            if gap > 1e-10 * max(1.0, scale):
-                raise NumericalFailureError(
-                    "beta recurrence and enumeration disagree",
-                    {"gap": gap, "scale": scale, "m": m},
-                )
-        method = "recurrence"
-    return BetaResult(matrix=matrix, norm=frobenius_norm(matrix), scale=scale, method=method)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite beta raises below
+        if method == "enumeration":
+            matrix, scale = _beta_enumeration(s, t, m)
+        else:
+            betas = _beta_levels(s, t, m)
+            matrix, scale = betas[-1], max(frobenius_norm(b) for b in betas)
+            if method == "auto" and m <= _CROSS_CHECK_MAX_M:
+                other, other_scale = _beta_enumeration(s, t, m)
+                scale = max(scale, other_scale)
+                gap = frobenius_norm(matrix - other)
+                if gap > 1e-10 * max(1.0, scale):
+                    raise NumericalFailureError(
+                        "beta recurrence and enumeration disagree",
+                        {"gap": gap, "scale": scale, "m": m},
+                    )
+            method = "recurrence"
+        norm = frobenius_norm(matrix)
+    if not (math.isfinite(norm) and math.isfinite(scale)):
+        raise NumericalFailureError(
+            "beta is not finite: its levels overflow",
+            {"m": m, "norm": repr(norm), "scale": repr(scale)},
+        )
+    return BetaResult(matrix=matrix, norm=norm, scale=scale, method=method)
 
 
 def is_left_m_inverse(
@@ -270,7 +279,6 @@ def audit_proposition_4_1(
     tol: ToleranceModel = DEFAULT_TOL,
     seed: int = 0,
     n_max: int = 6,
-    pass_tol: float = 1e-10,
     inverse_order: int | None = None,
 ) -> AuditReport:
     """Power-sum expansion audit over n = 1..n_max, both coefficient modes.
@@ -294,13 +302,13 @@ def audit_proposition_4_1(
         SubVerdict(
             name="(1) expansion with printed pochhammer coefficients",
             hypotheses_hold=True,
-            conclusion_holds=poch <= pass_tol,
+            conclusion_holds=poch <= PASS_TOL,
             details={"max_deviation": poch, "n_max": n_max},
         ),
         SubVerdict(
             name="(1') expansion with binomial coefficients",
             hypotheses_hold=True,
-            conclusion_holds=binom <= pass_tol,
+            conclusion_holds=binom <= PASS_TOL,
             vacuous=True,  # the corrected variant; informational
             details={"max_deviation": binom, "n_max": n_max},
         ),
@@ -317,14 +325,14 @@ def audit_proposition_4_1(
             SubVerdict(
                 name="(2) truncated expansion, pochhammer coefficients",
                 hypotheses_hold=holds,
-                conclusion_holds=poch <= pass_tol,
+                conclusion_holds=poch <= PASS_TOL,
                 vacuous=not holds,
                 details={"max_deviation": poch},
             ),
             SubVerdict(
                 name="(2') truncated expansion, binomial coefficients",
                 hypotheses_hold=holds,
-                conclusion_holds=binom <= pass_tol,
+                conclusion_holds=binom <= PASS_TOL,
                 vacuous=True,
                 details={"max_deviation": binom},
             ),

@@ -52,7 +52,12 @@ from .reports import (
 from .defects import partial_isometry_defect
 from .tuples import OperatorTuple, adjoint_tuple, null_reducing_check
 
-CLUSTER_TOL = 1e-7
+# Fixed bounds of the spectral decisions; zeros and ranks go through ToleranceModel.
+CLUSTER_TOL = 1e-7  # L-inf merge distance; times max(1, ||point||_inf) when matching
+TRIANGULAR_MASS = 1e-7  # below-diagonal mass of each U_j, times max(1, max_j ||T_j||_F)
+SPHERE_TOL = 1e-8  # thm3.1: | ||lambda||_2 - 1 | within which a point sits on the unit sphere
+ORTHO_TOL = 1e-8  # prop3.2: largest |<x, y>| of two witnesses that counts as orthogonal
+SEPARATION = 1e-8  # prop3.2: pairs with |1 - <lambda, mu>| below this are not separated
 _TRIANGULARIZE_RETRIES = 8
 
 
@@ -118,7 +123,7 @@ def simultaneous_triangularize(
     """One unitary Q with every Q* T_j Q upper triangular (within tolerance).
 
     Returns (Q, [U_1, ..., U_d]). Below-diagonal mass of each U_j is at most
-    1e-7 times max(1, ||T_j||_F).
+    TRIANGULAR_MASS times max(1, ||T_j||_F).
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     scale = _component_scale(t)
@@ -131,11 +136,11 @@ def simultaneous_triangularize(
         mass = max(_below_diagonal_mass(u) for u in us)
         if best is None or mass < best[0]:
             best = (mass, q, us)
-        if mass <= 1e-7 * scale:
+        if mass <= TRIANGULAR_MASS * scale:
             return q, us
     q, us = _deflation_triangularize(list(t.matrices), tol)
     mass = max(_below_diagonal_mass(u) for u in us)
-    if mass <= 1e-7 * scale:
+    if mass <= TRIANGULAR_MASS * scale:
         return q, us
     assert best is not None
     raise NumericalFailureError(
@@ -232,7 +237,7 @@ def _schur_witnesses(t: OperatorTuple, factors, diag, kept: list[int], tol: Tole
 
 
 def _confirmed_points(
-    t: OperatorTuple, diag, tol: ToleranceModel, cluster_tol: float, factors=None
+    t: OperatorTuple, diag, tol: ToleranceModel, factors=None
 ) -> list[tuple[tuple[complex, ...], np.ndarray]]:
     """Candidates, confirmed by a residual certificate or the stacked null space.
 
@@ -241,7 +246,7 @@ def _confirmed_points(
     it cannot settle, and every candidate without factors, is decided by the
     SVD of [T_1 - l_1; ...; T_d - l_d] under the same ``rank_cutoff``.
     """
-    kept = _first_kept(diag, t.d, cluster_tol)
+    kept = _first_kept(diag, t.d, CLUSTER_TOL)
     certified = [False] * len(kept)
     if factors is not None:
         x_cert, certified = _schur_witnesses(t, factors, diag, kept, tol)
@@ -258,14 +263,11 @@ def _confirmed_points(
             x = basis[:, 0]
         x = _fixed_phase(x)
         confirmed.append((tuple(complex(np.vdot(x, m @ x)) for m in t), x))
-    return [confirmed[i] for i in _first_kept([lam for lam, _ in confirmed], t.d, cluster_tol)]
+    return [confirmed[i] for i in _first_kept([lam for lam, _ in confirmed], t.d, CLUSTER_TOL)]
 
 
 def joint_point_spectrum(
-    t: OperatorTuple,
-    tol: ToleranceModel = DEFAULT_TOL,
-    seed: int = 0,
-    cluster_tol: float = CLUSTER_TOL,
+    t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> list[tuple[tuple[complex, ...], np.ndarray]]:
     """Joint eigenvalues with one unit witness each.
 
@@ -277,19 +279,17 @@ def joint_point_spectrum(
     is fixed up to roundoff: its first entry within a relative 1e-8 of the
     largest modulus is real and positive.
     """
-    return _point_spectrum(t, tol, seed, cluster_tol)[1]
+    return _point_spectrum(t, tol, seed)[1]
 
 
-def _point_spectrum(
-    t: OperatorTuple, tol: ToleranceModel, seed: int, cluster_tol: float = CLUSTER_TOL
-):
+def _point_spectrum(t: OperatorTuple, tol: ToleranceModel, seed: int):
     """One triangularization: its diagonal and the points it confirms."""
     factors = simultaneous_triangularize(t, seed, tol)
     diag = _diagonal(factors[1])
-    return diag, _confirmed_points(t, diag, tol, cluster_tol, factors)
+    return diag, _confirmed_points(t, diag, tol, factors)
 
 
-def point_residual(t: OperatorTuple, lam, x) -> float:
+def _point_residual(t: OperatorTuple, lam, x) -> float:
     return max(float(np.linalg.norm(m @ x - lj * x)) for m, lj in zip(t, lam))
 
 
@@ -305,8 +305,8 @@ def _radius(diag) -> float:
 
 
 def zero_variety_member(lam, tol: ToleranceModel = DEFAULT_TOL) -> bool:
-    """True when the coordinate product vanishes, i.e. some |lambda_j| <= abs_tol."""
-    return min(abs(complex(lj)) for lj in lam) <= tol.abs_tol
+    """True when the coordinate product vanishes: some |lambda_j| is zero at scale 0."""
+    return tol.is_zero(min(abs(complex(lj)) for lj in lam))
 
 
 def joint_lower_bound(t: OperatorTuple) -> float:
@@ -347,7 +347,7 @@ def joint_spectrum(
     t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> JointSpectrumResult:
     diag, points = _point_spectrum(t, tol, seed)
-    residuals = tuple(point_residual(t, lam, x) for lam, x in points)
+    residuals = tuple(_point_residual(t, lam, x) for lam, x in points)
     return JointSpectrumResult(
         point_spectrum=tuple((lam, tuple(x)) for lam, x in points),
         taylor_diagonal=tuple(diag),
@@ -358,12 +358,7 @@ def joint_spectrum(
 
 
 def audit_theorem_3_1(
-    t: OperatorTuple,
-    m: int,
-    q,
-    tol: ToleranceModel = DEFAULT_TOL,
-    seed: int = 0,
-    sphere_tol: float = 1e-8,
+    t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> AuditReport:
     """Joint spectrum of a reducing (m; q)-partial isometry sits on the unit
     sphere or in the zero variety; the corollary's r(T) = 1 rides along."""
@@ -376,14 +371,14 @@ def audit_theorem_3_1(
     all_located = True
     for lam, _x in points:
         norm2 = math.sqrt(sum(abs(lj) ** 2 for lj in lam))
-        on_sphere = abs(norm2 - 1.0) <= sphere_tol
+        on_sphere = abs(norm2 - 1.0) <= SPHERE_TOL
         in_zero = zero_variety_member(lam, tol)
         if not (on_sphere or in_zero):
             all_located = False
             witnesses.append(Witness("eigenvalue outside sphere and zero variety", lam))
 
     radius = _radius(diag)
-    radius_is_one = abs(radius - 1.0) <= sphere_tol
+    radius_is_one = abs(radius - 1.0) <= SPHERE_TOL
 
     subs = (
         SubVerdict(
@@ -414,13 +409,7 @@ def audit_theorem_3_1(
 
 
 def audit_proposition_3_2(
-    t: OperatorTuple,
-    m: int,
-    q,
-    tol: ToleranceModel = DEFAULT_TOL,
-    seed: int = 0,
-    ortho_tol: float = 1e-8,
-    separation: float = 1e-8,
+    t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> AuditReport:
     """Adjoint conjugation of eigenvalues off the zero variety, and
     orthogonality of witnesses for suitably separated eigenvalue pairs."""
@@ -445,11 +434,11 @@ def audit_proposition_3_2(
             lam, x = points[i]
             mu, y = points[j]
             pairing = 1.0 - sum(complex(a) * complex(b).conjugate() for a, b in zip(lam, mu))
-            if abs(pairing) < separation:
+            if abs(pairing) < SEPARATION:
                 continue
             checked_pairs += 1
             overlap = abs(complex(np.vdot(x, y)))
-            if overlap > ortho_tol:
+            if overlap > ORTHO_TOL:
                 orthogonal_ok = False
                 witnesses.append(Witness("non-orthogonal witness pair (lambda)", lam))
                 witnesses.append(Witness("non-orthogonal witness pair (mu)", mu))

@@ -9,6 +9,7 @@ would allow any order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -65,8 +66,8 @@ class OperatorTuple:
 def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
     """Validate shapes and pairwise commutators; reject non-commuting input.
 
-    The commutator gate is ||T_i T_j - T_j T_i||_F <= abs_tol +
-    rel_tol * ||T_i||_F * ||T_j||_F for every i < j.
+    The commutator gate is ``tol.is_zero(||T_i T_j - T_j T_i||_F, ||T_i||_F ||T_j||_F)``
+    for every i < j; a commutator that overflows to NaN is rejected.
     """
     mats = tuple(as_matrix(m) for m in matrices)
     if not mats:
@@ -77,16 +78,23 @@ def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
             raise ValueError(
                 f"component {j} has dimension {m.shape[0]}, expected {dim}"
             )
-    norms = [frobenius_norm(m) for m in mats]
     worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            commutator = frobenius_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            threshold = tol.abs_tol + tol.rel_tol * norms[i] * norms[j]
-            if commutator > threshold:
-                raise NonCommutingError(i, j, commutator, threshold)
-            worst = max(worst, commutator)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaN, never zero
+        norms = [frobenius_norm(m) for m in mats]
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                commutator = frobenius_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
+                scale = norms[i] * norms[j]
+                if not tol.is_zero(commutator, scale):
+                    raise NonCommutingError(i, j, commutator, tol.threshold(scale))
+                worst = max(worst, commutator)
     return OperatorTuple(matrices=mats, max_commutator_norm=worst)
+
+
+def _commutator(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """||XY - YX||_F and its reference scale ||X||_F ||Y||_F, for ``tol.is_zero``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaN, never zero
+        return frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(y)
 
 
 def adjoint_tuple(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
@@ -96,14 +104,8 @@ def adjoint_tuple(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Operat
 
 def is_doubly_commuting(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> bool:
     """True when additionally T_i T_j* = T_j* T_i for all i != j."""
-    for i in range(t.d):
-        for j in range(t.d):
-            if i == j:
-                continue
-            cross = frobenius_norm(t[i] @ adjoint(t[j]) - adjoint(t[j]) @ t[i])
-            if cross > tol.abs_tol + tol.rel_tol * frobenius_norm(t[i]) * frobenius_norm(t[j]):
-                return False
-    return True
+    pairs = permutations(range(t.d), 2)  # every ordered pair i != j
+    return all(tol.is_zero(*_commutator(t[i], adjoint(t[j]))) for i, j in pairs)
 
 
 def tuple_power(t: OperatorTuple, alpha) -> np.ndarray:
@@ -183,8 +185,7 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     """
 
     def commutes(x: np.ndarray, y: np.ndarray) -> bool:
-        gap = frobenius_norm(x @ y - y @ x)
-        return gap <= tol.abs_tol + tol.rel_tol * frobenius_norm(x) * frobenius_norm(y)
+        return tol.is_zero(*_commutator(x, y))
 
     grams = [adjoint(m) for m in t]
     matricial = all(
@@ -227,4 +228,4 @@ def null_reducing_check(
         return True, basis
     scale = max(frobenius_norm(m) for m in t)
     residual = reducing_residual(t, basis)
-    return residual <= tol.abs_tol + tol.rel_tol * scale, basis
+    return tol.is_zero(residual, scale), basis

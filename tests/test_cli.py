@@ -139,6 +139,42 @@ def test_overflowing_defect_is_a_numerical_failure(capsys, tmp_path):
         assert json.loads(payload)["m"] == MAX_ORDER
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("claim", [c for c, claim in cli.CLAIMS.items() if claim.partner])
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_overflowing_beta_is_a_numerical_failure(capsys, tmp_path, claim, fmt):
+    # T = S = [[1e10]]: beta_k = (1e20 - 1)^k leaves the float range well before m = 32
+    path = tmp_path / "huge_pair.json"
+    huge = [[[[1e10, 0]]]]
+    partners = {"left_inverse": {"matrices": huge}, "right_inverse": {"matrices": huge}}
+    doc = {"d": 1, "dim": 1, "m": MAX_ORDER, "matrices": huge, "metadata": partners}
+    path.write_text(json.dumps(doc))
+    code = main(["audit", "--claim", claim, "--input", str(path), *fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error, diagnostics = captured.err.splitlines()
+    assert error == "error: beta is not finite: its levels overflow"
+    prefix, _, payload = diagnostics.partition(" ")
+    assert prefix == "diagnostics:"
+    assert sorted(json.loads(payload)) == ["m", "norm", "scale"]
+    assert json.loads(payload)["m"] == MAX_ORDER
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_commutator_prints_only_the_error_line(capsys, tmp_path):
+    path = tmp_path / "huge_pair.json"
+    rows = [[[1e200, 0], [1e200, 0]], [[0, 0], [0, 0]]]
+    doc = {"d": 2, "dim": 2, "m": 1, "q": [1, 1], "matrices": [rows, rows[::-1]]}
+    path.write_text(json.dumps(doc))
+    code = main(["classify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [error] = captured.err.splitlines()
+    assert error.startswith("error: components 0 and 1 do not commute: ||[T_0, T_1]||_F = nan")
+
+
 def test_non_finite_json_never_reaches_stdout(capsys, monkeypatch):
     result = cli.joint_spectrum
     monkeypatch.setattr(

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,36 @@ def test_tolerance_model_validation():
     assert tol.is_zero(5e-11)
     assert not tol.is_zero(1e-3, scale=1.0)
     assert tol.is_zero(1e-3, scale=1e8)
+
+
+def test_threshold_is_the_zero_test_formula():
+    tol = ToleranceModel(abs_tol=1e-9, rel_tol=1e-6)
+    for scale in (0.0, 1.0, 3.7, 1e8):
+        assert tol.threshold(scale) == 1e-9 + 1e-6 * scale
+        assert tol.is_zero(tol.threshold(scale), scale)
+        assert not tol.is_zero(np.nextafter(tol.threshold(scale), np.inf), scale)
+    assert DEFAULT_TOL.threshold() == DEFAULT_TOL.abs_tol
+
+
+def test_nan_is_never_zero():
+    nan = float("nan")
+    assert not DEFAULT_TOL.is_zero(nan, 1.0)
+    assert not DEFAULT_TOL.is_zero(1.0, nan)
+    assert not DEFAULT_TOL.is_zero(nan)
+    assert not ToleranceModel(abs_tol=1e300, rel_tol=1e300).is_zero(nan, 1.0)
+
+
+def test_tolerance_fields_are_read_only_by_the_model_and_its_serializer():
+    # every zero decision goes through ToleranceModel.threshold / is_zero
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "opertuple"
+    readers = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("linalg.py", "reports.py")
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\.(abs_tol|rel_tol)\b", line)
+    ]
+    assert readers == []
 
 
 @pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "rank_factor"])

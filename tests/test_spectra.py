@@ -307,7 +307,7 @@ def test_greedy_clustering_first_kept_wins():
     assert _first_kept([(0.0, 0.0), (0.0, 1.2 * tol)], 2, tol) == [0, 1]
     assert _first_kept([], 2, tol) == []
     t = make_tuple([np.diag([0.0, 0.6 * tol, 1.2 * tol])])
-    assert points_of(t, cluster_tol=tol) == [(0.0,), (1.2 * tol,)]
+    assert points_of(t) == [(0.0,), (1.2 * tol,)]
 
 
 def test_refined_dedup_follows_the_same_rule():
@@ -318,7 +318,7 @@ def test_refined_dedup_follows_the_same_rule():
     t = make_tuple([np.diag([0.0, 1e6])])
     candidates = [(0.0,), (2 * tol,), (1e6,)]
     assert _first_kept(candidates, 1, tol) == [0, 1, 2]
-    points = _confirmed_points(t, candidates, DEFAULT_TOL, tol)
+    points = _confirmed_points(t, candidates, DEFAULT_TOL)
     assert [lam for lam, _ in points] == [(0.0,), (1e6,)]
     assert abs(points[0][1][0]) == pytest.approx(1.0)
 
@@ -376,7 +376,7 @@ def commuting_tuples(draw):
 def test_schur_certificate_agrees_with_stacked_svd(t):
     factors = simultaneous_triangularize(t)
     diag = _diagonal(factors[1])
-    points = _confirmed_points(t, diag, DEFAULT_TOL, CLUSTER_TOL, factors)
+    points = _confirmed_points(t, diag, DEFAULT_TOL, factors)
     reference = stacked_svd_points(t, diag)
     assert len(points) == len(reference)
     scale = max(1.0, max(frobenius_norm(m) for m in t))

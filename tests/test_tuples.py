@@ -7,9 +7,11 @@ from opertuple.generators import (
     paper_example,
     random_unitary,
 )
-from opertuple.linalg import frobenius_norm
+from opertuple.linalg import DEFAULT_TOL, ToleranceModel, adjoint, frobenius_norm
 from opertuple.tuples import (
     NonCommutingError,
+    QuasinormalFlags,
+    _commutator,
     adjoint_tuple,
     conjugate_by_unitary,
     is_doubly_commuting,
@@ -40,6 +42,57 @@ def test_make_tuple_rejects_non_commuting():
         make_tuple([NILPOTENT, NILPOTENT.T])
     assert err.value.i == 0 and err.value.j == 1
     assert err.value.norm == pytest.approx(np.sqrt(2.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_make_tuple_rejects_an_overflowing_commutator():
+    # the products overflow to inf + nan j: a NaN commutator norm is never zero
+    with pytest.raises(NonCommutingError) as err:
+        make_tuple([[[1e200, 1e200], [0, 0]], [[0, 0], [1e200, 1e200]]])
+    assert np.isnan(err.value.norm)
+
+
+def _accepted(mats, tol):
+    try:
+        make_tuple(mats, tol)
+    except NonCommutingError:
+        return False
+    return True
+
+
+EPS = 1e-6
+
+# Each decision with its input and the one commutator (X, Y) it turns on, about 1e-6 relative.
+COMMUTATION_DECISIONS = {
+    "make_tuple": (
+        _accepted,
+        [np.diag([1.0, 0.0]), np.eye(2) + 1.4 * EPS * NILPOTENT],
+        lambda mats: (mats[0], mats[1]),
+    ),
+    "is_doubly_commuting": (
+        lambda mats, tol: is_doubly_commuting(make_tuple(mats), tol),
+        [NILPOTENT, np.eye(2) + EPS * NILPOTENT],
+        lambda mats: (mats[0], adjoint(mats[1])),
+    ),
+    "quasinormal_class": (
+        lambda mats, tol: quasinormal_class(make_tuple(mats), tol)
+        == QuasinormalFlags(True, True, True),
+        [np.eye(2) + 1e-3 * NILPOTENT],
+        lambda mats: (mats[0], adjoint(mats[0]) @ mats[0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COMMUTATION_DECISIONS)
+def test_commutation_decisions_flip_at_the_same_threshold(name):
+    decide, mats, pair = COMMUTATION_DECISIONS[name]
+    gap, scale = _commutator(*pair(mats))
+    ratio = gap / scale  # at abs_tol = 0 the decision flips at rel_tol = ratio
+    assert 1e-7 < ratio < 1e-5
+    assert not decide(mats, DEFAULT_TOL)
+    assert decide(mats, ToleranceModel(rel_tol=1e-5))
+    assert decide(mats, ToleranceModel(abs_tol=0.0, rel_tol=ratio * (1 + 1e-6)))
+    assert not decide(mats, ToleranceModel(abs_tol=0.0, rel_tol=ratio * (1 - 1e-6)))
 
 
 def test_make_tuple_rejects_mixed_dimensions():
