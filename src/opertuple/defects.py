@@ -127,11 +127,15 @@ def _state_levels(t: OperatorTuple, y: np.ndarray, kmax: int) -> np.ndarray:
 def _state_sums(t: OperatorTuple, m: int, blocks) -> np.ndarray:
     """Per state (column), the sum over blocks Y (one at a time) of sum_k (-1)^k C(m,k) level_k(Y).
 
-    An imaginary part beyond IMAG_TOL times max(1, the state's largest term) raises."""
+    A non-finite sum or an imaginary part beyond IMAG_TOL times max(1, the state's
+    largest term) raises."""
     signs = np.array([(-1) ** k * math.comb(m, k) for k in range(m + 1)])[:, None]
-    terms = sum(signs * _state_levels(t, y, m) for y in blocks)
-    totals, scales = terms.sum(axis=0), np.abs(terms).max(axis=0)
-    bad = np.flatnonzero(np.abs(totals.imag) > IMAG_TOL * np.maximum(1.0, scales))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        terms = sum(signs * _state_levels(t, y, m) for y in blocks)
+        totals, scales = terms.sum(axis=0), np.abs(terms).max(axis=0)
+    if not (np.isfinite(totals).all() and np.isfinite(scales).all()):
+        raise NumericalFailureError("scalar defect is not finite: state levels overflow", {"m": m})
+    bad = np.flatnonzero(~(np.abs(totals.imag) <= IMAG_TOL * np.maximum(1.0, scales)))
     if bad.size:
         c = int(bad[0])
         raise NumericalFailureError(

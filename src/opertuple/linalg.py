@@ -1,10 +1,10 @@
 """Dense complex matrix primitives shared by every other module.
 
-Thin, contract-checked wrappers around numpy/scipy LAPACK routines: adjoints,
+Thin, contract-checked wrappers around numpy's LAPACK routines: adjoints,
 Frobenius norms, rank-revealing null spaces, eigendecomposition, and complex
 Schur triangularization. Rank decisions use a scale-invariant singular-value
-cutoff instead of a fixed epsilon. scipy is imported on first use, by the
-Schur form alone, so callers that never triangularize never load it.
+cutoff instead of a fixed epsilon. The Schur form is built from eigenvectors,
+so numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class ToleranceModel:
     """Thresholds governing every "zero", "commuting", and rank decision.
 
     A quantity of norm ``x`` with reference magnitude ``scale`` counts as zero
-    when ``x <= threshold(scale) = abs_tol + rel_tol * scale``; a NaN norm or
-    scale is never zero. Rank cutoffs are ``rank_factor * eps * dim * sigma_max``.
+    when ``x <= threshold(scale) = abs_tol + rel_tol * scale``; a non-finite norm
+    and a NaN scale are never zero. Rank cutoffs are ``rank_factor * eps * dim * sigma_max``.
     """
 
     abs_tol: float = 1e-10
@@ -48,7 +48,7 @@ class ToleranceModel:
         return self.abs_tol + self.rel_tol * scale
 
     def is_zero(self, norm: float, scale: float = 0.0) -> bool:
-        return norm <= self.threshold(scale)
+        return math.isfinite(norm) and norm <= self.threshold(scale)
 
     def rank_cutoff(self, dim: int, sigma_max: float) -> float:
         return self.rank_factor * _EPS * dim * sigma_max
@@ -75,7 +75,11 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    """||a||_F; finite input whose squared entries overflow is rescaled by max |a_ij|."""
+    norm = float(np.linalg.norm(a, "fro"))
+    if math.isinf(norm) and math.isfinite(big := float(np.abs(a).max())):
+        norm = big * float(np.linalg.norm(np.asarray(a) / big, "fro"))
+    return norm
 
 
 def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL) -> np.ndarray:
@@ -131,16 +135,20 @@ def eigendecomposition(a: np.ndarray) -> list[tuple[complex, np.ndarray]]:
 
 
 def unitary_triangularize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form: returns (Q, U) with A = Q U Q*, Q unitary, U upper."""
-    import scipy.linalg  # the package's only scipy use, imported on first call
+    """Complex Schur form: returns (Q, U) with A = Q U Q*, Q unitary, U upper.
 
+    Q is the QR factor of the eigenvector matrix and U = triu(Q* A Q) (Golub &
+    Van Loan, Matrix Computations, 4th ed., 7.1). The residual counts the dropped
+    lower triangle, so a defective A, whose eigenvectors do not span, fails.
+    """
     a = as_matrix(a)
     try:
-        u, q = scipy.linalg.schur(a, output="complex")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        q, _ = np.linalg.qr(np.linalg.eig(a)[1])
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             f"Schur decomposition failed: {exc}", {"dim": a.shape[0]}
         ) from exc
+    u = np.triu(adjoint(q) @ a @ q)
     scale = max(1.0, frobenius_norm(a))
     residual = frobenius_norm(a - q @ u @ adjoint(q))
     unitarity = frobenius_norm(adjoint(q) @ q - np.eye(a.shape[0]))

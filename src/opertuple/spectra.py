@@ -6,10 +6,12 @@ commuting tuple is the diagonal of any simultaneous unitary triangularization.
 Both facts replace their infinite-dimensional counterparts throughout; every
 report carries a note saying so.
 
-Triangularization itself follows the generic-combination recipe: Schur-factor
-a random complex combination sum_j c_j T_j and check that the same unitary
-triangularizes every component. Degenerate draws are retried; if all retries
-fail the deterministic fallback deflates one common eigenvector at a time.
+Triangularization itself follows the generic-combination recipe (Corless,
+Gianni & Trager, ISSAC 1997): Schur-factor a random complex combination
+sum_j c_j T_j and check that the same unitary triangularizes every component.
+A draw whose eigenvalues collide is retried; a defective combination, or
+retries that all fail, hand over to the deterministic fallback, which deflates
+one common eigenvector at a time.
 
 Each call triangularizes once; the point spectrum and the spectral radius
 share its diagonal. A candidate at diagonal position i is confirmed inside that
@@ -82,11 +84,10 @@ def _common_eigenvector(mats: list[np.ndarray], tol: ToleranceModel) -> np.ndarr
         if basis.shape[1] == 1:
             break
         restricted = adjoint(basis) @ m @ basis
-        values, vectors = np.linalg.eig(restricted)
-        lam = values[0]
-        space = null_space_basis(restricted - lam * np.eye(restricted.shape[0]), tol)
+        shifted = restricted - np.linalg.eigvals(restricted)[0] * np.eye(restricted.shape[0])
+        space = null_space_basis(shifted, tol)
         if space.shape[1] == 0:
-            space = vectors[:, [0]] / np.linalg.norm(vectors[:, 0])
+            space = np.linalg.svd(shifted)[2][-1:].conj().T
         basis = basis @ space
     v = basis[:, 0]
     return v / np.linalg.norm(v)
@@ -123,31 +124,35 @@ def simultaneous_triangularize(
     """One unitary Q with every Q* T_j Q upper triangular (within tolerance).
 
     Returns (Q, [U_1, ..., U_d]). Below-diagonal mass of each U_j is at most
-    TRIANGULAR_MASS times max(1, ||T_j||_F).
+    TRIANGULAR_MASS times max(1, ||T_j||_F). A combination whose Schur form
+    fails is (nearly) defective, and then so is every generic one: deflation,
+    of that combination first, runs at once. A component the Schur form leaves
+    untriangular is an eigenvalue collision, and a new combination is drawn.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     scale = _component_scale(t)
-    best: tuple[float, np.ndarray, list[np.ndarray]] | None = None
-    for _ in range(_TRIANGULARIZE_RETRIES):
+    best_mass = None
+    for attempts in range(1, _TRIANGULARIZE_RETRIES + 1):
         c = _random_unit_combination(rng, t.d)
         combo = sum(cj * m for cj, m in zip(c, t))
-        q, _ = unitary_triangularize(combo)
+        try:
+            q, _ = unitary_triangularize(combo)
+        except NumericalFailureError:
+            break
         us = [adjoint(q) @ m @ q for m in t]
         mass = max(_below_diagonal_mass(u) for u in us)
-        if best is None or mass < best[0]:
-            best = (mass, q, us)
         if mass <= TRIANGULAR_MASS * scale:
             return q, us
-    q, us = _deflation_triangularize(list(t.matrices), tol)
+        best_mass = mass if best_mass is None else min(best_mass, mass)
+    q, (_, *us) = _deflation_triangularize([combo, *t.matrices], tol)
     mass = max(_below_diagonal_mass(u) for u in us)
     if mass <= TRIANGULAR_MASS * scale:
         return q, us
-    assert best is not None
     raise NumericalFailureError(
         "simultaneous triangularization failed",
         {
-            "retries": _TRIANGULARIZE_RETRIES,
-            "best_random_mass": best[0],
+            "random_attempts": attempts,
+            "best_random_mass": best_mass,
             "deflation_mass": mass,
             "scale": scale,
         },
@@ -163,7 +168,7 @@ def taylor_diagonal(
 
 
 def _diagonal(us) -> list[tuple[complex, ...]]:
-    return [tuple(complex(u[i, i]) for u in us) for i in range(us[0].shape[0])]
+    return list(map(tuple, np.stack([u.diagonal() for u in us], axis=1).tolist()))
 
 
 def _linf_distances(a, b, d: int) -> np.ndarray:
@@ -189,12 +194,13 @@ def _near_spectrum(points, spectrum_points, d: int) -> list[bool]:
 
 
 def _fixed_phase(x: np.ndarray) -> np.ndarray:
-    """x times the unit scalar that makes its first entry within a relative 1e-8
-    of the largest modulus real and positive."""
+    """x (a vector, or each column) times the unit scalar that makes its first entry
+    within a relative 1e-8 of the largest modulus real and positive."""
     mod = np.abs(x)
-    k = int(np.argmax(mod >= (1.0 - 1e-8) * mod.max()))
-    out = x * (mod[k] / x[k])
-    out[k] = mod[k]
+    k = np.argmax(mod >= (1.0 - 1e-8) * mod.max(axis=0), axis=0)[None]
+    top = np.take_along_axis(mod, k, axis=0)
+    out = x * (top / np.take_along_axis(x, k, axis=0))
+    np.put_along_axis(out, k, top, axis=0)
     return out
 
 
@@ -250,20 +256,19 @@ def _confirmed_points(
     certified = [False] * len(kept)
     if factors is not None:
         x_cert, certified = _schur_witnesses(t, factors, diag, kept, tol)
-    confirmed = []
+    xs = []
     eye = np.eye(t.dim)
     for c, i in enumerate(kept):
         if certified[c]:
-            x = x_cert[:, c]
+            xs.append(x_cert[:, c])
         else:
             stacked = np.vstack([m - lj * eye for m, lj in zip(t, diag[i])])
             basis = null_space_basis(stacked, tol)
-            if basis.shape[1] == 0:
-                continue
-            x = basis[:, 0]
-        x = _fixed_phase(x)
-        confirmed.append((tuple(complex(np.vdot(x, m @ x)) for m in t), x))
-    return [confirmed[i] for i in _first_kept([lam for lam, _ in confirmed], t.d, CLUSTER_TOL)]
+            if basis.shape[1] > 0:
+                xs.append(basis[:, 0])
+    x = _fixed_phase(np.reshape(xs, (-1, t.dim)).T)
+    lams = list(zip(*((x.conj() * (m @ x)).sum(axis=0).tolist() for m in t)))
+    return [(lams[i], x[:, i]) for i in _first_kept(lams, t.d, CLUSTER_TOL)]
 
 
 def joint_point_spectrum(
@@ -427,21 +432,16 @@ def audit_proposition_3_2(
         if not hit:
             witnesses.append(Witness("conjugate missing from adjoint spectrum", lam))
 
-    orthogonal_ok = True
-    checked_pairs = 0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            lam, x = points[i]
-            mu, y = points[j]
-            pairing = 1.0 - sum(complex(a) * complex(b).conjugate() for a, b in zip(lam, mu))
-            if abs(pairing) < SEPARATION:
-                continue
-            checked_pairs += 1
-            overlap = abs(complex(np.vdot(x, y)))
-            if overlap > ORTHO_TOL:
-                orthogonal_ok = False
-                witnesses.append(Witness("non-orthogonal witness pair (lambda)", lam))
-                witnesses.append(Witness("non-orthogonal witness pair (mu)", mu))
+    # Pairs i < j, row by row: |1 - <lambda_i, lambda_j>| and |<x_i, x_j>|.
+    lams = np.reshape([lam for lam, _ in points], (-1, t.d))
+    xs = np.reshape([x for _, x in points], (-1, t.dim)).T
+    rows, cols = np.triu_indices(len(points), 1)
+    separated = np.abs(1.0 - lams @ lams.conj().T)[rows, cols] >= SEPARATION
+    skewed = separated & (np.abs(xs.conj().T @ xs)[rows, cols] > ORTHO_TOL)
+    for i, j in zip(rows[skewed].tolist(), cols[skewed].tolist()):
+        witnesses.append(Witness("non-orthogonal witness pair (lambda)", points[i][0]))
+        witnesses.append(Witness("non-orthogonal witness pair (mu)", points[j][0]))
+    orthogonal_ok, checked_pairs = not skewed.any(), int(separated.sum())
 
     subs = (
         SubVerdict(

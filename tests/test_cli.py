@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -253,11 +254,35 @@ def test_cold_classify_never_loads_scipy():
     assert proc.stderr.splitlines()[-1] == "scipy loaded: False"
 
 
-def test_cold_spectrum_loads_scipy_for_schur():
-    proc = _cold_run("spectrum", "--input", str(DATA / "golden_ratio_d2.json"), "--json")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--input", str(DATA / "golden_ratio_d2.json"), "--json"),
+        ("audit", "--claim", "thm3.1", "--input", str(DATA / "golden_ratio_d2.json")),
+        ("audit", "--claim", "prop3.2", "--input", str(DATA / "example_2_1_d2.json")),
+        ("audit", "--claim", "thm4.1", "--input", str(DATA / "example_4_1_corrected.json")),
+        ("reproduce", "--example", "3.golden(2)"),
+    ],
+    ids=["spectrum", "thm3.1", "prop3.2", "thm4.1", "reproduce-3.golden"],
+)
+def test_cold_command_never_loads_scipy(argv):
+    # classify is covered by test_cold_classify_never_loads_scipy
+    proc = _cold_run(*argv)
     assert proc.returncode == 0, proc.stderr
-    assert len(json.loads(proc.stdout)["point_spectrum"]) == 2
-    assert proc.stderr.splitlines()[-1] == "scipy loaded: True"
+    assert proc.stderr.splitlines()[-1] == "scipy loaded: False"
+
+
+# An import statement naming scipy, or a dynamic import of it.
+_SCIPY_IMPORT = re.compile(
+    r"^\s*(from\s+scipy\b|import\b.*\bscipy\b)|import\w*\(\s*[\"']scipy\b", re.MULTILINE
+)
+
+
+def test_package_source_never_imports_scipy():
+    sources = sorted((ROOT / "src" / "opertuple").rglob("*.py"))
+    assert sources
+    assert [path.name for path in sources if _SCIPY_IMPORT.search(path.read_text())] == []
+    assert _SCIPY_IMPORT.search("    import scipy.linalg  # lazily")
 
 
 def test_audit_file_pass_and_fail(capsys):

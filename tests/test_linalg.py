@@ -56,6 +56,16 @@ def test_frobenius_submultiplicative():
         assert frobenius_norm(a @ b) <= frobenius_norm(a) * frobenius_norm(b) * (1 + 1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_frobenius_rescales_only_past_overflow():
+    big = np.array([[1e160, 0], [3e160j, 0]])
+    assert frobenius_norm(big) == pytest.approx(np.sqrt(10.0) * 1e160, rel=1e-15)
+    assert frobenius_norm(np.array([[np.inf, 0], [0, 0]])) == np.inf
+    for _ in range(5):
+        a = random_complex(6) * 10.0 ** RNG.integers(-150, 150)
+        assert frobenius_norm(a) == float(np.linalg.norm(a, "fro"))
+
+
 def test_null_space_zero_matrix_full_basis():
     basis = null_space_basis(np.zeros((3, 3)))
     assert basis.shape == (3, 3)
@@ -188,6 +198,13 @@ def test_nan_is_never_zero():
     assert not DEFAULT_TOL.is_zero(1.0, nan)
     assert not DEFAULT_TOL.is_zero(nan)
     assert not ToleranceModel(abs_tol=1e300, rel_tol=1e300).is_zero(nan, 1.0)
+
+
+def test_non_finite_norm_is_never_zero():
+    inf = float("inf")
+    assert not DEFAULT_TOL.is_zero(inf, inf)
+    assert not DEFAULT_TOL.is_zero(-inf)
+    assert DEFAULT_TOL.is_zero(1e300, inf)
 
 
 def test_tolerance_fields_are_read_only_by_the_model_and_its_serializer():

@@ -14,9 +14,19 @@ from opertuple.generators import (
     random_commuting_tuple,
     random_unitary,
 )
-from opertuple.linalg import DEFAULT_TOL, eigendecomposition, frobenius_norm, null_space_basis
+from opertuple.linalg import (
+    DEFAULT_TOL,
+    NumericalFailureError,
+    eigendecomposition,
+    frobenius_norm,
+    null_space_basis,
+    unitary_triangularize,
+)
 from opertuple.spectra import (
     CLUSTER_TOL,
+    ORTHO_TOL,
+    SEPARATION,
+    TRIANGULAR_MASS,
     _certificate_weights,
     _confirmed_points,
     _diagonal,
@@ -467,3 +477,152 @@ def test_witnesses_of_simple_eigenvalues_are_fixed(name):
         for (lam, x), (lam_ref, x_ref) in zip(points, reference):
             assert max(abs(a - b) for a, b in zip(lam, lam_ref)) <= 1e-12
             assert np.linalg.norm(x - x_ref) <= 1e-12
+
+
+@st.composite
+def schur_tuples(draw):
+    """d <= 3, dim <= 12, and whether the joint eigenvalues are well separated:
+    non-normal (separated), repeated, clustered 1e-6 apart, or polynomials in a
+    unitarily similar Jordan block of any size."""
+    kind = draw(st.sampled_from(["separated", "repeated", "clustered", "jordan"]))
+    d, dim = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    v = random_unitary(dim, rng)
+    if kind == "jordan":
+        k = int(rng.integers(1, dim + 1))
+        b = np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        b[:k, :k] = rng.standard_normal() * np.eye(k) + np.diag(np.ones(k - 1), 1)
+        b = v @ b @ v.conj().T
+        coeffs = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        return make_tuple([c[0] * np.eye(dim) + c[1] * b + c[2] * b @ b for c in coeffs]), False
+    # Each component's eigenvalues at least 0.5 apart, in a random order.
+    values = (np.arange(dim) + rng.uniform(0, 0.5, (d, dim))) * np.exp(2j * np.pi * rng.uniform(size=(d, 1)))
+    values = np.array([rng.permutation(row) for row in values])
+    if kind == "repeated":
+        values = values[:, rng.integers(max(1, dim // 2), size=dim)]
+    elif kind == "clustered":
+        values = values[:, np.arange(dim) // 2] + 1e-6 * (np.arange(dim) % 2)
+    w = v @ np.diag(np.exp(rng.uniform(-0.7, 0.7, dim))) @ random_unitary(dim, rng)
+    return make_tuple([w @ np.diag(row) @ np.linalg.inv(w) for row in values]), kind == "separated"
+
+
+@settings(max_examples=80, deadline=None)
+@given(schur_tuples())
+def test_numpy_schur_form_meets_the_triangularization_contract(case):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    t, separated = case
+    q, us = simultaneous_triangularize(t)
+    scale = max(1.0, max(frobenius_norm(m) for m in t))
+    assert frobenius_norm(q.conj().T @ q - np.eye(t.dim)) <= 1e-10
+    assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= TRIANGULAR_MASS * scale
+    for m in t:
+        try:
+            q, u = unitary_triangularize(m)
+        except NumericalFailureError:
+            assert not separated  # only a defective or ill-conditioned eigenbasis may fail
+            continue
+        assert np.array_equal(u, np.triu(u))
+        assert frobenius_norm(m - q @ u @ q.conj().T) <= 1e-8 * max(1.0, frobenius_norm(m))
+        assert frobenius_norm(q.conj().T @ q - np.eye(t.dim)) <= 1e-10
+        if separated:
+            reference = list(np.diag(scipy_linalg.schur(m, output="complex")[0]))
+            for z in np.diag(u):  # multiset match: the values are 0.5 apart
+                k = int(np.argmin([abs(z - r) for r in reference]))
+                assert abs(z - reference.pop(k)) <= 1e-10 * scale
+
+
+def counting_triangularizations(monkeypatch):
+    """Count eig + QR attempts and entries into the deflation fallback."""
+    counts = {"eig_qr": 0, "deflation": 0}
+    eig_qr, deflation = spectra.unitary_triangularize, spectra._deflation_triangularize
+
+    def counted_eig_qr(a):
+        counts["eig_qr"] += 1
+        return eig_qr(a)
+
+    def counted_deflation(mats, tol):
+        counts["deflation"] += 1
+        return deflation(mats, tol)
+
+    monkeypatch.setattr(spectra, "unitary_triangularize", counted_eig_qr)
+    monkeypatch.setattr(spectra, "_deflation_triangularize", counted_deflation)
+    return counts
+
+
+def jordan_tuple(dim, d, similarity):
+    """Polynomials in (1/2) I + N, N the nilpotent shift, moved by ``similarity``."""
+    b = 0.5 * np.eye(dim) + np.diag(np.ones(dim - 1), 1)
+    mats = [b, 0.3j * np.eye(dim) + 2.0 * b + b @ b][:d]
+    return make_tuple([similarity @ m @ np.linalg.inv(similarity) for m in mats])
+
+
+@pytest.mark.parametrize(
+    "dim, d, unitary",
+    [(8, 1, False), (64, 1, True), (64, 2, True)],
+    ids=["similar-8", "unitary-64-d1", "unitary-64-d2"],
+)
+def test_defective_combination_goes_straight_to_deflation(monkeypatch, dim, d, unitary):
+    # A defective combination has no spanning eigenvectors, so eig + QR breaks
+    # its contract; every other combination is defective too, so none is drawn.
+    rng = np.random.default_rng(0)
+    similarity = random_unitary(dim, rng) if unitary else rng.standard_normal((dim, dim))
+    t = jordan_tuple(dim, d, similarity)
+    counts = counting_triangularizations(monkeypatch)
+    _, us = simultaneous_triangularize(t)
+    assert counts["eig_qr"] == 1 and counts["deflation"] >= 1
+    scale = max(1.0, max(frobenius_norm(m) for m in t))
+    assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= TRIANGULAR_MASS * scale
+    assert joint_spectrum(t).point_spectrum
+
+
+def test_deflation_starts_from_the_combination(monkeypatch):
+    # T_1 = 0.01 N + N^2 is flat along the Jordan chain of N: its pseudo-
+    # eigenvectors are poor ones for T_2 = N, so deflating T_1 first leaves
+    # below-diagonal mass ~1 in U_2; the random combination has no such flatness.
+    v = random_unitary(8, np.random.default_rng(1))
+    n = np.diag(np.ones(7), 1)
+    t = make_tuple([v @ m @ v.conj().T for m in (0.01 * n + n @ n, n)])
+    counts = counting_triangularizations(monkeypatch)
+    _, us = simultaneous_triangularize(t)
+    assert counts["eig_qr"] == 1
+    assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= TRIANGULAR_MASS
+
+
+def test_triangularization_failure_reports_its_attempts(monkeypatch):
+    # With the fallback also failing, the diagnostics must hold even though no
+    # random combination produced a Schur form.
+    t = jordan_tuple(8, 1, np.random.default_rng(0).standard_normal((8, 8)))
+    monkeypatch.setattr(spectra, "_deflation_triangularize", lambda mats, tol: (np.eye(8), mats))
+    with pytest.raises(NumericalFailureError) as info:
+        simultaneous_triangularize(t)
+    assert info.value.diagnostics["random_attempts"] == 1
+    assert info.value.diagnostics["best_random_mass"] is None
+
+
+def loop_pair_witnesses(points):
+    """The pair loop of prop3.2, one pair at a time: the batched audit's reference."""
+    witnesses, checked = [], 0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            (lam, x), (mu, y) = points[i], points[j]
+            if abs(1.0 - sum(a * b.conjugate() for a, b in zip(lam, mu))) < SEPARATION:
+                continue
+            checked += 1
+            if abs(np.vdot(x, y)) > ORTHO_TOL:
+                witnesses += [("non-orthogonal witness pair (lambda)", lam), ("non-orthogonal witness pair (mu)", mu)]
+    return witnesses, checked
+
+
+@pytest.mark.parametrize("scheme", ["example_2_1_d2", "polynomial_family", "diagonal_conjugate"])
+def test_prop_3_2_pairs_match_the_pair_loop(scheme):
+    # non-orthogonal pairs on the first two, orthogonal ones on the normal third
+    if scheme == "example_2_1_d2":
+        t = parse_tuple_file((DATA / "example_2_1_d2.json").read_text()).tuple
+    else:
+        t = random_commuting_tuple(GeneratorSpec(scheme=scheme, seed=3, dim=5, d=2, params={}))
+    report = audit_proposition_3_2(t, 1, (1, 1))
+    expected, checked = loop_pair_witnesses(joint_point_spectrum(t))
+    pairs = [(w.label, w.value) for w in report.witnesses if w.label.startswith("non-orthogonal")]
+    assert pairs == expected
+    assert report.sub_verdicts[1].details["pairs_checked"] == checked
+    assert report.sub_verdicts[1].conclusion_holds == (expected == [])

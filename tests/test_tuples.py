@@ -52,6 +52,14 @@ def test_make_tuple_rejects_an_overflowing_commutator():
     assert np.isnan(err.value.norm)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_make_tuple_rejects_a_commutator_whose_norm_overflows():
+    # ||[T_0, T_1]||_F = 1e160 squares past the float range; it is measured, not inf
+    with pytest.raises(NonCommutingError) as err:
+        make_tuple([[[1e160, 0], [0, 0]], [[0, 1], [0, 0]]])
+    assert err.value.norm == pytest.approx(1e160, rel=1e-15)
+
+
 def _accepted(mats, tol):
     try:
         make_tuple(mats, tol)

@@ -16,7 +16,7 @@ from opertuple.defects import _scalar_states, _state_sums, audit_theorem_2_1, sc
 from opertuple.generators import GeneratorSpec, paper_example, random_commuting_tuple
 from opertuple.linalg import NumericalFailureError, adjoint
 from opertuple.multiindex import enumerate_multiindices, multinomial_weight
-from opertuple.tuples import power_levels, tuple_power
+from opertuple.tuples import make_tuple, power_levels, tuple_power
 
 GAP = 1e-12
 
@@ -102,6 +102,12 @@ def test_imaginary_part_gate_raises(monkeypatch):
     with pytest.raises(NumericalFailureError) as info:
         scalar_defect(ex.tuple, 2, ex.q, np.eye(3)[:, 0])
     assert info.value.diagnostics["column"] == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_state_levels_raise():
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        scalar_defect(make_tuple([[[1e200]]]), 2, (1,), [1.0])
 
 
 def test_batched_gate_names_the_failing_column(monkeypatch):
