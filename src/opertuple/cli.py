@@ -3,6 +3,8 @@
 The auditable claims are the registry ``CLAIMS``: one entry per claim id, holding
 its audit, the partner tuple a file must carry, and its random-instance builder.
 The ``audit`` command and ``scripts/run_paper_audits.py`` both iterate it.
+The ``reproduce`` command prints the table of one worked example from the
+registry ``opertuple.generators.EXAMPLES`` and names no example itself.
 
 Exit codes: 0 when the requested verdict was computed (and, for audits, every
 binding conclusion held), 1 when an audit found counterexamples under
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -32,23 +33,14 @@ from .defects import (
     audit_theorem_2_2,
     audit_theorem_2_3,
     classify,
-    partial_isometry_defect,
 )
-from .generators import GeneratorSpec, paper_example, random_commuting_tuple, random_unitary
+from .generators import EXAMPLES, GeneratorSpec, paper_example, random_commuting_tuple, random_unitary
 from .linalg import NumericalFailureError, ToleranceModel
-from .minverse import (
-    audit_proposition_4_1,
-    audit_theorem_4_1,
-    audit_theorem_4_2,
-    beta,
-    is_left_m_inverse,
-)
-from .reports import NOTE_EX41_SCALING, report_to_dict
+from .minverse import audit_proposition_4_1, audit_theorem_4_1, audit_theorem_4_2
+from .reports import format_point, report_to_dict
 from .spectra import audit_proposition_3_2, audit_theorem_3_1, joint_spectrum
 from .tuples import NonCommutingError, make_tuple
 from .tuplefile import MAX_ORDER, TupleFileError, parse_partner, parse_tuple_file
-
-_ZERO_TOL = 1e-12
 
 
 class CliError(Exception):
@@ -92,14 +84,6 @@ def _emit(doc: dict, as_json: bool, text_lines: list[str]) -> None:
             print(line)
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.10g}{z.imag:+.10g}j"
-
-
-def _fmt_point(lam) -> str:
-    return "(" + ", ".join(_fmt_complex(complex(z)) for z in lam) + ")"
-
-
 def _cmd_classify(args) -> int:
     tol = (
         ToleranceModel(abs_tol=args.tol, rel_tol=args.tol)
@@ -139,10 +123,10 @@ def _cmd_spectrum(args) -> int:
     result = joint_spectrum(parsed.tuple, tol, seed)
     lines = [f"joint spectrum (seed={seed})", "  point spectrum:"]
     for (lam, _x), res in zip(result.point_spectrum, result.residuals):
-        lines.append(f"    lambda={_fmt_point(lam)}  residual={res:.3e}")
+        lines.append(f"    lambda={format_point(lam)}  residual={res:.3e}")
     lines.append("  taylor diagonal (with multiplicity):")
     for lam in result.taylor_diagonal:
-        lines.append(f"    {_fmt_point(lam)}")
+        lines.append(f"    {format_point(lam)}")
     lines.append(f"  spectral radius: {result.spectral_radius!r}")
     _emit(result.to_dict(), args.json, lines)
     return 0
@@ -315,7 +299,7 @@ def _cmd_audit(args) -> int:
             marker = "info" if sv.vacuous else ("pass" if sv.conclusion_holds else "FAIL")
             lines.append(f"      {marker:4s}  {sv.name}")
         for w in r.witnesses:
-            lines.append(f"      witness: {w.label} = {_fmt_point(w.value)}")
+            lines.append(f"      witness: {w.label} = {format_point(w.value)}")
     lines.append(
         f"{len(reports)} report(s); "
         + ("all binding conclusions hold" if all_ok else "counterexamples found")
@@ -330,80 +314,11 @@ def _cmd_audit(args) -> int:
     return 0 if all_ok else 1
 
 
-def _reproduce_rows(example_id: str, seed: int):
-    ex = paper_example(example_id)
-    rows = []
-
-    def row(quantity: str, expected, observed, match: bool):
-        rows.append(
-            {"quantity": quantity, "expected": expected, "observed": observed, "match": bool(match)}
-        )
-
-    if ex.id.startswith("2.1"):
-        defect = partial_isometry_defect(ex.tuple, ex.m, ex.q)
-        row("partial_defect_norm", 0.0, defect.norm, defect.norm <= _ZERO_TOL)
-        row(
-            f"is (1; {ex.q}) partial isometry",
-            True,
-            defect.is_zero,
-            defect.is_zero is True,
-        )
-    elif ex.id == "2.2":
-        for j, label in ((0, "T1"), (1, "T2")):
-            single = make_tuple([ex.tuple[j]])
-            d_single = partial_isometry_defect(single, 2, (1,))
-            row(f"{label} (2;1) defect norm", 0.0, d_single.norm, d_single.norm <= _ZERO_TOL)
-        pair = partial_isometry_defect(ex.tuple, 2, (1, 1))
-        expected_norm = math.sqrt(3.0)
-        row("pair (2;(1,1)) defect norm", expected_norm, pair.norm, abs(pair.norm - expected_norm) <= 1e-10)
-        row("pair is (2;(1,1)) partial isometry", False, pair.is_zero, pair.is_zero is False)
-    elif ex.id.startswith("3.golden"):
-        defect = partial_isometry_defect(ex.tuple, ex.m, ex.q)
-        row("partial_defect_norm", 0.0, defect.norm, defect.norm <= _ZERO_TOL)
-        spec_result = joint_spectrum(ex.tuple, seed=seed)
-        expected_points = ex.expected["point_spectrum"]
-        observed = [lam for lam, _ in spec_result.point_spectrum]
-        matched = len(observed) == len(expected_points) and all(
-            any(max(abs(a - b) for a, b in zip(lam, mu)) <= 1e-8 for mu in observed)
-            for lam in expected_points
-        )
-        row(
-            "joint point spectrum",
-            [_fmt_point(p) for p in expected_points],
-            [_fmt_point(p) for p in observed],
-            matched,
-        )
-        radius = spec_result.spectral_radius
-        row(
-            "spectral_radius",
-            ex.expected["spectral_radius"],
-            radius,
-            abs(radius - ex.expected["spectral_radius"]) <= 1e-8,
-        )
-    elif ex.id in ("4.1-as-printed", "4.1-corrected"):
-        expect_zero = ex.expected["left_m_inverse"]
-        for m in ex.expected["m_range"]:
-            b = beta(ex.partner, ex.tuple, m)
-            if expect_zero:
-                row(f"beta_{m} norm", 0.0, b.norm, b.norm <= _ZERO_TOL)
-            else:
-                expected_norm = ex.expected["beta_norm"]
-                row(f"beta_{m} norm", expected_norm, b.norm, abs(b.norm - expected_norm) <= 1e-10)
-        verdict = is_left_m_inverse(ex.partner, ex.tuple, ex.m)
-        row("is left m-inverse", expect_zero, verdict, verdict == expect_zero)
-    else:
-        raise CliError(f"no reproduction recipe for example {example_id!r}")
-    return ex, rows
-
-
 def _cmd_reproduce(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        ex, rows = _reproduce_rows(args.example, seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    ex = paper_example(args.example)
+    rows = ex.rows(seed)
     all_match = all(r["match"] for r in rows)
-    notes = [NOTE_EX41_SCALING] if ex.id.startswith("4.1") else []
     lines = [f"example {ex.id}: expected vs observed"]
     width = max(len(r["quantity"]) for r in rows) + 2
     for r in rows:
@@ -411,7 +326,7 @@ def _cmd_reproduce(args) -> int:
             f"  {r['quantity']:<{width}} expected={r['expected']!r:<28} "
             f"observed={r['observed']!r:<28} {'ok' if r['match'] else 'MISMATCH'}"
         )
-    for note in notes:
+    for note in ex.notes:
         lines.append(f"  note: {note}")
     lines.append("all quantities match" if all_match else "MISMATCHES FOUND")
     doc = {
@@ -419,7 +334,7 @@ def _cmd_reproduce(args) -> int:
         "rows": rows,
         "all_match": all_match,
         "seed": seed,
-        "paper_discrepancy_notes": notes,
+        "paper_discrepancy_notes": list(ex.notes),
     }
     _emit(doc, args.json, lines)
     return 0 if all_match else 1
@@ -453,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--json", action="store_true")
 
     p_repro = sub.add_parser("reproduce", help="expected-vs-observed table for a worked example")
-    p_repro.add_argument("--example", required=True, help="e.g. 2.1(2), 2.2, 3.golden(2), 4.1-corrected")
+    p_repro.add_argument(
+        "--example", required=True, help=f"one of {', '.join(EXAMPLES)}, d a positive integer"
+    )
     p_repro.add_argument("--seed", type=int, default=None)
     p_repro.add_argument("--json", action="store_true")
 

@@ -1,5 +1,11 @@
 """Deterministic instance factories: worked examples and seeded random families.
 
+The paper's worked examples are the registry ``EXAMPLES``: one entry per id,
+whose builder returns the tuple, its (m, q), the partner tuple of the inverse
+examples, the paper-discrepancy notes, and ``rows(seed)``, the
+expected-vs-observed table that ``opertuple reproduce`` prints. Every expected
+value is written there once.
+
 Every random draw flows from a single 64-bit seed through numpy's splittable
 SeedSequence, so identical specs produce bit-identical tuples and parallel
 consumers can derive disjoint streams.
@@ -9,15 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from .defects import partial_isometry_defect
 from .linalg import DEFAULT_TOL, ToleranceModel, adjoint, as_matrix, frobenius_norm
+from .minverse import beta, is_left_m_inverse
+from .reports import NOTE_EX41_SCALING, format_point
+from .spectra import joint_spectrum
 from .tuples import OperatorTuple, make_tuple
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-PAPER_EXAMPLE_IDS = ("2.1(d)", "2.2", "3.golden(d)", "4.1-as-printed", "4.1-corrected")
 
 
 def example_2_1_matrix() -> np.ndarray:
@@ -47,108 +56,151 @@ def example_4_1_matrices() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PaperExample:
-    """A worked example: the tuple, suggested (m, q), and expected verdicts.
+    """A worked example: the tuple, suggested (m, q), and its reproduction table.
 
-    ``partner`` carries the candidate m-inverse tuple for the inverse
-    examples and is None otherwise.
+    ``rows(seed)`` computes the expected-vs-observed rows that ``reproduce``
+    prints. ``partner`` carries the candidate m-inverse tuple for the inverse
+    examples and is None otherwise; ``notes`` are the paper-discrepancy notes.
     """
 
     id: str
     tuple: OperatorTuple
     m: int
     q: tuple[int, ...] | None
-    expected: dict
+    rows: Callable[[int], list[dict]]
     partner: OperatorTuple | None = None
+    notes: tuple[str, ...] = ()
 
 
-def _parse_example_id(example_id: str) -> tuple[str, int | None]:
-    for stem in ("2.1", "3.golden"):
-        if example_id.startswith(stem + "(") and example_id.endswith(")"):
-            inner = example_id[len(stem) + 1 : -1]
-            try:
-                d = int(inner)
-            except ValueError:
-                raise ValueError(
-                    f"bad dimension count in example id {example_id!r}"
-                ) from None
-            if d < 1:
-                raise ValueError(f"example id {example_id!r} needs d >= 1")
-            return stem, d
-    return example_id, None
+# Fixed match bounds of the reproduction rows.
+REPRODUCE_ZERO_TOL = 1e-12  # a norm expected to vanish
+REPRODUCE_NORM_TOL = 1e-10  # a norm expected to equal a nonzero printed value
+REPRODUCE_SPECTRUM_TOL = 1e-8  # L-inf distance of joint eigenvalues, and the spectral radius
+
+
+def _row(quantity: str, expected, observed, match) -> dict:
+    return {"quantity": quantity, "expected": expected, "observed": observed, "match": bool(match)}
+
+
+def _verdict_row(quantity: str, expected: bool, observed) -> dict:
+    return _row(quantity, expected, observed, observed == expected)
+
+
+def _norm_row(quantity: str, expected: float, norm: float) -> dict:
+    """A norm, matched within REPRODUCE_ZERO_TOL of an expected 0 and within
+    REPRODUCE_NORM_TOL of any other expected value."""
+    bound = REPRODUCE_ZERO_TOL if expected == 0.0 else REPRODUCE_NORM_TOL
+    return _row(quantity, expected, norm, abs(norm - expected) <= bound)
+
+
+def _example_2_1(example_id: str, d: int) -> PaperExample:
+    base = example_2_1_matrix()
+    scale = 1.0 / math.sqrt(d)
+    t = make_tuple([scale * base] * d)
+    m, q = 1, (1,) * d
+
+    def rows(seed: int) -> list[dict]:
+        defect = partial_isometry_defect(t, m, q)
+        return [
+            _norm_row("partial_defect_norm", 0.0, defect.norm),
+            _verdict_row(f"is ({m}; {q}) partial isometry", True, defect.is_zero),
+        ]
+
+    return PaperExample(id=example_id, tuple=t, m=m, q=q, rows=rows)
+
+
+def _example_2_2(example_id: str) -> PaperExample:
+    t = make_tuple(list(example_2_2_matrices()))
+    m, q = 2, (1, 1)
+
+    def rows(seed: int) -> list[dict]:
+        out = []
+        for j, label in ((0, "T1"), (1, "T2")):
+            single = partial_isometry_defect(make_tuple([t[j]]), m, (1,))
+            out.append(_norm_row(f"{label} (2;1) defect norm", 0.0, single.norm))
+        pair = partial_isometry_defect(t, m, q)
+        out.append(_norm_row("pair (2;(1,1)) defect norm", math.sqrt(3.0), pair.norm))
+        out.append(_verdict_row("pair is (2;(1,1)) partial isometry", False, pair.is_zero))
+        return out
+
+    return PaperExample(id=example_id, tuple=t, m=m, q=q, rows=rows)
+
+
+def _golden_ratio(example_id: str, d: int) -> PaperExample:
+    a = math.sqrt(_GOLDEN)
+    mats = [golden_ratio_matrix()] + [np.zeros((2, 2), dtype=np.complex128)] * (d - 1)
+    t = make_tuple(mats)
+    m, q = 2, (1,) + (0,) * (d - 1)
+    points = [(complex(a),) + (0j,) * (d - 1), (0j,) * d]
+
+    def rows(seed: int) -> list[dict]:
+        defect = partial_isometry_defect(t, m, q)
+        spec = joint_spectrum(t, seed=seed)
+        observed = [lam for lam, _ in spec.point_spectrum]
+        matched = len(observed) == len(points) and all(
+            any(max(abs(x - y) for x, y in zip(lam, mu)) <= REPRODUCE_SPECTRUM_TOL for mu in observed)
+            for lam in points
+        )
+        radius = spec.spectral_radius
+        return [
+            _norm_row("partial_defect_norm", 0.0, defect.norm),
+            _row(
+                "joint point spectrum",
+                [format_point(p) for p in points],
+                [format_point(p) for p in observed],
+                matched,
+            ),
+            _row("spectral_radius", a, radius, abs(radius - a) <= REPRODUCE_SPECTRUM_TOL),
+        ]
+
+    return PaperExample(id=example_id, tuple=t, m=m, q=q, rows=rows)
+
+
+def _example_4_1(example_id: str, partner_scale: float, beta_norm: float) -> PaperExample:
+    """Example 4.1's T = (T_1, T_1) against S = partner_scale (S_1, S_1), whose
+    beta_1..beta_4 all have norm ``beta_norm``: a left 2-inverse exactly when that is 0."""
+    t1, s1 = example_4_1_matrices()
+    t = make_tuple([t1, t1])
+    s = make_tuple([partner_scale * s1] * 2)
+    m = 2
+
+    def rows(seed: int) -> list[dict]:
+        out = [_norm_row(f"beta_{k} norm", beta_norm, beta(s, t, k).norm) for k in range(1, 5)]
+        return out + [_verdict_row("is left m-inverse", beta_norm == 0.0, is_left_m_inverse(s, t, m))]
+
+    return PaperExample(
+        id=example_id, tuple=t, m=m, q=None, rows=rows, partner=s, notes=(NOTE_EX41_SCALING,)
+    )
+
+
+# The worked examples, one entry per id. A key ending in "(d)" takes a literal
+# positive integer d in its place, e.g. "2.1(2)"; the other keys are ids as they stand.
+EXAMPLES: dict[str, Callable[..., PaperExample]] = {
+    "2.1(d)": _example_2_1,
+    "2.2": _example_2_2,
+    "3.golden(d)": _golden_ratio,
+    "4.1-as-printed": lambda example_id: _example_4_1(example_id, 1.0, math.sqrt(2.0)),
+    "4.1-corrected": lambda example_id: _example_4_1(example_id, 0.5, 0.0),
+}
 
 
 def paper_example(example_id: str) -> PaperExample:
-    """Construct one of the worked examples, exactly as printed.
-
-    Valid ids: "2.1(d)" and "3.golden(d)" with a literal positive integer d
-    (e.g. "2.1(2)"), plus "2.2", "4.1-as-printed", "4.1-corrected".
-    """
-    stem, d = _parse_example_id(example_id)
-    if stem == "2.1":
-        base = example_2_1_matrix()
-        scale = 1.0 / math.sqrt(d)
-        t = make_tuple([scale * base] * d)
-        return PaperExample(
-            id=example_id,
-            tuple=t,
-            m=1,
-            q=(1,) * d,
-            expected={"partial_isometry": True},
+    """Construct one of the worked examples of ``EXAMPLES``, exactly as printed."""
+    stem, paren, inner = example_id.partition("(")
+    key = f"{stem}(d)" if paren and example_id.endswith(")") else example_id
+    if key not in EXAMPLES:
+        raise ValueError(
+            f"unknown example id {example_id!r}; valid ids are {', '.join(EXAMPLES)}"
         )
-    if stem == "3.golden":
-        if d < 1:
-            raise ValueError("3.golden needs d >= 1")
-        a = math.sqrt(_GOLDEN)
-        mats = [golden_ratio_matrix()] + [np.zeros((2, 2), dtype=np.complex128)] * (d - 1)
-        t = make_tuple(mats)
-        return PaperExample(
-            id=example_id,
-            tuple=t,
-            m=2,
-            q=(1,) + (0,) * (d - 1),
-            expected={
-                "partial_isometry": True,
-                "point_spectrum": [
-                    (complex(a),) + (0j,) * (d - 1),
-                    (0j,) * d,
-                ],
-                "spectral_radius": a,
-            },
-        )
-    if stem == "2.2":
-        t1, t2 = example_2_2_matrices()
-        t = make_tuple([t1, t2])
-        return PaperExample(
-            id=example_id,
-            tuple=t,
-            m=2,
-            q=(1, 1),
-            expected={
-                "partial_isometry": False,
-                "pair_defect_norm": math.sqrt(3.0),
-                "component_partial_isometry": [True, True],
-            },
-        )
-    if stem in ("4.1-as-printed", "4.1-corrected"):
-        t1, s1 = example_4_1_matrices()
-        t = make_tuple([t1, t1])
-        if stem == "4.1-as-printed":
-            partner = make_tuple([s1, s1])
-            expected = {
-                "left_m_inverse": False,
-                "beta_norm": math.sqrt(2.0),
-                "m_range": [1, 2, 3, 4],
-            }
-        else:
-            partner = make_tuple([s1 / 2.0, s1 / 2.0])
-            expected = {"left_m_inverse": True, "m_range": [1, 2, 3, 4]}
-        return PaperExample(
-            id=example_id, tuple=t, m=2, q=None, expected=expected, partner=partner
-        )
-    raise ValueError(
-        f"unknown example id {example_id!r}; valid ids are "
-        "2.1(d), 2.2, 3.golden(d), 4.1-as-printed, 4.1-corrected"
-    )
+    if not paren:
+        return EXAMPLES[key](example_id)
+    try:
+        d = int(inner[:-1])
+    except ValueError:
+        raise ValueError(f"bad dimension count in example id {example_id!r}") from None
+    if d < 1:
+        raise ValueError(f"example id {example_id!r} needs d >= 1")
+    return EXAMPLES[key](example_id, d)
 
 
 def scaled_single(a, lam, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:

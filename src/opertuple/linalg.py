@@ -149,8 +149,9 @@ def unitary_triangularize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"Schur decomposition failed: {exc}", {"dim": a.shape[0]}
         ) from exc
     u = np.triu(adjoint(q) @ a @ q)
-    scale = max(1.0, frobenius_norm(a))
-    residual = frobenius_norm(a - q @ u @ adjoint(q))
+    with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
+        scale = max(1.0, frobenius_norm(a))
+        residual = frobenius_norm(a - q @ u @ adjoint(q))
     unitarity = frobenius_norm(adjoint(q) @ q - np.eye(a.shape[0]))
     if residual > 1e-8 * scale or unitarity > 1e-10:
         raise NumericalFailureError(

@@ -123,6 +123,11 @@ def build_report(
     )
 
 
+def format_point(lam) -> str:
+    """A joint eigenvalue as text: (re+imj, ...), each part to 10 significant digits."""
+    return "(" + ", ".join(f"{z.real:.10g}{z.imag:+.10g}j" for z in map(complex, lam)) + ")"
+
+
 def complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 

@@ -50,7 +50,10 @@ def _require_int(value, path: str, minimum: int | None = None, maximum: int | No
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TupleFileError(path, f"expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal past the float range
+        out = np.inf
     if not np.isfinite(out):
         raise TupleFileError(path, f"expected a finite number, got {value!r}")
     return out

@@ -111,6 +111,35 @@ def test_tuple_file_order_above_maximum_exits_2(capsys, tmp_path):
     assert run(capsys, "audit", "--claim", "thm2.1", "--input", str(path), "--json") == (2, "")
 
 
+def test_integer_literal_past_the_float_range_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge_literal.json"
+    path.write_text('{"d": 1, "dim": 1, "m": 1, "q": [1], "matrices": [[[[1' + "0" * 400 + ', 0]]]]}')
+    code = main(["classify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: /matrices/0/0/0/0: expected a finite number")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", [1, 2])
+def test_spectrum_past_the_square_root_of_the_float_range(capsys, tmp_path, d):
+    # T_1 = diag(1e160, 2e160), the other components zero: every squared entry overflows
+    big = [[[1e160, 0], [0, 0]], [[0, 0], [2e160, 0]]]
+    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    path = tmp_path / "huge_diag.json"
+    path.write_text(json.dumps({"d": d, "dim": 2, "matrices": [big] + [zero] * (d - 1)}))
+    code = main(["spectrum", "--input", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["spectral_radius"] == 2e160
+    points = sorted(point["lambda"][0][0] for point in doc["point_spectrum"])
+    assert points == pytest.approx([1e160, 2e160], rel=1e-12)
+    assert all(point["lambda"][1:] == [[0.0, 0.0]] * (d - 1) for point in doc["point_spectrum"])
+
+
 def test_classify_at_maximum_order_emits_json(capsys):
     code, out = run(
         capsys, "classify", "--input", str(DATA / "example_2_2.json"), "--q", "1,1",
@@ -285,6 +314,19 @@ def test_package_source_never_imports_scipy():
     assert _SCIPY_IMPORT.search("    import scipy.linalg  # lazily")
 
 
+# A string literal that starts with a worked-example id.
+_EXAMPLE_ID_LITERAL = re.compile(r"""["'](?:2\.1|2\.2|3\.golden|4\.1)(?!\d)""")
+
+
+def test_example_ids_are_named_only_in_the_registry():
+    sources = sorted((ROOT / "src" / "opertuple").rglob("*.py"))
+    assert sources
+    named = [path.name for path in sources if _EXAMPLE_ID_LITERAL.search(path.read_text())]
+    assert named == ["generators.py"]
+    assert _EXAMPLE_ID_LITERAL.search('    elif ex.id in ("4.1-as-printed", "4.1-corrected"):')
+    assert not _EXAMPLE_ID_LITERAL.search('"thm2.1", "prop4.1", "ex4.1: ...", "2.10"')
+
+
 def test_audit_file_pass_and_fail(capsys):
     code, _ = run(
         capsys, "audit", "--claim", "thm4.1", "--input", str(DATA / "example_4_1_corrected.json")
@@ -391,7 +433,11 @@ def test_seed_env_var_and_flag(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "example", ["2.1(1)", "2.1(2)", "2.1(3)", "2.2", "3.golden(2)", "4.1-as-printed", "4.1-corrected"]
+    "example",
+    [
+        "2.1(1)", "2.1(2)", "2.1(3)", "2.2", "3.golden(1)", "3.golden(2)", "3.golden(3)",
+        "4.1-as-printed", "4.1-corrected",
+    ],
 )
 def test_reproduce_all_examples_match(capsys, example):
     code, out = run(capsys, "reproduce", "--example", example)
@@ -405,8 +451,9 @@ def test_reproduce_2_2_shows_sqrt3(capsys):
     assert "1.7320508" in out
 
 
-def test_reproduce_unknown_example_exits_2(capsys):
-    code, _ = run(capsys, "reproduce", "--example", "7.7")
+@pytest.mark.parametrize("example", ["7.7", "2.1", "3.golden"])
+def test_reproduce_unknown_example_exits_2(capsys, example):
+    code, _ = run(capsys, "reproduce", "--example", example)
     assert code == 2
 
 

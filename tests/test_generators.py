@@ -5,6 +5,7 @@ import pytest
 
 from opertuple.defects import partial_isometry_defect
 from opertuple.generators import (
+    EXAMPLES,
     GeneratorSpec,
     example_2_1_matrix,
     paper_example,
@@ -23,6 +24,20 @@ def test_paper_example_ids_and_errors():
     with pytest.raises(ValueError) as err:
         paper_example("5.9")
     assert "valid ids" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", ["2.1", "3.golden", "2.2(3)", "4.1-corrected(2)", "2.1(2"])
+def test_unknown_example_ids_name_the_registry_keys(bad):
+    with pytest.raises(ValueError) as err:
+        paper_example(bad)
+    assert str(err.value) == f"unknown example id {bad!r}; valid ids are " + ", ".join(EXAMPLES)
+    assert list(EXAMPLES) == ["2.1(d)", "2.2", "3.golden(d)", "4.1-as-printed", "4.1-corrected"]
+
+
+@pytest.mark.parametrize("bad", ["2.1()", "2.1(x)", "2.1(d)", "3.golden(0)", "3.golden(-1)"])
+def test_bad_dimension_counts_rejected(bad):
+    with pytest.raises(ValueError, match="d >= 1|bad dimension count"):
+        paper_example(bad)
 
 
 def test_paper_example_2_1_entries_exact():

@@ -84,6 +84,14 @@ def test_schema_violations(mutate, path):
     assert err.value.path == path
 
 
+def test_integer_literal_past_the_float_range_rejected():
+    text = '{"d": 1, "dim": 1, "matrices": [[[[1' + "0" * 400 + ', 0]]]]}'
+    with pytest.raises(TupleFileError) as err:
+        parse_tuple_file(text)
+    assert err.value.path == "/matrices/0/0/0/0"
+    assert "expected a finite number" in str(err.value)
+
+
 def test_order_above_cap_rejected():
     doc = {"d": 2, "dim": 1, "matrices": [[[[1, 0]]], [[[2, 0]]]], "m": MAX_ORDER + 1}
     with pytest.raises(TupleFileError) as err:
