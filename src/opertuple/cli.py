@@ -39,7 +39,7 @@ from .linalg import NumericalFailureError, ToleranceModel
 from .minverse import audit_proposition_4_1, audit_theorem_4_1, audit_theorem_4_2
 from .reports import format_point, report_to_dict
 from .spectra import audit_proposition_3_2, audit_theorem_3_1, joint_spectrum
-from .tuples import NonCommutingError, make_tuple
+from .tuples import NonCommutingError, conjugate_by_unitary, make_tuple
 from .tuplefile import MAX_ORDER, TupleFileError, parse_partner, parse_tuple_file
 
 
@@ -107,8 +107,8 @@ def _cmd_classify(args) -> int:
         f"  (defect norm {report.partial_defect_norm:.6e}, scale {report.partial_defect_scale:.6e})",
         f"  isometry (order {m}):   {report.isometry}"
         f"  (defect norm {report.isometry_defect_norm:.6e})",
-        f"  quasinormal:           matricial={report.quasinormal_matricial}"
-        f" joint={report.quasinormal_joint} spherical={report.quasinormal_spherical}",
+        f"  quasinormal:           matricial={report.quasinormal.matricial}"
+        f" joint={report.quasinormal.joint} spherical={report.quasinormal.spherical}",
         f"  null_reducing:         {report.null_reducing}  (null dim {report.null_dim})",
         f"  entrywise_invertible:  {report.entrywise_invertible}",
     ]
@@ -156,11 +156,7 @@ def _unipotent_two_inverse_pair(seed: int):
     t_mats = [eye + coeff() * n, eye + coeff() * n]
     s_mats = [(eye + coeff() * n) / 2.0, (eye + coeff() * n) / 2.0]
     v = random_unitary(2, rng)
-    vh = v.conj().T
-    return (
-        make_tuple([vh @ m @ v for m in s_mats]),
-        make_tuple([vh @ m @ v for m in t_mats]),
-    )
+    return conjugate_by_unitary(make_tuple(s_mats), v), conjugate_by_unitary(make_tuple(t_mats), v)
 
 
 # Random-instance builders: (seed, trial) -> (s, t, m, q), s the partner tuple or None.

@@ -42,9 +42,16 @@ from .reports import (
     SubVerdict,
     Witness,
     build_report,
-    tolerances_to_dict,
+    to_json,
 )
-from .tuples import OperatorTuple, null_reducing_check, power_levels, quasinormal_class, tuple_power
+from .tuples import (
+    OperatorTuple,
+    QuasinormalFlags,
+    null_reducing_check,
+    power_levels,
+    quasinormal_class,
+    tuple_power,
+)
 
 IMAG_TOL = 1e-8  # vector-state sums: imaginary part allowed, times max(1, largest term)
 NULL_SPACE_SLACK = 1e-8  # thm2.2: added to tol.threshold(1.0) for N(T_j) vs N(T_j^2)
@@ -184,34 +191,14 @@ class ClassificationReport:
     isometry: bool
     isometry_defect_norm: float
     isometry_defect_scale: float
-    quasinormal_matricial: bool
-    quasinormal_joint: bool
-    quasinormal_spherical: bool
+    quasinormal: QuasinormalFlags
     null_reducing: bool
     null_dim: int
     entrywise_invertible: tuple[bool, ...]
     tolerances: ToleranceModel
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "q": list(self.q),
-            "partial_isometry": self.partial_isometry,
-            "partial_defect_norm": self.partial_defect_norm,
-            "partial_defect_scale": self.partial_defect_scale,
-            "isometry": self.isometry,
-            "isometry_defect_norm": self.isometry_defect_norm,
-            "isometry_defect_scale": self.isometry_defect_scale,
-            "quasinormal": {
-                "matricial": self.quasinormal_matricial,
-                "joint": self.quasinormal_joint,
-                "spherical": self.quasinormal_spherical,
-            },
-            "null_reducing": self.null_reducing,
-            "null_dim": self.null_dim,
-            "entrywise_invertible": list(self.entrywise_invertible),
-            "tolerances": tolerances_to_dict(self.tolerances),
-        }
+        return to_json(self)
 
 
 def classify(
@@ -221,7 +208,6 @@ def classify(
     levels = _levels(t, m)
     partial = _defect(levels, m, tol, tuple_power(t, q))
     isom = _defect(levels, m, tol)
-    flags = quasinormal_class(t, tol)
     reducing, basis = null_reducing_check(t, q, tol)
     return ClassificationReport(
         m=m,
@@ -232,9 +218,7 @@ def classify(
         isometry=isom.is_zero,
         isometry_defect_norm=isom.norm,
         isometry_defect_scale=isom.scale,
-        quasinormal_matricial=flags.matricial,
-        quasinormal_joint=flags.joint,
-        quasinormal_spherical=flags.spherical,
+        quasinormal=quasinormal_class(t, tol),
         null_reducing=reducing,
         null_dim=basis.shape[1],
         entrywise_invertible=_entrywise_invertible(t, tol),

@@ -22,7 +22,7 @@ import numpy as np
 from .defects import partial_isometry_defect
 from .linalg import DEFAULT_TOL, ToleranceModel, adjoint, as_matrix, frobenius_norm
 from .minverse import beta, is_left_m_inverse
-from .reports import NOTE_EX41_SCALING, format_point
+from .reports import NOTE_EX41_SCALING, format_point, from_fields, to_json
 from .spectra import joint_spectrum
 from .tuples import OperatorTuple, make_tuple
 
@@ -266,23 +266,11 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "dim": self.dim,
-            "d": self.d,
-            "params": dict(self.params),
-        }
+        return to_json(self)
 
     @staticmethod
     def from_dict(data: dict) -> "GeneratorSpec":
-        return GeneratorSpec(
-            scheme=data["scheme"],
-            seed=data["seed"],
-            dim=data["dim"],
-            d=data["d"],
-            params=dict(data.get("params", {})),
-        )
+        return from_fields(GeneratorSpec, {"params": {}, **data}, params=dict)
 
 
 def _bounded(mats: list[np.ndarray]) -> list[np.ndarray]:

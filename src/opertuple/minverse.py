@@ -36,6 +36,7 @@ from .tuples import OperatorTuple, hereditary_shift, power_levels
 
 _CROSS_CHECK_MAX_M = 4
 PASS_TOL = 1e-10  # prop4.1: largest relative deviation of an expansion that passes
+CROSS_CHECK_TOL = 1e-10  # beta: recurrence vs enumeration gap allowed, times max(1, scale)
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def beta(
     """beta_m(S, T) by the requested route.
 
     "auto" runs the recurrence and, for m <= 4, cross-checks it against direct
-    enumeration; disagreement beyond 1e-10 * scale raises, and so does a beta
+    enumeration; a gap beyond CROSS_CHECK_TOL * max(1, scale) raises, and so does a beta
     whose norm or scale overflows.
     """
     _check_shapes(s, t)
@@ -108,7 +109,7 @@ def beta(
                 other, other_scale = _beta_enumeration(s, t, m)
                 scale = max(scale, other_scale)
                 gap = frobenius_norm(matrix - other)
-                if gap > 1e-10 * max(1.0, scale):
+                if gap > CROSS_CHECK_TOL * max(1.0, scale):
                     raise NumericalFailureError(
                         "beta recurrence and enumeration disagree",
                         {"gap": gap, "scale": scale, "m": m},

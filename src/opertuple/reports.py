@@ -2,13 +2,20 @@
 
 A report records whether a claim's hypotheses held, whether its conclusion
 held wherever the hypotheses did, the witnesses behind any violation, and the
-named norms that drove each decision. Complex numbers serialize as [re, im]
-pairs; round-tripping through JSON is exact.
+named norms that drove each decision.
+
+``to_json`` is the package's one JSON encoding: every report, spectrum result,
+generator spec and tuple-file matrix is written through it, a dataclass as
+the object of its fields and a complex number as an [re, im] pair.
+``from_fields`` reads a dataclass back from the keys that name its fields;
+round-tripping a report through JSON is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+
+import numpy as np
 
 from .linalg import ToleranceModel
 
@@ -128,76 +135,55 @@ def format_point(lam) -> str:
     return "(" + ", ".join(f"{z.real:.10g}{z.imag:+.10g}j" for z in map(complex, lam)) + ")"
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def to_json(value):
+    """The one JSON encoding of the package's values.
 
-
-def vector_to_pairs(values) -> list[list[float]]:
-    return [complex_to_pair(complex(z)) for z in values]
+    A dataclass becomes an object of its fields in field order, a dict is
+    mapped value by value, an array, tuple or list becomes a list, and a
+    complex number becomes its [re, im] pair; anything else is returned as is.
+    """
+    if isinstance(value, complex):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def pairs_to_vector(pairs) -> tuple[complex, ...]:
     return tuple(complex(re, im) for re, im in pairs)
 
 
-def tolerances_to_dict(tol: ToleranceModel) -> dict:
-    return {"abs_tol": tol.abs_tol, "rel_tol": tol.rel_tol, "rank_factor": tol.rank_factor}
-
-
-def tolerances_from_dict(data: dict) -> ToleranceModel:
-    return ToleranceModel(
-        abs_tol=data["abs_tol"], rel_tol=data["rel_tol"], rank_factor=data["rank_factor"]
-    )
-
-
 def report_to_dict(report: AuditReport) -> dict:
-    return {
-        "claim_id": report.claim_id,
-        "hypotheses_hold": report.hypotheses_hold,
-        "hypothesis_breakdown": dict(report.hypothesis_breakdown),
-        "conclusion_holds": report.conclusion_holds,
-        "sub_verdicts": [
-            {
-                "name": sv.name,
-                "hypotheses_hold": sv.hypotheses_hold,
-                "conclusion_holds": sv.conclusion_holds,
-                "vacuous": sv.vacuous,
-                "details": dict(sv.details),
-            }
-            for sv in report.sub_verdicts
-        ],
-        "witnesses": [
-            {"label": w.label, "value": vector_to_pairs(w.value)} for w in report.witnesses
-        ],
-        "norms": dict(report.norms),
-        "tolerances": tolerances_to_dict(report.tolerances),
-        "seed": report.seed,
-        "paper_discrepancy_notes": list(report.paper_discrepancy_notes),
-    }
+    return to_json(report)
+
+
+def from_fields(cls, data: dict, **decoders):
+    """An instance of the dataclass ``cls`` from the keys of ``data`` that name its fields.
+
+    Each field's value passes through its entry in ``decoders``, if it has one;
+    keys that name no field are ignored.
+    """
+    return cls(**{f.name: decoders.get(f.name, _same)(data[f.name]) for f in fields(cls)})
+
+
+def _same(value):
+    return value
 
 
 def report_from_dict(data: dict) -> AuditReport:
-    return AuditReport(
-        claim_id=data["claim_id"],
-        hypotheses_hold=data["hypotheses_hold"],
-        hypothesis_breakdown=dict(data["hypothesis_breakdown"]),
-        conclusion_holds=data["conclusion_holds"],
-        sub_verdicts=tuple(
-            SubVerdict(
-                name=sv["name"],
-                hypotheses_hold=sv["hypotheses_hold"],
-                conclusion_holds=sv["conclusion_holds"],
-                vacuous=sv["vacuous"],
-                details=dict(sv["details"]),
-            )
-            for sv in data["sub_verdicts"]
-        ),
-        witnesses=tuple(
-            Witness(label=w["label"], value=pairs_to_vector(w["value"]))
-            for w in data["witnesses"]
-        ),
-        norms=dict(data["norms"]),
-        tolerances=tolerances_from_dict(data["tolerances"]),
-        seed=data["seed"],
-        paper_discrepancy_notes=tuple(data["paper_discrepancy_notes"]),
+    return from_fields(
+        AuditReport,
+        data,
+        hypothesis_breakdown=dict,
+        sub_verdicts=lambda svs: tuple(from_fields(SubVerdict, sv, details=dict) for sv in svs),
+        witnesses=lambda ws: tuple(from_fields(Witness, w, value=pairs_to_vector) for w in ws),
+        norms=dict,
+        tolerances=lambda tol: from_fields(ToleranceModel, tol),
+        paper_discrepancy_notes=tuple,
     )

@@ -49,7 +49,7 @@ from .reports import (
     SubVerdict,
     Witness,
     build_report,
-    vector_to_pairs,
+    to_json,
 )
 from .defects import partial_isometry_defect
 from .tuples import OperatorTuple, adjoint_tuple, null_reducing_check
@@ -103,9 +103,6 @@ def _deflation_triangularize(
     v = _common_eigenvector(mats, tol)
     # Unitary completion of v via QR of [v | I].
     q, _ = np.linalg.qr(np.column_stack([v, np.eye(n, dtype=np.complex128)[:, : n - 1]]), mode="reduced")
-    if q.shape[1] < n:
-        q, _ = np.linalg.qr(np.column_stack([v, np.eye(n, dtype=np.complex128)]))
-        q = q[:, :n]
     # Align the first column with v (QR may flip phase).
     phase = np.vdot(q[:, 0], v)
     if abs(phase) > 0:
@@ -341,19 +338,14 @@ class JointSpectrumResult:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "point_spectrum": [
-                {
-                    "lambda": vector_to_pairs(lam),
-                    "witness": vector_to_pairs(x),
-                    "residual": res,
-                }
-                for (lam, x), res in zip(self.point_spectrum, self.residuals)
-            ],
-            "taylor_diagonal": [vector_to_pairs(lam) for lam in self.taylor_diagonal],
-            "spectral_radius": self.spectral_radius,
-            "seed": self.seed,
-        }
+        """The fields as JSON, each point as {lambda, witness, residual}."""
+        doc = to_json(self)
+        residuals = doc.pop("residuals")
+        doc["point_spectrum"] = [
+            {"lambda": lam, "witness": x, "residual": res}
+            for (lam, x), res in zip(doc["point_spectrum"], residuals)
+        ]
+        return doc
 
 
 def joint_spectrum(

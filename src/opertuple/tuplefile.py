@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceModel
+from .reports import to_json
 from .tuples import OperatorTuple, make_tuple
 
 
@@ -144,10 +145,7 @@ def parse_partner(
 
 
 def matrices_to_json(mats) -> list:
-    return [
-        [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-        for m in mats
-    ]
+    return to_json(np.asarray(mats, dtype=np.complex128))
 
 
 def serialize_tuple_file(

@@ -23,6 +23,8 @@ from .linalg import (
 )
 from .multiindex import validate_multiindex
 
+UNITARY_TOL = 1e-8  # conjugate_by_unitary: largest ||V*V - I||_F accepted as unitary
+
 
 class NonCommutingError(Exception):
     """A candidate tuple failed the pairwise-commutator gate."""
@@ -145,7 +147,7 @@ def conjugate_by_unitary(t: OperatorTuple, v, tol: ToleranceModel = DEFAULT_TOL)
     if v.shape[0] != t.dim:
         raise ValueError(f"unitary has dimension {v.shape[0]}, tuple has {t.dim}")
     defect = frobenius_norm(adjoint(v) @ v - np.eye(t.dim))
-    if defect > 1e-8:
+    if defect > UNITARY_TOL:
         raise ValueError(f"V is not unitary: ||V*V - I||_F = {defect:.3e}")
     vh = adjoint(v)
     return make_tuple([vh @ m @ v for m in t], tol)

@@ -413,6 +413,16 @@ def test_json_output_byte_stable(capsys):
     assert first == second
 
 
+def test_cli_snapshots_byte_stable(tmp_path):
+    script = ROOT / "scripts" / "snapshot_cli.py"
+    for name in ("first", "second"):
+        subprocess.run([sys.executable, str(script), str(tmp_path / name)], check=True, capture_output=True)
+    first = sorted((tmp_path / "first").iterdir())
+    assert len(first) == 141
+    for path in first:
+        assert path.read_bytes() == (tmp_path / "second" / path.name).read_bytes(), path.name
+
+
 def test_seed_env_var_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("OPERTUPLE_SEED", "1234")
     _, out = run(capsys, "spectrum", "--input", str(DATA / "golden_ratio_d2.json"), "--json")

@@ -129,7 +129,7 @@ def test_classify_paper_examples():
     rep22 = classify(ex22.tuple, 2, (1, 1))
     assert not rep22.partial_isometry
     assert rep22.entrywise_invertible == (True, True)
-    assert rep22.quasinormal_matricial  # both components unitary
+    assert rep22.quasinormal.matricial  # both components unitary
 
     scaled = unitary_scaled(2)
     rep_u = classify(scaled, 1, (1, 1))

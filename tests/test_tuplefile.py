@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from opertuple.generators import paper_example
+from opertuple.cli import CLAIMS
+from opertuple.defects import ClassificationReport, classify
+from opertuple.generators import GeneratorSpec, paper_example
 from opertuple.linalg import ToleranceModel
 from opertuple.reports import (
     AuditReport,
@@ -165,3 +168,38 @@ def test_report_roundtrip_lossless():
     report = sample_report()
     through_json = json.loads(json.dumps(report_to_dict(report)))
     assert report_from_dict(through_json) == report
+
+
+@pytest.mark.parametrize("claim_id", CLAIMS)
+def test_random_instance_reports_roundtrip(claim_id):
+    claim = CLAIMS[claim_id]
+    for trial in (0, 1):
+        report = claim.audit(*claim.random_instance(5, trial), ToleranceModel(), 5)
+        through_json = json.loads(json.dumps(report_to_dict(report)))
+        assert report_from_dict(through_json) == report
+
+
+def test_report_decoder_ignores_unknown_keys():
+    doc = report_to_dict(sample_report())
+    doc["extra"] = 1
+    doc["tolerances"]["extra"] = 2
+    doc["sub_verdicts"][0]["extra"] = 3
+    assert report_from_dict(doc) == sample_report()
+
+
+def _encodings():
+    example = paper_example("2.2")
+    spec = GeneratorSpec(scheme="scaled_single", seed=9, dim=3, d=2, params={"base": "unitary"})
+    report = report_to_dict(sample_report())
+    encoded = [
+        (AuditReport, report),
+        (ClassificationReport, classify(example.tuple, 2, (1, 1)).to_dict()),
+        (GeneratorSpec, spec.to_dict()),
+        (ToleranceModel, report["tolerances"]),
+    ]
+    return [pytest.param(cls, doc, id=cls.__name__) for cls, doc in encoded]
+
+
+@pytest.mark.parametrize("cls, doc", _encodings())
+def test_json_keys_are_the_dataclass_fields(cls, doc):
+    assert list(doc) == [f.name for f in dataclasses.fields(cls)]
