@@ -41,7 +41,6 @@ from .tuples import (
 from .defects import (
     ClassificationReport,
     DefectResult,
-    audit_ascent_theorems,
     audit_proposition_2_1,
     audit_proposition_2_4,
     audit_theorem_2_1,

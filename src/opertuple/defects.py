@@ -462,45 +462,3 @@ def audit_proposition_2_4(
         seed=seed,
     )
 
-
-def audit_ascent_theorems(
-    t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
-) -> AuditReport:
-    """Bundle of the four order/exponent reduction claims as sub-verdicts."""
-    parts = (
-        audit_theorem_2_3(t, m, q, tol, seed),
-        audit_theorem_2_2(t, m, q, tol, seed),
-        audit_proposition_2_4(t, m, q, tol, seed),
-        audit_proposition_2_1(t, m, tol, seed),
-    )
-    subs = []
-    breakdown = {}
-    norms = {}
-    notes: list[str] = []
-    for part in parts:
-        for sv in part.sub_verdicts:
-            subs.append(
-                SubVerdict(
-                    name=f"{part.claim_id}: {sv.name}",
-                    hypotheses_hold=sv.hypotheses_hold,
-                    conclusion_holds=sv.conclusion_holds,
-                    vacuous=sv.vacuous,
-                    details=sv.details,
-                )
-            )
-        for key, value in part.hypothesis_breakdown.items():
-            breakdown[f"{part.claim_id}:{key}"] = value
-        for key, value in part.norms.items():
-            norms[f"{part.claim_id}:{key}"] = value
-        for note in part.paper_discrepancy_notes:
-            if note not in notes:
-                notes.append(note)
-    return build_report(
-        claim_id="ascent",
-        hypothesis_breakdown=breakdown,
-        sub_verdicts=subs,
-        norms=norms,
-        tolerances=tol,
-        seed=seed,
-        notes=notes,
-    )

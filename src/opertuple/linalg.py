@@ -31,7 +31,10 @@ class ToleranceModel:
 
     A quantity of norm ``x`` with reference magnitude ``scale`` counts as zero
     when ``x <= threshold(scale) = abs_tol + rel_tol * scale``; a non-finite norm
-    and a NaN scale are never zero. Rank cutoffs are ``rank_factor * eps * dim * sigma_max``.
+    and a NaN scale are never zero. Both may be given in units of ``2^exponent``
+    (the threshold is then ``abs_tol 2^-exponent + rel_tol * scale``), so a decision
+    on operands past the float range is taken where both are finite. Rank cutoffs
+    are ``rank_factor * eps * dim * sigma_max``.
     """
 
     abs_tol: float = 1e-10
@@ -43,12 +46,12 @@ class ToleranceModel:
         if not all(math.isfinite(f) and f >= 0 for f in fields):
             raise ValueError("tolerance fields must be finite and nonnegative")
 
-    def threshold(self, scale: float = 0.0) -> float:
+    def threshold(self, scale: float = 0.0, exponent: int = 0) -> float:
         """The largest norm that counts as zero at reference magnitude ``scale``."""
-        return self.abs_tol + self.rel_tol * scale
+        return math.ldexp(self.abs_tol, -exponent) + self.rel_tol * scale
 
-    def is_zero(self, norm: float, scale: float = 0.0) -> bool:
-        return math.isfinite(norm) and norm <= self.threshold(scale)
+    def is_zero(self, norm: float, scale: float = 0.0, exponent: int = 0) -> bool:
+        return math.isfinite(norm) and norm <= self.threshold(scale, exponent)
 
     def rank_cutoff(self, dim: int, sigma_max: float) -> float:
         return self.rank_factor * _EPS * dim * sigma_max

@@ -7,6 +7,11 @@ and "metadata" (object) fields. For m-inverse audits the metadata may embed a
 partner tuple under "left_inverse" or "right_inverse" as {"matrices": [...]}
 with the same encoding and shape.
 
+A "matrices" array is converted in one pass: one numpy conversion to float64,
+checked for its shape, for numbers as its only leaves and for finiteness, and
+read as complex through a complex128 view, so every part keeps its bits. A
+malformed array is walked entry by entry only to name the offending path.
+
 Serialization writes floats in Python's shortest round-trip form (at most 17
 significant digits), so emit/parse is lossless and byte-stable.
 """
@@ -14,7 +19,9 @@ significant digits), so emit/parse is lossless and byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -48,41 +55,55 @@ def _require_int(value, path: str, minimum: int | None = None, maximum: int | No
     return value
 
 
-def _require_number(value, path: str) -> float:
+def _require_number(value, path: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TupleFileError(path, f"expected a number, got {value!r}")
     try:
-        out = float(value)
+        finite = math.isfinite(value)
     except OverflowError:  # an integer literal past the float range
-        out = np.inf
-    if not np.isfinite(out):
+        finite = False
+    if not finite:
         raise TupleFileError(path, f"expected a finite number, got {value!r}")
-    return out
 
 
-def _parse_complex(value, path: str) -> complex:
-    if not isinstance(value, list) or len(value) != 2:
-        raise TupleFileError(path, f"expected an [re, im] pair, got {value!r}")
-    return complex(_require_number(value[0], path + "/0"), _require_number(value[1], path + "/1"))
-
-
-def parse_matrices(value, d: int, dim: int, path: str) -> list[np.ndarray]:
+def _raise_at_first_fault(value, d: int, dim: int, path: str) -> None:
+    """Walk a matrices array in document order; raise at its first malformed node."""
     if not isinstance(value, list) or len(value) != d:
         raise TupleFileError(path, f"expected {d} matrices")
-    mats = []
     for j, rows in enumerate(value):
         mpath = f"{path}/{j}"
         if not isinstance(rows, list) or len(rows) != dim:
             raise TupleFileError(mpath, f"expected {dim} rows")
-        mat = np.zeros((dim, dim), dtype=np.complex128)
         for r, row in enumerate(rows):
             rpath = f"{mpath}/{r}"
             if not isinstance(row, list) or len(row) != dim:
                 raise TupleFileError(rpath, f"expected {dim} entries")
             for c, entry in enumerate(row):
-                mat[r, c] = _parse_complex(entry, f"{rpath}/{c}")
-        mats.append(mat)
-    return mats
+                epath = f"{rpath}/{c}"
+                if not isinstance(entry, list) or len(entry) != 2:
+                    raise TupleFileError(epath, f"expected an [re, im] pair, got {entry!r}")
+                _require_number(entry[0], epath + "/0")
+                _require_number(entry[1], epath + "/1")
+
+
+def parse_matrices(value, d: int, dim: int, path: str) -> list[np.ndarray]:
+    """The d complex matrices of a decoded d x dim x dim array of [re, im] pairs.
+
+    One numpy conversion to float64 does the work. numpy would also read
+    "1.5", true and null as floats, so the leaves must be JSON numbers (int or
+    float). The matrices are a complex128 view of the pairs, which keeps a
+    -0.0 part. Anything else is walked entry by entry to raise at its path.
+    """
+    try:
+        pairs = np.array(value, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):  # ragged, not numbers, or an int past the float range
+        pairs = None
+    if pairs is not None and pairs.shape == (d, dim, dim, 2):
+        parts = chain.from_iterable(chain.from_iterable(chain.from_iterable(value)))
+        if set(map(type, parts)) <= {int, float} and np.isfinite(pairs).all():
+            return list(pairs.view(np.complex128).reshape(d, dim, dim))
+    _raise_at_first_fault(value, d, dim, path)
+    raise AssertionError(path)  # the walk raises on every decoded JSON array the checks above refuse
 
 
 @dataclass(frozen=True)

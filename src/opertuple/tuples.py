@@ -8,6 +8,7 @@ would allow any order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -65,11 +66,52 @@ class OperatorTuple:
         return iter(self.matrices)
 
 
+def _scaled_commutator(x: np.ndarray, y: np.ndarray, scale: float) -> tuple[float, float, int]:
+    """``(norm, scale, e)`` for ``tol.is_zero(norm, scale, e)``: ||XY - YX||_F and its
+    reference scale ||X||_F ||Y||_F (passed in), both in units of 2^e.
+
+    e = 0 and both values are the plain ones wherever both are finite. When
+    finite factors give a non-finite norm or scale (their products overflow,
+    and inf - inf is NaN), X and Y are divided by 2^ex and 2^ey, powers of two
+    that bring their largest real or imaginary part into [1, 2), and
+    e = ex + ey: the pair is judged at that magnitude, where norm and scale are
+    finite. Callers run it under ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    norm = frobenius_norm(x @ y - y @ x)
+    plain = math.isfinite(norm) and math.isfinite(scale)
+    if plain or not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return norm, scale, 0
+    ex, ey = (math.frexp(_largest_part(a))[1] - 1 for a in (x, y))
+    xs, ys = x * math.ldexp(1.0, -ex), y * math.ldexp(1.0, -ey)
+    return frobenius_norm(xs @ ys - ys @ xs), frobenius_norm(xs) * frobenius_norm(ys), ex + ey
+
+
+def _largest_part(a: np.ndarray) -> float:
+    """max |re| and |im| over the entries; unlike the modulus, it cannot overflow."""
+    return float(np.abs(np.ascontiguousarray(a).view(np.float64)).max())
+
+
+def _commutator(x: np.ndarray, y: np.ndarray) -> tuple[float, float, int]:
+    """``_scaled_commutator`` with the scale ||X||_F ||Y||_F computed here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _scaled_commutator(x, y, frobenius_norm(x) * frobenius_norm(y))
+
+
+def _times_power_of_two(value: float, e: int) -> float:
+    """value * 2^e for value >= 0, inf past the float range."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.inf
+
+
 def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
     """Validate shapes and pairwise commutators; reject non-commuting input.
 
-    The commutator gate is ``tol.is_zero(||T_i T_j - T_j T_i||_F, ||T_i||_F ||T_j||_F)``
-    for every i < j; a commutator that overflows to NaN is rejected.
+    The commutator gate is ``tol.is_zero`` on ``_scaled_commutator(T_i, T_j)`` for
+    every i < j, so a pair whose products overflow is judged at a power-of-two
+    rescale. The norm and threshold reported on rejection are in the input's
+    units, inf where they pass the float range.
     """
     mats = tuple(as_matrix(m) for m in matrices)
     if not mats:
@@ -81,22 +123,18 @@ def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
                 f"component {j} has dimension {m.shape[0]}, expected {dim}"
             )
     worst = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaN, never zero
+    with np.errstate(over="ignore", invalid="ignore"):
         norms = [frobenius_norm(m) for m in mats]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                commutator = frobenius_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                scale = norms[i] * norms[j]
-                if not tol.is_zero(commutator, scale):
-                    raise NonCommutingError(i, j, commutator, tol.threshold(scale))
-                worst = max(worst, commutator)
+                norm, scale, e = _scaled_commutator(mats[i], mats[j], norms[i] * norms[j])
+                if not tol.is_zero(norm, scale, e):
+                    threshold = tol.threshold(scale, e)
+                    raise NonCommutingError(
+                        i, j, _times_power_of_two(norm, e), _times_power_of_two(threshold, e)
+                    )
+                worst = max(worst, _times_power_of_two(norm, e))
     return OperatorTuple(matrices=mats, max_commutator_norm=worst)
-
-
-def _commutator(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """||XY - YX||_F and its reference scale ||X||_F ||Y||_F, for ``tol.is_zero``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaN, never zero
-        return frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(y)
 
 
 def adjoint_tuple(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
@@ -111,14 +149,19 @@ def is_doubly_commuting(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> 
 
 
 def tuple_power(t: OperatorTuple, alpha) -> np.ndarray:
-    """The monomial T^alpha = T_1^(a_1) ... T_d^(a_d); alpha = 0 gives I."""
+    """The monomial T^alpha = T_1^(a_1) ... T_d^(a_d); alpha = 0 gives I.
+
+    A power past the float range is returned non-finite, without numpy's
+    warnings; the defects raise on it as on levels that overflow.
+    """
     entries = validate_multiindex(alpha)
     if len(entries) != t.d:
         raise ValueError(f"multi-index has {len(entries)} entries, tuple has d = {t.d}")
     result = np.eye(t.dim, dtype=np.complex128)
-    for m, a in zip(t, entries):
-        if a:
-            result = result @ np.linalg.matrix_power(m, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, a in zip(t, entries):
+            if a:
+                result = result @ np.linalg.matrix_power(m, a)
     return result
 
 
@@ -184,23 +227,48 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     joint:     [T_i, T_j* T_j] = 0 for all i, j;
     spherical: [T_j, sum_k T_k* T_k] = 0 for all j.
     The implication chain is enforced on the outputs.
+
+    Each commutator here is homogeneous of degree 3 in T. If a product
+    overflows, the flags are decided again on T / 2^a, with the largest real
+    or imaginary part p / 2^a in [1, 2), at exponent 3a: the products and their
+    sum are then bounded by 8 d dim.
     """
+    flags = _quasinormal_flags(t.matrices, 0, tol)
+    if flags is None:
+        a = math.frexp(max(_largest_part(m) for m in t))[1] - 1
+        flags = _quasinormal_flags([m * math.ldexp(1.0, -a) for m in t], 3 * a, tol)
+    return flags
+
+
+def _quasinormal_flags(mats, exponent: int, tol: ToleranceModel) -> QuasinormalFlags | None:
+    """The flags with every decision at ``exponent``; None once a product overflowed.
+
+    A non-finite product makes its commutator norm non-finite, and T_i is finite.
+    """
+    d = len(mats)
+    overflow = False
 
     def commutes(x: np.ndarray, y: np.ndarray) -> bool:
-        return tol.is_zero(*_commutator(x, y))
+        nonlocal overflow
+        norm, scale, e = _commutator(x, y)
+        overflow = overflow or not math.isfinite(norm)
+        return tol.is_zero(norm, scale, e + exponent)
 
-    grams = [adjoint(m) for m in t]
-    matricial = all(
-        commutes(t[i], grams[j] @ t[k])
-        for i in range(t.d)
-        for j in range(t.d)
-        for k in range(t.d)
-    )
-    joint = matricial or all(
-        commutes(t[i], grams[j] @ t[j]) for i in range(t.d) for j in range(t.d)
-    )
-    ball = sum(grams[k] @ t[k] for k in range(t.d))
-    spherical = joint or all(commutes(t[j], ball) for j in range(t.d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = [adjoint(m) for m in mats]
+        matricial = all(
+            commutes(mats[i], grams[j] @ mats[k])
+            for i in range(d)
+            for j in range(d)
+            for k in range(d)
+        )
+        joint = matricial or all(
+            commutes(mats[i], grams[j] @ mats[j]) for i in range(d) for j in range(d)
+        )
+        ball = sum(grams[k] @ mats[k] for k in range(d))
+        spherical = joint or all(commutes(mats[j], ball) for j in range(d))
+    if overflow:
+        return None
     return QuasinormalFlags(matricial=matricial, joint=joint, spherical=spherical)
 
 

@@ -140,6 +140,51 @@ def test_spectrum_past_the_square_root_of_the_float_range(capsys, tmp_path, d):
     assert all(point["lambda"][1:] == [[0.0, 0.0]] * (d - 1) for point in doc["point_spectrum"])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_on_a_commuting_pair_whose_products_overflow(capsys, tmp_path):
+    # (T, T) with T = diag(1e160, 2e160): T T overflows, yet the pair commutes
+    big = [[[1e160, 0], [0, 0]], [[0, 0], [2e160, 0]]]
+    path = tmp_path / "huge_pair.json"
+    path.write_text(json.dumps({"d": 2, "dim": 2, "matrices": [big, big]}))
+    code = main(["spectrum", "--input", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    points = sorted(point["lambda"][1][0] for point in json.loads(captured.out)["point_spectrum"])
+    assert points == pytest.approx([1e160, 2e160], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", [["classify"], ["audit", "--claim", "prop2.1"]])
+def test_overflowing_defect_on_a_huge_commuting_pair_prints_the_two_lines(capsys, tmp_path, command):
+    # (T, T) with T = diag(1e160, 2e160) commutes, but T* T, T^(1,1) and the level sums overflow
+    big = [[[1e160, 0], [0, 0]], [[0, 0], [2e160, 0]]]
+    path = tmp_path / "huge_pair.json"
+    path.write_text(json.dumps({"d": 2, "dim": 2, "m": 1, "q": [1, 1], "matrices": [big, big]}))
+    code = main([*command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: defect is not finite: its level sums overflow",
+        'diagnostics: {"m": 1, "norm": "nan", "scale": "nan"}',
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_rejects_a_huge_non_commuting_pair(capsys, tmp_path):
+    path = tmp_path / "huge_nilpotent.json"
+    big = [[[1e160, 0], [0, 0]], [[0, 0], [0, 0]]]
+    nilpotent = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+    path.write_text(json.dumps({"d": 2, "dim": 2, "matrices": [big, nilpotent]}))
+    code = main(["spectrum", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [error] = captured.err.splitlines()
+    assert error == "error: components 0 and 1 do not commute: ||[T_0, T_1]||_F = 1.000e+160 > 1.000e+150"
+
+
 def test_classify_at_maximum_order_emits_json(capsys):
     code, out = run(
         capsys, "classify", "--input", str(DATA / "example_2_2.json"), "--q", "1,1",
@@ -202,7 +247,7 @@ def test_overflowing_commutator_prints_only_the_error_line(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     [error] = captured.err.splitlines()
-    assert error.startswith("error: components 0 and 1 do not commute: ||[T_0, T_1]||_F = nan")
+    assert error.startswith("error: components 0 and 1 do not commute: ||[T_0, T_1]||_F = inf")
 
 
 def test_non_finite_json_never_reaches_stdout(capsys, monkeypatch):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from opertuple.defects import (
-    audit_ascent_theorems,
     audit_proposition_2_1,
     audit_proposition_2_4,
     audit_theorem_2_1,
@@ -275,14 +274,3 @@ def test_audit_prop_2_1_jointly_quasinormal():
 def test_audit_prop_2_4_identity():
     rep = audit_proposition_2_4(unitary_scaled(3), 1, (1, 1, 1))
     assert rep.hypotheses_hold and rep.conclusion_holds
-
-
-def test_audit_ascent_bundle_collects_all_four():
-    rep = audit_ascent_theorems(unitary_scaled(2), 1, (1, 1))
-    names = [sv.name for sv in rep.sub_verdicts]
-    assert len(names) == 4
-    assert any(n.startswith("thm2.3") for n in names)
-    assert any(n.startswith("thm2.2") for n in names)
-    assert any(n.startswith("prop2.4") for n in names)
-    assert any(n.startswith("prop2.1") for n in names)
-    assert rep.conclusion_holds

@@ -192,6 +192,16 @@ def test_threshold_is_the_zero_test_formula():
     assert DEFAULT_TOL.threshold() == DEFAULT_TOL.abs_tol
 
 
+def test_threshold_in_units_of_a_power_of_two():
+    # norm and scale given divided by 2^e: only abs_tol needs the same division
+    tol = ToleranceModel(abs_tol=1e-9, rel_tol=1e-6)
+    assert tol.threshold(3.0, 0) == tol.threshold(3.0)
+    assert tol.threshold(3.0, 10) == 1e-9 / 1024 + 1e-6 * 3.0
+    assert tol.threshold(3.0, 2000) == 1e-6 * 3.0
+    assert tol.is_zero(3e-6, 3.0, 2000)
+    assert not tol.is_zero(3.1e-6, 3.0, 2000)
+
+
 def test_nan_is_never_zero():
     nan = float("nan")
     assert not DEFAULT_TOL.is_zero(nan, 1.0)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from opertuple.cli import CLAIMS
 from opertuple.defects import ClassificationReport, classify
@@ -93,6 +94,104 @@ def test_integer_literal_past_the_float_range_rejected():
         parse_tuple_file(text)
     assert err.value.path == "/matrices/0/0/0/0"
     assert "expected a finite number" in str(err.value)
+
+
+# Malformed "matrices" arrays of a d = 2, dim = 2 file, each fault in the second
+# matrix, and the full message each one raises, path included ({root} is the
+# array's own path). The parser converts a well-formed array in one numpy call;
+# these pin the entry-by-entry walk that names a malformed one.
+IDENTITY = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
+BIG_INTEGER = "1" + "0" * 400
+
+
+def second_row(row: str) -> str:
+    """The second matrix with ``row`` as its row 1."""
+    return f"[[[1, 0], [0, 0]], {row}]"
+
+
+MALFORMED = {
+    "true": (second_row("[[0.5, true], [1, 0]]"), "{root}/1/1/0/1: expected a number, got True"),
+    "string": (second_row('[[0.5, "1.5"], [1, 0]]'), "{root}/1/1/0/1: expected a number, got '1.5'"),
+    "null": (second_row("[[0.5, null], [1, 0]]"), "{root}/1/1/0/1: expected a number, got None"),
+    "nan": (second_row("[[0.5, NaN], [1, 0]]"), "{root}/1/1/0/1: expected a finite number, got nan"),
+    "infinity": (
+        second_row("[[0.5, Infinity], [1, 0]]"),
+        "{root}/1/1/0/1: expected a finite number, got inf",
+    ),
+    "minus-infinity": (
+        second_row("[[0.5, -Infinity], [1, 0]]"),
+        "{root}/1/1/0/1: expected a finite number, got -inf",
+    ),
+    "400-digit-integer": (
+        second_row(f"[[0.5, {BIG_INTEGER}], [1, 0]]"),
+        f"{{root}}/1/1/0/1: expected a finite number, got {BIG_INTEGER}",
+    ),
+    "one-element-pair": (
+        second_row("[[0.5], [1, 0]]"),
+        "{root}/1/1/0: expected an [re, im] pair, got [0.5]",
+    ),
+    "three-element-pair": (
+        second_row("[[0.5, 0, 0], [1, 0]]"),
+        "{root}/1/1/0: expected an [re, im] pair, got [0.5, 0, 0]",
+    ),
+    "bare-number": (second_row("[0.5, [1, 0]]"), "{root}/1/1/0: expected an [re, im] pair, got 0.5"),
+    "object-entry": (
+        second_row('[{"im": 0, "re": 0.5}, [1, 0]]'),
+        "{root}/1/1/0: expected an [re, im] pair, got {{'im': 0, 're': 0.5}}",
+    ),
+    "short-row": ("[[[1, 0]], [[0, 0], [1, 0]]]", "{root}/1/0: expected 2 entries"),
+    "ragged-matrix": (second_row("[[0, 0], [1, 0], [0, 0]]"), "{root}/1/1: expected 2 entries"),
+    "missing-row": ("[[[1, 0], [0, 0]]]", "{root}/1: expected 2 rows"),
+    "matrix-count": (None, "{root}: expected 2 matrices"),
+}
+
+
+@pytest.mark.parametrize("root", ["/matrices", "/metadata/left_inverse/matrices"])
+@pytest.mark.parametrize("second, message", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_matrices_raise_the_full_message(root, second, message):
+    bad = f"[{IDENTITY}, {IDENTITY}, {IDENTITY}]" if second is None else f"[{IDENTITY}, {second}]"
+    good = f"[{IDENTITY}, {IDENTITY}]"
+    if root == "/matrices":
+        text = f'{{"d": 2, "dim": 2, "matrices": {bad}}}'
+    else:
+        partner = f'{{"left_inverse": {{"matrices": {bad}}}}}'
+        text = f'{{"d": 2, "dim": 2, "matrices": {good}, "metadata": {partner}}}'
+    with pytest.raises(TupleFileError) as err:
+        parse_partner(parse_tuple_file(text), "left_inverse")
+    assert str(err.value) == message.format(root=root)
+    assert err.value.path == str(err.value).partition(": ")[0]
+
+
+# Parts of [re, im] pairs: any finite double (-0.0 and subnormals included) or an
+# integer literal above 2^53, which a double holds only rounded.
+PARTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+    st.integers(2**53 + 1, 2**1000) | st.integers(-(2**1000), -(2**53) - 1),
+)
+
+
+@st.composite
+def tuple_documents(draw):
+    """A tuple file with parts drawn from PARTS; d = 2 repeats one matrix, so it commutes."""
+    d, dim = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    matrix = draw(st.lists(st.lists(st.lists(PARTS, min_size=2, max_size=2), min_size=dim,
+                                     max_size=dim), min_size=dim, max_size=dim))
+    return {"d": d, "dim": dim, "matrices": [matrix] * d}
+
+
+@settings(max_examples=200, deadline=None)
+@given(tuple_documents())
+# |re + i im| overflows although both parts are finite
+@example({"d": 2, "dim": 1, "matrices": [[[[1.2711610061536462e308] * 2]]] * 2})
+def test_parse_serialize_roundtrip_is_bit_exact(doc):
+    parsed = parse_tuple_file(json.dumps(doc))
+    expected = np.array(
+        [[[complex(float(re), float(im)) for re, im in row] for row in m] for m in doc["matrices"]]
+    )
+    assert b"".join(m.tobytes() for m in parsed.tuple) == expected.tobytes()
+    again = parse_tuple_file(serialize_tuple_file(parsed.tuple))
+    assert b"".join(m.tobytes() for m in again.tuple) == expected.tobytes()
 
 
 def test_order_above_cap_rejected():

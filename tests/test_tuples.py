@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,10 +48,34 @@ def test_make_tuple_rejects_non_commuting():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_make_tuple_rejects_an_overflowing_commutator():
-    # the products overflow to inf + nan j: a NaN commutator norm is never zero
+    # the products overflow; at a power-of-two rescale the commutator is as large as
+    # ||X||_F ||Y||_F, and its norm, 2e400, is reported as inf
     with pytest.raises(NonCommutingError) as err:
         make_tuple([[[1e200, 1e200], [0, 0]], [[0, 0], [1e200, 1e200]]])
-    assert np.isnan(err.value.norm)
+    assert np.isinf(err.value.norm)
+
+
+HUGE = 4.5e153
+ONES = np.ones((4, 4))
+
+# ||X||_F ||Y||_F overflows, so a comparison at full size would accept any finite
+# norm; each pair is far from commuting relative to it. In the first the products
+# overflow too, in the second they stay finite.
+HUGE_NON_COMMUTING = {
+    "products-overflow": (np.diag([1.5e154, 3e154]), np.array([[1.5e154, 1e154], [0, 3e154]]), 1e154),
+    "products-finite": (HUGE * ONES, HUGE * (ONES + np.diag([1.0, 0, 0, 0])), HUGE),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x, y, unit", HUGE_NON_COMMUTING.values(), ids=list(HUGE_NON_COMMUTING))
+def test_make_tuple_rejects_a_huge_pair_whose_scale_overflows(x, y, unit):
+    xs, ys = x / unit, y / unit
+    with pytest.raises(NonCommutingError) as err:
+        make_tuple([x, y])
+    assert err.value.norm == pytest.approx(np.linalg.norm(xs @ ys - ys @ xs) * unit * unit, rel=1e-12)
+    scale = np.linalg.norm(xs) * np.linalg.norm(ys)
+    assert err.value.threshold == pytest.approx(DEFAULT_TOL.rel_tol * scale * unit * unit, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -58,6 +84,34 @@ def test_make_tuple_rejects_a_commutator_whose_norm_overflows():
     with pytest.raises(NonCommutingError) as err:
         make_tuple([[[1e160, 0], [0, 0]], [[0, 1], [0, 0]]])
     assert err.value.norm == pytest.approx(1e160, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_make_tuple_accepts_a_commuting_pair_whose_products_overflow():
+    # T T overflows, and inf - inf would be NaN; at a power-of-two rescale the commutator is 0
+    big = np.diag([1e160, 2e160])
+    t = make_tuple([big, big])
+    assert t.max_commutator_norm == 0.0
+    assert is_doubly_commuting(t)
+    assert quasinormal_class(t) == QuasinormalFlags(True, True, True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "mats", [[np.diag([1.0, 2.0]), np.diag([3.0, 1j])], [np.eye(2) + 1e-3 * NILPOTENT], [NILPOTENT]]
+)
+def test_quasinormal_class_past_the_square_root_of_the_float_range(mats):
+    # T_j* T_k overflows at 2^600 T; the flags are the ones of T
+    huge = [math.ldexp(1.0, 600) * m for m in mats]
+    assert quasinormal_class(make_tuple(huge)) == quasinormal_class(make_tuple(mats))
+
+
+def test_commutator_in_the_float_range_is_the_plain_computation():
+    for scale in (1e-150, 1.0, 1e60):
+        x, y = (scale * (RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5))) for _ in range(2))
+        assert _commutator(x, y) == (
+            frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(y), 0
+        )
 
 
 def _accepted(mats, tol):
@@ -94,7 +148,8 @@ COMMUTATION_DECISIONS = {
 @pytest.mark.parametrize("name", COMMUTATION_DECISIONS)
 def test_commutation_decisions_flip_at_the_same_threshold(name):
     decide, mats, pair = COMMUTATION_DECISIONS[name]
-    gap, scale = _commutator(*pair(mats))
+    gap, scale, exponent = _commutator(*pair(mats))
+    assert exponent == 0
     ratio = gap / scale  # at abs_tol = 0 the decision flips at rel_tol = ratio
     assert 1e-7 < ratio < 1e-5
     assert not decide(mats, DEFAULT_TOL)
