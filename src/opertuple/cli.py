@@ -4,7 +4,15 @@ The auditable claims are the registry ``CLAIMS``: one entry per claim id, holdin
 its audit, the partner tuple a file must carry, and its random-instance builder.
 The ``audit`` command and ``scripts/run_paper_audits.py`` both iterate it.
 The ``reproduce`` command prints the table of one worked example from the
-registry ``opertuple.generators.EXAMPLES`` and names no example itself.
+registry ``opertuple.generators.EXAMPLES`` and names no example itself; an
+unknown id lists the valid ones.
+
+Start-up: this module imports at top level only what every command needs
+(``linalg``, ``reports``, ``tuples``, ``tuplefile``). The modules that do a
+command's work, ``defects``, ``spectra``, ``minverse`` and ``generators``, are
+reached through the lazy package namespace (``ot.<module>.<name>``) when a
+handler, claim adapter or random-instance builder runs, so ``classify`` never
+loads ``spectra`` and ``spectrum`` never loads ``defects``.
 
 Exit codes: 0 when the requested verdict was computed (and, for audits, every
 binding conclusion held), 1 when an audit found counterexamples under
@@ -26,19 +34,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .defects import (
-    audit_proposition_2_1,
-    audit_proposition_2_4,
-    audit_theorem_2_1,
-    audit_theorem_2_2,
-    audit_theorem_2_3,
-    classify,
-)
-from .generators import EXAMPLES, GeneratorSpec, paper_example, random_commuting_tuple, random_unitary
+import opertuple as ot  # lazy: ot.<module> imports that module on first use
 from .linalg import NumericalFailureError, ToleranceModel
-from .minverse import audit_proposition_4_1, audit_theorem_4_1, audit_theorem_4_2
 from .reports import format_point, report_to_dict
-from .spectra import audit_proposition_3_2, audit_theorem_3_1, joint_spectrum
 from .tuples import NonCommutingError, conjugate_by_unitary, make_tuple
 from .tuplefile import MAX_ORDER, TupleFileError, parse_partner, parse_tuple_file
 
@@ -100,7 +98,7 @@ def _cmd_classify(args) -> int:
     q = _parse_q(args.q, t.d) if args.q is not None else parsed.q
     if q is None:
         raise CliError("no --q given and the file carries none")
-    report = classify(t, m, q, tol)
+    report = ot.defects.classify(t, m, q, tol)
     lines = [
         f"classification (d={t.d}, dim={t.dim}, m={m}, q={tuple(q)})",
         f"  partial_isometry:      {report.partial_isometry}"
@@ -120,7 +118,7 @@ def _cmd_spectrum(args) -> int:
     tol = ToleranceModel()
     parsed = _load_file(args.input, tol)
     seed = args.seed if args.seed is not None else _default_seed()
-    result = joint_spectrum(parsed.tuple, tol, seed)
+    result = ot.spectra.joint_spectrum(parsed.tuple, tol, seed)
     lines = [f"joint spectrum (seed={seed})", "  point spectrum:"]
     for (lam, _x), res in zip(result.point_spectrum, result.residuals):
         lines.append(f"    lambda={format_point(lam)}  residual={res:.3e}")
@@ -135,8 +133,10 @@ def _cmd_spectrum(args) -> int:
 def _shifted_invertible_pair(seed: int, d: int = 2, dim: int = 3):
     """T with every component shifted well away from singularity, and its
     normalized reciprocal S_j = (1/d) T_j^{-1}: a left (and right) 1-inverse."""
-    spec = GeneratorSpec(scheme="polynomial_family", seed=seed, dim=dim, d=d, params={"degree": 2})
-    base = random_commuting_tuple(spec)
+    spec = ot.generators.GeneratorSpec(
+        scheme="polynomial_family", seed=seed, dim=dim, d=d, params={"degree": 2}
+    )
+    base = ot.generators.random_commuting_tuple(spec)
     shifted = [m + 12.0 * np.eye(dim) for m in base]
     t = make_tuple(shifted)
     s = make_tuple([np.linalg.inv(m) / d for m in shifted])
@@ -155,7 +155,7 @@ def _unipotent_two_inverse_pair(seed: int):
 
     t_mats = [eye + coeff() * n, eye + coeff() * n]
     s_mats = [(eye + coeff() * n) / 2.0, (eye + coeff() * n) / 2.0]
-    v = random_unitary(2, rng)
+    v = ot.generators.random_unitary(2, rng)
     return conjugate_by_unitary(make_tuple(s_mats), v), conjugate_by_unitary(make_tuple(t_mats), v)
 
 
@@ -165,7 +165,7 @@ def _unipotent_two_inverse_pair(seed: int):
 def _partial_isometry_instance(seed: int, trial: int):
     """Hypothesis-satisfying or generic instance for the section-2/3 claims."""
     if trial % 2 == 0:
-        spec = GeneratorSpec(
+        spec = ot.generators.GeneratorSpec(
             scheme="direct_sum",
             seed=seed,
             dim=5,
@@ -178,21 +178,23 @@ def _partial_isometry_instance(seed: int, trial: int):
             },
         )
     else:
-        spec = GeneratorSpec(
+        spec = ot.generators.GeneratorSpec(
             scheme="scaled_single",
             seed=seed,
             dim=4,
             d=2,
             params={"base": "partial_isometry", "rank": 3},
         )
-    return None, random_commuting_tuple(spec), 1, (1, 1)
+    return None, ot.generators.random_commuting_tuple(spec), 1, (1, 1)
 
 
 def _quasinormal_instance(seed: int, trial: int):
     """Unitarily diagonalizable tuple with pi-diagonals, m cycling through 1..3."""
     params = {"unitary": True, "pi_diagonals": True}
-    spec = GeneratorSpec(scheme="diagonal_conjugate", seed=seed, dim=4, d=2, params=params)
-    return None, random_commuting_tuple(spec), 1 + trial % 3, None
+    spec = ot.generators.GeneratorSpec(
+        scheme="diagonal_conjugate", seed=seed, dim=4, d=2, params=params
+    )
+    return None, ot.generators.random_commuting_tuple(spec), 1 + trial % 3, None
 
 
 def _inverse_pair_instance(seed: int, trial: int):
@@ -205,8 +207,10 @@ def _inverse_pair_instance(seed: int, trial: int):
 def _polynomial_pair_instance(seed: int, trial: int):
     """Two independent polynomial-family tuples; m = None, so no inverse order is assumed."""
     s, t = (
-        random_commuting_tuple(
-            GeneratorSpec(scheme="polynomial_family", seed=sd, dim=3, d=2, params={"degree": 2})
+        ot.generators.random_commuting_tuple(
+            ot.generators.GeneratorSpec(
+                scheme="polynomial_family", seed=sd, dim=3, d=2, params={"degree": 2}
+            )
         )
         for sd in (seed, seed + 1)
     )
@@ -220,46 +224,47 @@ class Claim(NamedTuple):
 
 
 # The registry: every auditable claim of the paper, in presentation order. The
-# adapters name their audits at call time, so rebinding a module name reaches them.
+# adapters name their audits at call time, so a command imports only its claim's
+# module and rebinding a module name reaches them.
 CLAIMS = {
     "thm2.1": Claim(
-        lambda s, t, m, q, tol, seed: audit_theorem_2_1(t, m, q, tol, seed),
+        lambda s, t, m, q, tol, seed: ot.defects.audit_theorem_2_1(t, m, q, tol, seed),
         None, _partial_isometry_instance,
     ),
     "thm2.2": Claim(
-        lambda s, t, m, q, tol, seed: audit_theorem_2_2(t, m, q, tol, seed),
+        lambda s, t, m, q, tol, seed: ot.defects.audit_theorem_2_2(t, m, q, tol, seed),
         None, _partial_isometry_instance,
     ),
     "thm2.3": Claim(
-        lambda s, t, m, q, tol, seed: audit_theorem_2_3(t, m, q, tol, seed),
+        lambda s, t, m, q, tol, seed: ot.defects.audit_theorem_2_3(t, m, q, tol, seed),
         None, _partial_isometry_instance,
     ),
     "prop2.1": Claim(
-        lambda s, t, m, q, tol, seed: audit_proposition_2_1(t, m, tol, seed),
+        lambda s, t, m, q, tol, seed: ot.defects.audit_proposition_2_1(t, m, tol, seed),
         None, _quasinormal_instance,
     ),
     "prop2.4": Claim(
-        lambda s, t, m, q, tol, seed: audit_proposition_2_4(t, m, q, tol, seed),
+        lambda s, t, m, q, tol, seed: ot.defects.audit_proposition_2_4(t, m, q, tol, seed),
         None, _partial_isometry_instance,
     ),
     "thm3.1": Claim(
-        lambda s, t, m, q, tol, seed: audit_theorem_3_1(t, m, q, tol, seed),
+        lambda s, t, m, q, tol, seed: ot.spectra.audit_theorem_3_1(t, m, q, tol, seed),
         None, _partial_isometry_instance,
     ),
     "prop3.2": Claim(
-        lambda s, t, m, q, tol, seed: audit_proposition_3_2(t, m, q, tol, seed),
+        lambda s, t, m, q, tol, seed: ot.spectra.audit_proposition_3_2(t, m, q, tol, seed),
         None, _partial_isometry_instance,
     ),
     "thm4.1": Claim(
-        lambda s, t, m, q, tol, seed: audit_theorem_4_1(s, t, m, tol, seed),
+        lambda s, t, m, q, tol, seed: ot.minverse.audit_theorem_4_1(s, t, m, tol, seed),
         "left_inverse", _inverse_pair_instance,
     ),
     "thm4.2": Claim(
-        lambda s, t, m, q, tol, seed: audit_theorem_4_2(s, t, m, tol, seed),
+        lambda s, t, m, q, tol, seed: ot.minverse.audit_theorem_4_2(s, t, m, tol, seed),
         "right_inverse", _inverse_pair_instance,
     ),
     "prop4.1": Claim(
-        lambda s, t, m, q, tol, seed: audit_proposition_4_1(s, t, tol, seed, inverse_order=m),
+        lambda s, t, m, q, tol, seed: ot.minverse.audit_proposition_4_1(s, t, tol, seed, inverse_order=m),
         "left_inverse", _polynomial_pair_instance,
     ),
 }
@@ -312,7 +317,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    ex = paper_example(args.example)
+    ex = ot.generators.paper_example(args.example)
     rows = ex.rows(seed)
     all_match = all(r["match"] for r in rows)
     lines = [f"example {ex.id}: expected vs observed"]
@@ -365,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repro = sub.add_parser("reproduce", help="expected-vs-observed table for a worked example")
     p_repro.add_argument(
-        "--example", required=True, help=f"one of {', '.join(EXAMPLES)}, d a positive integer"
+        "--example",
+        required=True,
+        help="a worked-example id, d a positive integer; an unknown id lists the valid ones",
     )
     p_repro.add_argument("--seed", type=int, default=None)
     p_repro.add_argument("--json", action="store_true")

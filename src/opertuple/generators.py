@@ -19,11 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .defects import partial_isometry_defect
 from .linalg import DEFAULT_TOL, ToleranceModel, adjoint, as_matrix, frobenius_norm
-from .minverse import beta, is_left_m_inverse
 from .reports import NOTE_EX41_SCALING, format_point, from_fields, to_json
-from .spectra import joint_spectrum
 from .tuples import OperatorTuple, make_tuple
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -100,6 +97,8 @@ def _example_2_1(example_id: str, d: int) -> PaperExample:
     m, q = 1, (1,) * d
 
     def rows(seed: int) -> list[dict]:
+        from .defects import partial_isometry_defect
+
         defect = partial_isometry_defect(t, m, q)
         return [
             _norm_row("partial_defect_norm", 0.0, defect.norm),
@@ -114,6 +113,8 @@ def _example_2_2(example_id: str) -> PaperExample:
     m, q = 2, (1, 1)
 
     def rows(seed: int) -> list[dict]:
+        from .defects import partial_isometry_defect
+
         out = []
         for j, label in ((0, "T1"), (1, "T2")):
             single = partial_isometry_defect(make_tuple([t[j]]), m, (1,))
@@ -134,6 +135,9 @@ def _golden_ratio(example_id: str, d: int) -> PaperExample:
     points = [(complex(a),) + (0j,) * (d - 1), (0j,) * d]
 
     def rows(seed: int) -> list[dict]:
+        from .defects import partial_isometry_defect
+        from .spectra import joint_spectrum
+
         defect = partial_isometry_defect(t, m, q)
         spec = joint_spectrum(t, seed=seed)
         observed = [lam for lam, _ in spec.point_spectrum]
@@ -165,6 +169,8 @@ def _example_4_1(example_id: str, partner_scale: float, beta_norm: float) -> Pap
     m = 2
 
     def rows(seed: int) -> list[dict]:
+        from .minverse import beta, is_left_m_inverse
+
         out = [_norm_row(f"beta_{k} norm", beta_norm, beta(s, t, k).norm) for k in range(1, 5)]
         return out + [_verdict_row("is left m-inverse", beta_norm == 0.0, is_left_m_inverse(s, t, m))]
 

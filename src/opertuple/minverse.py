@@ -31,7 +31,6 @@ from .reports import (
     Witness,
     build_report,
 )
-from .spectra import _near_spectrum, joint_point_spectrum, zero_variety_member
 from .tuples import OperatorTuple, hereditary_shift, power_levels
 
 _CROSS_CHECK_MAX_M = 4
@@ -194,6 +193,8 @@ def _spectral_mapping_audit(
     stronger disjointness reading is recorded separately and never drives the
     exit verdict.
     """
+    from .spectra import _near_spectrum, joint_point_spectrum, zero_variety_member
+
     inverse_holds = tol.is_zero(beta_result.norm, beta_result.scale)
     src_points = joint_point_spectrum(source, tol, seed)
     tgt_points = joint_point_spectrum(target, tol, seed + 1)

@@ -51,7 +51,6 @@ from .reports import (
     build_report,
     to_json,
 )
-from .defects import partial_isometry_defect
 from .tuples import OperatorTuple, adjoint_tuple, null_reducing_check
 
 # Fixed bounds of the spectral decisions; zeros and ranks go through ToleranceModel.
@@ -367,6 +366,8 @@ def audit_theorem_3_1(
 ) -> AuditReport:
     """Joint spectrum of a reducing (m; q)-partial isometry sits on the unit
     sphere or in the zero variety; the corollary's r(T) = 1 rides along."""
+    from .defects import partial_isometry_defect
+
     defect = partial_isometry_defect(t, m, q, tol)
     reducing, _ = null_reducing_check(t, q, tol)
     hyp = defect.is_zero and reducing
@@ -417,6 +418,8 @@ def audit_proposition_3_2(
 ) -> AuditReport:
     """Adjoint conjugation of eigenvalues off the zero variety, and
     orthogonality of witnesses for suitably separated eigenvalue pairs."""
+    from .defects import partial_isometry_defect
+
     defect = partial_isometry_defect(t, m, q, tol)
     reducing, _ = null_reducing_check(t, q, tol)
     hyp = defect.is_zero and reducing

@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    NumericalFailureError,
     ToleranceModel,
     adjoint,
     as_matrix,
@@ -291,9 +292,16 @@ def null_reducing_check(
     """Whether N(T^q) is invariant under every T_j and T_j*.
 
     Returns the verdict together with the orthonormal basis of N(T^q) that was
-    tested. The trivial null space is reducing by convention.
+    tested. The trivial null space is reducing by convention. A T^q past the
+    float range raises NumericalFailureError, as the defects do on levels that
+    overflow.
     """
-    basis = null_space_basis(tuple_power(t, q), tol)
+    power = tuple_power(t, q)
+    if not np.isfinite(power).all():
+        raise NumericalFailureError(
+            "T^q is not finite: the power overflows", {"q": [int(v) for v in q]}
+        )
+    basis = null_space_basis(power, tol)
     if basis.shape[1] == 0:
         return True, basis
     scale = max(frobenius_norm(m) for m in t)

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opertuple import cli, defects
+from opertuple import cli, defects, spectra
 from opertuple.cli import main
 from opertuple.linalg import ToleranceModel
 from opertuple.minverse import audit_theorem_4_2
@@ -172,6 +172,22 @@ def test_overflowing_defect_on_a_huge_commuting_pair_prints_the_two_lines(capsys
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_thm2_1_on_an_overflowing_power_prints_the_two_lines(capsys, tmp_path):
+    # T = diag(1e110, 2e110): T^3 overflows, and thm2.1 tests N(T^q) before any defect
+    path = tmp_path / "huge_power.json"
+    big = [[[1e110, 0], [0, 0]], [[0, 0], [2e110, 0]]]
+    path.write_text(json.dumps({"d": 1, "dim": 2, "m": 1, "q": [3], "matrices": [big]}))
+    code = main(["audit", "--claim", "thm2.1", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: T^q is not finite: the power overflows",
+        'diagnostics: {"q": [3]}',
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_rejects_a_huge_non_commuting_pair(capsys, tmp_path):
     path = tmp_path / "huge_nilpotent.json"
     big = [[[1e160, 0], [0, 0]], [[0, 0], [0, 0]]]
@@ -251,9 +267,9 @@ def test_overflowing_commutator_prints_only_the_error_line(capsys, tmp_path):
 
 
 def test_non_finite_json_never_reaches_stdout(capsys, monkeypatch):
-    result = cli.joint_spectrum
+    result = spectra.joint_spectrum
     monkeypatch.setattr(
-        cli, "joint_spectrum", lambda *a: dataclasses.replace(result(*a), spectral_radius=math.nan)
+        spectra, "joint_spectrum", lambda *a: dataclasses.replace(result(*a), spectral_radius=math.nan)
     )
     code, out = run(capsys, "spectrum", "--input", str(DATA / "golden_ratio_d2.json"), "--json")
     assert code == 2
@@ -296,7 +312,8 @@ def test_audit_battery_script_runs_clean():
 
 
 # Runs ``python -m opertuple.cli ARGS`` in a fresh interpreter and reports on
-# stderr's last line whether scipy was imported along the way.
+# stderr's last two lines the opertuple modules it loaded and whether scipy was
+# imported along the way.
 _MODULE_RUN_WRAPPER = """
 import runpy, sys
 sys.argv = ["opertuple"] + sys.argv[1:]
@@ -304,6 +321,7 @@ try:
     runpy.run_module("opertuple.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
+print("opertuple modules:", *sorted(m for m in sys.modules if m.startswith("opertuple.")), file=sys.stderr)
 print("scipy loaded:", "scipy" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
@@ -344,6 +362,23 @@ def test_cold_command_never_loads_scipy(argv):
     proc = _cold_run(*argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "scipy loaded: False"
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (("classify", "--input", str(DATA / "example_2_2.json")), ("spectra", "minverse", "generators")),
+        (("spectrum", "--input", str(DATA / "golden_ratio_d2.json")), ("defects", "minverse", "generators")),
+    ],
+    ids=["classify", "spectrum"],
+)
+def test_cold_command_loads_only_the_modules_it_runs(argv, unused):
+    proc = _cold_run(*argv)
+    assert proc.returncode == 0, proc.stderr
+    label, _, loaded = proc.stderr.splitlines()[-2].partition(": ")
+    assert label == "opertuple modules"
+    assert "opertuple.tuplefile" in loaded.split()
+    assert [m for m in unused if f"opertuple.{m}" in loaded.split()] == []
 
 
 # An import statement naming scipy, or a dynamic import of it.
@@ -510,6 +545,17 @@ def test_reproduce_2_2_shows_sqrt3(capsys):
 def test_reproduce_unknown_example_exits_2(capsys, example):
     code, _ = run(capsys, "reproduce", "--example", example)
     assert code == 2
+
+
+def test_reproduce_names_every_example_id(capsys):
+    from opertuple.generators import EXAMPLES
+
+    assert main(["reproduce", "--help"]) == 0
+    shown = capsys.readouterr().out
+    assert main(["reproduce", "--example", "7.7"]) == 2
+    shown += capsys.readouterr().err
+    assert EXAMPLES
+    assert [key for key in EXAMPLES if key not in shown] == []
 
 
 def test_usage_errors_exit_2(capsys):
