@@ -47,6 +47,7 @@ from .reports import (
 from .tuples import (
     OperatorTuple,
     QuasinormalFlags,
+    alternating_binomial_sum,
     null_reducing_check,
     power_levels,
     quasinormal_class,
@@ -81,9 +82,7 @@ def _defect(levels: list[np.ndarray], m: int, tol: ToleranceModel, front=None) -
         raise ValueError(f"m must be a positive integer, got {m!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
         fronted = levels[: m + 1] if front is None else (front @ lv for lv in levels[: m + 1])
-        terms = [math.comb(m, k) * lv for k, lv in enumerate(fronted)]
-        defect = sum((-1) ** k * term for k, term in enumerate(terms))
-        scale = max(frobenius_norm(term) for term in terms)
+        defect, scale = alternating_binomial_sum(fronted, m)
         norm = frobenius_norm(defect)
     if not (math.isfinite(norm) and math.isfinite(scale)):
         raise NumericalFailureError(

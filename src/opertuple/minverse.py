@@ -31,7 +31,7 @@ from .reports import (
     Witness,
     build_report,
 )
-from .tuples import OperatorTuple, hereditary_shift, power_levels
+from .tuples import OperatorTuple, alternating_binomial_sum, hereditary_shift, power_levels
 
 _CROSS_CHECK_MAX_M = 4
 PASS_TOL = 1e-10  # prop4.1: largest relative deviation of an expansion that passes
@@ -67,9 +67,9 @@ def _enumerated_levels(s: OperatorTuple, t: OperatorTuple, kmax: int) -> list[np
 
 
 def _beta_enumeration(s: OperatorTuple, t: OperatorTuple, m: int) -> tuple[np.ndarray, float]:
-    terms = [math.comb(m, k) * level for k, level in enumerate(_enumerated_levels(s, t, m))]
-    total = sum((-1) ** (m - k) * term for k, term in enumerate(terms))
-    return total, max(frobenius_norm(term) for term in terms)
+    """beta_m with its (-1)^(m-k) signs: the (-1)^k sum of the enumerated levels, times (-1)^m."""
+    total, scale = alternating_binomial_sum(_enumerated_levels(s, t, m), m)
+    return (-1) ** m * total, scale
 
 
 def _beta_levels(s: OperatorTuple, t: OperatorTuple, m: int) -> list[np.ndarray]:
@@ -138,6 +138,20 @@ def is_right_m_inverse(
     return is_left_m_inverse(t, r, m, tol)
 
 
+def _power_sum_sides(s: OperatorTuple, t: OperatorTuple, n: int) -> tuple[list, list]:
+    """The levels Phi_{S,T}^k(I) and beta_k(S, T), k = 0..n: both sides of every expansion.
+
+    A non-finite one raises NumericalFailureError, as in ``beta``, before any deviation."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite level raises below
+        levels, betas = power_levels(s, t, n), _beta_levels(s, t, n)
+    for k in range(n + 1):
+        if not (np.isfinite(levels[k]).all() and np.isfinite(betas[k]).all()):
+            raise NumericalFailureError(
+                "power sum is not finite: its levels overflow", {"k": k, "n": n}
+            )
+    return levels, betas
+
+
 def _expansion(lhs, betas, n: int, mode: str, kmax: int) -> tuple[np.ndarray, float]:
     """rhs = sum_{k <= kmax} coeff(n, k) beta_k and its deviation from lhs."""
     rhs = sum(
@@ -161,16 +175,17 @@ def expand_power_sum(
     an exact identity for all commuting pairs) or the printed descending
     Pochhammer n^(k). Returns (lhs, rhs, deviation) where
     deviation = ||lhs - rhs||_F / max(1, ||lhs||_F). Requires n >= 1: the
-    Pochhammer convention 0^(0) = 0 breaks the n = 0 instance.
+    Pochhammer convention 0^(0) = 0 breaks the n = 0 instance. A level or beta
+    past the float range raises NumericalFailureError.
     """
     _check_shapes(s, t)
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if coefficient_mode not in ("binomial", "pochhammer"):
         raise ValueError(f"unknown coefficient mode {coefficient_mode!r}")
-    lhs = power_levels(s, t, n)[n]
-    rhs, deviation = _expansion(lhs, _beta_levels(s, t, n), n, coefficient_mode, n)
-    return lhs, rhs, deviation
+    levels, betas = _power_sum_sides(s, t, n)
+    rhs, deviation = _expansion(levels[n], betas, n, coefficient_mode, n)
+    return levels[n], rhs, deviation
 
 
 def _mapped_point(lam, d: int) -> tuple[complex, ...]:
@@ -288,10 +303,11 @@ def audit_proposition_4_1(
     The printed Pochhammer coefficients are the claim under audit; the
     binomial substitute is reported alongside. When ``inverse_order`` m is
     given and S verifies as a left m-inverse, the truncated expansions over
-    k <= m-1 (item (2)) are audited as well.
+    k <= m-1 (item (2)) are audited as well. A level or beta past the float
+    range raises NumericalFailureError before any deviation is taken.
     """
     _check_shapes(s, t)
-    levels, betas = power_levels(s, t, n_max), _beta_levels(s, t, n_max)
+    levels, betas = _power_sum_sides(s, t, n_max)
 
     def max_deviation(mode: str, kmax: int) -> float:
         """The largest deviation over n = 1..n_max, with the expansion cut at k <= kmax."""

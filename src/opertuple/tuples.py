@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -67,35 +67,27 @@ class OperatorTuple:
         return iter(self.matrices)
 
 
-def _scaled_commutator(x: np.ndarray, y: np.ndarray, scale: float) -> tuple[float, float, int]:
-    """``(norm, scale, e)`` for ``tol.is_zero(norm, scale, e)``: ||XY - YX||_F and its
-    reference scale ||X||_F ||Y||_F (passed in), both in units of 2^e.
+def _exponent(a: np.ndarray) -> int:
+    """The least e >= 0 that brings every real and imaginary part of A / 2^e below 2.
 
-    e = 0 and both values are the plain ones wherever both are finite. When
-    finite factors give a non-finite norm or scale (their products overflow,
-    and inf - inf is NaN), X and Y are divided by 2^ex and 2^ey, powers of two
-    that bring their largest real or imaginary part into [1, 2), and
-    e = ex + ey: the pair is judged at that magnitude, where norm and scale are
-    finite. Callers run it under ``np.errstate(over="ignore", invalid="ignore")``.
+    Dividing by 2^e is exact away from underflow, so decisions on scaled factors
+    are the plain ones wherever those are finite, and their products cannot overflow.
     """
-    norm = frobenius_norm(x @ y - y @ x)
-    plain = math.isfinite(norm) and math.isfinite(scale)
-    if plain or not (np.isfinite(x).all() and np.isfinite(y).all()):
-        return norm, scale, 0
-    ex, ey = (math.frexp(_largest_part(a))[1] - 1 for a in (x, y))
-    xs, ys = x * math.ldexp(1.0, -ex), y * math.ldexp(1.0, -ey)
-    return frobenius_norm(xs @ ys - ys @ xs), frobenius_norm(xs) * frobenius_norm(ys), ex + ey
+    largest = np.abs(np.ascontiguousarray(a).view(np.float64)).max()  # unlike |a_ij|, finite
+    return max(0, math.frexp(largest)[1] - 1)
 
 
-def _largest_part(a: np.ndarray) -> float:
-    """max |re| and |im| over the entries; unlike the modulus, it cannot overflow."""
-    return float(np.abs(np.ascontiguousarray(a).view(np.float64)).max())
+def _scaled_down(a: np.ndarray, e: int) -> np.ndarray:
+    """A / 2^e; A itself for e = 0."""
+    return a * math.ldexp(1.0, -e) if e else a
 
 
 def _commutator(x: np.ndarray, y: np.ndarray) -> tuple[float, float, int]:
-    """``_scaled_commutator`` with the scale ||X||_F ||Y||_F computed here."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _scaled_commutator(x, y, frobenius_norm(x) * frobenius_norm(y))
+    """``(norm, scale, e)`` for ``tol.is_zero(norm, scale, e)``: ||XY - YX||_F and its
+    scale ||X||_F ||Y||_F, taken on X / 2^ex and Y / 2^ey (``_exponent``), e = ex + ey."""
+    ex, ey = _exponent(x), _exponent(y)
+    xs, ys = _scaled_down(x, ex), _scaled_down(y, ey)
+    return frobenius_norm(xs @ ys - ys @ xs), frobenius_norm(xs) * frobenius_norm(ys), ex + ey
 
 
 def _times_power_of_two(value: float, e: int) -> float:
@@ -109,10 +101,10 @@ def _times_power_of_two(value: float, e: int) -> float:
 def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
     """Validate shapes and pairwise commutators; reject non-commuting input.
 
-    The commutator gate is ``tol.is_zero`` on ``_scaled_commutator(T_i, T_j)`` for
-    every i < j, so a pair whose products overflow is judged at a power-of-two
-    rescale. The norm and threshold reported on rejection are in the input's
-    units, inf where they pass the float range.
+    Each pair i < j is judged as ``_commutator`` judges it, with each component
+    scaled down once and reused for all its pairs. The norm and threshold
+    reported on rejection are in the input's units, inf where they pass the
+    float range.
     """
     mats = tuple(as_matrix(m) for m in matrices)
     if not mats:
@@ -123,18 +115,19 @@ def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
             raise ValueError(
                 f"component {j} has dimension {m.shape[0]}, expected {dim}"
             )
+    exponents = [_exponent(m) for m in mats]
+    scaled = [_scaled_down(m, e) for m, e in zip(mats, exponents)]
+    norms = [frobenius_norm(m) for m in scaled]
     worst = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = [frobenius_norm(m) for m in mats]
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                norm, scale, e = _scaled_commutator(mats[i], mats[j], norms[i] * norms[j])
-                if not tol.is_zero(norm, scale, e):
-                    threshold = tol.threshold(scale, e)
-                    raise NonCommutingError(
-                        i, j, _times_power_of_two(norm, e), _times_power_of_two(threshold, e)
-                    )
-                worst = max(worst, _times_power_of_two(norm, e))
+    for i, j in combinations(range(len(mats)), 2):
+        x, y, e = scaled[i], scaled[j], exponents[i] + exponents[j]
+        norm, scale = frobenius_norm(x @ y - y @ x), norms[i] * norms[j]
+        if not tol.is_zero(norm, scale, e):
+            threshold = tol.threshold(scale, e)
+            raise NonCommutingError(
+                i, j, _times_power_of_two(norm, e), _times_power_of_two(threshold, e)
+            )
+        worst = max(worst, _times_power_of_two(norm, e))
     return OperatorTuple(matrices=mats, max_commutator_norm=worst)
 
 
@@ -185,6 +178,17 @@ def power_levels(s, t, kmax: int) -> list[np.ndarray]:
     return levels
 
 
+def alternating_binomial_sum(levels, m: int) -> tuple[np.ndarray, float]:
+    """sum_k (-1)^k C(m,k) L_k over the m + 1 given levels, and its scale max_k ||C(m,k) L_k||_F.
+
+    The terms alternate and cancel, so a zero-test of the sum is relative to the
+    largest term. The defects and the enumerated beta are this sum.
+    """
+    terms = [math.comb(m, k) * level for k, level in enumerate(levels)]
+    total = sum((-1) ** k * term for k, term in enumerate(terms))
+    return total, max(frobenius_norm(term) for term in terms)
+
+
 def conjugate_by_unitary(t: OperatorTuple, v, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
     """(V* T_1 V, ..., V* T_d V) for unitary V."""
     v = as_matrix(v)
@@ -229,47 +233,29 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     spherical: [T_j, sum_k T_k* T_k] = 0 for all j.
     The implication chain is enforced on the outputs.
 
-    Each commutator here is homogeneous of degree 3 in T. If a product
-    overflows, the flags are decided again on T / 2^a, with the largest real
-    or imaginary part p / 2^a in [1, 2), at exponent 3a: the products and their
-    sum are then bounded by 8 d dim.
+    Each commutator here is homogeneous of degree 3 in T, so every one is
+    decided on T / 2^a, with a the largest ``_exponent`` of the components, at
+    exponent 3a: the products and their sum are then bounded by 8 d dim.
     """
-    flags = _quasinormal_flags(t.matrices, 0, tol)
-    if flags is None:
-        a = math.frexp(max(_largest_part(m) for m in t))[1] - 1
-        flags = _quasinormal_flags([m * math.ldexp(1.0, -a) for m in t], 3 * a, tol)
-    return flags
-
-
-def _quasinormal_flags(mats, exponent: int, tol: ToleranceModel) -> QuasinormalFlags | None:
-    """The flags with every decision at ``exponent``; None once a product overflowed.
-
-    A non-finite product makes its commutator norm non-finite, and T_i is finite.
-    """
-    d = len(mats)
-    overflow = False
+    a = max(_exponent(m) for m in t)
+    mats, d = [_scaled_down(m, a) for m in t], t.d
 
     def commutes(x: np.ndarray, y: np.ndarray) -> bool:
-        nonlocal overflow
-        norm, scale, e = _commutator(x, y)
-        overflow = overflow or not math.isfinite(norm)
-        return tol.is_zero(norm, scale, e + exponent)
+        norm, scale = frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(y)
+        return tol.is_zero(norm, scale, 3 * a)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        grams = [adjoint(m) for m in mats]
-        matricial = all(
-            commutes(mats[i], grams[j] @ mats[k])
-            for i in range(d)
-            for j in range(d)
-            for k in range(d)
-        )
-        joint = matricial or all(
-            commutes(mats[i], grams[j] @ mats[j]) for i in range(d) for j in range(d)
-        )
-        ball = sum(grams[k] @ mats[k] for k in range(d))
-        spherical = joint or all(commutes(mats[j], ball) for j in range(d))
-    if overflow:
-        return None
+    grams = [adjoint(m) for m in mats]
+    matricial = all(
+        commutes(mats[i], grams[j] @ mats[k])
+        for i in range(d)
+        for j in range(d)
+        for k in range(d)
+    )
+    joint = matricial or all(
+        commutes(mats[i], grams[j] @ mats[j]) for i in range(d) for j in range(d)
+    )
+    ball = sum(grams[k] @ mats[k] for k in range(d))
+    spherical = joint or all(commutes(mats[j], ball) for j in range(d))
     return QuasinormalFlags(matricial=matricial, joint=joint, spherical=spherical)
 
 

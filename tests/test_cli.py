@@ -121,7 +121,6 @@ def test_integer_literal_past_the_float_range_exits_2(capsys, tmp_path):
     assert captured.err.startswith("error: /matrices/0/0/0/0: expected a finite number")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", [1, 2])
 def test_spectrum_past_the_square_root_of_the_float_range(capsys, tmp_path, d):
     # T_1 = diag(1e160, 2e160), the other components zero: every squared entry overflows
@@ -140,7 +139,6 @@ def test_spectrum_past_the_square_root_of_the_float_range(capsys, tmp_path, d):
     assert all(point["lambda"][1:] == [[0.0, 0.0]] * (d - 1) for point in doc["point_spectrum"])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_on_a_commuting_pair_whose_products_overflow(capsys, tmp_path):
     # (T, T) with T = diag(1e160, 2e160): T T overflows, yet the pair commutes
     big = [[[1e160, 0], [0, 0]], [[0, 0], [2e160, 0]]]
@@ -154,7 +152,6 @@ def test_spectrum_on_a_commuting_pair_whose_products_overflow(capsys, tmp_path):
     assert points == pytest.approx([1e160, 2e160], rel=1e-12)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", [["classify"], ["audit", "--claim", "prop2.1"]])
 def test_overflowing_defect_on_a_huge_commuting_pair_prints_the_two_lines(capsys, tmp_path, command):
     # (T, T) with T = diag(1e160, 2e160) commutes, but T* T, T^(1,1) and the level sums overflow
@@ -171,7 +168,6 @@ def test_overflowing_defect_on_a_huge_commuting_pair_prints_the_two_lines(capsys
     ]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_thm2_1_on_an_overflowing_power_prints_the_two_lines(capsys, tmp_path):
     # T = diag(1e110, 2e110): T^3 overflows, and thm2.1 tests N(T^q) before any defect
     path = tmp_path / "huge_power.json"
@@ -187,7 +183,6 @@ def test_thm2_1_on_an_overflowing_power_prints_the_two_lines(capsys, tmp_path):
     ]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_rejects_a_huge_non_commuting_pair(capsys, tmp_path):
     path = tmp_path / "huge_nilpotent.json"
     big = [[[1e160, 0], [0, 0]], [[0, 0], [0, 0]]]
@@ -210,7 +205,6 @@ def test_classify_at_maximum_order_emits_json(capsys):
     assert json.loads(out)["m"] == MAX_ORDER
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_defect_is_a_numerical_failure(capsys, tmp_path):
     # ||L_k|| = 1e20^k leaves the float range at k = 16 <= MAX_ORDER; no numpy warning
     # may reach stderr ahead of the two documented lines
@@ -230,7 +224,6 @@ def test_overflowing_defect_is_a_numerical_failure(capsys, tmp_path):
         assert json.loads(payload)["m"] == MAX_ORDER
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("claim", [c for c, claim in cli.CLAIMS.items() if claim.partner])
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 def test_overflowing_beta_is_a_numerical_failure(capsys, tmp_path, claim, fmt):
@@ -252,7 +245,23 @@ def test_overflowing_beta_is_a_numerical_failure(capsys, tmp_path, claim, fmt):
     assert json.loads(payload)["m"] == MAX_ORDER
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_power_sum_prints_the_two_lines(capsys, tmp_path):
+    # S T = diag(1e400, 6e400): the first level of the power sums overflows
+    path = tmp_path / "huge_power_sum.json"
+    t = [[[1e200, 0], [0, 0]], [[0, 0], [2e200, 0]]]
+    s = [[[1e200, 0], [0, 0]], [[0, 0], [3e200, 0]]]
+    doc = {"d": 1, "dim": 2, "m": 1, "matrices": [t], "metadata": {"left_inverse": {"matrices": [s]}}}
+    path.write_text(json.dumps(doc))
+    code = main(["audit", "--claim", "prop4.1", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: power sum is not finite: its levels overflow",
+        'diagnostics: {"k": 1, "n": 6}',
+    ]
+
+
 def test_overflowing_commutator_prints_only_the_error_line(capsys, tmp_path):
     path = tmp_path / "huge_pair.json"
     rows = [[[1e200, 0], [1e200, 0]], [[0, 0], [0, 0]]]

@@ -5,7 +5,7 @@ import pytest
 
 from opertuple.cli import _shifted_invertible_pair, _unipotent_two_inverse_pair
 from opertuple.generators import GeneratorSpec, paper_example, random_commuting_tuple
-from opertuple.linalg import frobenius_norm
+from opertuple.linalg import NumericalFailureError, frobenius_norm
 from opertuple.minverse import (
     audit_proposition_4_1,
     audit_theorem_4_1,
@@ -139,6 +139,25 @@ def test_expand_power_sum_requires_positive_n():
     s = make_tuple([np.eye(2)])
     with pytest.raises(ValueError):
         expand_power_sum(s, s, 0)
+
+
+# S T = diag(1e400, 6e400) leaves the float range at the first level
+HUGE_S, HUGE_T = np.diag([1e200, 3e200]), np.diag([1e200, 2e200])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, t: expand_power_sum(s, t, 3),
+        lambda s, t: expand_power_sum(s, t, 3, "pochhammer"),
+        lambda s, t: audit_proposition_4_1(s, t),
+    ],
+    ids=["expand-binomial", "expand-pochhammer", "prop4.1"],
+)
+def test_overflowing_power_sum_raises(call):
+    with pytest.raises(NumericalFailureError, match="power sum is not finite") as info:
+        call(make_tuple([HUGE_S]), make_tuple([HUGE_T]))
+    assert info.value.diagnostics["k"] == 1
 
 
 def test_remark_4_2_two_inverse_closed_form():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opertuple.generators import (
     example_2_1_matrix,
@@ -12,6 +13,7 @@ from opertuple.generators import (
 from opertuple.linalg import DEFAULT_TOL, ToleranceModel, adjoint, frobenius_norm
 from opertuple.tuples import (
     NonCommutingError,
+    OperatorTuple,
     QuasinormalFlags,
     _commutator,
     adjoint_tuple,
@@ -46,7 +48,6 @@ def test_make_tuple_rejects_non_commuting():
     assert err.value.norm == pytest.approx(np.sqrt(2.0))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_make_tuple_rejects_an_overflowing_commutator():
     # the products overflow; at a power-of-two rescale the commutator is as large as
     # ||X||_F ||Y||_F, and its norm, 2e400, is reported as inf
@@ -67,7 +68,6 @@ HUGE_NON_COMMUTING = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("x, y, unit", HUGE_NON_COMMUTING.values(), ids=list(HUGE_NON_COMMUTING))
 def test_make_tuple_rejects_a_huge_pair_whose_scale_overflows(x, y, unit):
     xs, ys = x / unit, y / unit
@@ -78,7 +78,6 @@ def test_make_tuple_rejects_a_huge_pair_whose_scale_overflows(x, y, unit):
     assert err.value.threshold == pytest.approx(DEFAULT_TOL.rel_tol * scale * unit * unit, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_make_tuple_rejects_a_commutator_whose_norm_overflows():
     # ||[T_0, T_1]||_F = 1e160 squares past the float range; it is measured, not inf
     with pytest.raises(NonCommutingError) as err:
@@ -86,7 +85,6 @@ def test_make_tuple_rejects_a_commutator_whose_norm_overflows():
     assert err.value.norm == pytest.approx(1e160, rel=1e-15)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_make_tuple_accepts_a_commuting_pair_whose_products_overflow():
     # T T overflows, and inf - inf would be NaN; at a power-of-two rescale the commutator is 0
     big = np.diag([1e160, 2e160])
@@ -96,7 +94,6 @@ def test_make_tuple_accepts_a_commuting_pair_whose_products_overflow():
     assert quasinormal_class(t) == QuasinormalFlags(True, True, True)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "mats", [[np.diag([1.0, 2.0]), np.diag([3.0, 1j])], [np.eye(2) + 1e-3 * NILPOTENT], [NILPOTENT]]
 )
@@ -107,11 +104,17 @@ def test_quasinormal_class_past_the_square_root_of_the_float_range(mats):
 
 
 def test_commutator_in_the_float_range_is_the_plain_computation():
+    # scaled back by 2^e, the norm and scale are the plain values bit for bit
     for scale in (1e-150, 1.0, 1e60):
-        x, y = (scale * (RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5))) for _ in range(2))
-        assert _commutator(x, y) == (
-            frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(y), 0
-        )
+        for _ in range(20):
+            x, y = (scale * (RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5)))
+                    for _ in range(2))
+            norm, reference, e = _commutator(x, y)
+            assert (math.ldexp(norm, e), math.ldexp(reference, e)) == (
+                frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(y)
+            )
+            if scale != 1.0:  # at 1 some parts reach 2 and some pairs are scaled
+                assert (e > 0) == (scale > 1.0)
 
 
 def _accepted(mats, tol):
@@ -156,6 +159,38 @@ def test_commutation_decisions_flip_at_the_same_threshold(name):
     assert decide(mats, ToleranceModel(rel_tol=1e-5))
     assert decide(mats, ToleranceModel(abs_tol=0.0, rel_tol=ratio * (1 + 1e-6)))
     assert not decide(mats, ToleranceModel(abs_tol=0.0, rel_tol=ratio * (1 - 1e-6)))
+
+
+def _commutation_verdicts(mats, tol):
+    # the tuple is built unchecked so that non-commuting input reaches all three
+    t = OperatorTuple(tuple(np.asarray(m, dtype=complex) for m in mats), max_commutator_norm=0.0)
+    return _accepted(mats, tol), is_doubly_commuting(t, tol), quasinormal_class(t, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    dim=st.integers(1, 6),
+    kind=st.sampled_from(["normal", "polynomial", "random"]),
+    k=st.integers(0, 1000),
+)
+def test_commutation_verdicts_are_invariant_under_powers_of_two(seed, d, dim, kind, k):
+    # 2^k T crosses where products overflowed (~2^512) and cubic ones did (~2^341);
+    # with abs_tol = 0 every decision is homogeneous, so it is the one T gets
+    rng = np.random.default_rng(seed)
+    draws = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(d)]
+    base = draws[0]
+    if kind == "normal":
+        u = random_unitary(dim, rng)
+        base = u @ np.diag(np.diag(base)) @ adjoint(u)
+    if kind == "random":
+        mats = draws
+    else:
+        mats = [np.linalg.matrix_power(base, j + 1) / 4.0**j for j in range(d)]
+    tol = ToleranceModel(abs_tol=0.0)
+    huge = [math.ldexp(1.0, k) * m for m in mats]
+    assert _commutation_verdicts(huge, tol) == _commutation_verdicts(mats, tol)
 
 
 def test_make_tuple_rejects_mixed_dimensions():

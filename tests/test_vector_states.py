@@ -104,7 +104,6 @@ def test_imaginary_part_gate_raises(monkeypatch):
     assert info.value.diagnostics["column"] == 0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_state_levels_raise():
     with pytest.raises(NumericalFailureError, match="not finite"):
         scalar_defect(make_tuple([[[1e200]]]), 2, (1,), [1.0])
