@@ -20,8 +20,9 @@ satisfied hypotheses or a reproduction mismatched, 2 on input or usage
 errors and on numerical failures, whose diagnostics follow the error line on
 stderr. An order m outside 1..MAX_ORDER (32), from --m or a tuple file, is
 an input error. The environment variable OPERTUPLE_SEED supplies the default seed;
-the --seed flag overrides it. With --json all output is one JSON document,
-byte-stable for identical inputs and seed.
+the --seed flag overrides it; a negative seed, from either, is an input error.
+With --json all output is one JSON document, byte-stable for identical inputs
+and seed.
 """
 
 from __future__ import annotations
@@ -45,14 +46,16 @@ class CliError(Exception):
     """Input-level failure; maps to exit status 2."""
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("OPERTUPLE_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
+def _seed(args) -> int:
+    """--seed, else OPERTUPLE_SEED, else 0; a negative seed is an input error."""
+    source = "--seed" if args.seed is not None else "OPERTUPLE_SEED"
+    try:  # --seed is an int already, so only the variable can fail to parse
+        seed = args.seed if args.seed is not None else int(os.environ.get(source, "0"))
     except ValueError:
-        raise CliError(f"OPERTUPLE_SEED must be an integer, got {raw!r}") from None
+        raise CliError(f"{source} must be an integer, got {os.environ[source]!r}") from None
+    if seed < 0:
+        raise CliError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _parse_q(text: str, d: int) -> tuple[int, ...]:
@@ -117,7 +120,7 @@ def _cmd_classify(args) -> int:
 def _cmd_spectrum(args) -> int:
     tol = ToleranceModel()
     parsed = _load_file(args.input, tol)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     result = ot.spectra.joint_spectrum(parsed.tuple, tol, seed)
     lines = [f"joint spectrum (seed={seed})", "  point spectrum:"]
     for (lam, _x), res in zip(result.point_spectrum, result.residuals):
@@ -272,7 +275,7 @@ CLAIMS = {
 
 def _cmd_audit(args) -> int:
     tol = ToleranceModel()
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if (args.input is None) == (args.random is None):
         raise CliError("audit needs exactly one of --input FILE or --random TRIALS")
     claim = CLAIMS[args.claim]
@@ -316,7 +319,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     ex = ot.generators.paper_example(args.example)
     rows = ex.rows(seed)
     all_match = all(r["match"] for r in rows)

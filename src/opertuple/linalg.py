@@ -141,8 +141,9 @@ def unitary_triangularize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form: returns (Q, U) with A = Q U Q*, Q unitary, U upper.
 
     Q is the QR factor of the eigenvector matrix and U = triu(Q* A Q) (Golub &
-    Van Loan, Matrix Computations, 4th ed., 7.1). The residual counts the dropped
-    lower triangle, so a defective A, whose eigenvectors do not span, fails.
+    Van Loan, Matrix Computations, 4th ed., 7.1). The contract is the residual alone; it
+    counts the dropped lower triangle, so a defective A fails. Householder QR makes Q unitary
+    to O(n eps) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 19.3).
     """
     a = as_matrix(a)
     try:
@@ -155,10 +156,8 @@ def unitary_triangularize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
         scale = max(1.0, frobenius_norm(a))
         residual = frobenius_norm(a - q @ u @ adjoint(q))
-    unitarity = frobenius_norm(adjoint(q) @ q - np.eye(a.shape[0]))
-    if residual > 1e-8 * scale or unitarity > 1e-10:
+    if residual > 1e-8 * scale:
         raise NumericalFailureError(
-            "Schur factors violate the residual contract",
-            {"residual": residual, "unitarity": unitarity, "scale": scale},
+            "Schur factors violate the residual contract", {"residual": residual, "scale": scale}
         )
     return q, u

@@ -425,7 +425,7 @@ def audit_proposition_3_2(
     hyp = defect.is_zero and reducing
 
     points = joint_point_spectrum(t, tol, seed)
-    adj_points = joint_point_spectrum(adjoint_tuple(t, tol), tol, seed)
+    adj_points = joint_point_spectrum(adjoint_tuple(t), tol, seed)
     witnesses = []
 
     off_zero = [lam for lam, _x in points if not zero_variety_member(lam, tol)]

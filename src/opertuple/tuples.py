@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -131,14 +131,16 @@ def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
     return OperatorTuple(matrices=mats, max_commutator_norm=worst)
 
 
-def adjoint_tuple(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
-    """(T_1*, ..., T_d*); commuting because the originals commute."""
-    return make_tuple([adjoint(m) for m in t], tol)
+def adjoint_tuple(t: OperatorTuple) -> OperatorTuple:
+    """(T_1*, ..., T_d*), ungated like ``permute_tuple``: [T_i*, T_j*] = -[T_i, T_j]*, so the
+    adjoints commute, with the same commutator norms, and ``max_commutator_norm`` carries over."""
+    return OperatorTuple(tuple(adjoint(m) for m in t), t.max_commutator_norm)
 
 
 def is_doubly_commuting(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> bool:
-    """True when additionally T_i T_j* = T_j* T_i for all i != j."""
-    pairs = permutations(range(t.d), 2)  # every ordered pair i != j
+    """True when additionally T_i T_j* = T_j* T_i for all i != j; since
+    [T_j, T_i*] = [T_i, T_j*]*, each unordered pair i < j is judged once."""
+    pairs = combinations(range(t.d), 2)
     return all(tol.is_zero(*_commutator(t[i], adjoint(t[j]))) for i, j in pairs)
 
 

@@ -285,27 +285,6 @@ def test_non_finite_json_never_reaches_stdout(capsys, monkeypatch):
     assert out == ""
 
 
-def test_numerical_failure_prints_diagnostics(capsys, monkeypatch):
-    kernel = defects._state_levels
-
-    def residue_in_column_1(t, y, kmax):
-        levels = kernel(t, y, kmax)
-        levels[0, 1] += 1j
-        return levels
-
-    monkeypatch.setattr(defects, "_state_levels", residue_in_column_1)
-    code = main(["audit", "--claim", "thm2.1", "--input", str(DATA / "example_2_2.json"), "--json"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    error, diagnostics = captured.err.splitlines()
-    assert error == "error: scalar defect has a non-negligible imaginary part"
-    prefix, _, payload = diagnostics.partition(" ")
-    assert prefix == "diagnostics:"
-    assert list(json.loads(payload)) == ["column", "imag", "scale"]
-    assert json.loads(payload)["column"] == 1
-
-
 def test_audit_battery_script_runs_clean():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_paper_audits.py"), "--trials", "2"],
@@ -529,6 +508,28 @@ def test_seed_env_var_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("OPERTUPLE_SEED", "not-a-number")
     code, _ = run(capsys, "spectrum", "--input", str(DATA / "golden_ratio_d2.json"))
     assert code == 2
+
+
+# audit thm2.1 on a file draws nothing; reproduce 3.golden(2) draws its Schur combinations
+SEEDED_COMMANDS = {
+    "no draw": ("audit", "--claim", "thm2.1", "--input", str(DATA / "example_2_1_d1.json")),
+    "draws": ("reproduce", "--example", "3.golden(2)"),
+}
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+@pytest.mark.parametrize("source", ["--seed", "OPERTUPLE_SEED"])
+def test_negative_seed_is_an_input_error(capsys, monkeypatch, command, source):
+    argv = list(SEEDED_COMMANDS[command])
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("OPERTUPLE_SEED", "-1")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {source} must be a nonnegative integer, got -1\n"
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from opertuple.generators import (
     random_commuting_tuple,
     random_unitary,
 )
-from opertuple.linalg import frobenius_norm
+from opertuple.linalg import adjoint, frobenius_norm
 from opertuple.tuples import conjugate_by_unitary, make_tuple, permute_tuple
 
 RNG = np.random.default_rng(31415)
@@ -260,6 +260,51 @@ def test_audit_thm_2_2_diagonal_collapse():
     rep = audit_theorem_2_2(t, 1, (2, 3))
     assert rep.hypotheses_hold  # diagonal: N(T_j) = N(T_j^2); defect vanishes
     assert rep.conclusion_holds
+
+
+def _stable_flag(t):
+    return audit_theorem_2_2(t, 1, (1,) * t.d).hypothesis_breakdown["null_spaces_stable"]
+
+
+def _nilpotent_block_sum():
+    # J_3 (+) diag(1, 2), unitarily conjugated: N(T) has dimension 1, N(T^2) dimension 2
+    jordan = np.zeros((5, 5), dtype=complex)
+    jordan[0, 1] = jordan[1, 2] = 1.0
+    jordan[3, 3], jordan[4, 4] = 1.0, 2.0
+    v = random_unitary(5, np.random.default_rng(3))
+    return [v @ jordan @ adjoint(v)]
+
+
+def _singular_diagonalizable_pair():
+    # S D_j S^-1 with S far from unitary: non-normal, singular, N(T_j) = N(T_j^2)
+    s = np.eye(5) + np.triu(np.random.default_rng(4).standard_normal((5, 5)), 1)
+    inverse = np.linalg.inv(s)
+    diagonals = ([0.0, 0.0, 1.0, 2.0, -3.0], [0.0, 1.5, 0.0, 0.0, 1.0j])
+    return [s @ np.diag(lam) @ inverse for lam in diagonals]
+
+
+def _equal_nullity_jordan():
+    # [[0, 2], [0, 0]] (+) [1e-13]: each numerical null space, at its own cutoff, has two
+    # columns, N(T) = span(e1, e3) and N(T^2) = span(e1, e2), yet T e2 = 2 e1
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 1], a[2, 2] = 2.0, 1e-13
+    return [a]
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_audit_thm_2_2_null_spaces_stable(k):
+    unstable = make_tuple([math.ldexp(1.0, k) * m for m in _nilpotent_block_sum()])
+    assert _stable_flag(unstable) is False
+    pair = _singular_diagonalizable_pair()
+    stable = make_tuple([math.ldexp(1.0, k) * m for m in pair])
+    assert all(frobenius_norm(m @ adjoint(m) - adjoint(m) @ m) > 1.0 for m in pair)
+    assert _stable_flag(stable) is True
+    equal_nullity = make_tuple([math.ldexp(1.0, k) * m for m in _equal_nullity_jordan()])
+    assert _stable_flag(equal_nullity) is False
+    rep = audit_theorem_2_2(equal_nullity, 1, (2,))
+    assert rep.sub_verdicts[0].vacuous and rep.conclusion_holds
+    if k == 0:  # the q = (2,) defect is zero and the q = (1,) one is not: only N(T) != N(T^2)
+        assert rep.hypothesis_breakdown["partial_isometry"] and rep.norms["defect_ones_norm"] > 1
 
 
 def test_audit_prop_2_1_jointly_quasinormal():

@@ -335,6 +335,49 @@ def test_null_reducing_on_a_product_zero_up_to_roundoff():
     assert dims == [8] * 5
 
 
+def _commuting_family(kind, seed, d, dim):
+    """Commuting normal, similar-diagonal or Jordan-polynomial matrices."""
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "jordan":  # Jordan blocks of eigenvalue 0 or 1e-12..1e-4, polynomials of degree 2
+        mu = 0.0 if rng.random() < 0.5 else 10 ** rng.uniform(-12, -4)
+        base = mu * np.eye(dim) + np.diag((rng.random(dim - 1) < 0.7).astype(float), 1)
+        powers = [np.linalg.matrix_power(base, k) for k in range(3)]
+        u = random_unitary(dim, rng)
+        return [u @ sum(c * p for c, p in zip(cplx(3), powers)) @ adjoint(u) for _ in range(d)]
+    if kind == "normal":
+        v = random_unitary(dim, rng)
+        inverse = adjoint(v)
+    else:
+        v = random_unitary(dim, rng) @ np.diag(np.exp(rng.uniform(-1, 1, dim))) @ random_unitary(dim, rng)
+        inverse = np.linalg.inv(v)
+    return [v @ np.diag(cplx(dim) * (rng.random(dim) < 0.7)) @ inverse for _ in range(d)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    dim=st.integers(1, 6),
+    kind=st.sampled_from(["normal", "similar", "jordan"]),
+)
+def test_adjoint_tuple_is_the_gated_adjoint_and_double_commuting_is_symmetric(seed, d, dim, kind):
+    t = make_tuple(_commuting_family(kind, seed, d, dim))
+    gated = make_tuple([adjoint(m) for m in t])
+    for m1, m2 in zip(gated, adjoint_tuple(t)):
+        np.testing.assert_array_equal(m1, m2)
+    ordered = all(
+        DEFAULT_TOL.is_zero(*_commutator(t[i], adjoint(t[j])))
+        for i in range(d)
+        for j in range(d)
+        if i != j
+    )
+    assert is_doubly_commuting(t) == ordered
+
+
 def test_adjoint_tuple_roundtrip():
     t = paper_example("2.2").tuple
     back = adjoint_tuple(adjoint_tuple(t))

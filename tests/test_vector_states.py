@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opertuple import defects
 from opertuple.defects import _scalar_states, _state_sums, audit_theorem_2_1, scalar_defect
 from opertuple.generators import GeneratorSpec, paper_example, random_commuting_tuple
 from opertuple.linalg import NumericalFailureError, adjoint
@@ -96,33 +95,9 @@ def test_polarized_states_are_the_documented_combinations():
     np.testing.assert_array_equal(_scalar_states(3, False), e)
 
 
-def test_imaginary_part_gate_raises(monkeypatch):
-    ex = paper_example("2.2")
-    monkeypatch.setattr(defects, "IMAG_TOL", -1.0)
-    with pytest.raises(NumericalFailureError) as info:
-        scalar_defect(ex.tuple, 2, ex.q, np.eye(3)[:, 0])
-    assert info.value.diagnostics["column"] == 0
-
-
 def test_overflowing_state_levels_raise():
     with pytest.raises(NumericalFailureError, match="not finite"):
         scalar_defect(make_tuple([[[1e200]]]), 2, (1,), [1.0])
-
-
-def test_batched_gate_names_the_failing_column(monkeypatch):
-    ex = paper_example("2.2")
-    kernel = defects._state_levels
-
-    def residue_in_column_2(t, y, kmax):
-        levels = kernel(t, y, kmax)
-        levels[1, 2] += 1j * max(1.0, abs(levels[1, 2]))
-        return levels
-
-    monkeypatch.setattr(defects, "_state_levels", residue_in_column_2)
-    with pytest.raises(NumericalFailureError) as info:
-        _state_sums(ex.tuple, 2, [_scalar_states(3, True)])
-    assert info.value.diagnostics["column"] == 2
-    assert sorted(info.value.diagnostics) == ["column", "imag", "scale"]
 
 
 def _verdicts(report):
