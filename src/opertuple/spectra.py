@@ -14,11 +14,12 @@ retries that all fail, hand over to the deterministic fallback, which deflates
 one common eigenvector at a time.
 
 Each call triangularizes once; the point spectrum and the spectral radius
-share its diagonal. A candidate at diagonal position i is confirmed inside that
-Schur basis: back-substitution in the leading block of a fixed combination of
-the triangular factors gives a witness x, and a stacked residual
-||[T_j x - l_j x]_j|| at or below the rank cutoff of a lower bound on the
-stack's sigma_max certifies what its SVD would decide. Candidates the
+share its diagonal, and prop3.2 reads the adjoint tuple's triangularization off
+the same factors, in the reversed basis. A candidate at diagonal position i is
+confirmed inside that Schur basis: back-substitution in the leading block of a
+fixed combination of the triangular factors gives a witness x, and a stacked
+residual ||[T_j x - l_j x]_j|| at or below the rank cutoff of a lower bound on
+the stack's sigma_max certifies what its SVD would decide. Candidates the
 certificate cannot settle fall back to the null space of the stacked system,
 the only way a candidate is rejected. Every witness has a fixed phase: its
 first entry within a relative 1e-8 of the largest modulus is real and positive.
@@ -176,12 +177,15 @@ def _linf_distances(a, b, d: int) -> np.ndarray:
 
 
 def _first_kept(points, d: int, tol: float) -> list[int]:
-    """Greedy clustering: a point is kept unless within ``tol`` of a point kept before it."""
-    kept: list[int] = []
-    for i, row in enumerate(_linf_distances(points, points, d).tolist()):
-        if not any(row[k] <= tol for k in kept):
-            kept.append(i)
-    return kept
+    """Greedy clustering: a point is kept unless within ``tol`` of a point kept before it.
+
+    A point with no earlier point within ``tol`` is kept outright; only the
+    rest walk the greedy rule, in order."""
+    close = np.tril(_linf_distances(points, points, d) <= tol, -1)
+    kept = ~close.any(axis=1)
+    for i in np.flatnonzero(~kept):
+        kept[i] = not (close[i, :i] & kept[:i]).any()
+    return np.flatnonzero(kept).tolist()
 
 
 def _near_spectrum(points, spectrum_points, d: int) -> list[bool]:
@@ -288,9 +292,22 @@ def joint_point_spectrum(
 
 def _point_spectrum(t: OperatorTuple, tol: ToleranceModel, seed: int):
     """One triangularization: its diagonal and the points it confirms."""
-    factors = simultaneous_triangularize(t, seed, tol)
+    return _factor_points(t, simultaneous_triangularize(t, seed, tol), tol)
+
+
+def _factor_points(t: OperatorTuple, factors, tol: ToleranceModel):
+    """The diagonal of a simultaneous triangularization (Q, [U_j]) of ``t`` and
+    the points it confirms."""
     diag = _diagonal(factors[1])
     return diag, _confirmed_points(t, diag, tol, factors)
+
+
+def _adjoint_factors(factors):
+    """A simultaneous triangularization of T* read off one of T: with P the
+    basis reversal, (QP)* T_j* (QP) = P U_j* P is upper triangular, with the
+    below-diagonal mass of U_j."""
+    q, us = factors
+    return q[:, ::-1], [adjoint(u)[::-1, ::-1] for u in us]
 
 
 def _point_residual(t: OperatorTuple, lam, x) -> float:
@@ -417,15 +434,21 @@ def audit_proposition_3_2(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> AuditReport:
     """Adjoint conjugation of eigenvalues off the zero variety, and
-    orthogonality of witnesses for suitably separated eigenvalue pairs."""
+    orthogonality of witnesses for suitably separated eigenvalue pairs.
+
+    T is triangularized once. If Q* T_j Q = U_j is upper triangular, then
+    Q* T_j* Q = U_j* is lower triangular, and reversing the basis (P) makes
+    (QP)* T_j* (QP) = P U_j* P upper triangular: T*'s points are confirmed
+    from those factors, each by a witness residual on T* itself."""
     from .defects import partial_isometry_defect
 
     defect = partial_isometry_defect(t, m, q, tol)
     reducing, _ = null_reducing_check(t, q, tol)
     hyp = defect.is_zero and reducing
 
-    points = joint_point_spectrum(t, tol, seed)
-    adj_points = joint_point_spectrum(adjoint_tuple(t), tol, seed)
+    factors = simultaneous_triangularize(t, seed, tol)
+    _, points = _factor_points(t, factors, tol)
+    _, adj_points = _factor_points(adjoint_tuple(t), _adjoint_factors(factors), tol)
     witnesses = []
 
     off_zero = [lam for lam, _x in points if not zero_variety_member(lam, tol)]

@@ -17,6 +17,7 @@ from opertuple.generators import (
 from opertuple.linalg import (
     DEFAULT_TOL,
     NumericalFailureError,
+    adjoint,
     eigendecomposition,
     frobenius_norm,
     null_space_basis,
@@ -27,11 +28,14 @@ from opertuple.spectra import (
     ORTHO_TOL,
     SEPARATION,
     TRIANGULAR_MASS,
+    _adjoint_factors,
     _certificate_weights,
     _confirmed_points,
     _diagonal,
     _first_kept,
     _fixed_phase,
+    _linf_distances,
+    _near_spectrum,
     audit_proposition_3_2,
     audit_theorem_3_1,
     joint_lower_bound,
@@ -43,7 +47,7 @@ from opertuple.spectra import (
     zero_variety_member,
 )
 from opertuple.tuplefile import parse_tuple_file
-from opertuple.tuples import conjugate_by_unitary, make_tuple, permute_tuple
+from opertuple.tuples import adjoint_tuple, conjugate_by_unitary, make_tuple, permute_tuple
 
 RNG = np.random.default_rng(99)
 
@@ -626,3 +630,147 @@ def test_prop_3_2_pairs_match_the_pair_loop(scheme):
     assert pairs == expected
     assert report.sub_verdicts[1].details["pairs_checked"] == checked
     assert report.sub_verdicts[1].conclusion_holds == (expected == [])
+
+
+# ---- clustering: one vectorized pass against the greedy loop ---------------
+
+
+def greedy_first_kept(points, d, tol):
+    """The greedy rule one pair at a time: the vectorized clustering's reference."""
+    kept = []
+    for i, row in enumerate(_linf_distances(points, points, d).tolist()):
+        if not any(row[k] <= tol for k in kept):
+            kept.append(i)
+    return kept
+
+
+NON_FINITE = [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 0.0), complex(0.0, math.inf)]
+
+
+@st.composite
+def clustered_points(draw):
+    """d <= 4, up to 64 rows on an integer grid in units of tol: fresh rows, and
+    copies of an earlier row moved 0.6 tol (chains), by nothing (duplicates),
+    by exactly tol (ties, exact when tol is 1) or to a non-finite entry."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(0, 64))
+    tol = draw(st.sampled_from([1.0, CLUSTER_TOL]))
+    grid = st.integers(-2, 2)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fresh", "chain", "duplicate", "tie", "non_finite"]))
+        if kind == "fresh" or not rows:
+            rows.append([complex(draw(grid), draw(grid)) * tol for _ in range(d)])
+            continue
+        row = list(rows[draw(st.integers(0, len(rows) - 1))])
+        k = draw(st.integers(0, d - 1))
+        if kind == "chain":
+            row[k] += 0.6 * tol
+        elif kind == "tie":
+            row[k] += tol
+        elif kind == "non_finite":
+            row[k] = draw(st.sampled_from(NON_FINITE))
+        rows.append(row)
+    return rows, d, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(clustered_points())
+def test_first_kept_matches_the_greedy_loop(case):
+    points, d, tol = case
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN distance, which never merges
+        assert _first_kept(points, d, tol) == greedy_first_kept(points, d, tol)
+
+
+# ---- prop3.2: the adjoint's factors read off T's ---------------------------
+
+
+def jordan_pair(seed, dim=6, eigenvalue=0.3):
+    """(J, J^2 + 2J) for one Jordan block J, conjugated by the Q of a complex Gaussian."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    j = eigenvalue * np.eye(dim) + np.diag(np.ones(dim - 1), 1)
+    return make_tuple([q @ m @ q.conj().T for m in (j, j @ j + 2 * j)])
+
+
+def adjoint_case(name):
+    if name == "jordan":
+        return jordan_pair(0)
+    if name == "unitary_scaled":
+        return unitary_scaled(2, dim=5, seed=3)
+    params = {
+        "normal": {"unitary": True},
+        "non_normal": {"unitary": False},
+        "pi_diagonal": {"unitary": True, "pi_diagonals": True},
+    }
+    if name in params:
+        return random_commuting_tuple(GeneratorSpec("diagonal_conjugate", seed=2, dim=12, d=3, params=params[name]))
+    return random_commuting_tuple(GeneratorSpec("polynomial_family", seed=2, dim=12, d=3, params={}))
+
+
+def below_diagonal_mass(u):
+    return float(np.linalg.norm(np.tril(u, -1)))
+
+
+@pytest.mark.parametrize("name", ["normal", "non_normal", "jordan"])
+def test_reversed_factors_triangularize_the_adjoint(name):
+    t = adjoint_case(name)
+    q, us = simultaneous_triangularize(t)
+    q_adj, us_adj = _adjoint_factors((q, us))
+    scale = max(1.0, max(frobenius_norm(m) for m in t))
+    assert np.allclose(adjoint(q_adj) @ q_adj, np.eye(t.dim), rtol=0.0, atol=1e-13)
+    for m, u, u_adj in zip(adjoint_tuple(t), us, us_adj):
+        assert np.linalg.norm(adjoint(q_adj) @ m @ q_adj - u_adj) <= 1e-13 * scale
+        assert below_diagonal_mass(u_adj) == pytest.approx(below_diagonal_mass(u), rel=1e-12, abs=0.0)
+        assert below_diagonal_mass(u_adj) <= TRIANGULAR_MASS * scale
+
+
+@pytest.mark.parametrize("name", ["normal", "non_normal", "jordan"])
+def test_prop_3_2_triangularizes_once(monkeypatch, name):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return simultaneous_triangularize(*args, **kwargs)
+
+    t = adjoint_case(name)
+    monkeypatch.setattr(spectra, "simultaneous_triangularize", counted)
+    audit_proposition_3_2(t, 1, (1,) * t.d)
+    assert calls == [t]
+
+
+def two_schur_conjugate_witnesses(t):
+    """prop3.2's first sub-verdict from a second, independent triangularization of
+    T*: the shared-basis route's reference on non-defective tuples."""
+    adj_points = joint_point_spectrum(adjoint_tuple(t))
+    off_zero = [lam for lam, _ in joint_point_spectrum(t) if not zero_variety_member(lam)]
+    found = _near_spectrum(np.conj(off_zero), [mu for mu, _ in adj_points], t.d)
+    missing = [("conjugate missing from adjoint spectrum", lam) for lam, hit in zip(off_zero, found) if not hit]
+    return all(found), len(off_zero), missing
+
+
+@pytest.mark.parametrize("name", ["unitary_scaled", "normal", "non_normal", "pi_diagonal", "polynomial"])
+def test_prop_3_2_matches_the_two_schur_route(name):
+    t = adjoint_case(name)
+    report = audit_proposition_3_2(t, 1, (1,) * t.d)
+    holds, checked, missing = two_schur_conjugate_witnesses(t)
+    pairs, pairs_checked = loop_pair_witnesses(joint_point_spectrum(t))
+    conj_sub, ortho_sub = report.sub_verdicts
+    assert (conj_sub.conclusion_holds, conj_sub.details["eigenvalues_checked"]) == (holds, checked)
+    assert ortho_sub.details["pairs_checked"] == pairs_checked
+    assert [(w.label, w.value) for w in report.witnesses] == missing + pairs
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_prop_3_2_defective_conjugates_share_one_schur_basis(seed):
+    # Two independent Schur forms smear the defective eigenvalue 0.3 into
+    # different clusters, so the two-Schur route finds conjugates "missing";
+    # T*'s factors read off T's keep every conjugate. The orthogonality
+    # sub-verdict still sees the smeared cluster as distinct points.
+    t = jordan_pair(seed)
+    report = audit_proposition_3_2(t, 1, (1, 1))
+    conj_sub, ortho_sub = report.sub_verdicts
+    assert not two_schur_conjugate_witnesses(t)[0]
+    assert conj_sub.conclusion_holds
+    assert not any(w.label.startswith("conjugate") for w in report.witnesses)
+    assert not ortho_sub.conclusion_holds
+    assert not report.hypotheses_hold and report.conclusion_holds
