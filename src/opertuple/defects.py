@@ -9,8 +9,9 @@ the inner alternating sum (with (-1)^k signs) by the monomial T^q. The two
 sign conventions differ by a global factor (-1)^m, so zero-tests agree; norms
 are reported under the (-1)^k convention.
 
-The level sums L_k = Phi_{T*,T}^k(I) come from ``tuples.power_levels``, once
-per call and shared by all its defects; multi-index enumeration is kept as the
+The level sums L_k = Phi_{T*,T}^k(I) come from ``tuples.power_levels``, and the
+fronted levels T^q L_k are formed from them, each once per call and shared by
+all its defects and orders; multi-index enumeration is kept as the
 oracle in ``minverse``. The vector-state forms never go through L_k: all states
 are the columns of one matrix, pushed along the monomial prefix tree, so even
 the 2·dim² polarized states are affordable at dim 64.
@@ -73,13 +74,18 @@ def _levels(t: OperatorTuple, kmax: int) -> list[np.ndarray]:
         return power_levels([adjoint(m) for m in t], t, kmax)
 
 
-def _defect(levels: list[np.ndarray], m: int, tol: ToleranceModel, front=None) -> DefectResult:
-    """front @ sum_k (-1)^k C(m,k) L_k, scaled by its largest summand."""
+def _fronted(levels: list[np.ndarray], front: np.ndarray) -> list[np.ndarray]:
+    """The products front @ L_k, left non-finite where they overflow, as ``_levels`` leaves them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [front @ level for level in levels]
+
+
+def _defect(terms: list[np.ndarray], m: int, tol: ToleranceModel) -> DefectResult:
+    """sum_{k<=m} (-1)^k C(m,k) terms[k], terms L_k or T^q L_k, scaled by its largest summand."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
-        fronted = levels[: m + 1] if front is None else (front @ lv for lv in levels[: m + 1])
-        defect, scale = alternating_binomial_sum(fronted, m)
+        defect, scale = alternating_binomial_sum(terms[: m + 1], m)
         norm = frobenius_norm(defect)
     if not (math.isfinite(norm) and math.isfinite(scale)):
         raise NumericalFailureError(
@@ -110,9 +116,9 @@ def partial_isometry_defect(
 
 
 def _partial_defects(t: OperatorTuple, orders, q, tol: ToleranceModel) -> list[DefectResult]:
-    """The (m; q)-partial-isometry defects for each m in ``orders``, on one set of levels."""
-    levels, front = _levels(t, max(orders)), tuple_power(t, q)
-    return [_defect(levels, m, tol, front) for m in orders]
+    """The (m; q)-partial-isometry defect for each m in ``orders``, all from one T^q L_k list."""
+    fronted = _fronted(_levels(t, max(orders)), tuple_power(t, q))
+    return [_defect(fronted, m, tol) for m in orders]
 
 
 def _state_levels(t: OperatorTuple, y: np.ndarray, kmax: int) -> np.ndarray:
@@ -153,12 +159,10 @@ def scalar_defect(t: OperatorTuple, m: int, q, x) -> float:
     return float(_state_sums(t, m, [shifted])[0])
 
 
-def _entrywise_invertible(t: OperatorTuple, tol: ToleranceModel) -> tuple[bool, ...]:
-    flags = []
-    for m in t:
-        s = np.linalg.svd(m, compute_uv=False)
-        flags.append(bool(s[-1] > tol.rank_cutoff(t.dim, float(s[0]))))
-    return tuple(flags)
+def _nullity(m: np.ndarray, tol: ToleranceModel) -> int:
+    """The numerical nullity of m: ``null_space_basis``'s column count, from the singular values."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return int((s <= tol.rank_cutoff(m.shape[0], float(s[0]))).sum())
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,7 @@ def classify(
 ) -> ClassificationReport:
     q = _validated_exponent(t, q)
     levels = _levels(t, m)
-    partial = _defect(levels, m, tol, tuple_power(t, q))
+    partial = _defect(_fronted(levels, tuple_power(t, q)), m, tol)
     isom = _defect(levels, m, tol)
     reducing, basis = null_reducing_check(t, q, tol)
     return ClassificationReport(
@@ -207,7 +211,7 @@ def classify(
         quasinormal=quasinormal_class(t, tol),
         null_reducing=reducing,
         null_dim=basis.shape[1],
-        entrywise_invertible=_entrywise_invertible(t, tol),
+        entrywise_invertible=tuple(_nullity(tj, tol) == 0 for tj in t),
         tolerances=tol,
     )
 
@@ -287,7 +291,7 @@ def _null_spaces_stable(t: OperatorTuple, tol: ToleranceModel) -> bool:
     for m in t:
         b2 = null_space_basis(m @ m, tol)
         annihilated = frobenius_norm(m @ b2) <= tol.rank_cutoff(t.dim, frobenius_norm(m))
-        if null_space_basis(m, tol).shape[1] != b2.shape[1] or not annihilated:
+        if _nullity(m, tol) != b2.shape[1] or not annihilated:
             return False
     return True
 
@@ -334,10 +338,10 @@ def audit_theorem_2_2(
 ) -> AuditReport:
     """Stable null spaces collapse any (m; q)-partial isometry to q = (1,...,1)."""
     q = _validated_exponent(t, q)
-    levels = _levels(t, m)
-    base = _defect(levels, m, tol, tuple_power(t, q))
+    levels, ones_q = _levels(t, m), (1,) * t.d
+    base = _defect(_fronted(levels, tuple_power(t, q)), m, tol)
     stable = _null_spaces_stable(t, tol)
-    ones = _defect(levels, m, tol, tuple_power(t, (1,) * t.d))
+    ones = base if q == ones_q else _defect(_fronted(levels, tuple_power(t, ones_q)), m, tol)
     hyp = base.is_zero and stable
     subs = (
         SubVerdict(

@@ -72,10 +72,10 @@ def _beta_enumeration(s: OperatorTuple, t: OperatorTuple, m: int) -> tuple[np.nd
     return (-1) ** m * total, scale
 
 
-def _beta_levels(s: OperatorTuple, t: OperatorTuple, m: int) -> list[np.ndarray]:
-    """beta_0, ..., beta_m by the recurrence beta_{k+1} = -beta_k + Phi_{S,T}(beta_k)."""
-    betas = [np.eye(t.dim, dtype=np.complex128)]
-    for _ in range(m):
+def _beta_levels(s: OperatorTuple, t: OperatorTuple, m: int, betas=None) -> list[np.ndarray]:
+    """beta_0..beta_m (or more) by beta_{k+1} = -beta_k + Phi_{S,T}(beta_k), after ``betas``."""
+    betas = list(betas or [np.eye(t.dim, dtype=np.complex128)])
+    while len(betas) <= m:
         betas.append(hereditary_shift(s, t, betas[-1]) - betas[-1])
     return betas
 
@@ -94,6 +94,11 @@ def beta(
     whose norm or scale overflows.
     """
     _check_shapes(s, t)
+    return _beta(s, t, m, method)
+
+
+def _beta(s: OperatorTuple, t: OperatorTuple, m: int, method: str, betas=None) -> BetaResult:
+    """``beta`` on tuples of one shape; the recurrence reads or continues given levels ``betas``."""
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
     if method not in ("auto", "recurrence", "enumeration"):
@@ -102,7 +107,7 @@ def beta(
         if method == "enumeration":
             matrix, scale = _beta_enumeration(s, t, m)
         else:
-            betas = _beta_levels(s, t, m)
+            betas = _beta_levels(s, t, m, betas)[: m + 1]
             matrix, scale = betas[-1], max(frobenius_norm(b) for b in betas)
             if method == "auto" and m <= _CROSS_CHECK_MAX_M:
                 other, other_scale = _beta_enumeration(s, t, m)
@@ -303,8 +308,10 @@ def audit_proposition_4_1(
     The printed Pochhammer coefficients are the claim under audit; the
     binomial substitute is reported alongside. When ``inverse_order`` m is
     given and S verifies as a left m-inverse, the truncated expansions over
-    k <= m-1 (item (2)) are audited as well. A level or beta past the float
-    range raises NumericalFailureError before any deviation is taken.
+    k <= m-1 (item (2)) are audited as well, with the hypothesis decided as in
+    ``is_left_m_inverse`` on the audit's own beta levels, continued past n_max.
+    A level or beta past the float range raises NumericalFailureError before
+    any deviation is taken.
     """
     _check_shapes(s, t)
     levels, betas = _power_sum_sides(s, t, n_max)
@@ -335,7 +342,8 @@ def audit_proposition_4_1(
     norms = {"max_pochhammer_deviation": poch, "max_binomial_deviation": binom}
 
     if inverse_order is not None:
-        holds = is_left_m_inverse(s, t, inverse_order, tol)
+        inverse = _beta(s, t, inverse_order, "auto", betas)
+        holds = tol.is_zero(inverse.norm, inverse.scale)
         breakdown["left_m_inverse"] = holds
         poch = max_deviation("pochhammer", inverse_order - 1)
         binom = max_deviation("binomial", inverse_order - 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -237,41 +238,30 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
 
     Each commutator here is homogeneous of degree 3 in T, so every one is
     decided on T / 2^a, with a the largest ``_exponent`` of the components, at
-    exponent 3a: the products and their sum are then bounded by 8 d dim.
+    exponent 3a: the products and their sum are then bounded by 8 d dim. Each
+    T_j* T_k and its norm are formed once, when a commutator first needs them.
     """
     a = max(_exponent(m) for m in t)
     mats, d = [_scaled_down(m, a) for m in t], t.d
+    grams, norms = [adjoint(m) for m in mats], [frobenius_norm(m) for m in mats]
 
-    def commutes(x: np.ndarray, y: np.ndarray) -> bool:
-        norm, scale = frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(y)
-        return tol.is_zero(norm, scale, 3 * a)
+    @cache
+    def product(j: int, k: int) -> tuple[np.ndarray, float]:
+        p = grams[j] @ mats[k]
+        return p, frobenius_norm(p)
 
-    grams = [adjoint(m) for m in mats]
+    def commutes(i: int, y: np.ndarray, y_norm: float) -> bool:
+        x = mats[i]
+        return tol.is_zero(frobenius_norm(x @ y - y @ x), norms[i] * y_norm, 3 * a)
+
     matricial = all(
-        commutes(mats[i], grams[j] @ mats[k])
-        for i in range(d)
-        for j in range(d)
-        for k in range(d)
+        commutes(i, *product(j, k)) for i in range(d) for j in range(d) for k in range(d)
     )
-    joint = matricial or all(
-        commutes(mats[i], grams[j] @ mats[j]) for i in range(d) for j in range(d)
-    )
-    ball = sum(grams[k] @ mats[k] for k in range(d))
-    spherical = joint or all(commutes(mats[j], ball) for j in range(d))
+    joint = matricial or all(commutes(i, *product(j, j)) for i in range(d) for j in range(d))
+    ball = sum(product(k, k)[0] for k in range(d))
+    ball_norm = frobenius_norm(ball)
+    spherical = joint or all(commutes(j, ball, ball_norm) for j in range(d))
     return QuasinormalFlags(matricial=matricial, joint=joint, spherical=spherical)
-
-
-def reducing_residual(t: OperatorTuple, basis: np.ndarray) -> float:
-    """Max over j of ||(I - P) T_j B||_F and ||(I - P) T_j* B||_F for P = BB*."""
-    if basis.shape[1] == 0:
-        return 0.0
-    projector = basis @ adjoint(basis)
-    eye = np.eye(t.dim)
-    worst = 0.0
-    for m in t:
-        for x in (m, adjoint(m)):
-            worst = max(worst, frobenius_norm((eye - projector) @ x @ basis))
-    return worst
 
 
 def null_reducing_check(
@@ -279,10 +269,10 @@ def null_reducing_check(
 ) -> tuple[bool, np.ndarray]:
     """Whether N(T^q) is invariant under every T_j and T_j*.
 
-    Returns the verdict together with the orthonormal basis of N(T^q) that was
-    tested. The trivial null space is reducing by convention. A T^q past the
-    float range raises NumericalFailureError, as the defects do on levels that
-    overflow.
+    Returns the verdict together with the orthonormal basis B of N(T^q) that was
+    tested: the residual is the largest ||(I - BB*) X B||_F over X = T_j, T_j*.
+    The trivial null space is reducing by convention. A T^q past the float range
+    raises NumericalFailureError, as the defects do on levels that overflow.
     """
     power = tuple_power(t, q)
     if not np.isfinite(power).all():
@@ -293,5 +283,6 @@ def null_reducing_check(
     if basis.shape[1] == 0:
         return True, basis
     scale = max(frobenius_norm(m) for m in t)
-    residual = reducing_residual(t, basis)
+    outside = np.eye(t.dim) - basis @ adjoint(basis)
+    residual = max(0.0, *(frobenius_norm(outside @ x @ basis) for m in t for x in (m, adjoint(m))))
     return tol.is_zero(residual, scale), basis

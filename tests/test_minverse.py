@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from opertuple import minverse
 from opertuple.cli import _shifted_invertible_pair, _unipotent_two_inverse_pair
 from opertuple.generators import GeneratorSpec, paper_example, random_commuting_tuple
 from opertuple.linalg import NumericalFailureError, frobenius_norm
@@ -222,3 +223,28 @@ def test_audit_prop_4_1_truncated_with_inverse():
     assert any(n.startswith("(2)") for n in names)
     binom2 = [sv for sv in rep.sub_verdicts if sv.name.startswith("(2')")][0]
     assert binom2.conclusion_holds
+
+
+@pytest.mark.parametrize("n_max, inverse_order", [(4, 2), (4, 4), (2, 4)])
+def test_prop_4_1_keeps_the_enumeration_cross_check(monkeypatch, n_max, inverse_order):
+    s, t = _unipotent_two_inverse_pair(3)
+    audit_proposition_4_1(s, t, n_max=n_max, inverse_order=inverse_order)
+    enumerated = minverse._beta_enumeration
+
+    def disagreeing(*args):
+        matrix, scale = enumerated(*args)
+        return matrix + 1.0, scale
+
+    monkeypatch.setattr(minverse, "_beta_enumeration", disagreeing)
+    with pytest.raises(NumericalFailureError, match="recurrence and enumeration disagree"):
+        audit_proposition_4_1(s, t, n_max=n_max, inverse_order=inverse_order)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 6])
+@pytest.mark.parametrize("inverse_order", [0, 1, 2, 3, 5, 7])
+def test_prop_4_1_hypothesis_is_is_left_m_inverse(n_max, inverse_order):
+    # beta_m read off the audit's own levels, and continued past n_max, decides as beta does
+    pairs = [_unipotent_two_inverse_pair(3), _shifted_invertible_pair(5), random_pair(7)]
+    for s, t in pairs:
+        rep = audit_proposition_4_1(s, t, n_max=n_max, inverse_order=inverse_order)
+        assert rep.hypothesis_breakdown["left_m_inverse"] == is_left_m_inverse(s, t, inverse_order)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opertuple import defects, minverse, tuples
 from opertuple.generators import GeneratorSpec, random_commuting_tuple
 from opertuple.linalg import adjoint, frobenius_norm
 from opertuple.minverse import _beta_levels, _enumerated_levels
@@ -97,3 +98,39 @@ def test_power_levels_rejects_mismatched_lengths():
     t = make_tuple([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         power_levels([np.eye(2)], t, 1)
+
+
+def _count_shifts(monkeypatch):
+    """Replace hereditary_shift wherever the library binds it with a wrapper that counts calls."""
+    calls, shift = [], tuples.hereditary_shift
+
+    def counting(s, t, x):
+        calls.append(1)
+        return shift(s, t, x)
+
+    for module in (tuples, minverse):
+        monkeypatch.setattr(module, "hereditary_shift", counting)
+    return calls
+
+
+WORK_M = 3
+# Each level L_k and each beta_k is one hereditary shift, formed once per operation: prop4.1
+# takes n_max levels and n_max betas, and continues the betas to inverse_order past n_max.
+SHIFTS_PER_OPERATION = {
+    "classify": (lambda s, t: defects.classify(t, WORK_M, (1, 1)), WORK_M),
+    "thm2.3": (lambda s, t: defects.audit_theorem_2_3(t, WORK_M, (1, 1)), WORK_M + 2),
+    "prop2.4": (lambda s, t: defects.audit_proposition_2_4(t, WORK_M, (1, 1)), WORK_M + 1),
+    "beta.recurrence": (lambda s, t: minverse.beta(s, t, WORK_M, "recurrence"), WORK_M),
+    "prop4.1": (lambda s, t: minverse.audit_proposition_4_1(s, t, n_max=4, inverse_order=3), 8),
+    "prop4.1.at_n_max": (lambda s, t: minverse.audit_proposition_4_1(s, t, n_max=4, inverse_order=4), 8),
+    "prop4.1.past_n_max": (lambda s, t: minverse.audit_proposition_4_1(s, t, n_max=2, inverse_order=5), 7),
+}
+
+
+@pytest.mark.parametrize("name", SHIFTS_PER_OPERATION)
+def test_each_level_is_one_hereditary_shift(monkeypatch, name):
+    call, expected = SHIFTS_PER_OPERATION[name]
+    s, t = commuting("polynomial_family", 21, 4, 2), commuting("polynomial_family", 22, 4, 2)
+    calls = _count_shifts(monkeypatch)
+    call(s, t)
+    assert len(calls) == expected

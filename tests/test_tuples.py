@@ -16,6 +16,8 @@ from opertuple.tuples import (
     OperatorTuple,
     QuasinormalFlags,
     _commutator,
+    _exponent,
+    _scaled_down,
     adjoint_tuple,
     conjugate_by_unitary,
     is_doubly_commuting,
@@ -383,3 +385,64 @@ def test_adjoint_tuple_roundtrip():
     back = adjoint_tuple(adjoint_tuple(t))
     for m1, m2 in zip(t, back):
         np.testing.assert_array_equal(m1, m2)
+
+
+def _quasinormal_reference(t, tol):
+    """The flags by the plain triple loop, each T_j* T_k and each norm formed anew per commutator."""
+    a = max(_exponent(m) for m in t)
+    mats, d = [_scaled_down(m, a) for m in t], t.d
+
+    def commutes(x, y):
+        norm, scale = frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(y)
+        return tol.is_zero(norm, scale, 3 * a)
+
+    grams = [adjoint(m) for m in mats]
+    matricial = all(
+        commutes(mats[i], grams[j] @ mats[k]) for i in range(d) for j in range(d) for k in range(d)
+    )
+    joint = matricial or all(commutes(mats[i], grams[j] @ mats[j]) for i in range(d) for j in range(d))
+    ball = sum(grams[k] @ mats[k] for k in range(d))
+    spherical = joint or all(commutes(mats[j], ball) for j in range(d))
+    return QuasinormalFlags(matricial=matricial, joint=joint, spherical=spherical)
+
+
+def _quasinormal_inputs(seed):
+    """Normal tuples, polynomials in one non-normal matrix, nilpotents, and normal (+) non-normal."""
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u = random_unitary(4, rng)
+    normal = [u @ np.diag(cplx(4)) @ adjoint(u) for _ in range(3)]
+    # near-normal, so the classes part at nearby tolerances; beside 100 I, the ball's
+    # commutator is small next to its scale
+    base = np.diag(cplx(4)) + 1e-6 * np.triu(cplx(4, 4), 1)
+    polynomial = [base, 100.0 * np.eye(4), base @ base / 4.0]
+    shift = np.diag(np.ones(3), 1)
+    nilpotent = [shift, (1 + 2j) * shift @ shift, shift + shift @ shift @ shift]
+    near_normal = np.diag(cplx(2)) + 1e-6 * NILPOTENT
+    blocks = [
+        np.block([[np.diag(cplx(2)), np.zeros((2, 2))], [np.zeros((2, 2)), c * near_normal]])
+        for c in cplx(3)
+    ]
+    return {"normal": normal, "polynomial": polynomial, "nilpotent": nilpotent, "direct_sum": blocks}
+
+
+# relative thresholds, and absolute ones that act in the input's units at every scale
+QUASINORMAL_TOLERANCES = (
+    [DEFAULT_TOL]
+    + [ToleranceModel(abs_tol=0.0, rel_tol=10.0**e) for e in np.arange(-12.0, -1.0, 0.5)]
+    + [ToleranceModel(abs_tol=10.0**e, rel_tol=0.0) for e in range(-12, 40, 3)]
+)
+
+
+@pytest.mark.parametrize("k", [0, 40, -40])
+@pytest.mark.parametrize("family", ["normal", "polynomial", "nilpotent", "direct_sum"])
+def test_quasinormal_class_matches_the_triple_loop(family, k):
+    for seed in range(4):
+        mats = [math.ldexp(1.0, k) * m for m in _quasinormal_inputs(seed)[family]]
+        for d in (1, 2, 3):
+            t = make_tuple(mats[:d])
+            for tol in QUASINORMAL_TOLERANCES:
+                assert quasinormal_class(t, tol) == _quasinormal_reference(t, tol), (seed, d, tol)
