@@ -10,11 +10,11 @@ sign conventions differ by a global factor (-1)^m, so zero-tests agree; norms
 are reported under the (-1)^k convention.
 
 The level sums L_k = Phi_{T*,T}^k(I) come from ``tuples.power_levels``, and the
-fronted levels T^q L_k are formed from them, each once per call and shared by
-all its defects and orders; multi-index enumeration is kept as the
+fronted levels T^q L_k are formed from them and from T^q, each once per call and
+shared by all its defects and orders; multi-index enumeration is kept as the
 oracle in ``minverse``. The vector-state forms never go through L_k: all states
-are the columns of one matrix, pushed along the monomial prefix tree, so even
-the 2·dim² polarized states are affordable at dim 64.
+are the columns of one matrix, pushed along one monomial prefix tree per call, so
+even the 2·dim² polarized states are affordable at dim 64.
 
 Because the sums alternate and cancel, every zero-test is relative to the
 largest level summand rather than to the final value.
@@ -48,8 +48,8 @@ from .reports import (
 from .tuples import (
     OperatorTuple,
     QuasinormalFlags,
+    _null_reducing,
     alternating_binomial_sum,
-    null_reducing_check,
     power_levels,
     quasinormal_class,
     tuple_power,
@@ -95,11 +95,12 @@ def _defect(terms: list[np.ndarray], m: int, tol: ToleranceModel) -> DefectResul
     return DefectResult(matrix=defect, norm=norm, scale=scale, is_zero=tol.is_zero(norm, scale))
 
 
-def _validated_exponent(t: OperatorTuple, q) -> tuple[int, ...]:
+def _exponent_and_power(t: OperatorTuple, q) -> tuple[tuple[int, ...], np.ndarray]:
+    """The validated exponent vector q and T^q, formed once for all of a call's uses."""
     q = validate_multiindex(q)
     if len(q) != t.d:
         raise ValueError(f"exponent vector has {len(q)} entries, tuple has d = {t.d}")
-    return q
+    return q, tuple_power(t, q)
 
 
 def isometry_defect(t: OperatorTuple, m: int, tol: ToleranceModel = DEFAULT_TOL) -> DefectResult:
@@ -112,32 +113,28 @@ def partial_isometry_defect(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL
 ) -> DefectResult:
     """The joint (m; q)-partial-isometry defect T^q sum_k (-1)^k C(m,k) (...)."""
-    return _partial_defects(t, (m,), _validated_exponent(t, q), tol)[0]
+    return _partial_defects(t, (m,), _exponent_and_power(t, q)[1], tol)[0]
 
 
-def _partial_defects(t: OperatorTuple, orders, q, tol: ToleranceModel) -> list[DefectResult]:
-    """The (m; q)-partial-isometry defect for each m in ``orders``, all from one T^q L_k list."""
-    fronted = _fronted(_levels(t, max(orders)), tuple_power(t, q))
+def _partial_defects(t: OperatorTuple, orders, power, tol: ToleranceModel) -> list[DefectResult]:
+    """The (m; q)-partial-isometry defect for each m in ``orders``, from one list power @ L_k."""
+    fronted = _fronted(_levels(t, max(orders)), power)
     return [_defect(fronted, m, tol) for m in orders]
 
 
-def _state_levels(t: OperatorTuple, y: np.ndarray, kmax: int) -> np.ndarray:
-    """sum_{|alpha|=k} (k!/alpha!) <T^alpha y_c, T^alpha y_c>: row k = 0..kmax, column c of Y.
+def _state_sums(t: OperatorTuple, m: int, y: np.ndarray, ascent: int = 0) -> np.ndarray:
+    """Per state y_c (column c of Y), sum_k (-1)^k C(m,k) level_(k+ascent)(y_c); finite or raises.
 
-    One product T_j Z per node of the monomial prefix tree. Each <z, z> = ||z||^2 is
-    real, so only the real part of its complex sum is kept, and the levels are float64.
+    level_k(y) = sum_{|alpha|=k} (k!/alpha!) <T^alpha y, T^alpha y>, from one product T_j Z per node
+    of the monomial prefix tree; each <z, z> = ||z||^2 is real, so the levels are float64. With
+    ascent 1 it is sum_j of the sum on T_j Y, as sum_{j: beta_j>0} k!/(beta-e_j)! = (k+1)!/beta!.
     """
-    levels = np.zeros((kmax + 1, y.shape[1]))
-    for alpha, z in prefix_tree(t.d, kmax, y, lambda j, z: t[j] @ z):
-        levels[sum(alpha)] += multinomial_weight(alpha) * np.einsum("ij,ij->j", z.conj(), z).real
-    return levels
-
-
-def _state_sums(t: OperatorTuple, m: int, blocks) -> np.ndarray:
-    """Per state (column), sum over blocks Y of sum_k (-1)^k C(m,k) level_k(Y); finite or raises."""
     signs = np.array([(-1) ** k * math.comb(m, k) for k in range(m + 1)])[:, None]
+    levels = np.zeros((m + ascent + 1, y.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
-        totals = sum(signs * _state_levels(t, y, m) for y in blocks).sum(axis=0)
+        for alpha, z in prefix_tree(t.d, m + ascent, y, lambda j, z: t[j] @ z):
+            levels[sum(alpha)] += multinomial_weight(alpha) * np.einsum("ij,ij->j", z.conj(), z).real
+        totals = (signs * levels[ascent:]).sum(axis=0)
     if not np.isfinite(totals).all():
         raise NumericalFailureError("scalar defect is not finite: state levels overflow", {"m": m})
     return totals
@@ -155,8 +152,8 @@ def scalar_defect(t: OperatorTuple, m: int, q, x) -> float:
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.shape[0] != t.dim:
         raise ValueError(f"vector has length {x.shape[0]}, expected {t.dim}")
-    shifted = adjoint(tuple_power(t, _validated_exponent(t, q))) @ x[:, None]
-    return float(_state_sums(t, m, [shifted])[0])
+    shifted = adjoint(_exponent_and_power(t, q)[1]) @ x[:, None]
+    return float(_state_sums(t, m, shifted)[0])
 
 
 def _nullity(m: np.ndarray, tol: ToleranceModel) -> int:
@@ -194,11 +191,11 @@ class ClassificationReport:
 def classify(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL
 ) -> ClassificationReport:
-    q = _validated_exponent(t, q)
+    q, power = _exponent_and_power(t, q)
     levels = _levels(t, m)
-    partial = _defect(_fronted(levels, tuple_power(t, q)), m, tol)
+    partial = _defect(_fronted(levels, power), m, tol)
     isom = _defect(levels, m, tol)
-    reducing, basis = null_reducing_check(t, q, tol)
+    reducing, basis = _null_reducing(t, q, power, tol)
     return ClassificationReport(
         m=m,
         q=q,
@@ -240,12 +237,12 @@ def audit_theorem_2_1(
     quantifies over the standard basis (optionally the polarized combinations
     e_i +- e_j, e_i +- i e_j) applied through T*^q-shifted states.
     """
-    q = _validated_exponent(t, q)
-    reducing, basis = null_reducing_check(t, q, tol)
-    operator = partial_isometry_defect(t, m, q, tol)
+    q, power = _exponent_and_power(t, q)
+    reducing, basis = _null_reducing(t, q, power, tol)
+    operator = _partial_defects(t, (m,), power, tol)[0]
 
     states = _scalar_states(t.dim, polarize)
-    magnitudes = np.abs(_state_sums(t, m, [adjoint(tuple_power(t, q)) @ states]))
+    magnitudes = np.abs(_state_sums(t, m, adjoint(power) @ states))
     worst = float(magnitudes.max())
     scalar_all_zero = all(tol.is_zero(v, operator.scale) for v in magnitudes)
 
@@ -300,9 +297,9 @@ def audit_theorem_2_3(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> AuditReport:
     """Ascent: an (m; q)-partial isometry with reducing N(T^q) stays one at m+1, m+2."""
-    q = _validated_exponent(t, q)
-    base, up1, up2 = _partial_defects(t, (m, m + 1, m + 2), q, tol)
-    reducing, _ = null_reducing_check(t, q, tol)
+    q, power = _exponent_and_power(t, q)
+    base, up1, up2 = _partial_defects(t, (m, m + 1, m + 2), power, tol)
+    reducing, _ = _null_reducing(t, q, power, tol)
     hyp = base.is_zero and reducing
     subs = (
         SubVerdict(
@@ -337,9 +334,9 @@ def audit_theorem_2_2(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> AuditReport:
     """Stable null spaces collapse any (m; q)-partial isometry to q = (1,...,1)."""
-    q = _validated_exponent(t, q)
+    q, power = _exponent_and_power(t, q)
     levels, ones_q = _levels(t, m), (1,) * t.d
-    base = _defect(_fronted(levels, tuple_power(t, q)), m, tol)
+    base = _defect(_fronted(levels, power), m, tol)
     stable = _null_spaces_stable(t, tol)
     ones = base if q == ones_q else _defect(_fronted(levels, tuple_power(t, ones_q)), m, tol)
     hyp = base.is_zero and stable
@@ -377,7 +374,7 @@ def audit_proposition_2_1(
     """
     ones = (1,) * t.d
     flags = quasinormal_class(t, tol)
-    base, first = _partial_defects(t, (m, 1), ones, tol)
+    base, first = _partial_defects(t, (m, 1), tuple_power(t, ones), tol)
     hyp = flags.joint and base.is_zero
     subs = (
         SubVerdict(
@@ -407,13 +404,12 @@ def audit_proposition_2_1(
 def audit_proposition_2_4(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> AuditReport:
-    """Given an (m; q)-partial isometry, (m+1; q) holds iff the shifted
-    vector-state sum over the components vanishes on all basis states."""
-    q = _validated_exponent(t, q)
-    base, up = _partial_defects(t, (m, m + 1), q, tol)
-    # sum_j of the vector-state sum on T_j T*^q e_i, for every basis state e_i
-    shifted = adjoint(tuple_power(t, q))
-    worst = float(np.abs(_state_sums(t, m, (tj @ shifted for tj in t))).max())
+    """Given an (m; q)-partial isometry, (m+1; q) holds iff the shifted vector-state sum over
+    the components vanishes on all basis states. As sum_j level_k(T_j Y) = level_(k+1)(Y) by
+    sum_j k!/(beta-e_j)! = (k+1)!/beta!, one prefix tree of depth m+1 on T*^q is walked."""
+    q, power = _exponent_and_power(t, q)
+    base, up = _partial_defects(t, (m, m + 1), power, tol)
+    worst = float(np.abs(_state_sums(t, m, adjoint(power), ascent=1)).max())
     identity_zero = tol.is_zero(worst, max(1.0, base.scale))
     hyp = base.is_zero
     subs = (

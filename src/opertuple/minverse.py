@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -316,11 +317,11 @@ def audit_proposition_4_1(
     _check_shapes(s, t)
     levels, betas = _power_sum_sides(s, t, n_max)
 
+    deviation = cache(lambda mode, n, kmax: _expansion(levels[n], betas, n, mode, kmax)[1])
+
     def max_deviation(mode: str, kmax: int) -> float:
-        """The largest deviation over n = 1..n_max, with the expansion cut at k <= kmax."""
-        return max(
-            _expansion(levels[n], betas, n, mode, min(kmax, n))[1] for n in range(1, n_max + 1)
-        )
+        """Largest deviation over n = 1..n_max, cut at k <= min(kmax, n); each cut is taken once."""
+        return max(deviation(mode, n, min(kmax, n)) for n in range(1, n_max + 1))
 
     poch, binom = max_deviation("pochhammer", n_max), max_deviation("binomial", n_max)
     subs = [

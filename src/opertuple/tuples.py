@@ -274,7 +274,11 @@ def null_reducing_check(
     The trivial null space is reducing by convention. A T^q past the float range
     raises NumericalFailureError, as the defects do on levels that overflow.
     """
-    power = tuple_power(t, q)
+    return _null_reducing(t, q, tuple_power(t, q), tol)
+
+
+def _null_reducing(t: OperatorTuple, q, power: np.ndarray, tol: ToleranceModel):
+    """``null_reducing_check`` on T^q given as ``power``, for callers that formed it already."""
     if not np.isfinite(power).all():
         raise NumericalFailureError(
             "T^q is not finite: the power overflows", {"q": [int(v) for v in q]}

@@ -319,3 +319,35 @@ def test_audit_prop_2_1_jointly_quasinormal():
 def test_audit_prop_2_4_identity():
     rep = audit_proposition_2_4(unitary_scaled(3), 1, (1, 1, 1))
     assert rep.hypotheses_hold and rep.conclusion_holds
+
+
+# T^q, formed once per call and shared by the defects, the reducing check and the states;
+# thm2.2 forms T^q and T^(1,...,1) unless they coincide.
+POWERS_PER_OPERATION = {
+    "partial_isometry_defect": (lambda t, q: partial_isometry_defect(t, 3, q), 1),
+    "classify": (lambda t, q: classify(t, 3, q), 1),
+    "thm2.1": (lambda t, q: audit_theorem_2_1(t, 3, q), 1),
+    "thm2.2": (lambda t, q: audit_theorem_2_2(t, 3, q), 2),
+    "thm2.2.ones": (lambda t, q: audit_theorem_2_2(t, 3, (1, 1)), 1),
+    "thm2.3": (lambda t, q: audit_theorem_2_3(t, 3, q), 1),
+    "prop2.1": (lambda t, q: audit_proposition_2_1(t, 3), 1),
+    "prop2.4": (lambda t, q: audit_proposition_2_4(t, 3, q), 1),
+}
+
+
+@pytest.mark.parametrize("name", POWERS_PER_OPERATION)
+def test_each_audit_forms_t_to_the_q_once(monkeypatch, name):
+    from opertuple import defects, tuples
+
+    call, expected = POWERS_PER_OPERATION[name]
+    calls, power = [], tuples.tuple_power
+
+    def counting(t, alpha):
+        calls.append(tuple(alpha))
+        return power(t, alpha)
+
+    for module in (defects, tuples):
+        monkeypatch.setattr(module, "tuple_power", counting)
+    t = random_commuting_tuple(GeneratorSpec("polynomial_family", 5, 4, 2, {"degree": 2}))
+    call(t, (2, 1))
+    assert len(calls) == expected

@@ -248,3 +248,20 @@ def test_prop_4_1_hypothesis_is_is_left_m_inverse(n_max, inverse_order):
     for s, t in pairs:
         rep = audit_proposition_4_1(s, t, n_max=n_max, inverse_order=inverse_order)
         assert rep.hypothesis_breakdown["left_m_inverse"] == is_left_m_inverse(s, t, inverse_order)
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 5])
+@pytest.mark.parametrize("inverse_order", [None, 0, 1, 2, 4, 5, 8])
+def test_prop_4_1_takes_each_full_expansion_once(monkeypatch, n_max, inverse_order):
+    # 2 n_max full expansions, then a truncated one only where the cut falls below n
+    calls, expansion = [], minverse._expansion
+
+    def counting(lhs, betas, n, mode, kmax):
+        calls.append((n, mode, kmax))
+        return expansion(lhs, betas, n, mode, kmax)
+
+    monkeypatch.setattr(minverse, "_expansion", counting)
+    audit_proposition_4_1(*_shifted_invertible_pair(3), n_max=n_max, inverse_order=inverse_order)
+    cut = n_max if inverse_order is None else inverse_order - 1
+    truncated = sum(1 for n in range(1, n_max + 1) if n > cut)
+    assert len(calls) == len(set(calls)) == 2 * n_max + 2 * truncated

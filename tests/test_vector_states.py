@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opertuple.defects import _scalar_states, _state_sums, audit_theorem_2_1, scalar_defect
+from opertuple import defects
+from opertuple.defects import (
+    _scalar_states,
+    _state_sums,
+    audit_proposition_2_4,
+    audit_theorem_2_1,
+    scalar_defect,
+)
 from opertuple.generators import GeneratorSpec, paper_example, random_commuting_tuple
 from opertuple.linalg import NumericalFailureError, adjoint
 from opertuple.multiindex import enumerate_multiindices, multinomial_weight
@@ -64,7 +71,7 @@ def test_theorem_2_1_states_match_reference_and_operator_route(instance):
     t, m, q, polarize = instance
     states = _scalar_states(t.dim, polarize)
     shift = adjoint(tuple_power(t, q))
-    values = _state_sums(t, m, [shift @ states])
+    values = _state_sums(t, m, shift @ states)
     for c in range(states.shape[1]):
         terms = termwise_terms(t, m, shift @ states[:, c])
         scale = np.abs(terms).max()
@@ -72,17 +79,45 @@ def test_theorem_2_1_states_match_reference_and_operator_route(instance):
         assert abs(values[c] - operator_value(t, m, q, states[:, c], ascent=0)) <= GAP * scale
 
 
+def block_sums(t, m, shift):
+    """sum_j sum_k (-1)^k C(m,k) level_k(T_j T*^q e_i): d blocks T_j T*^q, each walked to depth m."""
+    return sum(_state_sums(t, m, tj @ shift) for tj in t)
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_proposition_2_4_sums_match_reference_and_operator_route(instance):
     t, m, q, _ = instance
     shift = adjoint(tuple_power(t, q))
-    values = _state_sums(t, m, (tj @ shift for tj in t))
+    values = _state_sums(t, m, shift, ascent=1)
+    blocks = block_sums(t, m, shift)
+    scales = []
     for i, x in enumerate(np.eye(t.dim, dtype=np.complex128).T):
         terms = sum(termwise_terms(t, m, tj @ shift @ x) for tj in t)
-        scale = np.abs(terms).max()
+        scales.append(scale := np.abs(terms).max())
+        assert abs(values[i] - blocks[i]) <= GAP * scale
         assert abs(values[i] - terms.sum().real) <= GAP * scale
         assert abs(values[i] - operator_value(t, m, q, x, ascent=1)) <= GAP * scale
+    worst = audit_proposition_2_4(t, m, q).norms["max_identity_sum"]
+    assert abs(worst - np.abs(blocks).max()) <= GAP * max(scales)
+
+
+def test_proposition_2_4_walks_one_tree_of_depth_m_plus_1(monkeypatch):
+    walk, steps = defects.prefix_tree, []
+
+    def counted(d, kmax, root, step):
+        def counted_step(j, z):
+            steps.append(j)
+            return step(j, z)
+
+        return walk(d, kmax, root, counted_step)
+
+    monkeypatch.setattr(defects, "prefix_tree", counted)
+    for d, m in ((1, 3), (2, 1), (3, 2), (4, 4)):
+        spec = GeneratorSpec("polynomial_family", d, 5, d, {"degree": 2})
+        steps.clear()
+        audit_proposition_2_4(random_commuting_tuple(spec), m, (1,) * d)
+        assert len(steps) == math.comb(m + 1 + d, d) - 1
 
 
 def test_polarized_states_are_the_documented_combinations():
