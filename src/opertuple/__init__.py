@@ -68,8 +68,6 @@ _EXPORTS = {
         "joint_point_spectrum",
         "joint_spectrum",
         "simultaneous_triangularize",
-        "spectral_radius",
-        "taylor_diagonal",
         "zero_variety_member",
     ),
     "minverse": (

@@ -209,16 +209,17 @@ def _spectral_mapping_audit(
     """Shared body of the two spectral-mapping audits.
 
     ``source`` is the tuple whose spectrum gets mapped by lambda_j -> 1/(d l_j)
-    and ``target`` the tuple expected to contain the image. Claim (1), as
+    and ``target`` the tuple expected to contain the image, which each source
+    point's witness is tried on first: target's spectrum is computed only when
+    some image is not certified that way. Claim (1), as
     printed, says the zero variety is not contained in sigma_ap(source); the
     stronger disjointness reading is recorded separately and never drives the
     exit verdict.
     """
-    from .spectra import _near_spectrum, joint_point_spectrum, zero_variety_member
+    from .spectra import _in_point_spectrum, joint_point_spectrum, zero_variety_member
 
     inverse_holds = tol.is_zero(beta_result.norm, beta_result.scale)
     src_points = joint_point_spectrum(source, tol, seed)
-    tgt_points = joint_point_spectrum(target, tol, seed + 1)
 
     in_zero = [lam for lam, _ in src_points if zero_variety_member(lam, tol)]
     if source.d == 1:
@@ -228,11 +229,13 @@ def _spectral_mapping_audit(
         literal_reading = True
     strict_reading = len(in_zero) == 0
 
-    off_zero = [lam for lam, _ in src_points if not zero_variety_member(lam, tol)]
-    images = [_mapped_point(lam, source.d) for lam in off_zero]
-    found = _near_spectrum(images, [mu for mu, _ in tgt_points], source.d)
+    off_zero = [(lam, x) for lam, x in src_points if not zero_variety_member(lam, tol)]
+    images = [_mapped_point(lam, source.d) for lam, _ in off_zero]
+    found = _in_point_spectrum(
+        target, images, [x for _, x in off_zero], lambda: joint_point_spectrum(target, tol, seed + 1), tol
+    )
     witnesses = []
-    for lam, image, hit in zip(off_zero, images, found):
+    for (lam, _x), image, hit in zip(off_zero, images, found):
         if not hit:
             witnesses.append(Witness("eigenvalue whose image is missing", lam))
             witnesses.append(Witness("missing image point", image))

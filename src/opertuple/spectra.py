@@ -14,15 +14,19 @@ retries that all fail, hand over to the deterministic fallback, which deflates
 one common eigenvector at a time.
 
 Each call triangularizes once; the point spectrum and the spectral radius
-share its diagonal, and prop3.2 reads the adjoint tuple's triangularization off
-the same factors, in the reversed basis. A candidate at diagonal position i is
-confirmed inside that Schur basis: back-substitution in the leading block of a
-fixed combination of the triangular factors gives a witness x, and a stacked
+share its diagonal. A candidate at diagonal position i is confirmed inside
+that Schur basis: back-substitution in the leading block of a fixed
+combination of the triangular factors gives a witness x, and a stacked
 residual ||[T_j x - l_j x]_j|| at or below the rank cutoff of a lower bound on
 the stack's sigma_max certifies what its SVD would decide. Candidates the
 certificate cannot settle fall back to the null space of the stacked system,
 the only way a candidate is rejected. Every witness has a fixed phase: its
 first entry within a relative 1e-8 of the largest modulus is real and positive.
+A point claimed to lie in a partner's spectrum (conj(lambda) in sigma_p(T*)
+for prop3.2, 1/(d lambda_j) in sigma_p(S) for thm4.1/4.2) is first put to the
+same certificate with the witness of lambda itself; the partner's points are
+computed only when some claimed point is left undecided, and prop3.2 then
+reads T*'s triangularization off T's factors, in the reversed basis.
 Proximity of joint eigenvalues is one L-infinity distance matrix.
 """
 
@@ -52,7 +56,7 @@ from .reports import (
     build_report,
     to_json,
 )
-from .tuples import OperatorTuple, adjoint_tuple, null_reducing_check
+from .tuples import OperatorTuple, _null_reducing, adjoint_tuple
 
 # Fixed bounds of the spectral decisions; zeros and ranks go through ToleranceModel.
 CLUSTER_TOL = 1e-7  # L-inf merge distance; times max(1, ||point||_inf) when matching
@@ -157,14 +161,6 @@ def simultaneous_triangularize(
     )
 
 
-def taylor_diagonal(
-    t: OperatorTuple, seed: int = 0, tol: ToleranceModel = DEFAULT_TOL
-) -> list[tuple[complex, ...]]:
-    """Joint diagonal d-vectors (with multiplicity): the Taylor-spectrum surrogate."""
-    _, us = simultaneous_triangularize(t, seed, tol)
-    return _diagonal(us)
-
-
 def _diagonal(us) -> list[tuple[complex, ...]]:
     return list(map(tuple, np.stack([u.diagonal() for u in us], axis=1).tolist()))
 
@@ -194,6 +190,18 @@ def _near_spectrum(points, spectrum_points, d: int) -> list[bool]:
     return (_linf_distances(points, spectrum_points, d) <= atol[:, None]).any(axis=1).tolist()
 
 
+def _in_point_spectrum(t: OperatorTuple, points, xs, own_points, tol: ToleranceModel) -> list[bool]:
+    """Whether each joint point (k x d) lies in sigma_p(t). Each point is first certified with
+    its own unit witness xs[c]; only if some point is not are t's confirmed points computed, by
+    ``own_points()``, and a point within CLUSTER_TOL of one of them counts as found."""
+    points = np.reshape(points, (-1, t.d))
+    found = _certified(t, np.reshape(xs, (-1, t.dim)).T, points.T, tol)
+    if not all(found):
+        near = _near_spectrum(points, [mu for mu, _ in own_points()], t.d)
+        found = [c or n for c, n in zip(found, near)]
+    return found
+
+
 def _fixed_phase(x: np.ndarray) -> np.ndarray:
     """x (a vector, or each column) times the unit scalar that makes its first entry
     within a relative 1e-8 of the largest modulus real and positive."""
@@ -209,6 +217,26 @@ def _certificate_weights(d: int) -> np.ndarray:
     """The fixed weights g of the combination sum_j g_j U_j that the certificate
     back-substitutes in: unit moduli, phases irrational multiples of pi."""
     return np.exp(1j * math.sqrt(2.0) * np.arange(1, d + 1))
+
+
+def _certified(t: OperatorTuple, x: np.ndarray, lams: np.ndarray, tol: ToleranceModel) -> list[bool]:
+    """Whether each unit column x_c proves the column lams[:, c] (d x k) a joint eigenvalue
+    of ``t``: its stacked residual ||[T_j x_c - l_j x_c]_j|| is at or below the rank cutoff
+    of a lower bound on the stack's sigma_max, so the stack's SVD would find a null space."""
+    n, d = t.dim, t.d
+    # The (d·n) x n stack has sigma_max >= ||stack||_F / sqrt(n). Each
+    # ||T_j - l_j I||_F^2 is summed as its off-diagonal part plus the
+    # |t_kk - l_j|^2, so nothing cancels when T_j is close to l_j I.
+    # A cutoff that overflows certifies nothing; the stacked SVD decides.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual2 = sum(np.linalg.norm(m @ x - x * lj, axis=0) ** 2 for m, lj in zip(t, lams))
+        frob2 = sum(
+            np.square(frobenius_norm(m - np.diag(np.diag(m))))
+            + (np.abs(np.diag(m)[:, None] - lj) ** 2).sum(axis=0)
+            for m, lj in zip(t, lams)
+        )
+    cutoffs = [tol.rank_cutoff(d * n, math.sqrt(f / n)) for f in frob2]
+    return [bool(r <= c and math.isfinite(c)) for r, c in zip(np.sqrt(residual2), cutoffs)]
 
 
 def _schur_witnesses(t: OperatorTuple, factors, diag, kept: list[int], tol: ToleranceModel):
@@ -229,20 +257,7 @@ def _schur_witnesses(t: OperatorTuple, factors, diag, kept: list[int], tol: Tole
             y[k, above] = -(combo[k, k + 1 :] @ y[k + 1 :, above]) / (combo[k, k] - shifts[above])
         x = q @ y
         x /= np.linalg.norm(x, axis=0)
-        lams = np.array([diag[i] for i in kept]).T
-        residual2 = sum(np.linalg.norm(m @ x - x * lj, axis=0) ** 2 for m, lj in zip(t, lams))
-    # The (d·n) x n stack has sigma_max >= ||stack||_F / sqrt(n). Each
-    # ||T_j - l_j I||_F^2 is summed as its off-diagonal part plus the
-    # |t_kk - l_j|^2, so nothing cancels when T_j is close to l_j I.
-    # A cutoff that overflows certifies nothing; the stacked SVD decides.
-    with np.errstate(over="ignore"):
-        frob2 = sum(
-            np.square(frobenius_norm(m - np.diag(np.diag(m))))
-            + (np.abs(np.diag(m)[:, None] - lj) ** 2).sum(axis=0)
-            for m, lj in zip(t, lams)
-        )
-    cutoffs = [tol.rank_cutoff(d * n, math.sqrt(f / n)) for f in frob2]
-    return x, [bool(r <= c and math.isfinite(c)) for r, c in zip(np.sqrt(residual2), cutoffs)]
+    return x, _certified(t, x, np.array([diag[i] for i in kept]).T, tol)
 
 
 def _confirmed_points(
@@ -314,13 +329,6 @@ def _point_residual(t: OperatorTuple, lam, x) -> float:
     return max(float(np.linalg.norm(m @ x - lj * x)) for m, lj in zip(t, lam))
 
 
-def spectral_radius(
-    t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
-) -> float:
-    """max ||lambda||_2 over the Taylor-spectrum surrogate."""
-    return _radius(taylor_diagonal(t, seed, tol))
-
-
 def _norm2(lam) -> float:
     """||lambda||_2 of a joint eigenvalue, without squaring its entries."""
     return math.hypot(*map(abs, lam))
@@ -383,10 +391,11 @@ def audit_theorem_3_1(
 ) -> AuditReport:
     """Joint spectrum of a reducing (m; q)-partial isometry sits on the unit
     sphere or in the zero variety; the corollary's r(T) = 1 rides along."""
-    from .defects import partial_isometry_defect
+    from .defects import _exponent_and_power, _partial_defects
 
-    defect = partial_isometry_defect(t, m, q, tol)
-    reducing, _ = null_reducing_check(t, q, tol)
+    q, power = _exponent_and_power(t, q)
+    defect = _partial_defects(t, (m,), power, tol)[0]
+    reducing, _ = _null_reducing(t, q, power, tol)
     hyp = defect.is_zero and reducing
 
     diag, points = _point_spectrum(t, tol, seed)
@@ -439,21 +448,26 @@ def audit_proposition_3_2(
     T is triangularized once. If Q* T_j Q = U_j is upper triangular, then
     Q* T_j* Q = U_j* is lower triangular, and reversing the basis (P) makes
     (QP)* T_j* (QP) = P U_j* P upper triangular: T*'s points are confirmed
-    from those factors, each by a witness residual on T* itself."""
-    from .defects import partial_isometry_defect
+    from those factors, each by a witness residual on T* itself. A conjugate
+    that T's own witness already certifies on T* needs none of them."""
+    from .defects import _exponent_and_power, _partial_defects
 
-    defect = partial_isometry_defect(t, m, q, tol)
-    reducing, _ = null_reducing_check(t, q, tol)
+    q, power = _exponent_and_power(t, q)
+    defect = _partial_defects(t, (m,), power, tol)[0]
+    reducing, _ = _null_reducing(t, q, power, tol)
     hyp = defect.is_zero and reducing
 
     factors = simultaneous_triangularize(t, seed, tol)
     _, points = _factor_points(t, factors, tol)
-    _, adj_points = _factor_points(adjoint_tuple(t), _adjoint_factors(factors), tol)
+    adj = adjoint_tuple(t)
     witnesses = []
 
-    off_zero = [lam for lam, _x in points if not zero_variety_member(lam, tol)]
-    found = _near_spectrum(np.conj(off_zero), [mu for mu, _ in adj_points], t.d)
-    for lam, hit in zip(off_zero, found):
+    off_zero = [(lam, x) for lam, x in points if not zero_variety_member(lam, tol)]
+    found = _in_point_spectrum(
+        adj, np.conj([lam for lam, _ in off_zero]), [x for _, x in off_zero],
+        lambda: _factor_points(adj, _adjoint_factors(factors), tol)[1], tol,
+    )
+    for (lam, _x), hit in zip(off_zero, found):
         if not hit:
             witnesses.append(Witness("conjugate missing from adjoint spectrum", lam))
 

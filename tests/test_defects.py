@@ -23,6 +23,7 @@ from opertuple.generators import (
     random_unitary,
 )
 from opertuple.linalg import adjoint, frobenius_norm
+from opertuple.spectra import audit_proposition_3_2, audit_theorem_3_1
 from opertuple.tuples import conjugate_by_unitary, make_tuple, permute_tuple
 
 RNG = np.random.default_rng(31415)
@@ -332,6 +333,8 @@ POWERS_PER_OPERATION = {
     "thm2.3": (lambda t, q: audit_theorem_2_3(t, 3, q), 1),
     "prop2.1": (lambda t, q: audit_proposition_2_1(t, 3), 1),
     "prop2.4": (lambda t, q: audit_proposition_2_4(t, 3, q), 1),
+    "thm3.1": (lambda t, q: audit_theorem_3_1(t, 3, q), 1),
+    "prop3.2": (lambda t, q: audit_proposition_3_2(t, 3, q), 1),
 }
 
 

@@ -1,11 +1,14 @@
+import itertools
+import json
 import math
 import pathlib
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opertuple import spectra
+from opertuple import cli, spectra
 from opertuple.generators import (
     GeneratorSpec,
     example_2_1_matrix,
@@ -42,11 +45,11 @@ from opertuple.spectra import (
     joint_point_spectrum,
     joint_spectrum,
     simultaneous_triangularize,
-    spectral_radius,
-    taylor_diagonal,
     zero_variety_member,
 )
-from opertuple.tuplefile import parse_tuple_file
+from opertuple.minverse import audit_theorem_4_1, audit_theorem_4_2
+from opertuple.reports import report_to_dict
+from opertuple.tuplefile import parse_partner, parse_tuple_file
 from opertuple.tuples import adjoint_tuple, conjugate_by_unitary, make_tuple, permute_tuple
 
 RNG = np.random.default_rng(99)
@@ -119,7 +122,7 @@ def test_simultaneous_triangularize_triangular_inputs():
 
 def test_simultaneous_triangularize_jordan_pair():
     t = make_tuple([np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[2.0, 3.0], [0.0, 2.0]])])
-    diag = taylor_diagonal(t)
+    diag = joint_spectrum(t).taylor_diagonal
     assert len(diag) == 2
     for lam in diag:
         assert abs(lam[0] - 1.0) < 1e-8 and abs(lam[1] - 2.0) < 1e-8
@@ -166,25 +169,25 @@ def test_defective_matrix_points_are_residual_certified():
 def test_taylor_diagonal_seed_independent():
     spec = GeneratorSpec(scheme="polynomial_family", seed=11, dim=4, d=2, params={"degree": 2})
     t = random_commuting_tuple(spec)
-    d1 = sorted(taylor_diagonal(t, seed=0), key=lambda p: (p[0].real, p[0].imag))
-    d2 = sorted(taylor_diagonal(t, seed=123), key=lambda p: (p[0].real, p[0].imag))
+    d1 = sorted(joint_spectrum(t, seed=0).taylor_diagonal, key=lambda p: (p[0].real, p[0].imag))
+    d2 = sorted(joint_spectrum(t, seed=123).taylor_diagonal, key=lambda p: (p[0].real, p[0].imag))
     for a, b in zip(d1, d2):
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-7
 
 
 def test_spectral_radius_cases():
-    assert spectral_radius(unitary_scaled(3)) == pytest.approx(1.0, abs=1e-10)
+    assert joint_spectrum(unitary_scaled(3)).spectral_radius == pytest.approx(1.0, abs=1e-10)
     t = make_tuple([golden_ratio_matrix(), np.zeros((2, 2), dtype=complex)])
-    assert spectral_radius(t) == pytest.approx(GOLDEN_A, abs=1e-8)
-    assert spectral_radius(make_tuple([np.zeros((3, 3))])) == 0.0
+    assert joint_spectrum(t).spectral_radius == pytest.approx(GOLDEN_A, abs=1e-8)
+    assert joint_spectrum(make_tuple([np.zeros((3, 3))])).spectral_radius == 0.0
 
 
 def test_spectral_radius_unitary_invariant():
     spec = GeneratorSpec(scheme="polynomial_family", seed=21, dim=4, d=2, params={"degree": 2})
     t = random_commuting_tuple(spec)
     v = random_unitary(4, RNG)
-    assert spectral_radius(conjugate_by_unitary(t, v)) == pytest.approx(
-        spectral_radius(t), abs=1e-10
+    assert joint_spectrum(conjugate_by_unitary(t, v)).spectral_radius == pytest.approx(
+        joint_spectrum(t).spectral_radius, abs=1e-10
     )
 
 
@@ -304,10 +307,10 @@ def test_one_triangularization_matches_standalone_calls(name):
     points = joint_point_spectrum(t, DEFAULT_TOL, seed)
     assert [lam for lam, _ in result.point_spectrum] == [lam for lam, _ in points]
     assert [x for _, x in result.point_spectrum] == [tuple(x) for _, x in points]
-    assert list(result.taylor_diagonal) == taylor_diagonal(t, seed, DEFAULT_TOL)
-    assert result.spectral_radius == spectral_radius(t, DEFAULT_TOL, seed)
+    assert list(result.taylor_diagonal) == _diagonal(simultaneous_triangularize(t, seed)[1])
+    assert result.spectral_radius == max(math.hypot(*map(abs, lam)) for lam in result.taylor_diagonal)
     report = audit_theorem_3_1(t, 1, (1,) * t.d)
-    assert report.norms["spectral_radius"] == spectral_radius(t)
+    assert report.norms["spectral_radius"] == joint_spectrum(t).spectral_radius
     assert report.sub_verdicts[0].details["points_checked"] == len(joint_point_spectrum(t))
 
 
@@ -459,7 +462,7 @@ def test_certificate_fallback_rejects_near_commuting_candidates(monkeypatch):
     nullities = counting_null_spaces(monkeypatch)
     assert joint_point_spectrum(t) == []
     assert nullities == [0, 0]
-    assert len(taylor_diagonal(t)) == 2
+    assert len(joint_spectrum(t).taylor_diagonal) == 2
 
 
 def witnesses_by_lambda(points):
@@ -774,3 +777,131 @@ def test_prop_3_2_defective_conjugates_share_one_schur_basis(seed):
     assert not any(w.label.startswith("conjugate") for w in report.witnesses)
     assert not ortho_sub.conclusion_holds
     assert not report.hypotheses_hold and report.conclusion_holds
+
+
+# Mapped (thm4.1, thm4.2) and conjugate (prop3.2) points are first certified with the
+# source point's own witness; the partner's spectrum is computed only when that fails.
+
+
+def near_only(t, points, xs, own_points, tol):
+    """The route before witness certificates: t's whole point spectrum, then ``_near_spectrum``
+    alone. Patched over ``spectra._in_point_spectrum``, it is the reference the audits match."""
+    return _near_spectrum(points, [mu for mu, _ in own_points()], t.d)
+
+
+def shifted_inverse_pair(seed, dim, d):
+    """T = W diag W^-1 + 12 I and S_j = T_j^-1 / d: a left (and right) 1-inverse pair."""
+    base = random_commuting_tuple(GeneratorSpec("diagonal_conjugate", seed, dim, d, {"unitary": False}))
+    t = make_tuple([m + 12.0 * np.eye(dim) for m in base])
+    return make_tuple([np.linalg.inv(m) / d for m in t]), t
+
+
+def unipotent_pair(n, seed, conjugated):
+    """T = (I + a_j N), S = ((I + c_j N) / 2) with N the order-n nilpotent Jordan block:
+    beta_n(S, T) = 0. Conjugated by one random unitary, the eigenvalue 1 smears."""
+    rng = np.random.default_rng(seed)
+    nil, eye = np.eye(n, k=1), np.eye(n)
+    coeffs = rng.standard_normal((4, 2)) @ np.array([1.0, 1j])
+    s, t = make_tuple([(eye + c * nil) / 2 for c in coeffs[2:]]), make_tuple([eye + c * nil for c in coeffs[:2]])
+    if conjugated:
+        v = random_unitary(n, rng)
+        s, t = conjugate_by_unitary(s, v), conjugate_by_unitary(t, v)
+    return s, t
+
+
+def mapping_family(name):
+    """The audit calls of one family, as zero-argument callables."""
+    if name == "inverse_pairs":
+        pairs = [shifted_inverse_pair(seed, dim, d) for seed in (1, 2) for dim, d in ((8, 2), (16, 3))]
+        return [partial(a, s, t, 1) for s, t in pairs for a in (audit_theorem_4_1, audit_theorem_4_2)]
+    if name == "pi_diagonal":
+        spec = lambda seed, dim, d: GeneratorSpec("diagonal_conjugate", seed, dim, d, {"unitary": True, "pi_diagonals": True})
+        tuples = [random_commuting_tuple(spec(seed, dim, d)) for seed in (1, 2) for dim, d in ((8, 2), (16, 3))]
+        return [partial(audit_proposition_3_2, t, 1, (1,) * t.d) for t in tuples]
+    if name == "claims":
+        claims = [cli.CLAIMS[c] for c in ("thm4.1", "thm4.2", "prop3.2")]
+        return [partial(c.audit, *c.random_instance(seed, trial), DEFAULT_TOL, seed)
+                for c in claims for seed in range(3) for trial in range(4)]
+    if name == "unipotent":
+        calls = []
+        for n, seed, conjugated in itertools.product((2, 3, 4, 6), (0, 1), (False, True)):
+            s, t = unipotent_pair(n, seed, conjugated)
+            calls += [partial(audit_theorem_4_1, s, t, n), partial(audit_theorem_4_2, t, s, n),
+                      partial(audit_proposition_3_2, t, 1, (1, 1))]
+        return calls
+    j = 0.3 * np.eye(6) + np.eye(6, k=1)
+    pairs = [make_tuple([j, j @ j + 2 * j]), jordan_pair(0), jordan_pair(1)]
+    return [partial(a, t, t, 1) for t in pairs for a in (audit_theorem_4_1, audit_theorem_4_2)] + [
+        partial(audit_proposition_3_2, t, 1, (1, 1)) for t in pairs
+    ]
+
+
+def dumped(calls):
+    return [json.dumps(report_to_dict(call()), sort_keys=True) for call in calls]
+
+
+@pytest.mark.parametrize("family", ["inverse_pairs", "pi_diagonal", "claims", "unipotent", "jordan"])
+def test_witness_certificates_leave_every_report_as_the_partner_spectrum_gives_it(monkeypatch, family):
+    calls = mapping_family(family)
+    reports = dumped(calls)
+    monkeypatch.setattr(spectra, "_in_point_spectrum", near_only)
+    assert reports == dumped(calls)
+
+
+def counting(monkeypatch, name):
+    """Patch spectra.<name> to count its calls; returns the list it appends to."""
+    calls, original = [], getattr(spectra, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("audit", [audit_theorem_4_1, audit_theorem_4_2])
+def test_mapping_audit_on_an_inverse_pair_triangularizes_once(monkeypatch, audit):
+    s, t = shifted_inverse_pair(3, 12, 3)
+    triangularizations = counting(monkeypatch, "simultaneous_triangularize")
+    report = audit(s, t, 1)
+    assert report.hypotheses_hold and report.conclusion_holds
+    assert len(triangularizations) == 1
+
+
+@pytest.mark.parametrize("name", ["normal", "pi_diagonal", "unitary_scaled"])
+def test_prop_3_2_on_a_normal_tuple_builds_no_adjoint_factors(monkeypatch, name):
+    t = adjoint_case(name)
+    adjoint_factors = counting(monkeypatch, "_adjoint_factors")
+    assert audit_proposition_3_2(t, 1, (1,) * t.d).sub_verdicts[0].conclusion_holds
+    assert adjoint_factors == []
+
+
+def scalar_counterexample():
+    parsed = parse_tuple_file((DATA / "scalar_counterexample_thm4_1.json").read_text())
+    return parse_partner(parsed, "left_inverse"), parsed.tuple
+
+
+def diagonal_and_oblique_inverse():
+    """T = diag(2, 3) and S = P diag(1/2, 1/3) P^-1, P not orthogonal: the images 1/2, 1/3 are
+    in sigma_p(S), but T's witnesses e_1, e_2 are not S's eigenvectors."""
+    p = np.array([[1.0, 1.0], [1.0, 2.0]])
+    return make_tuple([p @ np.diag([0.5, 1.0 / 3.0]) @ np.linalg.inv(p)]), make_tuple([np.diag([2.0, 3.0])])
+
+
+@pytest.mark.parametrize(
+    "case, found",
+    [
+        (scalar_counterexample, False),
+        (lambda: unipotent_pair(2, 0, True), True),
+        (diagonal_and_oblique_inverse, True),
+    ],
+    ids=["scalar_counterexample", "unipotent_conjugated", "oblique_inverse"],
+)
+def test_mapping_audit_takes_the_partner_spectrum_when_a_witness_fails(monkeypatch, case, found):
+    s, t = case()
+    spectra_taken = counting(monkeypatch, "joint_point_spectrum")
+    mapped = audit_theorem_4_1(s, t, 1).sub_verdicts[2]
+    assert mapped.name == "(2)/(3) eigenvalues map via 1/(d lambda_j)"
+    assert mapped.conclusion_holds == found
+    assert len(spectra_taken) == 2
