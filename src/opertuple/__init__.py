@@ -22,14 +22,11 @@ _EXPORTS = {
         "adjoint",
         "frobenius_norm",
         "null_space_basis",
-        "eigendecomposition",
         "unitary_triangularize",
     ),
     "multiindex": (
         "MultiIndex",
-        "enumerate_multiindices",
         "multinomial_weight",
-        "pascal_multinomial",
         "pochhammer_descending",
     ),
     "tuples": (

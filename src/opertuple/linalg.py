@@ -1,8 +1,8 @@
 """Dense complex matrix primitives shared by every other module.
 
 Thin, contract-checked wrappers around numpy's LAPACK routines: adjoints,
-Frobenius norms, rank-revealing null spaces, eigendecomposition, and complex
-Schur triangularization. Rank decisions use a scale-invariant singular-value
+Frobenius norms, rank-revealing null spaces, and complex Schur
+triangularization. Rank decisions use a scale-invariant singular-value
 cutoff instead of a fixed epsilon. The Schur form is built from eigenvectors,
 so numpy is the only dependency.
 """
@@ -105,36 +105,6 @@ def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL) -> np.nda
     cutoff = tol.rank_cutoff(max(a.shape), sigma_max)
     mask = sigma <= cutoff
     return vh.conj().T[:, mask]
-
-
-def eigendecomposition(a: np.ndarray) -> list[tuple[complex, np.ndarray]]:
-    """Eigenpairs (with algebraic multiplicity) of a square matrix.
-
-    Each returned eigenvector is unit norm with residual
-    ||A v - lambda v|| <= 1e-8 * max(1, ||A||_F). Ordering is whatever LAPACK
-    produces; callers sort or cluster themselves. For defective matrices the
-    vectors may repeat.
-    """
-    a = as_matrix(a)
-    try:
-        values, vectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"eigendecomposition did not converge: {exc}",
-            {"dim": a.shape[0], "norm": frobenius_norm(a)},
-        ) from exc
-    bound = 1e-8 * max(1.0, frobenius_norm(a))
-    pairs = []
-    for lam, v in zip(values, vectors.T):
-        v = v / np.linalg.norm(v)
-        residual = float(np.linalg.norm(a @ v - lam * v))
-        if residual > bound:
-            raise NumericalFailureError(
-                "eigenpair residual exceeds contract",
-                {"eigenvalue": complex(lam), "residual": residual, "bound": bound},
-            )
-        pairs.append((complex(lam), v))
-    return pairs
 
 
 def unitary_triangularize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

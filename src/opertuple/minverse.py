@@ -86,7 +86,6 @@ def beta(
     t: OperatorTuple,
     m: int,
     method: str = "auto",
-    tol: ToleranceModel = DEFAULT_TOL,
 ) -> BetaResult:
     """beta_m(S, T) by the requested route.
 
@@ -133,7 +132,7 @@ def is_left_m_inverse(
     s: OperatorTuple, t: OperatorTuple, m: int, tol: ToleranceModel = DEFAULT_TOL
 ) -> bool:
     """Whether beta_m(S, T) vanishes, i.e. S is a joint left m-inverse of T."""
-    result = beta(s, t, m, tol=tol)
+    result = beta(s, t, m)
     return tol.is_zero(result.norm, result.scale)
 
 
@@ -285,7 +284,7 @@ def audit_theorem_4_1(
     seed: int = 0,
 ) -> AuditReport:
     """Spectral consequences of a left m-inverse: sigma(T) maps into sigma(S)."""
-    return _spectral_mapping_audit("thm4.1", t, s, beta(s, t, m, tol=tol), tol, seed)
+    return _spectral_mapping_audit("thm4.1", t, s, beta(s, t, m), tol, seed)
 
 
 def audit_theorem_4_2(
@@ -296,7 +295,7 @@ def audit_theorem_4_2(
     seed: int = 0,
 ) -> AuditReport:
     """Right-inverse variant: sigma(R) maps into sigma(T)."""
-    return _spectral_mapping_audit("thm4.2", r, t, beta(t, r, m, tol=tol), tol, seed)
+    return _spectral_mapping_audit("thm4.2", r, t, beta(t, r, m), tol, seed)
 
 
 def audit_proposition_4_1(

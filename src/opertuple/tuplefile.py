@@ -174,7 +174,6 @@ def serialize_tuple_file(
     m: int | None = None,
     q=None,
     metadata: dict | None = None,
-    indent: int | None = 2,
 ) -> str:
     doc: dict = {"d": t.d, "dim": t.dim, "matrices": matrices_to_json(t.matrices)}
     if q is not None:
@@ -183,4 +182,4 @@ def serialize_tuple_file(
         doc["m"] = int(m)
     if metadata:
         doc["metadata"] = metadata
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True)

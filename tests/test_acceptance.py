@@ -21,13 +21,11 @@ from opertuple.generators import (
 )
 from opertuple.linalg import frobenius_norm
 from opertuple.minverse import beta, expand_power_sum
-from opertuple.multiindex import (
-    enumerate_multiindices,
-    multinomial_weight,
-    pascal_multinomial,
-)
+from opertuple.multiindex import multinomial_weight
 from opertuple.spectra import audit_theorem_3_1, joint_point_spectrum, joint_spectrum
 from opertuple.tuples import make_tuple, null_reducing_check
+
+from multiindex_oracle import enumerate_multiindices, pascal_multinomial
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 

@@ -205,6 +205,18 @@ def test_classify_at_maximum_order_emits_json(capsys):
     assert json.loads(out)["m"] == MAX_ORDER
 
 
+def test_thm2_1_at_maximum_order_with_weights_past_int64(capsys, tmp_path):
+    # d = 5, m = 32: the weights k!/alpha! reach ~3e19, past the signed 64-bit range;
+    # they are float64 multipliers, so the audit runs to its verdict
+    path = tmp_path / "d5_m32.json"
+    matrices = [[[[0.5, 0.0]]]] * 5
+    path.write_text(json.dumps({"d": 5, "dim": 1, "m": MAX_ORDER, "q": [0] * 5, "matrices": matrices}))
+    code = main(["audit", "--claim", "thm2.1", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "all binding conclusions hold" in captured.out
+
+
 def test_overflowing_defect_is_a_numerical_failure(capsys, tmp_path):
     # ||L_k|| = 1e20^k leaves the float range at k = 16 <= MAX_ORDER; no numpy warning
     # may reach stderr ahead of the two documented lines

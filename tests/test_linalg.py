@@ -10,11 +10,12 @@ from opertuple.linalg import (
     ToleranceModel,
     adjoint,
     as_matrix,
-    eigendecomposition,
     frobenius_norm,
     null_space_basis,
     unitary_triangularize,
 )
+from opertuple.spectra import joint_spectrum
+from opertuple.tuples import make_tuple
 
 RNG = np.random.default_rng(20240809)
 
@@ -132,29 +133,37 @@ def test_null_space_matches_full_svd_reference(rows, cols, rank):
     )
 
 
+def _eigenvalues(a):
+    """The eigenvalues of A on the program's own path: the Taylor diagonal of the 1-tuple (A)."""
+    return [lam for (lam,) in joint_spectrum(make_tuple([a])).taylor_diagonal]
+
+
 def test_eigendecomposition_diagonal():
-    pairs = eigendecomposition(np.diag([1.0, 2.0]))
-    values = sorted(lam.real for lam, _ in pairs)
+    values = sorted(lam.real for lam in _eigenvalues(np.diag([1.0, 2.0])))
     assert values == pytest.approx([1.0, 2.0])
 
 
 def test_eigendecomposition_example_2_1():
     # characteristic polynomial -x^3 + x/sqrt(2): roots 0, +-2^(-1/4)
     mu = 2.0 ** (-0.25)
-    values = sorted(lam.real for lam, _ in eigendecomposition(example_2_1_matrix()))
-    assert values == pytest.approx([-mu, 0.0, mu], abs=1e-10)
-    for lam, _ in eigendecomposition(example_2_1_matrix()):
+    values = _eigenvalues(example_2_1_matrix())
+    assert sorted(lam.real for lam in values) == pytest.approx([-mu, 0.0, mu], abs=1e-10)
+    for lam in values:
         assert abs(lam.imag) < 1e-10
 
 
 def test_eigendecomposition_example_2_2_cube_roots():
     t1, _ = example_2_2_matrices()
     # T1 = i * (3-cycle): eigenvalues i * omega with omega^3 = 1
-    got = sorted(eigendecomposition(t1), key=lambda p: np.angle(p[0]))
     expected = sorted((1j * np.exp(2j * np.pi * k / 3) for k in range(3)), key=np.angle)
-    for (lam, v), mu in zip(got, expected):
+    for lam, mu in zip(sorted(_eigenvalues(t1), key=np.angle), expected):
         assert abs(lam - mu) < 1e-10
-        assert np.linalg.norm(t1 @ v - lam * v) < 1e-10
+    result = joint_spectrum(make_tuple([t1]))
+    assert len(result.point_spectrum) == 3
+    for ((lam,), x), res in zip(result.point_spectrum, result.residuals):
+        v = np.asarray(x)
+        assert min(abs(lam - mu) for mu in expected) < 1e-10
+        assert max(res, np.linalg.norm(t1 @ v - lam * v)) < 1e-10
 
 
 def test_unitary_triangularize_contracts():

@@ -16,12 +16,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 EXPORTS = {
     "linalg": [
         "DEFAULT_TOL", "NumericalFailureError", "ToleranceModel", "adjoint", "frobenius_norm",
-        "null_space_basis", "eigendecomposition", "unitary_triangularize",
+        "null_space_basis", "unitary_triangularize",
     ],
-    "multiindex": [
-        "MultiIndex", "enumerate_multiindices", "multinomial_weight", "pascal_multinomial",
-        "pochhammer_descending",
-    ],
+    "multiindex": ["MultiIndex", "multinomial_weight", "pochhammer_descending"],
     "tuples": [
         "NonCommutingError", "OperatorTuple", "QuasinormalFlags", "adjoint_tuple",
         "conjugate_by_unitary", "hereditary_shift", "is_doubly_commuting", "make_tuple",

@@ -10,8 +10,10 @@ from opertuple import defects, minverse, tuples
 from opertuple.generators import GeneratorSpec, random_commuting_tuple
 from opertuple.linalg import adjoint, frobenius_norm
 from opertuple.minverse import _beta_levels, _enumerated_levels
-from opertuple.multiindex import enumerate_multiindices, multinomial_weight
+from opertuple.multiindex import multinomial_weight
 from opertuple.tuples import adjoint_tuple, hereditary_shift, make_tuple, power_levels, tuple_power
+
+from multiindex_oracle import enumerate_multiindices
 
 GAP = 1e-12
 

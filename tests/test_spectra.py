@@ -21,7 +21,6 @@ from opertuple.linalg import (
     DEFAULT_TOL,
     NumericalFailureError,
     adjoint,
-    eigendecomposition,
     frobenius_norm,
     null_space_basis,
     unitary_triangularize,
@@ -214,7 +213,7 @@ def test_d1_point_spectrum_matches_eigendecomposition():
     a = RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5))
     t = make_tuple([a])
     pts = {round(l[0].real, 6) + 1j * round(l[0].imag, 6) for l in points_of(t)}
-    eig = {round(l.real, 6) + 1j * round(l.imag, 6) for l, _ in eigendecomposition(a)}
+    eig = {round(l.real, 6) + 1j * round(l.imag, 6) for l in np.linalg.eigvals(a)}
     assert pts == eig
 
 

@@ -21,8 +21,10 @@ from opertuple.defects import (
 )
 from opertuple.generators import GeneratorSpec, paper_example, random_commuting_tuple
 from opertuple.linalg import NumericalFailureError, adjoint
-from opertuple.multiindex import enumerate_multiindices, multinomial_weight
+from opertuple.multiindex import multinomial_weight
 from opertuple.tuples import make_tuple, power_levels, tuple_power
+
+from multiindex_oracle import enumerate_multiindices
 
 GAP = 1e-12
 
