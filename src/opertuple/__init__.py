@@ -78,12 +78,13 @@ _EXPORTS = {
         "is_right_m_inverse",
     ),
     "generators": (
-        "GeneratorSpec",
         "PaperExample",
+        "diagonal_conjugate",
         "paper_example",
-        "random_commuting_tuple",
+        "polynomial_family",
         "random_partial_isometry",
         "random_unitary",
+        "scaled_family",
         "scaled_single",
     ),
     "reports": ("AuditReport", "SubVerdict", "Witness", "report_from_dict", "report_to_dict"),

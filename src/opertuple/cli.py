@@ -133,23 +133,20 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _shifted_invertible_pair(seed: int, d: int = 2, dim: int = 3):
+def _shifted_invertible_pair(seed: int):
     """T with every component shifted well away from singularity, and its
-    normalized reciprocal S_j = (1/d) T_j^{-1}: a left (and right) 1-inverse."""
-    spec = ot.generators.GeneratorSpec(
-        scheme="polynomial_family", seed=seed, dim=dim, d=d, params={"degree": 2}
-    )
-    base = ot.generators.random_commuting_tuple(spec)
-    shifted = [m + 12.0 * np.eye(dim) for m in base]
+    normalized reciprocal S_j = (1/2) T_j^{-1}: a left (and right) 1-inverse."""
+    base = ot.generators.polynomial_family(np.random.default_rng(seed), 3, 2, 2)
+    shifted = [m + 12.0 * np.eye(3) for m in base]
     t = make_tuple(shifted)
-    s = make_tuple([np.linalg.inv(m) / d for m in shifted])
+    s = make_tuple([np.linalg.inv(m) / 2 for m in shifted])
     return s, t
 
 
 def _unipotent_two_inverse_pair(seed: int):
     """A genuine left 2-inverse pair (beta_1 != 0, beta_2 = 0) built from
     commuting unipotents, conjugated by a random unitary."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     n = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     eye = np.eye(2, dtype=np.complex128)
 
@@ -166,38 +163,21 @@ def _unipotent_two_inverse_pair(seed: int):
 
 
 def _partial_isometry_instance(seed: int, trial: int):
-    """Hypothesis-satisfying or generic instance for the section-2/3 claims."""
+    """Hypothesis-satisfying or generic instance for the section-2/3 claims: a scaled
+    unitary padded with a 2-dimensional zero block, or a scaled rank-3 partial isometry."""
     if trial % 2 == 0:
-        spec = ot.generators.GeneratorSpec(
-            scheme="direct_sum",
-            seed=seed,
-            dim=5,
-            d=2,
-            params={
-                "blocks": [
-                    {"scheme": "scaled_single", "dim": 3, "d": 2, "params": {"base": "unitary"}}
-                ],
-                "zero_pad": 2,
-            },
-        )
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        block = ot.generators.scaled_family(rng, 3, 2, 3)
+        t = make_tuple([np.pad(m, (0, 2)) for m in block])
     else:
-        spec = ot.generators.GeneratorSpec(
-            scheme="scaled_single",
-            seed=seed,
-            dim=4,
-            d=2,
-            params={"base": "partial_isometry", "rank": 3},
-        )
-    return None, ot.generators.random_commuting_tuple(spec), 1, (1, 1)
+        t = ot.generators.scaled_family(np.random.default_rng(seed), 4, 2, 3)
+    return None, t, 1, (1, 1)
 
 
 def _quasinormal_instance(seed: int, trial: int):
     """Unitarily diagonalizable tuple with pi-diagonals, m cycling through 1..3."""
-    params = {"unitary": True, "pi_diagonals": True}
-    spec = ot.generators.GeneratorSpec(
-        scheme="diagonal_conjugate", seed=seed, dim=4, d=2, params=params
-    )
-    return None, ot.generators.random_commuting_tuple(spec), 1 + trial % 3, None
+    t = ot.generators.diagonal_conjugate(np.random.default_rng(seed), 4, 2, True, True)
+    return None, t, 1 + trial % 3, None
 
 
 def _inverse_pair_instance(seed: int, trial: int):
@@ -210,12 +190,7 @@ def _inverse_pair_instance(seed: int, trial: int):
 def _polynomial_pair_instance(seed: int, trial: int):
     """Two independent polynomial-family tuples; m = None, so no inverse order is assumed."""
     s, t = (
-        ot.generators.random_commuting_tuple(
-            ot.generators.GeneratorSpec(
-                scheme="polynomial_family", seed=sd, dim=3, d=2, params={"degree": 2}
-            )
-        )
-        for sd in (seed, seed + 1)
+        ot.generators.polynomial_family(np.random.default_rng(sd), 3, 2, 2) for sd in (seed, seed + 1)
     )
     return s, t, None, None
 

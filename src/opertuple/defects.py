@@ -35,7 +35,7 @@ from .linalg import (
     frobenius_norm,
     null_space_basis,
 )
-from .multiindex import multinomial_weight, prefix_tree, validate_multiindex
+from .multiindex import prefix_tree, validate_multiindex
 from .reports import (
     NOTE_PROP21_HYPOTHESIS,
     NOTE_THM21_SIGN,
@@ -132,8 +132,8 @@ def _state_sums(t: OperatorTuple, m: int, y: np.ndarray, ascent: int = 0) -> np.
     signs = np.array([(-1) ** k * math.comb(m, k) for k in range(m + 1)])[:, None]
     levels = np.zeros((m + ascent + 1, y.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
-        for alpha, z in prefix_tree(t.d, m + ascent, y, lambda j, z: t[j] @ z):
-            levels[sum(alpha)] += multinomial_weight(alpha) * np.einsum("ij,ij->j", z.conj(), z).real
+        for k, weight, z in prefix_tree(t.d, m + ascent, y, lambda j, z: t[j] @ z):
+            levels[k] += weight * np.einsum("ij,ij->j", z.conj(), z).real
         totals = (signs * levels[ascent:]).sum(axis=0)
     if not np.isfinite(totals).all():
         raise NumericalFailureError("scalar defect is not finite: state levels overflow", {"m": m})

@@ -6,21 +6,22 @@ examples, the paper-discrepancy notes, and ``rows(seed)``, the
 expected-vs-observed table that ``opertuple reproduce`` prints. Every expected
 value is written there once.
 
-Every random draw flows from a single 64-bit seed through numpy's splittable
-SeedSequence, so identical specs produce bit-identical tuples and parallel
-consumers can derive disjoint streams.
+The seeded random families (``polynomial_family``, ``diagonal_conjugate``,
+``scaled_family``) are plain functions of a caller's ``np.random.Generator``,
+as ``random_unitary`` is: the same stream gives a bit-identical tuple, and the
+order of draws inside each function is fixed, pinned by the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceModel, adjoint, as_matrix, frobenius_norm
-from .reports import NOTE_EX41_SCALING, format_point, from_fields, to_json
+from .reports import NOTE_EX41_SCALING, format_point
 from .tuples import OperatorTuple, make_tuple
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -225,10 +226,6 @@ def scaled_single(a, lam, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
     return make_tuple([lj * a for lj in lam], tol)
 
 
-def _rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed_seq))
-
-
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
@@ -254,50 +251,24 @@ def random_partial_isometry(dim: int, rank: int, rng: np.random.Generator) -> np
     return random_unitary(dim, rng) @ random_projection(dim, rank, rng)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Deterministic recipe for one random commuting tuple.
-
-    Schemes: "paper_example" (params: id), "scaled_single" (params: base in
-    {"unitary", "partial_isometry"}, optional rank, optional lambda),
-    "polynomial_family" (params: degree), "diagonal_conjugate" (params:
-    unitary: bool, pi_diagonals: bool), "direct_sum" (params: blocks = list of
-    nested spec dicts, optional zero_pad).
-    """
-
-    scheme: str
-    seed: int
-    dim: int
-    d: int
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return to_json(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "GeneratorSpec":
-        return from_fields(GeneratorSpec, {"params": {}, **data}, params=dict)
-
-
-def _bounded(mats: list[np.ndarray]) -> list[np.ndarray]:
+def _bounded(mats: list[np.ndarray]) -> OperatorTuple:
+    """The tuple of ``mats``, each scaled down into the Frobenius ball of radius 10."""
     out = []
     for m in mats:
         norm = frobenius_norm(m)
         out.append(m * (10.0 / norm) if norm > 10.0 else m)
-    return out
+    return make_tuple(out)
 
 
-def _polynomial_family(spec: GeneratorSpec, rng: np.random.Generator) -> list[np.ndarray]:
-    degree = int(spec.params.get("degree", 3))
-    base = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal(
-        (spec.dim, spec.dim)
-    )
+def polynomial_family(rng: np.random.Generator, dim: int, d: int, degree: int) -> OperatorTuple:
+    """T_j = p_j(B): one random B scaled to ||B||_2 <= 1, d random polynomials of ``degree``."""
+    base = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     base /= max(1.0, float(np.linalg.norm(base, 2)))
     mats = []
-    for _ in range(spec.d):
+    for _ in range(d):
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        acc = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-        power = np.eye(spec.dim, dtype=np.complex128)
+        acc = np.zeros((dim, dim), dtype=np.complex128)
+        power = np.eye(dim, dtype=np.complex128)
         for c in coeffs:
             acc += c * power
             power = power @ base
@@ -305,92 +276,40 @@ def _polynomial_family(spec: GeneratorSpec, rng: np.random.Generator) -> list[np
     return _bounded(mats)
 
 
-def _diagonal_conjugate(spec: GeneratorSpec, rng: np.random.Generator) -> list[np.ndarray]:
-    unitary = bool(spec.params.get("unitary", True))
-    pi_diagonals = bool(spec.params.get("pi_diagonals", False))
+def diagonal_conjugate(
+    rng: np.random.Generator, dim: int, d: int, unitary: bool, pi_diagonals: bool
+) -> OperatorTuple:
+    """T_j = V diag(D_j) V^-1, V unitary or a random similarity with condition number <= e^1.4.
+
+    With ``pi_diagonals`` each coordinate's column of D is either a unit vector (on the
+    sphere) or has a zero entry, so the (m; 1...1) defect is exactly zero.
+    """
     if pi_diagonals:
-        # Per coordinate either a unit column (on the sphere) or a column
-        # whose product vanishes, so the (m; 1...1) defect is exactly zero.
-        diag = np.zeros((spec.d, spec.dim), dtype=np.complex128)
-        for i in range(spec.dim):
-            col = rng.standard_normal(spec.d) + 1j * rng.standard_normal(spec.d)
+        diag = np.zeros((d, dim), dtype=np.complex128)
+        for i in range(dim):
+            col = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             if rng.random() < 0.5:
                 col /= np.linalg.norm(col)
             else:
-                col[int(rng.integers(spec.d))] = 0.0
+                col[int(rng.integers(d))] = 0.0
             diag[:, i] = col
     else:
-        diag = (
-            rng.standard_normal((spec.d, spec.dim))
-            + 1j * rng.standard_normal((spec.d, spec.dim))
-        ) / math.sqrt(spec.d)
+        diag = (rng.standard_normal((d, dim)) + 1j * rng.standard_normal((d, dim))) / math.sqrt(d)
     if unitary:
-        v = random_unitary(spec.dim, rng)
+        v = random_unitary(dim, rng)
         v_inv = adjoint(v)
     else:
-        v = random_unitary(spec.dim, rng) @ np.diag(
-            np.exp(rng.uniform(-0.7, 0.7, spec.dim))
-        ) @ random_unitary(spec.dim, rng)
+        v = random_unitary(dim, rng) @ np.diag(
+            np.exp(rng.uniform(-0.7, 0.7, dim))
+        ) @ random_unitary(dim, rng)
         v_inv = np.linalg.inv(v)
-    return _bounded([v @ np.diag(diag[j]) @ v_inv for j in range(spec.d)])
+    return _bounded([v @ np.diag(diag[j]) @ v_inv for j in range(d)])
 
 
-def _direct_sum(spec: GeneratorSpec, seq: np.random.SeedSequence) -> list[np.ndarray]:
-    blocks = spec.params.get("blocks", [])
-    if not blocks:
-        raise ValueError("direct_sum needs at least one block spec")
-    zero_pad = int(spec.params.get("zero_pad", 0))
-    children = seq.spawn(len(blocks))
-    block_tuples = []
-    for child_seq, block in zip(children, blocks):
-        block_spec = GeneratorSpec.from_dict({**block, "seed": spec.seed})
-        if block_spec.d != spec.d:
-            raise ValueError("every direct_sum block must share the tuple length d")
-        block_tuples.append(_generate(block_spec, child_seq))
-    total = sum(bt[0].shape[0] for bt in block_tuples) + zero_pad
-    mats = []
-    for j in range(spec.d):
-        acc = np.zeros((total, total), dtype=np.complex128)
-        offset = 0
-        for bt in block_tuples:
-            k = bt[j].shape[0]
-            acc[offset : offset + k, offset : offset + k] = bt[j]
-            offset += k
-        mats.append(acc)
-    return mats
-
-
-def _generate(spec: GeneratorSpec, seq: np.random.SeedSequence) -> list[np.ndarray]:
-    rng = _rng(seq)
-    if spec.scheme == "paper_example":
-        return [m.copy() for m in paper_example(spec.params["id"]).tuple]
-    if spec.scheme == "scaled_single":
-        base_kind = spec.params.get("base", "partial_isometry")
-        if base_kind == "unitary":
-            base = random_unitary(spec.dim, rng)
-        elif base_kind == "partial_isometry":
-            rank = int(spec.params.get("rank", max(1, spec.dim - 1)))
-            base = random_partial_isometry(spec.dim, rank, rng)
-        else:
-            raise ValueError(f"unknown scaled_single base {base_kind!r}")
-        if "lambda" in spec.params:
-            lam = np.asarray(
-                [complex(re, im) for re, im in spec.params["lambda"]], dtype=np.complex128
-            )
-        else:
-            lam = rng.standard_normal(spec.d) + 1j * rng.standard_normal(spec.d)
-            lam /= np.linalg.norm(lam)
-        return [lj * base for lj in lam]
-    if spec.scheme == "polynomial_family":
-        return _polynomial_family(spec, rng)
-    if spec.scheme == "diagonal_conjugate":
-        return _diagonal_conjugate(spec, rng)
-    if spec.scheme == "direct_sum":
-        return _direct_sum(spec, seq)
-    raise ValueError(f"unknown generator scheme {spec.scheme!r}")
-
-
-def random_commuting_tuple(spec: GeneratorSpec, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
-    """Generate the tuple described by ``spec``; bit-identical per spec."""
-    seq = np.random.SeedSequence(spec.seed)
-    return make_tuple(_generate(spec, seq), tol)
+def scaled_family(rng: np.random.Generator, dim: int, d: int, rank: int) -> OperatorTuple:
+    """``scaled_single(A, lambda)`` of a random rank-``rank`` partial isometry A and a random
+    unit lambda; at rank = dim, A is drawn as a plain unitary."""
+    base = random_unitary(dim, rng) if rank == dim else random_partial_isometry(dim, rank, rng)
+    lam = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    lam /= np.linalg.norm(lam)
+    return scaled_single(base, lam)

@@ -21,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from .linalg import DEFAULT_TOL, NumericalFailureError, ToleranceModel, frobenius_norm
-from .multiindex import multinomial_weight, pochhammer_descending, prefix_tree
+from .multiindex import pochhammer_descending, prefix_tree
 from .reports import (
     NOTE_FINITE_SURROGATE,
     NOTE_POCHHAMMER_ZERO,
@@ -44,7 +44,6 @@ class BetaResult:
     matrix: np.ndarray
     norm: float
     scale: float
-    method: str
 
 
 def _check_shapes(s: OperatorTuple, t: OperatorTuple) -> None:
@@ -62,8 +61,8 @@ def _enumerated_levels(s: OperatorTuple, t: OperatorTuple, kmax: int) -> list[np
     eye = np.eye(t.dim, dtype=np.complex128)
     levels = [np.zeros_like(eye) for _ in range(kmax + 1)]
     pairs = prefix_tree(t.d, kmax, (eye, eye), lambda j, pair: (s[j] @ pair[0], t[j] @ pair[1]))
-    for alpha, (s_alpha, t_alpha) in pairs:
-        levels[sum(alpha)] += multinomial_weight(alpha) * (s_alpha @ t_alpha)
+    for k, weight, (s_alpha, t_alpha) in pairs:
+        levels[k] += weight * (s_alpha @ t_alpha)
     return levels
 
 
@@ -87,11 +86,11 @@ def beta(
     m: int,
     method: str = "auto",
 ) -> BetaResult:
-    """beta_m(S, T) by the requested route.
+    """beta_m(S, T) by the recurrence.
 
-    "auto" runs the recurrence and, for m <= 4, cross-checks it against direct
-    enumeration; a gap beyond CROSS_CHECK_TOL * max(1, scale) raises, and so does a beta
-    whose norm or scale overflows.
+    ``method`` "auto" also cross-checks it, for m <= 4, against direct enumeration; a gap
+    beyond CROSS_CHECK_TOL * max(1, scale) raises, and so does a beta whose norm or scale
+    overflows. "recurrence" skips the cross-check.
     """
     _check_shapes(s, t)
     return _beta(s, t, m, method)
@@ -101,31 +100,27 @@ def _beta(s: OperatorTuple, t: OperatorTuple, m: int, method: str, betas=None) -
     """``beta`` on tuples of one shape; the recurrence reads or continues given levels ``betas``."""
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-    if method not in ("auto", "recurrence", "enumeration"):
+    if method not in ("auto", "recurrence"):
         raise ValueError(f"unknown beta method {method!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite beta raises below
-        if method == "enumeration":
-            matrix, scale = _beta_enumeration(s, t, m)
-        else:
-            betas = _beta_levels(s, t, m, betas)[: m + 1]
-            matrix, scale = betas[-1], max(frobenius_norm(b) for b in betas)
-            if method == "auto" and m <= _CROSS_CHECK_MAX_M:
-                other, other_scale = _beta_enumeration(s, t, m)
-                scale = max(scale, other_scale)
-                gap = frobenius_norm(matrix - other)
-                if gap > CROSS_CHECK_TOL * max(1.0, scale):
-                    raise NumericalFailureError(
-                        "beta recurrence and enumeration disagree",
-                        {"gap": gap, "scale": scale, "m": m},
-                    )
-            method = "recurrence"
+        betas = _beta_levels(s, t, m, betas)[: m + 1]
+        matrix, scale = betas[-1], max(frobenius_norm(b) for b in betas)
+        if method == "auto" and m <= _CROSS_CHECK_MAX_M:
+            other, other_scale = _beta_enumeration(s, t, m)
+            scale = max(scale, other_scale)
+            gap = frobenius_norm(matrix - other)
+            if gap > CROSS_CHECK_TOL * max(1.0, scale):
+                raise NumericalFailureError(
+                    "beta recurrence and enumeration disagree",
+                    {"gap": gap, "scale": scale, "m": m},
+                )
         norm = frobenius_norm(matrix)
     if not (math.isfinite(norm) and math.isfinite(scale)):
         raise NumericalFailureError(
             "beta is not finite: its levels overflow",
             {"m": m, "norm": repr(norm), "scale": repr(scale)},
         )
-    return BetaResult(matrix=matrix, norm=norm, scale=scale, method=method)
+    return BetaResult(matrix=matrix, norm=norm, scale=scale)
 
 
 def is_left_m_inverse(

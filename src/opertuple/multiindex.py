@@ -1,9 +1,10 @@
 """Exact integer combinatorics of multi-indices alpha in Z_+^d.
 
-Validation, the depth-first walk over the monomial prefix tree, multinomial
-weights |alpha|!/alpha!, and the descending Pochhammer symbol with its
-three-case convention (n = 0 maps to 0, as does k > n > 0). All arithmetic
-is exact Python integers.
+Validation, the depth-first walk over the monomial prefix tree (which carries
+each node's multinomial weight down from its parent), multinomial weights
+|alpha|!/alpha!, and the descending Pochhammer symbol with its three-case
+convention (n = 0 maps to 0, as does k > n > 0). All arithmetic is exact
+Python integers.
 """
 
 from __future__ import annotations
@@ -25,19 +26,22 @@ def validate_multiindex(alpha) -> MultiIndex:
 
 
 def prefix_tree(d: int, kmax: int, root, step):
-    """Walk every alpha in Z_+^d with |alpha| <= kmax depth first, yielding (alpha, value).
+    """Walk every alpha in Z_+^d with |alpha| <= kmax depth first, yielding (|alpha|, w, value).
 
     Children are alpha + e_j for j at or after alpha's last nonzero entry. alpha = 0
     carries ``root``, a child ``step(j, parent's value)``; only the current path is alive.
+    w = ``multinomial_weight(alpha)``, carried down exactly as w (k+1) // (alpha_j+1), where
+    alpha_j is ``run``, the count at the last nonzero entry, when j is that entry, and 0 after it.
     """
 
-    def visit(alpha: MultiIndex, last: int, value):
-        yield alpha, value
-        if sum(alpha) < kmax:
+    def visit(k: int, last: int, run: int, weight: int, value):
+        yield k, weight, value
+        if k < kmax:
             for j in range(last, d):
-                yield from visit(alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :], j, step(j, value))
+                a_j = run + 1 if j == last else 1
+                yield from visit(k + 1, j, a_j, weight * (k + 1) // a_j, step(j, value))
 
-    yield from visit((0,) * d, 0, root)
+    yield from visit(0, 0, 0, 1, root)
 
 
 def multinomial_weight(alpha) -> int:

@@ -4,9 +4,9 @@ A report records whether a claim's hypotheses held, whether its conclusion
 held wherever the hypotheses did, the witnesses behind any violation, and the
 named norms that drove each decision.
 
-``to_json`` is the package's one JSON encoding: every report, spectrum result,
-generator spec and tuple-file matrix is written through it, a dataclass as
-the object of its fields and a complex number as an [re, im] pair.
+``to_json`` is the package's one JSON encoding: every report, spectrum result
+and tuple-file matrix is written through it, a dataclass as the object of its
+fields and a complex number as an [re, im] pair.
 ``from_fields`` reads a dataclass back from the keys that name its fields;
 round-tripping a report through JSON is exact.
 """

@@ -15,11 +15,11 @@ from opertuple.defects import (
     scalar_defect,
 )
 from opertuple.generators import (
-    GeneratorSpec,
+    diagonal_conjugate,
     example_2_1_matrix,
     golden_ratio_matrix,
     paper_example,
-    random_commuting_tuple,
+    polynomial_family,
     random_unitary,
 )
 from opertuple.linalg import adjoint, frobenius_norm
@@ -94,8 +94,7 @@ def test_golden_ratio_partial_isometry():
 def test_sign_conventions_agree_in_norm():
     # T^q * (isometry inner sum) differs from the partial defect by (-1)^m only
     for seed in range(4):
-        spec = GeneratorSpec(scheme="polynomial_family", seed=seed, dim=3, d=2, params={"degree": 2})
-        t = random_commuting_tuple(spec)
+        t = polynomial_family(np.random.default_rng(seed), 3, 2, 2)
         m, q = 2, (1, 1)
         partial = partial_isometry_defect(t, m, q)
         from opertuple.tuples import tuple_power
@@ -147,8 +146,7 @@ def test_unitary_invariance_of_defect_norms():
 
 
 def test_permutation_equivariance():
-    spec = GeneratorSpec(scheme="polynomial_family", seed=5, dim=3, d=3, params={"degree": 2})
-    t = random_commuting_tuple(spec)
+    t = polynomial_family(np.random.default_rng(5), 3, 3, 2)
     q = (2, 1, 0)
     sigma = (2, 0, 1)
     base = classify(t, 2, q)
@@ -187,14 +185,7 @@ def test_remark_2_4_adjoint_closure_doubly_commuting():
     from opertuple.tuples import adjoint_tuple, is_doubly_commuting
 
     for seed in range(5):
-        spec = GeneratorSpec(
-            scheme="diagonal_conjugate",
-            seed=seed,
-            dim=4,
-            d=2,
-            params={"unitary": True, "pi_diagonals": True},
-        )
-        t = random_commuting_tuple(spec)
+        t = diagonal_conjugate(np.random.default_rng(seed), 4, 2, True, True)
         assert is_doubly_commuting(t)
         forward = partial_isometry_defect(t, 1, (1, 1)).is_zero
         backward = partial_isometry_defect(adjoint_tuple(t), 1, (1, 1)).is_zero
@@ -209,9 +200,7 @@ def test_remark_2_4_adjoint_closure_doubly_commuting():
 def test_classify_partial_isometry_at_mid_grid():
     # Every diagonal column is a unit vector or has a zero coordinate, so the
     # (m; 1,...,1) defect vanishes exactly; the computed one is 2.2e-9 at scale 3.0.
-    t = random_commuting_tuple(
-        GeneratorSpec("diagonal_conjugate", 1, 32, 4, {"unitary": True, "pi_diagonals": True})
-    )
+    t = diagonal_conjugate(np.random.default_rng(1), 32, 4, True, True)
     assert classify(t, 6, (1, 1, 1, 1)).partial_isometry
 
 
@@ -351,6 +340,6 @@ def test_each_audit_forms_t_to_the_q_once(monkeypatch, name):
 
     for module in (defects, tuples):
         monkeypatch.setattr(module, "tuple_power", counting)
-    t = random_commuting_tuple(GeneratorSpec("polynomial_family", 5, 4, 2, {"degree": 2}))
+    t = polynomial_family(np.random.default_rng(5), 4, 2, 2)
     call(t, (2, 1))
     assert len(calls) == expected

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from opertuple.multiindex import multinomial_weight, pochhammer_descending
+from opertuple.multiindex import multinomial_weight, pochhammer_descending, prefix_tree
 
 from multiindex_oracle import enumerate_multiindices, pascal_multinomial
 
@@ -33,6 +33,22 @@ def test_enumeration_no_duplicates_and_order(d, k):
     assert all(sum(a) == k for a in out)
     assert out == sorted(out, reverse=True)
     assert len(out) == math.comb(k + d - 1, d - 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_prefix_tree_carries_the_multinomial_weight(d):
+    # with step alpha -> alpha + e_j each node's value is its own alpha
+    def step(j, alpha):
+        return alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]
+
+    kmax = 6
+    seen = []
+    for k, weight, alpha in prefix_tree(d, kmax, (0,) * d, step):
+        assert k == sum(alpha)
+        assert weight == multinomial_weight(alpha)
+        seen.append(alpha)
+    expected = [alpha for k in range(kmax + 1) for alpha in enumerate_multiindices(d, k)]
+    assert sorted(seen) == sorted(expected)
 
 
 def test_multinomial_weight_basics():

@@ -38,8 +38,8 @@ EXPORTS = {
         "expand_power_sum", "is_left_m_inverse", "is_right_m_inverse",
     ],
     "generators": [
-        "GeneratorSpec", "PaperExample", "paper_example", "random_commuting_tuple",
-        "random_partial_isometry", "random_unitary", "scaled_single",
+        "PaperExample", "diagonal_conjugate", "paper_example", "polynomial_family",
+        "random_partial_isometry", "random_unitary", "scaled_family", "scaled_single",
     ],
     "reports": ["AuditReport", "SubVerdict", "Witness", "report_from_dict", "report_to_dict"],
     "tuplefile": [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opertuple import defects, minverse, tuples
-from opertuple.generators import GeneratorSpec, random_commuting_tuple
+from opertuple.generators import diagonal_conjugate, polynomial_family
 from opertuple.linalg import adjoint, frobenius_norm
 from opertuple.minverse import _beta_levels, _enumerated_levels
 from opertuple.multiindex import multinomial_weight
@@ -17,14 +17,14 @@ from multiindex_oracle import enumerate_multiindices
 
 GAP = 1e-12
 
-SCHEMES = {
-    "polynomial_family": {"degree": 2},
-    "diagonal_conjugate": {"unitary": False},
+FAMILIES = {
+    "polynomial_family": lambda rng, dim, d: polynomial_family(rng, dim, d, 2),
+    "diagonal_conjugate": lambda rng, dim, d: diagonal_conjugate(rng, dim, d, False, False),
 }
 
 
-def commuting(scheme, seed, dim, d):
-    return random_commuting_tuple(GeneratorSpec(scheme, seed, dim, d, SCHEMES[scheme]))
+def commuting(family, seed, dim, d):
+    return FAMILIES[family](np.random.default_rng(seed), dim, d)
 
 
 @st.composite
@@ -32,11 +32,11 @@ def commuting_pairs(draw):
     """(S, T, k): each tuple internally commuting, S = T* or an independent tuple."""
     d = draw(st.integers(1, 3))
     dim = draw(st.integers(1, 6))
-    t = commuting(draw(st.sampled_from(sorted(SCHEMES))), draw(st.integers(0, 2**32)), dim, d)
+    t = commuting(draw(st.sampled_from(sorted(FAMILIES))), draw(st.integers(0, 2**32)), dim, d)
     if draw(st.booleans()):
         s = adjoint_tuple(t)
     else:
-        s = commuting(draw(st.sampled_from(sorted(SCHEMES))), draw(st.integers(0, 2**32)), dim, d)
+        s = commuting(draw(st.sampled_from(sorted(FAMILIES))), draw(st.integers(0, 2**32)), dim, d)
     return s, t, draw(st.integers(0, 5))
 
 

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from opertuple import cli, spectra
 from opertuple.generators import (
-    GeneratorSpec,
+    diagonal_conjugate,
     example_2_1_matrix,
     golden_ratio_matrix,
     paper_example,
-    random_commuting_tuple,
+    polynomial_family,
     random_unitary,
 )
 from opertuple.linalg import (
@@ -129,8 +129,7 @@ def test_simultaneous_triangularize_jordan_pair():
 
 def test_simultaneous_triangularize_residual_contract():
     for seed in range(4):
-        spec = GeneratorSpec(scheme="polynomial_family", seed=seed, dim=5, d=3, params={"degree": 3})
-        t = random_commuting_tuple(spec)
+        t = polynomial_family(np.random.default_rng(seed), 5, 3, 3)
         q, us = simultaneous_triangularize(t, seed=seed)
         scale = max(1.0, max(frobenius_norm(m) for m in t))
         assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= 1e-7 * scale
@@ -166,8 +165,7 @@ def test_defective_matrix_points_are_residual_certified():
 
 
 def test_taylor_diagonal_seed_independent():
-    spec = GeneratorSpec(scheme="polynomial_family", seed=11, dim=4, d=2, params={"degree": 2})
-    t = random_commuting_tuple(spec)
+    t = polynomial_family(np.random.default_rng(11), 4, 2, 2)
     d1 = sorted(joint_spectrum(t, seed=0).taylor_diagonal, key=lambda p: (p[0].real, p[0].imag))
     d2 = sorted(joint_spectrum(t, seed=123).taylor_diagonal, key=lambda p: (p[0].real, p[0].imag))
     for a, b in zip(d1, d2):
@@ -182,8 +180,7 @@ def test_spectral_radius_cases():
 
 
 def test_spectral_radius_unitary_invariant():
-    spec = GeneratorSpec(scheme="polynomial_family", seed=21, dim=4, d=2, params={"degree": 2})
-    t = random_commuting_tuple(spec)
+    t = polynomial_family(np.random.default_rng(21), 4, 2, 2)
     v = random_unitary(4, RNG)
     assert joint_spectrum(conjugate_by_unitary(t, v)).spectral_radius == pytest.approx(
         joint_spectrum(t).spectral_radius, abs=1e-10
@@ -297,9 +294,7 @@ def test_one_triangularization_matches_standalone_calls(name):
     t = {
         "example_2_2": lambda: paper_example("2.2").tuple,
         "golden_ratio": lambda: parse_tuple_file((DATA / "golden_ratio_d2.json").read_text()).tuple,
-        "non_normal_d3": lambda: random_commuting_tuple(
-            GeneratorSpec("diagonal_conjugate", seed=4, dim=6, d=3, params={"unitary": False})
-        ),
+        "non_normal_d3": lambda: diagonal_conjugate(np.random.default_rng(4), 6, 3, False, False),
     }[name]()
     seed = 7
     result = joint_spectrum(t, DEFAULT_TOL, seed)
@@ -410,10 +405,7 @@ def named_tuple(name):
         return paper_example("2.2").tuple
     if name == "golden_ratio":
         return parse_tuple_file((DATA / "golden_ratio_d2.json").read_text()).tuple
-    spec = GeneratorSpec(
-        "diagonal_conjugate", seed=1, dim=32, d=4, params={"unitary": True, "pi_diagonals": True}
-    )
-    return random_commuting_tuple(spec)
+    return diagonal_conjugate(np.random.default_rng(1), 32, 4, True, True)
 
 
 def counting_null_spaces(monkeypatch):
@@ -619,13 +611,15 @@ def loop_pair_witnesses(points):
     return witnesses, checked
 
 
-@pytest.mark.parametrize("scheme", ["example_2_1_d2", "polynomial_family", "diagonal_conjugate"])
-def test_prop_3_2_pairs_match_the_pair_loop(scheme):
+@pytest.mark.parametrize("family", ["example_2_1_d2", "polynomial_family", "diagonal_conjugate"])
+def test_prop_3_2_pairs_match_the_pair_loop(family):
     # non-orthogonal pairs on the first two, orthogonal ones on the normal third
-    if scheme == "example_2_1_d2":
-        t = parse_tuple_file((DATA / "example_2_1_d2.json").read_text()).tuple
-    else:
-        t = random_commuting_tuple(GeneratorSpec(scheme=scheme, seed=3, dim=5, d=2, params={}))
+    rng = np.random.default_rng(3)
+    t = {
+        "example_2_1_d2": lambda: parse_tuple_file((DATA / "example_2_1_d2.json").read_text()).tuple,
+        "polynomial_family": lambda: polynomial_family(rng, 5, 2, 3),
+        "diagonal_conjugate": lambda: diagonal_conjugate(rng, 5, 2, True, False),
+    }[family]()
     report = audit_proposition_3_2(t, 1, (1, 1))
     expected, checked = loop_pair_witnesses(joint_point_spectrum(t))
     pairs = [(w.label, w.value) for w in report.witnesses if w.label.startswith("non-orthogonal")]
@@ -699,14 +693,10 @@ def adjoint_case(name):
         return jordan_pair(0)
     if name == "unitary_scaled":
         return unitary_scaled(2, dim=5, seed=3)
-    params = {
-        "normal": {"unitary": True},
-        "non_normal": {"unitary": False},
-        "pi_diagonal": {"unitary": True, "pi_diagonals": True},
-    }
-    if name in params:
-        return random_commuting_tuple(GeneratorSpec("diagonal_conjugate", seed=2, dim=12, d=3, params=params[name]))
-    return random_commuting_tuple(GeneratorSpec("polynomial_family", seed=2, dim=12, d=3, params={}))
+    flags = {"normal": (True, False), "non_normal": (False, False), "pi_diagonal": (True, True)}
+    if name in flags:
+        return diagonal_conjugate(np.random.default_rng(2), 12, 3, *flags[name])
+    return polynomial_family(np.random.default_rng(2), 12, 3, 3)
 
 
 def below_diagonal_mass(u):
@@ -790,7 +780,7 @@ def near_only(t, points, xs, own_points, tol):
 
 def shifted_inverse_pair(seed, dim, d):
     """T = W diag W^-1 + 12 I and S_j = T_j^-1 / d: a left (and right) 1-inverse pair."""
-    base = random_commuting_tuple(GeneratorSpec("diagonal_conjugate", seed, dim, d, {"unitary": False}))
+    base = diagonal_conjugate(np.random.default_rng(seed), dim, d, False, False)
     t = make_tuple([m + 12.0 * np.eye(dim) for m in base])
     return make_tuple([np.linalg.inv(m) / d for m in t]), t
 
@@ -814,8 +804,11 @@ def mapping_family(name):
         pairs = [shifted_inverse_pair(seed, dim, d) for seed in (1, 2) for dim, d in ((8, 2), (16, 3))]
         return [partial(a, s, t, 1) for s, t in pairs for a in (audit_theorem_4_1, audit_theorem_4_2)]
     if name == "pi_diagonal":
-        spec = lambda seed, dim, d: GeneratorSpec("diagonal_conjugate", seed, dim, d, {"unitary": True, "pi_diagonals": True})
-        tuples = [random_commuting_tuple(spec(seed, dim, d)) for seed in (1, 2) for dim, d in ((8, 2), (16, 3))]
+        tuples = [
+            diagonal_conjugate(np.random.default_rng(seed), dim, d, True, True)
+            for seed in (1, 2)
+            for dim, d in ((8, 2), (16, 3))
+        ]
         return [partial(audit_proposition_3_2, t, 1, (1,) * t.d) for t in tuples]
     if name == "claims":
         claims = [cli.CLAIMS[c] for c in ("thm4.1", "thm4.2", "prop3.2")]

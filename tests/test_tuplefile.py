@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from opertuple.cli import CLAIMS
 from opertuple.defects import ClassificationReport, classify
-from opertuple.generators import GeneratorSpec, paper_example
+from opertuple.generators import paper_example
 from opertuple.linalg import ToleranceModel
 from opertuple.reports import (
     AuditReport,
@@ -288,12 +288,10 @@ def test_report_decoder_ignores_unknown_keys():
 
 def _encodings():
     example = paper_example("2.2")
-    spec = GeneratorSpec(scheme="scaled_single", seed=9, dim=3, d=2, params={"base": "unitary"})
     report = report_to_dict(sample_report())
     encoded = [
         (AuditReport, report),
         (ClassificationReport, classify(example.tuple, 2, (1, 1)).to_dict()),
-        (GeneratorSpec, spec.to_dict()),
         (ToleranceModel, report["tolerances"]),
     ]
     return [pytest.param(cls, doc, id=cls.__name__) for cls, doc in encoded]

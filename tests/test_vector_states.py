@@ -19,7 +19,7 @@ from opertuple.defects import (
     audit_theorem_2_1,
     scalar_defect,
 )
-from opertuple.generators import GeneratorSpec, paper_example, random_commuting_tuple
+from opertuple.generators import diagonal_conjugate, paper_example, polynomial_family
 from opertuple.linalg import NumericalFailureError, adjoint
 from opertuple.multiindex import multinomial_weight
 from opertuple.tuples import make_tuple, power_levels, tuple_power
@@ -28,9 +28,9 @@ from multiindex_oracle import enumerate_multiindices
 
 GAP = 1e-12
 
-SCHEMES = {
-    "polynomial_family": {"degree": 2},
-    "diagonal_conjugate": {"unitary": False},
+FAMILIES = {
+    "polynomial_family": lambda rng, dim, d: polynomial_family(rng, dim, d, 2),
+    "diagonal_conjugate": lambda rng, dim, d: diagonal_conjugate(rng, dim, d, False, False),
 }
 
 
@@ -59,9 +59,8 @@ def instances(draw):
     """(T, m, q, polarize) with d <= 3, dim <= 6, m <= 4, q_j <= 2."""
     d = draw(st.integers(1, 3))
     dim = draw(st.integers(1, 6))
-    scheme = draw(st.sampled_from(sorted(SCHEMES)))
-    spec = GeneratorSpec(scheme, draw(st.integers(0, 2**32)), dim, d, SCHEMES[scheme])
-    t = random_commuting_tuple(spec)
+    family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    t = family(np.random.default_rng(draw(st.integers(0, 2**32))), dim, d)
     m = draw(st.integers(1, 4))
     q = tuple(draw(st.integers(0, 2)) for _ in range(d))
     return t, m, q, draw(st.booleans())
@@ -116,9 +115,8 @@ def test_proposition_2_4_walks_one_tree_of_depth_m_plus_1(monkeypatch):
 
     monkeypatch.setattr(defects, "prefix_tree", counted)
     for d, m in ((1, 3), (2, 1), (3, 2), (4, 4)):
-        spec = GeneratorSpec("polynomial_family", d, 5, d, {"degree": 2})
         steps.clear()
-        audit_proposition_2_4(random_commuting_tuple(spec), m, (1,) * d)
+        audit_proposition_2_4(polynomial_family(np.random.default_rng(d), 5, d, 2), m, (1,) * d)
         assert len(steps) == math.comb(m + 1 + d, d) - 1
 
 
@@ -159,8 +157,7 @@ def test_polarized_example_2_2_keeps_verdicts():
 
 
 def test_polarized_pi_diagonal_at_dim_32():
-    spec = GeneratorSpec("diagonal_conjugate", 1, 32, 4, {"unitary": True, "pi_diagonals": True})
-    t = random_commuting_tuple(spec)
+    t = diagonal_conjugate(np.random.default_rng(1), 32, 4, True, True)
     q = (1,) * 4
     basis = audit_theorem_2_1(t, 4, q)
     polarized = audit_theorem_2_1(t, 4, q, polarize=True)
