@@ -78,21 +78,36 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """||a||_F; finite input whose squared entries overflow is rescaled by max |a_ij|."""
-    norm = float(np.linalg.norm(a, "fro"))
-    if math.isinf(norm) and math.isfinite(big := float(np.abs(a).max())):
-        norm = big * float(np.linalg.norm(np.asarray(a) / big, "fro"))
+    """||a||_F; finite input whose squared entries overflow is rescaled by max |a_ij|.
+
+    The two dot products ``np.linalg.norm(a, "fro")`` runs, without its argument
+    handling: on float64 and complex128 input the value is bitwise the same.
+    """
+    x = np.asarray(a)
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
+    else:
+        norm = math.sqrt(x.dot(x))
+    if math.isinf(norm) and math.isfinite(big := float(np.abs(x).max())):
+        norm = big * frobenius_norm(x / big)
     return norm
 
 
-def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL) -> np.ndarray:
+def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical null space of ``a``.
 
     Accepts rectangular input so stacked systems [T_1 - l_1; ...; T_d - l_d]
     can be handled. Basis vectors are right singular vectors whose singular
-    values fall at or below the rank cutoff; an exactly zero matrix yields the
-    full standard basis. A tall or square input needs only the thin SVD; a
-    wide one needs the full ``vh``, whose extra rows span the null space.
+    values fall at or below the rank cutoff of max(sigma_max, ``scale``); an
+    exactly zero matrix yields the full standard basis. ``scale`` is the
+    magnitude of the operands ``a`` was computed from, whose roundoff can leave
+    a zero ``a`` with a sigma_max of that roundoff alone. A tall or square input
+    needs only the thin SVD; a wide one needs the full ``vh``, whose extra rows
+    span the null space.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
@@ -102,7 +117,7 @@ def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL) -> np.nda
     sigma = np.zeros(n)
     sigma[: len(s)] = s
     sigma_max = float(sigma[0]) if n else 0.0
-    cutoff = tol.rank_cutoff(max(a.shape), sigma_max)
+    cutoff = tol.rank_cutoff(max(a.shape), max(sigma_max, scale))
     mask = sigma <= cutoff
     return vh.conj().T[:, mask]
 

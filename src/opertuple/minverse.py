@@ -210,12 +210,13 @@ def _spectral_mapping_audit(
     stronger disjointness reading is recorded separately and never drives the
     exit verdict.
     """
-    from .spectra import _in_point_spectrum, joint_point_spectrum, zero_variety_member
+    from .spectra import _in_point_spectrum, _in_zero_variety, _point_lambdas, joint_point_spectrum
 
     inverse_holds = tol.is_zero(beta_result.norm, beta_result.scale)
     src_points = joint_point_spectrum(source, tol, seed)
 
-    in_zero = [lam for lam, _ in src_points if zero_variety_member(lam, tol)]
+    zero = _in_zero_variety(_point_lambdas(src_points, source.d), tol)
+    in_zero = [lam for (lam, _), z in zip(src_points, zero) if z]
     if source.d == 1:
         literal_reading = len(in_zero) == 0
     else:
@@ -223,7 +224,7 @@ def _spectral_mapping_audit(
         literal_reading = True
     strict_reading = len(in_zero) == 0
 
-    off_zero = [(lam, x) for lam, x in src_points if not zero_variety_member(lam, tol)]
+    off_zero = [p for p, z in zip(src_points, zero) if not z]
     images = [_mapped_point(lam, source.d) for lam, _ in off_zero]
     found = _in_point_spectrum(
         target, images, [x for _, x in off_zero], lambda: joint_point_spectrum(target, tol, seed + 1), tol

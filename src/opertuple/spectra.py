@@ -15,13 +15,19 @@ one common eigenvector at a time.
 
 Each call triangularizes once; the point spectrum and the spectral radius
 share its diagonal. A candidate at diagonal position i is confirmed inside
-that Schur basis: back-substitution in the leading block of a fixed
-combination of the triangular factors gives a witness x, and a stacked
+that Schur basis. Its witness x is Q times the eigenvector, for the i-th
+diagonal entry, of C = triu(sum_j g_j U_j), a fixed combination of the
+triangular factors: LAPACK's triangular back-substitution (xTREVC), reached
+through ``np.linalg.eig``, whose balancing isolates every eigenvalue of a
+triangular input. Two guards leave every candidate to the stacked SVD: a
+non-finite C, and eigenvalues that are not C's diagonal in order. A stacked
 residual ||[T_j x - l_j x]_j|| at or below the rank cutoff of a lower bound on
 the stack's sigma_max certifies what its SVD would decide. Candidates the
 certificate cannot settle fall back to the null space of the stacked system,
-the only way a candidate is rejected. Every witness has a fixed phase: its
-first entry within a relative 1e-8 of the largest modulus is real and positive.
+the only way a candidate is rejected. The points are Rayleigh quotients, and
+their residuals max_j ||T_j x - l_j x|| come off the same product T_j X, one
+per component. Every witness has a fixed phase: its first entry within a
+relative 1e-8 of the largest modulus is real and positive.
 A point claimed to lie in a partner's spectrum (conj(lambda) in sigma_p(T*)
 for prop3.2, 1/(d lambda_j) in sigma_p(S) for thm4.1/4.2) is first put to the
 same certificate with the witness of lambda itself; the partner's points are
@@ -241,34 +247,37 @@ def _certified(t: OperatorTuple, x: np.ndarray, lams: np.ndarray, tol: Tolerance
 
 def _schur_witnesses(t: OperatorTuple, factors, diag, kept: list[int], tol: ToleranceModel):
     """Unit witnesses from the triangular factors, one column per kept diagonal
-    position, and whether each one's stacked residual certifies it."""
+    position, and whether each one's stacked residual certifies it.
+
+    Column i is Q times the eigenvector of C = triu(sum_j g_j U_j) for C's i-th
+    diagonal entry. On a triangular input zgeev's balancing isolates every
+    eigenvalue, so only xTREVC's scaled back-substitution runs (Anderson et al.,
+    LAPACK Users' Guide, 3rd ed.); it floors a vanishing pivot instead of
+    dividing by zero. A non-finite C, or eigenvalues that are not C's diagonal
+    in order, certify nothing: the stacked SVD decides instead.
+    """
     q, us = factors
-    n, d = t.dim, t.d
-    combo = sum(gj * u for gj, u in zip(_certificate_weights(d), us))
-    shifts = np.diag(combo)[kept]
-    pos = np.array(kept)
-    # Back-substitution in the leading (i+1) x (i+1) block of combo - c_i I,
-    # all kept positions i at once: y_i = 1 and y_k = 0 below it.
-    y = np.zeros((n, len(kept)), dtype=np.complex128)
-    y[pos, np.arange(len(kept))] = 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(n - 2, -1, -1):
-            above = pos > k
-            y[k, above] = -(combo[k, k + 1 :] @ y[k + 1 :, above]) / (combo[k, k] - shifts[above])
-        x = q @ y
-        x /= np.linalg.norm(x, axis=0)
+    combo = np.triu(sum(gj * u for gj, u in zip(_certificate_weights(t.d), us)))
+    if not np.isfinite(combo).all():
+        return None, [False] * len(kept)
+    values, vectors = np.linalg.eig(combo)
+    if not np.array_equal(values, np.diag(combo)):
+        return None, [False] * len(kept)
+    x = q @ vectors[:, kept]
+    x /= np.linalg.norm(x, axis=0)
     return x, _certified(t, x, np.array([diag[i] for i in kept]).T, tol)
 
 
-def _confirmed_points(
-    t: OperatorTuple, diag, tol: ToleranceModel, factors=None
-) -> list[tuple[tuple[complex, ...], np.ndarray]]:
-    """Candidates, confirmed by a residual certificate or the stacked null space.
+def _confirmed_points(t: OperatorTuple, diag, tol: ToleranceModel, factors=None):
+    """Candidates, confirmed by a residual certificate or the stacked null space,
+    and each confirmed point's residual max_j ||T_j x - l_j x||.
 
     ``factors`` is the (Q, [U_j]) whose diagonal ``diag`` is; with it each
     candidate first tries the certificate of ``_schur_witnesses``. A candidate
     it cannot settle, and every candidate without factors, is decided by the
-    SVD of [T_1 - l_1; ...; T_d - l_d] under the same ``rank_cutoff``.
+    SVD of [T_1 - l_1; ...; T_d - l_d] under the same ``rank_cutoff``. The
+    points are Rayleigh quotients, read with the residuals off one product
+    T_j X per component, X the witnesses.
     """
     kept = _first_kept(diag, t.d, CLUSTER_TOL)
     certified = [False] * len(kept)
@@ -285,8 +294,12 @@ def _confirmed_points(
             if basis.shape[1] > 0:
                 xs.append(basis[:, 0])
     x = _fixed_phase(np.reshape(xs, (-1, t.dim)).T)
-    lams = list(zip(*((x.conj() * (m @ x)).sum(axis=0).tolist() for m in t)))
-    return [(lams[i], x[:, i]) for i in _first_kept(lams, t.d, CLUSTER_TOL)]
+    tx = np.stack([m @ x for m in t])
+    lams = (x.conj() * tx).sum(axis=1)
+    residuals = np.linalg.norm(tx - x * lams[:, None, :], axis=1).max(axis=0)
+    points = list(zip(*lams.tolist()))
+    kept = _first_kept(points, t.d, CLUSTER_TOL)
+    return [(points[i], x[:, i]) for i in kept], residuals[kept].tolist()
 
 
 def joint_point_spectrum(
@@ -306,15 +319,15 @@ def joint_point_spectrum(
 
 
 def _point_spectrum(t: OperatorTuple, tol: ToleranceModel, seed: int):
-    """One triangularization: its diagonal and the points it confirms."""
+    """One triangularization: its diagonal, the points it confirms and their residuals."""
     return _factor_points(t, simultaneous_triangularize(t, seed, tol), tol)
 
 
 def _factor_points(t: OperatorTuple, factors, tol: ToleranceModel):
-    """The diagonal of a simultaneous triangularization (Q, [U_j]) of ``t`` and
-    the points it confirms."""
+    """The diagonal of a simultaneous triangularization (Q, [U_j]) of ``t``, the
+    points it confirms and their residuals."""
     diag = _diagonal(factors[1])
-    return diag, _confirmed_points(t, diag, tol, factors)
+    return diag, *_confirmed_points(t, diag, tol, factors)
 
 
 def _adjoint_factors(factors):
@@ -325,22 +338,29 @@ def _adjoint_factors(factors):
     return q[:, ::-1], [adjoint(u)[::-1, ::-1] for u in us]
 
 
-def _point_residual(t: OperatorTuple, lam, x) -> float:
-    return max(float(np.linalg.norm(m @ x - lj * x)) for m, lj in zip(t, lam))
-
-
-def _norm2(lam) -> float:
-    """||lambda||_2 of a joint eigenvalue, without squaring its entries."""
-    return math.hypot(*map(abs, lam))
+def _norm2(lams: np.ndarray) -> np.ndarray:
+    """||lambda||_2 of each joint eigenvalue (a row of ``lams``), without squaring its entries."""
+    return np.hypot.reduce(np.hypot(lams.real, lams.imag), axis=1)
 
 
 def _radius(diag) -> float:
-    return max(_norm2(lam) for lam in diag)
+    return float(_norm2(np.array(diag)).max())
+
+
+def _in_zero_variety(lams: np.ndarray, tol: ToleranceModel) -> np.ndarray:
+    """Whether each joint eigenvalue (a row of ``lams``) has a vanishing coordinate
+    product: some |lambda_j| is zero at scale 0."""
+    return np.hypot(lams.real, lams.imag).min(axis=1) <= tol.threshold()
 
 
 def zero_variety_member(lam, tol: ToleranceModel = DEFAULT_TOL) -> bool:
     """True when the coordinate product vanishes: some |lambda_j| is zero at scale 0."""
-    return tol.is_zero(min(abs(complex(lj)) for lj in lam))
+    return bool(_in_zero_variety(np.array([lam], dtype=np.complex128), tol)[0])
+
+
+def _point_lambdas(points, d: int) -> np.ndarray:
+    """The joint eigenvalues of (lambda, witness) pairs, one row each."""
+    return np.reshape([lam for lam, _ in points], (-1, d))
 
 
 def joint_lower_bound(t: OperatorTuple) -> float:
@@ -375,13 +395,12 @@ class JointSpectrumResult:
 def joint_spectrum(
     t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> JointSpectrumResult:
-    diag, points = _point_spectrum(t, tol, seed)
-    residuals = tuple(_point_residual(t, lam, x) for lam, x in points)
+    diag, points, residuals = _point_spectrum(t, tol, seed)
     return JointSpectrumResult(
         point_spectrum=tuple((lam, tuple(x)) for lam, x in points),
         taylor_diagonal=tuple(diag),
         spectral_radius=_radius(diag),
-        residuals=residuals,
+        residuals=tuple(residuals),
         seed=seed,
     )
 
@@ -398,15 +417,14 @@ def audit_theorem_3_1(
     reducing, _ = _null_reducing(t, q, power, tol)
     hyp = defect.is_zero and reducing
 
-    diag, points = _point_spectrum(t, tol, seed)
-    witnesses = []
-    all_located = True
-    for lam, _x in points:
-        on_sphere = abs(_norm2(lam) - 1.0) <= SPHERE_TOL
-        in_zero = zero_variety_member(lam, tol)
-        if not (on_sphere or in_zero):
-            all_located = False
-            witnesses.append(Witness("eigenvalue outside sphere and zero variety", lam))
+    diag, points, _ = _point_spectrum(t, tol, seed)
+    lams = _point_lambdas(points, t.d)
+    located = (np.abs(_norm2(lams) - 1.0) <= SPHERE_TOL) | _in_zero_variety(lams, tol)
+    witnesses = [
+        Witness("eigenvalue outside sphere and zero variety", points[i][0])
+        for i in np.flatnonzero(~located)
+    ]
+    all_located = bool(located.all())
 
     radius = _radius(diag)
     radius_is_one = abs(radius - 1.0) <= SPHERE_TOL
@@ -458,13 +476,15 @@ def audit_proposition_3_2(
     hyp = defect.is_zero and reducing
 
     factors = simultaneous_triangularize(t, seed, tol)
-    _, points = _factor_points(t, factors, tol)
+    _, points, _ = _factor_points(t, factors, tol)
     adj = adjoint_tuple(t)
     witnesses = []
 
-    off_zero = [(lam, x) for lam, x in points if not zero_variety_member(lam, tol)]
+    lams = _point_lambdas(points, t.d)
+    in_zero = _in_zero_variety(lams, tol)
+    off_zero = [p for p, zero in zip(points, in_zero) if not zero]
     found = _in_point_spectrum(
-        adj, np.conj([lam for lam, _ in off_zero]), [x for _, x in off_zero],
+        adj, lams[~in_zero].conj(), [x for _, x in off_zero],
         lambda: _factor_points(adj, _adjoint_factors(factors), tol)[1], tol,
     )
     for (lam, _x), hit in zip(off_zero, found):
@@ -472,7 +492,6 @@ def audit_proposition_3_2(
             witnesses.append(Witness("conjugate missing from adjoint spectrum", lam))
 
     # Pairs i < j, row by row: |1 - <lambda_i, lambda_j>| and |<x_i, x_j>|.
-    lams = np.reshape([lam for lam, _ in points], (-1, t.d))
     xs = np.reshape([x for _, x in points], (-1, t.dim)).T
     rows, cols = np.triu_indices(len(points), 1)
     separated = np.abs(1.0 - lams @ lams.conj().T)[rows, cols] >= SEPARATION

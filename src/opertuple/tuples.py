@@ -277,16 +277,28 @@ def null_reducing_check(
     return _null_reducing(t, q, tuple_power(t, q), tol)
 
 
+def _power_bound(norms, q) -> float:
+    """prod_j norms_j^(q_j), the magnitude T^q is formed at: its roundoff sets the
+    null-space cutoff, so a T^q zero up to roundoff has the whole space as null
+    space. Summed in logarithms, so no partial product overflows; 0 when the bound
+    itself passes the float range, and then sigma_max alone sets the cutoff."""
+    if any(qj and not n for n, qj in zip(norms, q)):
+        return 0.0
+    log2 = sum(qj * math.log2(n) for n, qj in zip(norms, q) if qj)
+    return 2.0**log2 if log2 < 1024 else 0.0
+
+
 def _null_reducing(t: OperatorTuple, q, power: np.ndarray, tol: ToleranceModel):
     """``null_reducing_check`` on T^q given as ``power``, for callers that formed it already."""
     if not np.isfinite(power).all():
         raise NumericalFailureError(
             "T^q is not finite: the power overflows", {"q": [int(v) for v in q]}
         )
-    basis = null_space_basis(power, tol)
+    norms = [frobenius_norm(m) for m in t]
+    basis = null_space_basis(power, tol, _power_bound(norms, q))
     if basis.shape[1] == 0:
         return True, basis
-    scale = max(frobenius_norm(m) for m in t)
+    scale = max(norms)
     outside = np.eye(t.dim) - basis @ adjoint(basis)
     residual = max(0.0, *(frobenius_norm(outside @ x @ basis) for m in t for x in (m, adjoint(m))))
     return tol.is_zero(residual, scale), basis

@@ -67,6 +67,18 @@ def test_frobenius_rescales_only_past_overflow():
         assert frobenius_norm(a) == float(np.linalg.norm(a, "fro"))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_frobenius_is_numpys_norm_bitwise():
+    a = random_complex(7)
+    cases = [a, a.real.copy(), np.arange(-12, 13).reshape(5, 5), a[::2, 1::3], a.T, a.real[:, ::-1]]
+    for m in cases:
+        assert frobenius_norm(m) == float(np.linalg.norm(m, "fro"))
+    big = a * 1e160  # past the float range squared: rescaled by its largest modulus
+    top = float(np.abs(big).max())
+    assert np.linalg.norm(big, "fro") == np.inf
+    assert frobenius_norm(big) == top * float(np.linalg.norm(big / top, "fro"))
+
+
 def test_null_space_zero_matrix_full_basis():
     basis = null_space_basis(np.zeros((3, 3)))
     assert basis.shape == (3, 3)
@@ -74,6 +86,15 @@ def test_null_space_zero_matrix_full_basis():
 
 def test_null_space_identity_empty():
     assert null_space_basis(np.eye(2)).shape == (2, 0)
+
+
+def test_null_space_cutoff_takes_the_larger_scale():
+    # A sigma_max of 1e-15 is its own cutoff's scale, so alone it is kept; at
+    # scale 1 (the operands it was computed from) it is roundoff.
+    a = 1e-15 * np.outer([1.0, 2.0, 2.0], [1.0, 0.0, 1.0])
+    assert null_space_basis(a).shape == (3, 2)
+    assert null_space_basis(a, scale=1.0).shape == (3, 3)
+    assert null_space_basis(np.eye(3), scale=1e-3).shape == (3, 0)
 
 
 def test_null_space_golden_column():

@@ -38,6 +38,7 @@ from opertuple.spectra import (
     _fixed_phase,
     _linf_distances,
     _near_spectrum,
+    _schur_witnesses,
     audit_proposition_3_2,
     audit_theorem_3_1,
     joint_lower_bound,
@@ -50,6 +51,7 @@ from opertuple.minverse import audit_theorem_4_1, audit_theorem_4_2
 from opertuple.reports import report_to_dict
 from opertuple.tuplefile import parse_partner, parse_tuple_file
 from opertuple.tuples import adjoint_tuple, conjugate_by_unitary, make_tuple, permute_tuple
+from witness_oracle import back_substituted_witnesses
 
 RNG = np.random.default_rng(99)
 
@@ -329,7 +331,7 @@ def test_refined_dedup_follows_the_same_rule():
     t = make_tuple([np.diag([0.0, 1e6])])
     candidates = [(0.0,), (2 * tol,), (1e6,)]
     assert _first_kept(candidates, 1, tol) == [0, 1, 2]
-    points = _confirmed_points(t, candidates, DEFAULT_TOL)
+    points, _ = _confirmed_points(t, candidates, DEFAULT_TOL)
     assert [lam for lam, _ in points] == [(0.0,), (1e6,)]
     assert abs(points[0][1][0]) == pytest.approx(1.0)
 
@@ -387,7 +389,7 @@ def commuting_tuples(draw):
 def test_schur_certificate_agrees_with_stacked_svd(t):
     factors = simultaneous_triangularize(t)
     diag = _diagonal(factors[1])
-    points = _confirmed_points(t, diag, DEFAULT_TOL, factors)
+    points, _ = _confirmed_points(t, diag, DEFAULT_TOL, factors)
     reference = stacked_svd_points(t, diag)
     assert len(points) == len(reference)
     scale = max(1.0, max(frobenius_norm(m) for m in t))
@@ -430,18 +432,94 @@ def test_certificate_confirms_without_a_stacked_svd(monkeypatch, name):
     assert result.point_spectrum
 
 
-def test_certificate_fallback_confirms_combination_collision(monkeypatch):
+WITNESS_FAMILIES = {
+    "pi_diagonal": lambda dim, d, seed: diagonal_conjugate(np.random.default_rng(seed), dim, d, True, True),
+    "non_normal": lambda dim, d, seed: diagonal_conjugate(np.random.default_rng(seed), dim, d, False, False),
+}
+
+
+def assert_witnesses_match_back_substitution(t):
+    q, us = factors = simultaneous_triangularize(t)
+    diag = _diagonal(us)
+    kept = _first_kept(diag, t.d, CLUSTER_TOL)
+    x, _ = _schur_witnesses(t, factors, diag, kept, DEFAULT_TOL)
+    reference = back_substituted_witnesses(q, us, _certificate_weights(t.d), kept)
+    assert np.abs(_fixed_phase(x) - _fixed_phase(reference)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family", sorted(WITNESS_FAMILIES))
+@pytest.mark.parametrize("dim", [2, 5, 16, 32])
+def test_lapack_witnesses_match_back_substitution(family, dim):
+    for d, seed in [(1, 0), (2, 1), (4, 2)]:
+        assert_witnesses_match_back_substitution(WITNESS_FAMILIES[family](dim, d, seed))
+
+
+@pytest.mark.parametrize("example", ["2.2", "3.golden(1)", "3.golden(3)"])
+def test_lapack_witnesses_match_back_substitution_on_paper_examples(example):
+    assert_witnesses_match_back_substitution(paper_example(example).tuple)
+
+
+@pytest.mark.parametrize("family", sorted(WITNESS_FAMILIES))
+def test_residuals_match_the_per_point_loop(family):
+    for dim, d in [(3, 1), (8, 2), (32, 4)]:
+        t = WITNESS_FAMILIES[family](dim, d, dim)
+        result = joint_spectrum(t)
+        scale = max(frobenius_norm(m) for m in t)
+        for (lam, x), res in zip(result.point_spectrum, result.residuals):
+            x = np.asarray(x)
+            loop = max(np.linalg.norm(m @ x - lj * x) for m, lj in zip(t, lam))
+            assert abs(res - loop) <= 1e-15 * scale
+
+
+def test_witness_guards_leave_every_candidate_to_the_stacked_svd(monkeypatch):
+    t = named_tuple("example_2_2")
+    factors = simultaneous_triangularize(t)
+    diag = _diagonal(factors[1])
+    kept = _first_kept(diag, t.d, CLUSTER_TOL)
+    reference, _ = _confirmed_points(t, diag, DEFAULT_TOL)
+    q, us = factors
+    overflowed = [u.copy() for u in us]
+    overflowed[0][0, -1] = np.inf
+    assert _schur_witnesses(t, (q, overflowed), diag, kept, DEFAULT_TOL) == (None, [False] * len(kept))
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: tuple(v[..., ::-1] for v in eig(a)))
+    nullities = counting_null_spaces(monkeypatch)
+    points, _ = _confirmed_points(t, diag, DEFAULT_TOL, factors)
+    assert len(nullities) == len(kept)
+    assert [lam for lam, _ in points] == [lam for lam, _ in reference]
+
+
+def test_certificate_confirms_combination_collision(monkeypatch):
     # (g_2, -g_1) and (0, 0) are distinct joint eigenvalues that the fixed
-    # combination sum_j g_j l_j maps to the same value: back-substitution divides
-    # 0 by 0, and the stacked SVD confirms the second point alone.
+    # combination sum_j g_j l_j maps to the same value. The triangular
+    # eigenvector routine replaces the zero pivot by its small-pivot floor and
+    # divides a zero coupling by it, so the second witness is e_2, exactly.
     g = _certificate_weights(2)
     t = make_tuple([np.diag([0.0, g[1], 1.0]), np.diag([0.0, -g[0], 1.0])])
     nullities = counting_null_spaces(monkeypatch)
     points = joint_point_spectrum(t)
-    assert nullities == [1]
+    assert nullities == []
     expected = [(0j, 0j), (complex(g[1]), complex(-g[0])), (1 + 0j, 1 + 0j)]
     assert [lam for lam, _ in points] == expected
     assert np.array_equal(points[1][1], [0, 1, 0])
+
+
+def test_certificate_fallback_confirms_non_normal_combination_collision(monkeypatch):
+    # The same collision through a non-normal similarity S: the second
+    # eigenvector S e_2 leans on e_1 by a coupling the combination cancels, so no
+    # back-substitution in it can find that vector. The certificate fails and
+    # the stacked SVD confirms the point.
+    g = _certificate_weights(2)
+    s = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    t = make_tuple([s @ np.diag(lam) @ np.linalg.inv(s) for lam in ([0.0, g[1], 1.0], [0.0, -g[0], 1.0])])
+    nullities = counting_null_spaces(monkeypatch)
+    points = joint_point_spectrum(t)
+    assert nullities == [1]
+    expected = [(0, 0), (g[1], -g[0]), (1, 1)]
+    assert len(points) == 3
+    for (lam, _), lam_ref in zip(points, expected):
+        assert max(abs(a - b) for a, b in zip(lam, lam_ref)) <= 1e-14
+    assert abs(np.vdot(points[1][1], [1.0, 1.0, 0.0])) == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
 
 def test_certificate_fallback_rejects_near_commuting_candidates(monkeypatch):

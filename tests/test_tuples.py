@@ -17,6 +17,7 @@ from opertuple.tuples import (
     QuasinormalFlags,
     _commutator,
     _exponent,
+    _power_bound,
     _scaled_down,
     adjoint_tuple,
     conjugate_by_unitary,
@@ -319,11 +320,6 @@ def test_null_reducing_golden_fails():
     assert basis.shape[1] == 1  # span{e2}; A* e2 = (1, 0) escapes
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: null_space_basis takes its rank cutoff from the matrix's own "
-    "sigma_max, so a T^q that is zero up to roundoff gets an empty null space",
-)
 def test_null_reducing_on_a_product_zero_up_to_roundoff():
     # T_1 = V diag(a) V*, T_2 = V diag(b) V* with a_i b_i = 0: T_1 T_2 = 0 exactly,
     # and its computed sigma_max is ~1e-15, so N(T^(1,1)) is the whole space.
@@ -335,6 +331,14 @@ def test_null_reducing_on_a_product_zero_up_to_roundoff():
         t = make_tuple([v @ np.diag(a) @ adjoint(v), v @ np.diag(b) @ adjoint(v)])
         dims.append(null_reducing_check(t, (1, 1))[1].shape[1])
     assert dims == [8] * 5
+
+
+def test_power_bound_is_formed_without_overflow():
+    assert _power_bound([2.0, 3.0], (2, 1)) == pytest.approx(12.0, rel=1e-15)
+    assert _power_bound([0.0, 3.0], (0, 1)) == pytest.approx(3.0, rel=1e-15)
+    assert _power_bound([0.0, 3.0], (1, 1)) == 0.0
+    assert _power_bound([1e160, 1e-160], (2, 2)) == pytest.approx(1.0, rel=1e-12)
+    assert _power_bound([1e160, 1.0], (2, 0)) == 0.0  # past the float range: sigma_max decides
 
 
 def _commuting_family(kind, seed, d, dim):
