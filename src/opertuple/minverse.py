@@ -210,12 +210,12 @@ def _spectral_mapping_audit(
     stronger disjointness reading is recorded separately and never drives the
     exit verdict.
     """
-    from .spectra import _in_point_spectrum, _in_zero_variety, _point_lambdas, joint_point_spectrum
+    from .spectra import _in_point_spectrum, _in_zero_variety, joint_point_spectrum
 
     inverse_holds = tol.is_zero(beta_result.norm, beta_result.scale)
     src_points = joint_point_spectrum(source, tol, seed)
 
-    zero = _in_zero_variety(_point_lambdas(src_points, source.d), tol)
+    zero = _in_zero_variety(np.reshape([lam for lam, _ in src_points], (-1, source.d)), tol)
     in_zero = [lam for (lam, _), z in zip(src_points, zero) if z]
     if source.d == 1:
         literal_reading = len(in_zero) == 0

@@ -15,19 +15,15 @@ one common eigenvector at a time.
 
 Each call triangularizes once; the point spectrum and the spectral radius
 share its diagonal. A candidate at diagonal position i is confirmed inside
-that Schur basis. Its witness x is Q times the eigenvector, for the i-th
-diagonal entry, of C = triu(sum_j g_j U_j), a fixed combination of the
-triangular factors: LAPACK's triangular back-substitution (xTREVC), reached
-through ``np.linalg.eig``, whose balancing isolates every eigenvalue of a
-triangular input. Two guards leave every candidate to the stacked SVD: a
-non-finite C, and eigenvalues that are not C's diagonal in order. A stacked
-residual ||[T_j x - l_j x]_j|| at or below the rank cutoff of a lower bound on
-the stack's sigma_max certifies what its SVD would decide. Candidates the
+that Schur basis: its witness x is Q times LAPACK's eigenvector of a fixed
+triangular combination of the factors, and a stacked residual
+||[T_j x - l_j x]_j|| at or below the rank cutoff of a lower bound on the
+stack's sigma_max certifies what its SVD would decide. Candidates the
 certificate cannot settle fall back to the null space of the stacked system,
-the only way a candidate is rejected. The points are Rayleigh quotients, and
-their residuals max_j ||T_j x - l_j x|| come off the same product T_j X, one
-per component. Every witness has a fixed phase: its first entry within a
-relative 1e-8 of the largest modulus is real and positive.
+the only way a candidate is rejected. Points are Rayleigh quotients; they and
+their residuals come off one product T_j X per component. Every witness has a
+fixed phase: its first entry within a relative 1e-8 of the largest modulus is
+real and positive.
 A point claimed to lie in a partner's spectrum (conj(lambda) in sigma_p(T*)
 for prop3.2, 1/(d lambda_j) in sigma_p(S) for thm4.1/4.2) is first put to the
 same certificate with the witness of lambda itself; the partner's points are
@@ -246,26 +242,19 @@ def _certified(t: OperatorTuple, x: np.ndarray, lams: np.ndarray, tol: Tolerance
 
 
 def _schur_witnesses(t: OperatorTuple, factors, diag, kept: list[int], tol: ToleranceModel):
-    """Unit witnesses from the triangular factors, one column per kept diagonal
-    position, and whether each one's stacked residual certifies it.
-
-    Column i is Q times the eigenvector of C = triu(sum_j g_j U_j) for C's i-th
-    diagonal entry. On a triangular input zgeev's balancing isolates every
-    eigenvalue, so only xTREVC's scaled back-substitution runs (Anderson et al.,
-    LAPACK Users' Guide, 3rd ed.); it floors a vanishing pivot instead of
-    dividing by zero. A non-finite C, or eigenvalues that are not C's diagonal
-    in order, certify nothing: the stacked SVD decides instead.
-    """
+    """Unit witnesses, one column per kept diagonal position i, and whether each
+    one's stacked residual certifies it. Column i is Q times the eigenvector of
+    C = triu(sum_j g_j U_j) for C[i, i]: zgeev's balancing isolates every eigenvalue
+    of a triangular C, so only xTREVC's back-substitution runs, vanishing pivots
+    floored. A non-finite C, or eigenvalues other than C's diagonal in order, certify none."""
     q, us = factors
     combo = np.triu(sum(gj * u for gj, u in zip(_certificate_weights(t.d), us)))
-    if not np.isfinite(combo).all():
-        return None, [False] * len(kept)
-    values, vectors = np.linalg.eig(combo)
-    if not np.array_equal(values, np.diag(combo)):
-        return None, [False] * len(kept)
-    x = q @ vectors[:, kept]
-    x /= np.linalg.norm(x, axis=0)
-    return x, _certified(t, x, np.array([diag[i] for i in kept]).T, tol)
+    if np.isfinite(combo).all():
+        values, vectors = np.linalg.eig(combo)
+        if np.array_equal(values, np.diag(combo)):
+            x = q @ vectors[:, kept]
+            return x, _certified(t, x, np.array([diag[i] for i in kept]).T, tol)
+    return None, [False] * len(kept)
 
 
 def _confirmed_points(t: OperatorTuple, diag, tol: ToleranceModel, factors=None):
@@ -275,9 +264,7 @@ def _confirmed_points(t: OperatorTuple, diag, tol: ToleranceModel, factors=None)
     ``factors`` is the (Q, [U_j]) whose diagonal ``diag`` is; with it each
     candidate first tries the certificate of ``_schur_witnesses``. A candidate
     it cannot settle, and every candidate without factors, is decided by the
-    SVD of [T_1 - l_1; ...; T_d - l_d] under the same ``rank_cutoff``. The
-    points are Rayleigh quotients, read with the residuals off one product
-    T_j X per component, X the witnesses.
+    SVD of [T_1 - l_1; ...; T_d - l_d] under the same ``rank_cutoff``.
     """
     kept = _first_kept(diag, t.d, CLUSTER_TOL)
     certified = [False] * len(kept)
@@ -324,8 +311,7 @@ def _point_spectrum(t: OperatorTuple, tol: ToleranceModel, seed: int):
 
 
 def _factor_points(t: OperatorTuple, factors, tol: ToleranceModel):
-    """The diagonal of a simultaneous triangularization (Q, [U_j]) of ``t``, the
-    points it confirms and their residuals."""
+    """The diagonal of a triangularization (Q, [U_j]) of ``t``, its points and residuals."""
     diag = _diagonal(factors[1])
     return diag, *_confirmed_points(t, diag, tol, factors)
 
@@ -348,19 +334,13 @@ def _radius(diag) -> float:
 
 
 def _in_zero_variety(lams: np.ndarray, tol: ToleranceModel) -> np.ndarray:
-    """Whether each joint eigenvalue (a row of ``lams``) has a vanishing coordinate
-    product: some |lambda_j| is zero at scale 0."""
+    """``zero_variety_member`` of each joint eigenvalue, a row of ``lams``."""
     return np.hypot(lams.real, lams.imag).min(axis=1) <= tol.threshold()
 
 
 def zero_variety_member(lam, tol: ToleranceModel = DEFAULT_TOL) -> bool:
     """True when the coordinate product vanishes: some |lambda_j| is zero at scale 0."""
     return bool(_in_zero_variety(np.array([lam], dtype=np.complex128), tol)[0])
-
-
-def _point_lambdas(points, d: int) -> np.ndarray:
-    """The joint eigenvalues of (lambda, witness) pairs, one row each."""
-    return np.reshape([lam for lam, _ in points], (-1, d))
 
 
 def joint_lower_bound(t: OperatorTuple) -> float:
@@ -418,13 +398,10 @@ def audit_theorem_3_1(
     hyp = defect.is_zero and reducing
 
     diag, points, _ = _point_spectrum(t, tol, seed)
-    lams = _point_lambdas(points, t.d)
+    lams = np.reshape([lam for lam, _ in points], (-1, t.d))
     located = (np.abs(_norm2(lams) - 1.0) <= SPHERE_TOL) | _in_zero_variety(lams, tol)
-    witnesses = [
-        Witness("eigenvalue outside sphere and zero variety", points[i][0])
-        for i in np.flatnonzero(~located)
-    ]
-    all_located = bool(located.all())
+    outside = np.flatnonzero(~located)
+    witnesses = [Witness("eigenvalue outside sphere and zero variety", points[i][0]) for i in outside]
 
     radius = _radius(diag)
     radius_is_one = abs(radius - 1.0) <= SPHERE_TOL
@@ -433,7 +410,7 @@ def audit_theorem_3_1(
         SubVerdict(
             name="sigma_p within sphere or zero variety",
             hypotheses_hold=hyp,
-            conclusion_holds=all_located,
+            conclusion_holds=bool(located.all()),
             vacuous=not hyp,
             details={"points_checked": len(points)},
         ),
@@ -480,7 +457,7 @@ def audit_proposition_3_2(
     adj = adjoint_tuple(t)
     witnesses = []
 
-    lams = _point_lambdas(points, t.d)
+    lams = np.reshape([lam for lam, _ in points], (-1, t.d))
     in_zero = _in_zero_variety(lams, tol)
     off_zero = [p for p, zero in zip(points, in_zero) if not zero]
     found = _in_point_spectrum(

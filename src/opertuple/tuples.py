@@ -294,7 +294,8 @@ def _null_reducing(t: OperatorTuple, q, power: np.ndarray, tol: ToleranceModel):
         raise NumericalFailureError(
             "T^q is not finite: the power overflows", {"q": [int(v) for v in q]}
         )
-    norms = [frobenius_norm(m) for m in t]
+    with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
+        norms = [frobenius_norm(m) for m in t]
     basis = null_space_basis(power, tol, _power_bound(norms, q))
     if basis.shape[1] == 0:
         return True, basis

@@ -339,6 +339,8 @@ def test_power_bound_is_formed_without_overflow():
     assert _power_bound([0.0, 3.0], (1, 1)) == 0.0
     assert _power_bound([1e160, 1e-160], (2, 2)) == pytest.approx(1.0, rel=1e-12)
     assert _power_bound([1e160, 1.0], (2, 0)) == 0.0  # past the float range: sigma_max decides
+    # Components whose squared entries overflow: the norms are rescaled, silently.
+    assert null_reducing_check(make_tuple([np.diag([1e200, 2e200])]), (0,))[0]
 
 
 def _commuting_family(kind, seed, d, dim):
