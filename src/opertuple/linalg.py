@@ -81,7 +81,7 @@ def frobenius_norm(a: np.ndarray) -> float:
     """||a||_F; finite input whose squared entries overflow is rescaled by max |a_ij|.
 
     The two dot products ``np.linalg.norm(a, "fro")`` runs, without its argument
-    handling: on float64 and complex128 input the value is bitwise the same.
+    handling, so the value agrees with numpy's to roundoff.
     """
     x = np.asarray(a)
     if x.dtype.kind not in "fc":

@@ -154,9 +154,14 @@ def tuple_power(t: OperatorTuple, alpha) -> np.ndarray:
     entries = validate_multiindex(alpha)
     if len(entries) != t.d:
         raise ValueError(f"multi-index has {len(entries)} entries, tuple has d = {t.d}")
-    result = np.eye(t.dim, dtype=np.complex128)
+    return _monomial(t, entries)
+
+
+def _monomial(mats, alpha) -> np.ndarray:
+    """mats_1^(a_1) ... mats_d^(a_d) in the matrices' dtype, non-finite past the float range."""
+    result = np.eye(mats[0].shape[0], dtype=mats[0].dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, a in zip(t, entries):
+        for m, a in zip(mats, alpha):
             if a:
                 result = result @ np.linalg.matrix_power(m, a)
     return result
@@ -277,15 +282,17 @@ def null_reducing_check(
     return _null_reducing(t, q, tuple_power(t, q), tol)
 
 
-def _power_bound(norms, q) -> float:
-    """prod_j norms_j^(q_j), the magnitude T^q is formed at: its roundoff sets the
-    null-space cutoff, so a T^q zero up to roundoff has the whole space as null
-    space. Summed in logarithms, so no partial product overflows; 0 when the bound
-    itself passes the float range, and then sigma_max alone sets the cutoff."""
-    if any(qj and not n for n, qj in zip(norms, q)):
-        return 0.0
-    log2 = sum(qj * math.log2(n) for n, qj in zip(norms, q) if qj)
-    return 2.0**log2 if log2 < 1024 else 0.0
+def _roundoff_scale(t: OperatorTuple, q) -> float:
+    """sigma_max of |T_1|^(q_1) ... |T_d|^(q_d), |.| taken entry by entry.
+
+    The computed T^q is off from the exact one by at most a small multiple of
+    eps dim times this matrix, entry by entry (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.5), so a T^q zero up to roundoff has the
+    whole space as null space. For diagonal T it is ||T^q||_2 itself. 0 when it
+    passes the float range, and then sigma_max alone sets the cutoff.
+    """
+    bound = _monomial([np.abs(m) for m in t], q)
+    return float(np.linalg.norm(bound, 2)) if np.isfinite(bound).all() else 0.0
 
 
 def _null_reducing(t: OperatorTuple, q, power: np.ndarray, tol: ToleranceModel):
@@ -294,12 +301,11 @@ def _null_reducing(t: OperatorTuple, q, power: np.ndarray, tol: ToleranceModel):
         raise NumericalFailureError(
             "T^q is not finite: the power overflows", {"q": [int(v) for v in q]}
         )
-    with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
-        norms = [frobenius_norm(m) for m in t]
-    basis = null_space_basis(power, tol, _power_bound(norms, q))
+    basis = null_space_basis(power, tol, _roundoff_scale(t, q))
     if basis.shape[1] == 0:
         return True, basis
-    scale = max(norms)
+    with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
+        scale = max(frobenius_norm(m) for m in t)
     outside = np.eye(t.dim) - basis @ adjoint(basis)
     residual = max(0.0, *(frobenius_norm(outside @ x @ basis) for m in t for x in (m, adjoint(m))))
     return tol.is_zero(residual, scale), basis

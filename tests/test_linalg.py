@@ -68,15 +68,15 @@ def test_frobenius_rescales_only_past_overflow():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_frobenius_is_numpys_norm_bitwise():
+def test_frobenius_is_numpys_norm():
     a = random_complex(7)
     cases = [a, a.real.copy(), np.arange(-12, 13).reshape(5, 5), a[::2, 1::3], a.T, a.real[:, ::-1]]
     for m in cases:
-        assert frobenius_norm(m) == float(np.linalg.norm(m, "fro"))
+        np.testing.assert_array_max_ulp(frobenius_norm(m), np.linalg.norm(m, "fro"), maxulp=4)
     big = a * 1e160  # past the float range squared: rescaled by its largest modulus
     top = float(np.abs(big).max())
     assert np.linalg.norm(big, "fro") == np.inf
-    assert frobenius_norm(big) == top * float(np.linalg.norm(big / top, "fro"))
+    np.testing.assert_array_max_ulp(frobenius_norm(big), top * np.linalg.norm(big / top, "fro"), maxulp=4)
 
 
 def test_null_space_zero_matrix_full_basis():

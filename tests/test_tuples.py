@@ -17,7 +17,7 @@ from opertuple.tuples import (
     QuasinormalFlags,
     _commutator,
     _exponent,
-    _power_bound,
+    _roundoff_scale,
     _scaled_down,
     adjoint_tuple,
     conjugate_by_unitary,
@@ -333,13 +333,25 @@ def test_null_reducing_on_a_product_zero_up_to_roundoff():
     assert dims == [8] * 5
 
 
-def test_power_bound_is_formed_without_overflow():
-    assert _power_bound([2.0, 3.0], (2, 1)) == pytest.approx(12.0, rel=1e-15)
-    assert _power_bound([0.0, 3.0], (0, 1)) == pytest.approx(3.0, rel=1e-15)
-    assert _power_bound([0.0, 3.0], (1, 1)) == 0.0
-    assert _power_bound([1e160, 1e-160], (2, 2)) == pytest.approx(1.0, rel=1e-12)
-    assert _power_bound([1e160, 1.0], (2, 0)) == 0.0  # past the float range: sigma_max decides
-    # Components whose squared entries overflow: the norms are rescaled, silently.
+def test_roundoff_scale_keeps_small_singular_values_of_invertible_powers():
+    # For diagonal T the scale is ||T^q||_2 itself, so an invertible T^q keeps an
+    # empty null space however small its least singular value is past the cutoff.
+    small = np.diag([0.015] + [1.0] * 63)
+    t = make_tuple([small] * 4)
+    assert _roundoff_scale(t, (1, 1, 1, 1)) == pytest.approx(1.0, rel=1e-15)
+    assert null_reducing_check(t, (1, 1, 1, 1))[1].shape[1] == 0
+    single = make_tuple([np.diag([2e-5] + [1.0] * 63)])
+    assert null_reducing_check(single, (1,))[1].shape[1] == 0
+    assert null_reducing_check(single, (2,))[1].shape[1] == 0
+
+
+def test_roundoff_scale_past_the_float_range():
+    # T = 2^511 u v^T with v.u = 0: T^2 = 0 exactly, but each entry of |T|^2 is
+    # 2^1024. The scale is dropped and sigma_max = 0 alone sets the cutoff, so
+    # N(T^2) is the whole space.
+    t = make_tuple([2.0**511 * np.outer([1, 1, 1, 1], [1, 1, -1, -1])])
+    assert _roundoff_scale(t, (2,)) == 0.0
+    assert null_reducing_check(t, (2,))[1].shape[1] == 4
     assert null_reducing_check(make_tuple([np.diag([1e200, 2e200])]), (0,))[0]
 
 
