@@ -292,7 +292,9 @@ def _roundoff_scale(t: OperatorTuple, q) -> float:
     passes the float range, and then sigma_max alone sets the cutoff.
     """
     bound = _monomial([np.abs(m) for m in t], q)
-    return float(np.linalg.norm(bound, 2)) if np.isfinite(bound).all() else 0.0
+    if not np.isfinite(bound).all():
+        return 0.0
+    return float(np.linalg.svd(bound, compute_uv=False)[0])
 
 
 def _null_reducing(t: OperatorTuple, q, power: np.ndarray, tol: ToleranceModel):
