@@ -38,7 +38,6 @@ _EXPORTS = {
         "hereditary_shift",
         "is_doubly_commuting",
         "make_tuple",
-        "null_reducing_check",
         "permute_tuple",
         "power_levels",
         "quasinormal_class",
@@ -54,6 +53,7 @@ _EXPORTS = {
         "audit_theorem_2_3",
         "classify",
         "isometry_defect",
+        "null_reducing_check",
         "partial_isometry_defect",
         "scalar_defect",
     ),

@@ -9,12 +9,13 @@ the inner alternating sum (with (-1)^k signs) by the monomial T^q. The two
 sign conventions differ by a global factor (-1)^m, so zero-tests agree; norms
 are reported under the (-1)^k convention.
 
-The level sums L_k = Phi_{T*,T}^k(I) come from ``tuples.power_levels``, and the
-fronted levels T^q L_k are formed from them and from T^q, each once per call and
-shared by all its defects and orders; multi-index enumeration is kept as the
-oracle in ``minverse``. The vector-state forms never go through L_k: all states
-are the columns of one matrix, pushed along one monomial prefix tree per call, so
-even the 2·dim² polarized states are affordable at dim 64.
+Every audit of an (m; q) claim reads its facts off one ``Facts(t, q, tol)``:
+q and T^q, the level sums L_k = Phi_{T*,T}^k(I) from ``tuples.power_levels``
+and the fronted levels T^q L_k, each order's defect and the N(T^q) reducing
+test, each formed once, when first asked for. Multi-index enumeration is kept
+as the oracle in ``minverse``. The vector-state forms never go through L_k: all
+states are the columns of one matrix, pushed along one monomial prefix tree per
+call, so even the 2·dim² polarized states are affordable at dim 64.
 
 Because the sums alternate and cancel, every zero-test is relative to the
 largest level summand rather than to the final value.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,16 +42,16 @@ from .reports import (
     NOTE_PROP21_HYPOTHESIS,
     NOTE_THM21_SIGN,
     AuditReport,
-    SubVerdict,
     Witness,
     build_report,
+    sub_verdict,
     to_json,
 )
 from .tuples import (
     OperatorTuple,
     QuasinormalFlags,
-    _null_reducing,
     alternating_binomial_sum,
+    monomial,
     power_levels,
     quasinormal_class,
     tuple_power,
@@ -74,12 +76,6 @@ def _levels(t: OperatorTuple, kmax: int) -> list[np.ndarray]:
         return power_levels([adjoint(m) for m in t], t, kmax)
 
 
-def _fronted(levels: list[np.ndarray], front: np.ndarray) -> list[np.ndarray]:
-    """The products front @ L_k, left non-finite where they overflow, as ``_levels`` leaves them."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [front @ level for level in levels]
-
-
 def _defect(terms: list[np.ndarray], m: int, tol: ToleranceModel) -> DefectResult:
     """sum_{k<=m} (-1)^k C(m,k) terms[k], terms L_k or T^q L_k, scaled by its largest summand."""
     if m < 1:
@@ -95,12 +91,105 @@ def _defect(terms: list[np.ndarray], m: int, tol: ToleranceModel) -> DefectResul
     return DefectResult(matrix=defect, norm=norm, scale=scale, is_zero=tol.is_zero(norm, scale))
 
 
-def _exponent_and_power(t: OperatorTuple, q) -> tuple[tuple[int, ...], np.ndarray]:
-    """The validated exponent vector q and T^q, formed once for all of a call's uses."""
-    q = validate_multiindex(q)
-    if len(q) != t.d:
-        raise ValueError(f"exponent vector has {len(q)} entries, tuple has d = {t.d}")
-    return q, tuple_power(t, q)
+class Facts:
+    """The facts of one audited (T, q), each formed once, when first asked for.
+
+    q is validated and T^q (``power``) formed at construction. The levels L_k
+    and the fronted levels T^q L_k are formed up to the highest order asked
+    for, each (m; q)-partial-isometry defect is kept by m, and ``null_space``
+    is the N(T^q) reducing test with the basis it tested. ``at(q)`` gives the
+    facts of another q on the same levels.
+    """
+
+    def __init__(self, t: OperatorTuple, q, tol: ToleranceModel = DEFAULT_TOL):
+        q = validate_multiindex(q)
+        if len(q) != t.d:
+            raise ValueError(f"exponent vector has {len(q)} entries, tuple has d = {t.d}")
+        self.t, self.q, self.tol = t, q, tol
+        self.power = tuple_power(t, q)
+        self._levels: list[np.ndarray] = []
+        self._fronted: list[np.ndarray] = []
+        self._defects: dict[int, DefectResult] = {}
+
+    def at(self, q) -> Facts:
+        """The facts of (T, q) for another q, sharing these levels L_k."""
+        other = Facts(self.t, q, self.tol)
+        other._levels = self._levels
+        return other
+
+    def levels(self, kmax: int) -> list[np.ndarray]:
+        """L_0, L_1, ..., at least up to L_kmax. An order past those held forms the list
+        anew, in place, so the facts that share it (``at``) see it."""
+        if len(self._levels) <= kmax:
+            self._levels[:] = _levels(self.t, kmax)
+        return self._levels
+
+    def fronted(self, kmax: int) -> list[np.ndarray]:
+        """T^q L_0, ..., at least up to T^q L_kmax, left non-finite where they overflow, as the levels are."""
+        levels = self.levels(kmax)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._fronted += [self.power @ level for level in levels[len(self._fronted) : kmax + 1]]
+        return self._fronted
+
+    def defect(self, m: int) -> DefectResult:
+        """The (m; q)-partial-isometry defect T^q sum_k (-1)^k C(m,k) L_k."""
+        if m not in self._defects:
+            self._defects[m] = _defect(self.fronted(m), m, self.tol)
+        return self._defects[m]
+
+    def defects(self, *orders: int) -> list[DefectResult]:
+        """The defect of each order, on levels formed once, up to the highest."""
+        self.fronted(max(orders))
+        return [self.defect(m) for m in orders]
+
+    @property
+    def roundoff_scale(self) -> float:
+        """sigma_max of |T_1|^(q_1) ... |T_d|^(q_d), |.| taken entry by entry.
+
+        The computed T^q is off from the exact one by at most a small multiple of
+        eps dim times this matrix, entry by entry (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., 3.5), so a T^q zero up to roundoff has the
+        whole space as null space. For diagonal T it is ||T^q||_2 itself. 0 when it
+        passes the float range, and then sigma_max alone sets the cutoff.
+        """
+        bound = monomial([np.abs(m) for m in self.t], self.q)
+        if not np.isfinite(bound).all():
+            return 0.0
+        return float(np.linalg.svd(bound, compute_uv=False)[0])
+
+    @cached_property
+    def null_space(self) -> tuple[bool, np.ndarray]:
+        """Whether N(T^q) is invariant under every T_j and T_j*, and its basis B.
+
+        B is orthonormal, at the rank cutoff of ``roundoff_scale``; the residual
+        is the largest ||(I - BB*) X B||_F over X = T_j, T_j*. The trivial null
+        space is reducing by convention. A T^q past the float range raises
+        NumericalFailureError, as the defects do on levels that overflow.
+        """
+        t, tol = self.t, self.tol
+        if not np.isfinite(self.power).all():
+            raise NumericalFailureError("T^q is not finite: the power overflows", {"q": list(self.q)})
+        basis = null_space_basis(self.power, tol, self.roundoff_scale)
+        if basis.shape[1] == 0:
+            return True, basis
+        outside = np.eye(t.dim) - basis @ adjoint(basis)
+        with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
+            scale = max(frobenius_norm(m) for m in t)
+            residual = max(0.0, *(frobenius_norm(outside @ x @ basis) for m in t for x in (m, adjoint(m))))
+        return tol.is_zero(residual, scale), basis
+
+    def hypotheses(self, m: int) -> dict:
+        """The section-2/3 hypotheses of an (m; q) claim: T is an (m; q)-partial
+        isometry, and N(T^q) reduces T."""
+        return {"partial_isometry": self.defect(m).is_zero, "null_space_reducing": self.null_space[0]}
+
+
+def null_reducing_check(
+    t: OperatorTuple, q, tol: ToleranceModel = DEFAULT_TOL
+) -> tuple[bool, np.ndarray]:
+    """Whether N(T^q) is invariant under every T_j and T_j*, with the basis tested
+    (``Facts.null_space``)."""
+    return Facts(t, q, tol).null_space
 
 
 def isometry_defect(t: OperatorTuple, m: int, tol: ToleranceModel = DEFAULT_TOL) -> DefectResult:
@@ -113,13 +202,7 @@ def partial_isometry_defect(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL
 ) -> DefectResult:
     """The joint (m; q)-partial-isometry defect T^q sum_k (-1)^k C(m,k) (...)."""
-    return _partial_defects(t, (m,), _exponent_and_power(t, q)[1], tol)[0]
-
-
-def _partial_defects(t: OperatorTuple, orders, power, tol: ToleranceModel) -> list[DefectResult]:
-    """The (m; q)-partial-isometry defect for each m in ``orders``, from one list power @ L_k."""
-    fronted = _fronted(_levels(t, max(orders)), power)
-    return [_defect(fronted, m, tol) for m in orders]
+    return Facts(t, q, tol).defect(m)
 
 
 def _state_sums(t: OperatorTuple, m: int, y: np.ndarray, ascent: int = 0) -> np.ndarray:
@@ -152,7 +235,7 @@ def scalar_defect(t: OperatorTuple, m: int, q, x) -> float:
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.shape[0] != t.dim:
         raise ValueError(f"vector has length {x.shape[0]}, expected {t.dim}")
-    shifted = adjoint(_exponent_and_power(t, q)[1]) @ x[:, None]
+    shifted = adjoint(Facts(t, q).power) @ x[:, None]
     return float(_state_sums(t, m, shifted)[0])
 
 
@@ -191,14 +274,13 @@ class ClassificationReport:
 def classify(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL
 ) -> ClassificationReport:
-    q, power = _exponent_and_power(t, q)
-    levels = _levels(t, m)
-    partial = _defect(_fronted(levels, power), m, tol)
-    isom = _defect(levels, m, tol)
-    reducing, basis = _null_reducing(t, q, power, tol)
+    facts = Facts(t, q, tol)
+    partial = facts.defect(m)
+    isom = _defect(facts.levels(m), m, tol)
+    reducing, basis = facts.null_space
     return ClassificationReport(
         m=m,
-        q=q,
+        q=facts.q,
         partial_isometry=partial.is_zero,
         partial_defect_norm=partial.norm,
         partial_defect_scale=partial.scale,
@@ -237,12 +319,12 @@ def audit_theorem_2_1(
     quantifies over the standard basis (optionally the polarized combinations
     e_i +- e_j, e_i +- i e_j) applied through T*^q-shifted states.
     """
-    q, power = _exponent_and_power(t, q)
-    reducing, basis = _null_reducing(t, q, power, tol)
-    operator = _partial_defects(t, (m,), power, tol)[0]
+    facts = Facts(t, q, tol)
+    reducing, basis = facts.null_space
+    operator = facts.defect(m)
 
     states = _scalar_states(t.dim, polarize)
-    magnitudes = np.abs(_state_sums(t, m, adjoint(power) @ states))
+    magnitudes = np.abs(_state_sums(t, m, adjoint(facts.power) @ states))
     worst = float(magnitudes.max())
     scalar_all_zero = all(tol.is_zero(v, operator.scale) for v in magnitudes)
 
@@ -251,24 +333,15 @@ def audit_theorem_2_1(
     if not scalar_all_zero:
         witnesses.append(Witness("max-scalar-defect state", tuple(states[:, magnitudes.argmax()])))
 
-    subs = (
-        SubVerdict(
-            name="operator-zero iff vector-state-zero",
-            hypotheses_hold=reducing,
-            conclusion_holds=both_directions,
-            vacuous=not reducing,
-            details={
-                "operator_defect_zero": operator.is_zero,
-                "scalar_defect_all_zero": scalar_all_zero,
-                "max_scalar_defect": worst,
-                "polarized_states": polarize,
-            },
-        ),
+    sub = sub_verdict(
+        "operator-zero iff vector-state-zero", reducing, both_directions,
+        operator_defect_zero=operator.is_zero, scalar_defect_all_zero=scalar_all_zero,
+        max_scalar_defect=worst, polarized_states=polarize,
     )
     return build_report(
         claim_id="thm2.1",
         hypothesis_breakdown={"null_space_reducing": reducing},
-        sub_verdicts=subs,
+        sub_verdicts=(sub,),
         witnesses=witnesses,
         norms={
             "partial_defect_norm": operator.norm,
@@ -282,10 +355,23 @@ def audit_theorem_2_1(
     )
 
 
+def _unit_scaled(m: np.ndarray) -> np.ndarray:
+    """m times the power of two that brings its largest real or imaginary part into [1, 2);
+    a zero m as it is. np.ldexp on the float64 view scales exactly in both directions, where
+    math.ldexp(1.0, e) would overflow for the e > 1023 of subnormal input."""
+    parts = np.ascontiguousarray(m).view(np.float64)
+    largest = float(np.abs(parts).max())
+    if largest == 0.0:
+        return m
+    return np.ldexp(parts, 1 - math.frexp(largest)[1]).view(np.complex128)
+
+
 def _null_spaces_stable(t: OperatorTuple, tol: ToleranceModel) -> bool:
     """N(T_j) = N(T_j^2) for every j. N(T_j) lies in N(T_j^2), so T_j must annihilate N(T_j^2)'s
-    basis at T_j's rank cutoff, and the nullities, each at its own cutoff, must be equal."""
-    for m in t:
+    basis at T_j's rank cutoff, and the nullities, each at its own cutoff, must be equal. Each
+    T_j is first scaled to unit magnitude (``_unit_scaled``), so T_j^2 neither underflows nor
+    overflows and the verdict does not depend on the input's units."""
+    for m in map(_unit_scaled, t):
         b2 = null_space_basis(m @ m, tol)
         annihilated = frobenius_norm(m @ b2) <= tol.rank_cutoff(t.dim, frobenius_norm(m))
         if _nullity(m, tol) != b2.shape[1] or not annihilated:
@@ -297,28 +383,18 @@ def audit_theorem_2_3(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> AuditReport:
     """Ascent: an (m; q)-partial isometry with reducing N(T^q) stays one at m+1, m+2."""
-    q, power = _exponent_and_power(t, q)
-    base, up1, up2 = _partial_defects(t, (m, m + 1, m + 2), power, tol)
-    reducing, _ = _null_reducing(t, q, power, tol)
-    hyp = base.is_zero and reducing
-    subs = (
-        SubVerdict(
-            name="defect stays zero at m+1 and m+2",
-            hypotheses_hold=hyp,
-            conclusion_holds=up1.is_zero and up2.is_zero,
-            vacuous=not hyp,
-            details={
-                "defect_m_zero": base.is_zero,
-                "null_space_reducing": reducing,
-                "defect_m_plus_1_norm": up1.norm,
-                "defect_m_plus_2_norm": up2.norm,
-            },
-        ),
+    facts = Facts(t, q, tol)
+    base, up1, up2 = facts.defects(m, m + 1, m + 2)
+    hypotheses = facts.hypotheses(m)
+    sub = sub_verdict(
+        "defect stays zero at m+1 and m+2", all(hypotheses.values()), up1.is_zero and up2.is_zero,
+        defect_m_zero=base.is_zero, null_space_reducing=hypotheses["null_space_reducing"],
+        defect_m_plus_1_norm=up1.norm, defect_m_plus_2_norm=up2.norm,
     )
     return build_report(
         claim_id="thm2.3",
-        hypothesis_breakdown={"partial_isometry": base.is_zero, "null_space_reducing": reducing},
-        sub_verdicts=subs,
+        hypothesis_breakdown=hypotheses,
+        sub_verdicts=(sub,),
         norms={
             "defect_m_norm": base.norm,
             "defect_m_plus_1_norm": up1.norm,
@@ -334,29 +410,18 @@ def audit_theorem_2_2(
     t: OperatorTuple, m: int, q, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> AuditReport:
     """Stable null spaces collapse any (m; q)-partial isometry to q = (1,...,1)."""
-    q, power = _exponent_and_power(t, q)
-    levels, ones_q = _levels(t, m), (1,) * t.d
-    base = _defect(_fronted(levels, power), m, tol)
+    facts, ones_q = Facts(t, q, tol), (1,) * t.d
+    base = facts.defect(m)
     stable = _null_spaces_stable(t, tol)
-    ones = base if q == ones_q else _defect(_fronted(levels, tuple_power(t, ones_q)), m, tol)
-    hyp = base.is_zero and stable
-    subs = (
-        SubVerdict(
-            name="collapse to q = (1,...,1)",
-            hypotheses_hold=hyp,
-            conclusion_holds=ones.is_zero,
-            vacuous=not hyp,
-            details={
-                "defect_q_zero": base.is_zero,
-                "null_spaces_stable": stable,
-                "defect_ones_norm": ones.norm,
-            },
-        ),
+    ones = (facts if facts.q == ones_q else facts.at(ones_q)).defect(m)
+    sub = sub_verdict(
+        "collapse to q = (1,...,1)", base.is_zero and stable, ones.is_zero,
+        defect_q_zero=base.is_zero, null_spaces_stable=stable, defect_ones_norm=ones.norm,
     )
     return build_report(
         claim_id="thm2.2",
         hypothesis_breakdown={"partial_isometry": base.is_zero, "null_spaces_stable": stable},
-        sub_verdicts=subs,
+        sub_verdicts=(sub,),
         norms={"defect_q_norm": base.norm, "defect_ones_norm": ones.norm},
         tolerances=tol,
         seed=seed,
@@ -372,28 +437,17 @@ def audit_proposition_2_1(
     matricial kind; both flags are recorded and the stated (joint) hypothesis
     drives the verdict.
     """
-    ones = (1,) * t.d
     flags = quasinormal_class(t, tol)
-    base, first = _partial_defects(t, (m, 1), tuple_power(t, ones), tol)
-    hyp = flags.joint and base.is_zero
-    subs = (
-        SubVerdict(
-            name="order drops to m = 1",
-            hypotheses_hold=hyp,
-            conclusion_holds=first.is_zero,
-            vacuous=not hyp,
-            details={
-                "jointly_quasinormal": flags.joint,
-                "matricially_quasinormal": flags.matricial,
-                "defect_m_zero": base.is_zero,
-                "defect_1_norm": first.norm,
-            },
-        ),
+    base, first = Facts(t, (1,) * t.d, tol).defects(m, 1)
+    sub = sub_verdict(
+        "order drops to m = 1", flags.joint and base.is_zero, first.is_zero,
+        jointly_quasinormal=flags.joint, matricially_quasinormal=flags.matricial,
+        defect_m_zero=base.is_zero, defect_1_norm=first.norm,
     )
     return build_report(
         claim_id="prop2.1",
         hypothesis_breakdown={"jointly_quasinormal": flags.joint, "partial_isometry": base.is_zero},
-        sub_verdicts=subs,
+        sub_verdicts=(sub,),
         norms={"defect_m_norm": base.norm, "defect_1_norm": first.norm},
         tolerances=tol,
         seed=seed,
@@ -407,28 +461,18 @@ def audit_proposition_2_4(
     """Given an (m; q)-partial isometry, (m+1; q) holds iff the shifted vector-state sum over
     the components vanishes on all basis states. As sum_j level_k(T_j Y) = level_(k+1)(Y) by
     sum_j k!/(beta-e_j)! = (k+1)!/beta!, one prefix tree of depth m+1 on T*^q is walked."""
-    q, power = _exponent_and_power(t, q)
-    base, up = _partial_defects(t, (m, m + 1), power, tol)
-    worst = float(np.abs(_state_sums(t, m, adjoint(power), ascent=1)).max())
+    facts = Facts(t, q, tol)
+    base, up = facts.defects(m, m + 1)
+    worst = float(np.abs(_state_sums(t, m, adjoint(facts.power), ascent=1)).max())
     identity_zero = tol.is_zero(worst, max(1.0, base.scale))
-    hyp = base.is_zero
-    subs = (
-        SubVerdict(
-            name="(m+1; q) iff shifted identity vanishes",
-            hypotheses_hold=hyp,
-            conclusion_holds=up.is_zero == identity_zero,
-            vacuous=not hyp,
-            details={
-                "defect_m_plus_1_zero": up.is_zero,
-                "identity_sum_zero": identity_zero,
-                "max_identity_sum": worst,
-            },
-        ),
+    sub = sub_verdict(
+        "(m+1; q) iff shifted identity vanishes", base.is_zero, up.is_zero == identity_zero,
+        defect_m_plus_1_zero=up.is_zero, identity_sum_zero=identity_zero, max_identity_sum=worst,
     )
     return build_report(
         claim_id="prop2.4",
         hypothesis_breakdown={"partial_isometry": base.is_zero},
-        sub_verdicts=subs,
+        sub_verdicts=(sub,),
         norms={
             "defect_m_norm": base.norm,
             "defect_m_plus_1_norm": up.norm,

@@ -22,16 +22,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, NumericalFailureError, ToleranceModel, frobenius_norm
 from .multiindex import pochhammer_descending, prefix_tree
-from .reports import (
-    NOTE_FINITE_SURROGATE,
-    NOTE_POCHHAMMER_ZERO,
-    NOTE_PROP41_COEFF,
-    NOTE_THM41_SET,
-    AuditReport,
-    SubVerdict,
-    Witness,
-    build_report,
-)
+from .reports import NOTE_POCHHAMMER_ZERO, NOTE_PROP41_COEFF, AuditReport, build_report, sub_verdict
 from .tuples import OperatorTuple, alternating_binomial_sum, hereditary_shift, power_levels
 
 _CROSS_CHECK_MAX_M = 4
@@ -188,90 +179,6 @@ def expand_power_sum(
     return levels[n], rhs, deviation
 
 
-def _mapped_point(lam, d: int) -> tuple[complex, ...]:
-    return tuple(1.0 / (d * complex(lj)) for lj in lam)
-
-
-def _spectral_mapping_audit(
-    claim_id: str,
-    source: OperatorTuple,
-    target: OperatorTuple,
-    beta_result: BetaResult,
-    tol: ToleranceModel,
-    seed: int,
-) -> AuditReport:
-    """Shared body of the two spectral-mapping audits.
-
-    ``source`` is the tuple whose spectrum gets mapped by lambda_j -> 1/(d l_j)
-    and ``target`` the tuple expected to contain the image, which each source
-    point's witness is tried on first: target's spectrum is computed only when
-    some image is not certified that way. Claim (1), as
-    printed, says the zero variety is not contained in sigma_ap(source); the
-    stronger disjointness reading is recorded separately and never drives the
-    exit verdict.
-    """
-    from .spectra import _in_point_spectrum, _in_zero_variety, joint_point_spectrum
-
-    inverse_holds = tol.is_zero(beta_result.norm, beta_result.scale)
-    src_points = joint_point_spectrum(source, tol, seed)
-
-    zero = _in_zero_variety(np.reshape([lam for lam, _ in src_points], (-1, source.d)), tol)
-    in_zero = [lam for (lam, _), z in zip(src_points, zero) if z]
-    if source.d == 1:
-        literal_reading = len(in_zero) == 0
-    else:
-        # [0] is an infinite variety; a finite spectrum can never contain it.
-        literal_reading = True
-    strict_reading = len(in_zero) == 0
-
-    off_zero = [p for p, z in zip(src_points, zero) if not z]
-    images = [_mapped_point(lam, source.d) for lam, _ in off_zero]
-    found = _in_point_spectrum(
-        target, images, [x for _, x in off_zero], lambda: joint_point_spectrum(target, tol, seed + 1), tol
-    )
-    witnesses = []
-    for (lam, _x), image, hit in zip(off_zero, images, found):
-        if not hit:
-            witnesses.append(Witness("eigenvalue whose image is missing", lam))
-            witnesses.append(Witness("missing image point", image))
-    for lam in in_zero:
-        witnesses.append(Witness("eigenvalue in zero variety", lam))
-
-    subs = (
-        SubVerdict(
-            name="(1) zero variety not contained in sigma_ap (as printed)",
-            hypotheses_hold=inverse_holds,
-            conclusion_holds=literal_reading,
-            vacuous=not inverse_holds,
-            details={"eigenvalues_in_zero_variety": len(in_zero)},
-        ),
-        SubVerdict(
-            name="(1') strict reading: sigma_p disjoint from zero variety",
-            hypotheses_hold=inverse_holds,
-            conclusion_holds=strict_reading,
-            vacuous=True,  # informational either way; not part of the claim as printed
-            details={"eigenvalues_in_zero_variety": len(in_zero)},
-        ),
-        SubVerdict(
-            name="(2)/(3) eigenvalues map via 1/(d lambda_j)",
-            hypotheses_hold=inverse_holds,
-            conclusion_holds=all(found),
-            vacuous=not inverse_holds,
-            details={"eigenvalues_mapped": len(off_zero)},
-        ),
-    )
-    return build_report(
-        claim_id=claim_id,
-        hypothesis_breakdown={"m_inverse": inverse_holds},
-        sub_verdicts=subs,
-        witnesses=witnesses,
-        norms={"beta_norm": beta_result.norm},
-        tolerances=tol,
-        seed=seed,
-        notes=(NOTE_THM41_SET, NOTE_FINITE_SURROGATE),
-    )
-
-
 def audit_theorem_4_1(
     s: OperatorTuple,
     t: OperatorTuple,
@@ -280,7 +187,9 @@ def audit_theorem_4_1(
     seed: int = 0,
 ) -> AuditReport:
     """Spectral consequences of a left m-inverse: sigma(T) maps into sigma(S)."""
-    return _spectral_mapping_audit("thm4.1", t, s, beta(s, t, m), tol, seed)
+    from .spectra import spectral_mapping_audit
+
+    return spectral_mapping_audit("thm4.1", t, s, beta(s, t, m), tol, seed)
 
 
 def audit_theorem_4_2(
@@ -291,7 +200,9 @@ def audit_theorem_4_2(
     seed: int = 0,
 ) -> AuditReport:
     """Right-inverse variant: sigma(R) maps into sigma(T)."""
-    return _spectral_mapping_audit("thm4.2", r, t, beta(t, r, m), tol, seed)
+    from .spectra import spectral_mapping_audit
+
+    return spectral_mapping_audit("thm4.2", r, t, beta(t, r, m), tol, seed)
 
 
 def audit_proposition_4_1(
@@ -323,18 +234,13 @@ def audit_proposition_4_1(
 
     poch, binom = max_deviation("pochhammer", n_max), max_deviation("binomial", n_max)
     subs = [
-        SubVerdict(
-            name="(1) expansion with printed pochhammer coefficients",
-            hypotheses_hold=True,
-            conclusion_holds=poch <= PASS_TOL,
-            details={"max_deviation": poch, "n_max": n_max},
+        sub_verdict(
+            "(1) expansion with printed pochhammer coefficients", True, poch <= PASS_TOL,
+            max_deviation=poch, n_max=n_max,
         ),
-        SubVerdict(
-            name="(1') expansion with binomial coefficients",
-            hypotheses_hold=True,
-            conclusion_holds=binom <= PASS_TOL,
-            vacuous=True,  # the corrected variant; informational
-            details={"max_deviation": binom, "n_max": n_max},
+        sub_verdict(  # the corrected variant
+            "(1') expansion with binomial coefficients", True, binom <= PASS_TOL,
+            informational=True, max_deviation=binom, n_max=n_max,
         ),
     ]
     breakdown = {"commuting_pair": True}
@@ -347,19 +253,13 @@ def audit_proposition_4_1(
         poch = max_deviation("pochhammer", inverse_order - 1)
         binom = max_deviation("binomial", inverse_order - 1)
         subs += [
-            SubVerdict(
-                name="(2) truncated expansion, pochhammer coefficients",
-                hypotheses_hold=holds,
-                conclusion_holds=poch <= PASS_TOL,
-                vacuous=not holds,
-                details={"max_deviation": poch},
+            sub_verdict(
+                "(2) truncated expansion, pochhammer coefficients", holds, poch <= PASS_TOL,
+                max_deviation=poch,
             ),
-            SubVerdict(
-                name="(2') truncated expansion, binomial coefficients",
-                hypotheses_hold=holds,
-                conclusion_holds=binom <= PASS_TOL,
-                vacuous=True,
-                details={"max_deviation": binom},
+            sub_verdict(
+                "(2') truncated expansion, binomial coefficients", holds, binom <= PASS_TOL,
+                informational=True, max_deviation=binom,
             ),
         ]
 

@@ -70,15 +70,23 @@ class Witness:
 class SubVerdict:
     """One named sub-claim: its hypothesis status and raw conclusion.
 
-    ``vacuous`` marks conclusions evaluated under failed hypotheses; they are
-    informational and never count against the aggregate verdict.
+    ``vacuous`` marks conclusions that never count against the aggregate
+    verdict; ``sub_verdict`` is the rule that sets it.
     """
 
     name: str
     hypotheses_hold: bool
     conclusion_holds: bool
-    vacuous: bool = False
+    vacuous: bool
     details: dict = field(default_factory=dict)
+
+
+def sub_verdict(
+    name: str, hypotheses_hold: bool, conclusion_holds: bool, *, informational: bool = False, **details
+) -> SubVerdict:
+    """A sub-claim with its ``details`` in keyword order, vacuous exactly when it is
+    informational (beyond the claim as printed) or its hypotheses fail."""
+    return SubVerdict(name, hypotheses_hold, conclusion_holds, informational or not hypotheses_hold, details)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,11 @@ same certificate with the witness of lambda itself; the partner's points are
 computed only when some claimed point is left undecided, and prop3.2 then
 reads T*'s triangularization off T's factors, in the reversed basis.
 Proximity of joint eigenvalues is one L-infinity distance matrix.
+
+The section-3 audits read their hypotheses (an (m; q)-partial isometry with
+N(T^q) reducing) off ``defects.Facts``. ``spectral_mapping_audit``, the body of
+thm4.1/4.2, lives here beside the point-spectrum tests it runs; ``minverse``
+hands it the beta that decides the m-inverse hypothesis.
 """
 
 from __future__ import annotations
@@ -52,13 +57,14 @@ from .reports import (
     NOTE_COR31_DICHOTOMY,
     NOTE_FINITE_SURROGATE,
     NOTE_REMARK31_EXPONENT,
+    NOTE_THM41_SET,
     AuditReport,
-    SubVerdict,
     Witness,
     build_report,
+    sub_verdict,
     to_json,
 )
-from .tuples import OperatorTuple, _null_reducing, adjoint_tuple
+from .tuples import OperatorTuple, adjoint_tuple
 
 # Fixed bounds of the spectral decisions; zeros and ranks go through ToleranceModel.
 CLUSTER_TOL = 1e-7  # L-inf merge distance; times max(1, ||point||_inf) when matching
@@ -390,12 +396,11 @@ def audit_theorem_3_1(
 ) -> AuditReport:
     """Joint spectrum of a reducing (m; q)-partial isometry sits on the unit
     sphere or in the zero variety; the corollary's r(T) = 1 rides along."""
-    from .defects import _exponent_and_power, _partial_defects
+    from .defects import Facts
 
-    q, power = _exponent_and_power(t, q)
-    defect = _partial_defects(t, (m,), power, tol)[0]
-    reducing, _ = _null_reducing(t, q, power, tol)
-    hyp = defect.is_zero and reducing
+    facts = Facts(t, q, tol)
+    hypotheses = facts.hypotheses(m)
+    hyp = all(hypotheses.values())
 
     diag, points, _ = _point_spectrum(t, tol, seed)
     lams = np.reshape([lam for lam, _ in points], (-1, t.d))
@@ -407,27 +412,17 @@ def audit_theorem_3_1(
     radius_is_one = abs(radius - 1.0) <= SPHERE_TOL
 
     subs = (
-        SubVerdict(
-            name="sigma_p within sphere or zero variety",
-            hypotheses_hold=hyp,
-            conclusion_holds=bool(located.all()),
-            vacuous=not hyp,
-            details={"points_checked": len(points)},
+        sub_verdict(
+            "sigma_p within sphere or zero variety", hyp, bool(located.all()), points_checked=len(points)
         ),
-        SubVerdict(
-            name="cor3.1: spectral radius equals 1",
-            hypotheses_hold=hyp,
-            conclusion_holds=radius_is_one,
-            vacuous=not hyp,
-            details={"spectral_radius": radius},
-        ),
+        sub_verdict("cor3.1: spectral radius equals 1", hyp, radius_is_one, spectral_radius=radius),
     )
     return build_report(
         claim_id="thm3.1",
-        hypothesis_breakdown={"partial_isometry": defect.is_zero, "null_space_reducing": reducing},
+        hypothesis_breakdown=hypotheses,
         sub_verdicts=subs,
         witnesses=witnesses,
-        norms={"defect_norm": defect.norm, "spectral_radius": radius},
+        norms={"defect_norm": facts.defect(m).norm, "spectral_radius": radius},
         tolerances=tol,
         seed=seed,
         notes=(NOTE_FINITE_SURROGATE, NOTE_REMARK31_EXPONENT, NOTE_COR31_DICHOTOMY),
@@ -445,12 +440,11 @@ def audit_proposition_3_2(
     (QP)* T_j* (QP) = P U_j* P upper triangular: T*'s points are confirmed
     from those factors, each by a witness residual on T* itself. A conjugate
     that T's own witness already certifies on T* needs none of them."""
-    from .defects import _exponent_and_power, _partial_defects
+    from .defects import Facts
 
-    q, power = _exponent_and_power(t, q)
-    defect = _partial_defects(t, (m,), power, tol)[0]
-    reducing, _ = _null_reducing(t, q, power, tol)
-    hyp = defect.is_zero and reducing
+    facts = Facts(t, q, tol)
+    hypotheses = facts.hypotheses(m)
+    hyp = all(hypotheses.values())
 
     factors = simultaneous_triangularize(t, seed, tol)
     _, points, _ = _factor_points(t, factors, tol)
@@ -479,28 +473,89 @@ def audit_proposition_3_2(
     orthogonal_ok, checked_pairs = not skewed.any(), int(separated.sum())
 
     subs = (
-        SubVerdict(
-            name="conjugates lie in adjoint spectrum",
-            hypotheses_hold=hyp,
-            conclusion_holds=all(found),
-            vacuous=not hyp,
-            details={"eigenvalues_checked": len(off_zero)},
-        ),
-        SubVerdict(
-            name="distinct-eigenvalue witnesses orthogonal",
-            hypotheses_hold=hyp,
-            conclusion_holds=orthogonal_ok,
-            vacuous=not hyp,
-            details={"pairs_checked": checked_pairs},
+        sub_verdict("conjugates lie in adjoint spectrum", hyp, all(found), eigenvalues_checked=len(off_zero)),
+        sub_verdict(
+            "distinct-eigenvalue witnesses orthogonal", hyp, orthogonal_ok, pairs_checked=checked_pairs
         ),
     )
     return build_report(
         claim_id="prop3.2",
-        hypothesis_breakdown={"partial_isometry": defect.is_zero, "null_space_reducing": reducing},
+        hypothesis_breakdown=hypotheses,
         sub_verdicts=subs,
         witnesses=witnesses,
-        norms={"defect_norm": defect.norm, "joint_lower_bound": joint_lower_bound(t)},
+        norms={"defect_norm": facts.defect(m).norm, "joint_lower_bound": joint_lower_bound(t)},
         tolerances=tol,
         seed=seed,
         notes=(NOTE_FINITE_SURROGATE,),
+    )
+
+
+def _mapped_point(lam, d: int) -> tuple[complex, ...]:
+    return tuple(1.0 / (d * complex(lj)) for lj in lam)
+
+
+def spectral_mapping_audit(
+    claim_id: str,
+    source: OperatorTuple,
+    target: OperatorTuple,
+    beta_result,
+    tol: ToleranceModel,
+    seed: int,
+) -> AuditReport:
+    """Shared body of the spectral-mapping audits ``minverse.audit_theorem_4_1`` and ``4_2``.
+
+    ``beta_result`` is the ``minverse.BetaResult`` that decides the m-inverse
+    hypothesis. ``source`` is the tuple whose spectrum gets mapped by
+    lambda_j -> 1/(d l_j) and ``target`` the tuple expected to contain the
+    image, which each source point's witness is tried on first: target's
+    spectrum is computed only when some image is not certified that way. Claim
+    (1), as printed, says the zero variety is not contained in
+    sigma_ap(source); the stronger disjointness reading is recorded separately
+    and never drives the exit verdict.
+    """
+    inverse_holds = tol.is_zero(beta_result.norm, beta_result.scale)
+    src_points = joint_point_spectrum(source, tol, seed)
+
+    zero = _in_zero_variety(np.reshape([lam for lam, _ in src_points], (-1, source.d)), tol)
+    in_zero = [lam for (lam, _), z in zip(src_points, zero) if z]
+    strict_reading = not in_zero
+    # For d > 1, [0] is an infinite variety; a finite spectrum can never contain it.
+    literal_reading = strict_reading or source.d > 1
+
+    off_zero = [p for p, z in zip(src_points, zero) if not z]
+    images = [_mapped_point(lam, source.d) for lam, _ in off_zero]
+    found = _in_point_spectrum(
+        target, images, [x for _, x in off_zero], lambda: joint_point_spectrum(target, tol, seed + 1), tol
+    )
+    witnesses = []
+    for (lam, _x), image, hit in zip(off_zero, images, found):
+        if not hit:
+            witnesses.append(Witness("eigenvalue whose image is missing", lam))
+            witnesses.append(Witness("missing image point", image))
+    for lam in in_zero:
+        witnesses.append(Witness("eigenvalue in zero variety", lam))
+
+    subs = (
+        sub_verdict(
+            "(1) zero variety not contained in sigma_ap (as printed)", inverse_holds, literal_reading,
+            eigenvalues_in_zero_variety=len(in_zero),
+        ),
+        sub_verdict(  # not part of the claim as printed
+            "(1') strict reading: sigma_p disjoint from zero variety", inverse_holds, strict_reading,
+            informational=True, eigenvalues_in_zero_variety=len(in_zero),
+        ),
+        sub_verdict(
+            "(2)/(3) eigenvalues map via 1/(d lambda_j)", inverse_holds, all(found),
+            eigenvalues_mapped=len(off_zero),
+        ),
+    )
+    return build_report(
+        claim_id=claim_id,
+        hypothesis_breakdown={"m_inverse": inverse_holds},
+        sub_verdicts=subs,
+        witnesses=witnesses,
+        norms={"beta_norm": beta_result.norm},
+        tolerances=tol,
+        seed=seed,
+        notes=(NOTE_THM41_SET, NOTE_FINITE_SURROGATE),
     )

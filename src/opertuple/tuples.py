@@ -15,15 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    NumericalFailureError,
-    ToleranceModel,
-    adjoint,
-    as_matrix,
-    frobenius_norm,
-    null_space_basis,
-)
+from .linalg import DEFAULT_TOL, ToleranceModel, adjoint, as_matrix, frobenius_norm
 from .multiindex import validate_multiindex
 
 UNITARY_TOL = 1e-8  # conjugate_by_unitary: largest ||V*V - I||_F accepted as unitary
@@ -154,11 +146,12 @@ def tuple_power(t: OperatorTuple, alpha) -> np.ndarray:
     entries = validate_multiindex(alpha)
     if len(entries) != t.d:
         raise ValueError(f"multi-index has {len(entries)} entries, tuple has d = {t.d}")
-    return _monomial(t, entries)
+    return monomial(t, entries)
 
 
-def _monomial(mats, alpha) -> np.ndarray:
-    """mats_1^(a_1) ... mats_d^(a_d) in the matrices' dtype, non-finite past the float range."""
+def monomial(mats, alpha) -> np.ndarray:
+    """mats_1^(a_1) ... mats_d^(a_d) for any d square matrices, in their dtype, non-finite
+    past the float range; ``tuple_power`` on a tuple, and the roundoff bound of T^q on |T_j|."""
     result = np.eye(mats[0].shape[0], dtype=mats[0].dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for m, a in zip(mats, alpha):
@@ -267,47 +260,3 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     ball_norm = frobenius_norm(ball)
     spherical = joint or all(commutes(j, ball, ball_norm) for j in range(d))
     return QuasinormalFlags(matricial=matricial, joint=joint, spherical=spherical)
-
-
-def null_reducing_check(
-    t: OperatorTuple, q, tol: ToleranceModel = DEFAULT_TOL
-) -> tuple[bool, np.ndarray]:
-    """Whether N(T^q) is invariant under every T_j and T_j*.
-
-    Returns the verdict together with the orthonormal basis B of N(T^q) that was
-    tested: the residual is the largest ||(I - BB*) X B||_F over X = T_j, T_j*.
-    The trivial null space is reducing by convention. A T^q past the float range
-    raises NumericalFailureError, as the defects do on levels that overflow.
-    """
-    return _null_reducing(t, q, tuple_power(t, q), tol)
-
-
-def _roundoff_scale(t: OperatorTuple, q) -> float:
-    """sigma_max of |T_1|^(q_1) ... |T_d|^(q_d), |.| taken entry by entry.
-
-    The computed T^q is off from the exact one by at most a small multiple of
-    eps dim times this matrix, entry by entry (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 3.5), so a T^q zero up to roundoff has the
-    whole space as null space. For diagonal T it is ||T^q||_2 itself. 0 when it
-    passes the float range, and then sigma_max alone sets the cutoff.
-    """
-    bound = _monomial([np.abs(m) for m in t], q)
-    if not np.isfinite(bound).all():
-        return 0.0
-    return float(np.linalg.svd(bound, compute_uv=False)[0])
-
-
-def _null_reducing(t: OperatorTuple, q, power: np.ndarray, tol: ToleranceModel):
-    """``null_reducing_check`` on T^q given as ``power``, for callers that formed it already."""
-    if not np.isfinite(power).all():
-        raise NumericalFailureError(
-            "T^q is not finite: the power overflows", {"q": [int(v) for v in q]}
-        )
-    basis = null_space_basis(power, tol, _roundoff_scale(t, q))
-    if basis.shape[1] == 0:
-        return True, basis
-    with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
-        scale = max(frobenius_norm(m) for m in t)
-    outside = np.eye(t.dim) - basis @ adjoint(basis)
-    residual = max(0.0, *(frobenius_norm(outside @ x @ basis) for m in t for x in (m, adjoint(m))))
-    return tol.is_zero(residual, scale), basis

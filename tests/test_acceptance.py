@@ -12,13 +12,13 @@ import time
 import numpy as np
 
 from opertuple.cli import main
-from opertuple.defects import partial_isometry_defect
+from opertuple.defects import null_reducing_check, partial_isometry_defect
 from opertuple.generators import paper_example, polynomial_family, random_unitary, scaled_family
 from opertuple.linalg import frobenius_norm
 from opertuple.minverse import _beta_enumeration, beta, expand_power_sum
 from opertuple.multiindex import multinomial_weight
 from opertuple.spectra import audit_theorem_3_1, joint_point_spectrum, joint_spectrum
-from opertuple.tuples import make_tuple, null_reducing_check
+from opertuple.tuples import make_tuple
 
 from multiindex_oracle import enumerate_multiindices, pascal_multinomial
 

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from opertuple.generators import (
 )
 from opertuple.linalg import adjoint, frobenius_norm
 from opertuple.spectra import audit_proposition_3_2, audit_theorem_3_1
+from opertuple.tuplefile import parse_tuple_file
 from opertuple.tuples import conjugate_by_unitary, make_tuple, permute_tuple
 
 RNG = np.random.default_rng(31415)
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 
 def unitary_scaled(d, dim=3, seed=0):
@@ -297,6 +300,26 @@ def test_audit_thm_2_2_null_spaces_stable(k):
         assert rep.hypothesis_breakdown["partial_isometry"] and rep.norms["defect_ones_norm"] > 1
 
 
+def _golden_ratio_file_tuple():
+    return parse_tuple_file((DATA / "golden_ratio_d2.json").read_text()).tuple
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 0, 300])
+def test_null_spaces_stable_does_not_depend_on_units(k):
+    # 2^k T for the shipped golden-ratio pair: T_j^2 formed in the input's units
+    # underflows to 0 at k = -600, which made N(T_j^2) the whole space.
+    t = make_tuple([math.ldexp(1.0, k) * m for m in _golden_ratio_file_tuple()])
+    assert _stable_flag(t) is True
+
+
+def test_null_spaces_stable_on_a_subnormal_component():
+    # The file's entries each moved up one ulp: T_2 becomes the all-(5e-324)(1 + i) matrix,
+    # rank one with a stable null space, and T_2^2 underflows to 0 in the input's units.
+    moved = [np.nextafter(m.view(np.float64), np.inf).view(np.complex128) for m in _golden_ratio_file_tuple()]
+    rep = audit_theorem_2_2(make_tuple(moved), 2, (1, 0))
+    assert rep.hypothesis_breakdown["null_spaces_stable"] is True
+
+
 def test_audit_prop_2_1_jointly_quasinormal():
     d1 = np.diag([1.0 / math.sqrt(2), 0.0, 0.3])
     d2 = np.diag([1.0 / math.sqrt(2), 0.9, 0.0])
@@ -312,7 +335,8 @@ def test_audit_prop_2_4_identity():
 
 
 # T^q, formed once per call and shared by the defects, the reducing check and the states;
-# thm2.2 forms T^q and T^(1,...,1) unless they coincide.
+# thm2.2 forms T^q and T^(1,...,1) unless they coincide. Each call forms one level list
+# L_0..L_k, up to its highest order; thm2.2's two exponents share it.
 POWERS_PER_OPERATION = {
     "partial_isometry_defect": (lambda t, q: partial_isometry_defect(t, 3, q), 1),
     "classify": (lambda t, q: classify(t, 3, q), 1),
@@ -333,13 +357,20 @@ def test_each_audit_forms_t_to_the_q_once(monkeypatch, name):
 
     call, expected = POWERS_PER_OPERATION[name]
     calls, power = [], tuples.tuple_power
+    level_lists, power_levels = [], tuples.power_levels
 
     def counting(t, alpha):
         calls.append(tuple(alpha))
         return power(t, alpha)
 
+    def counting_levels(s, t, kmax):
+        level_lists.append(kmax)
+        return power_levels(s, t, kmax)
+
     for module in (defects, tuples):
         monkeypatch.setattr(module, "tuple_power", counting)
+        monkeypatch.setattr(module, "power_levels", counting_levels)
     t = polynomial_family(np.random.default_rng(5), 4, 2, 2)
     call(t, (2, 1))
     assert len(calls) == expected
+    assert len(level_lists) == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opertuple import cli
-from opertuple.defects import partial_isometry_defect
+from opertuple.defects import null_reducing_check, partial_isometry_defect
 from opertuple.generators import (
     EXAMPLES,
     diagonal_conjugate,
@@ -18,7 +18,7 @@ from opertuple.generators import (
     scaled_single,
 )
 from opertuple.linalg import adjoint, frobenius_norm
-from opertuple.tuples import is_doubly_commuting, make_tuple, null_reducing_check
+from opertuple.tuples import is_doubly_commuting, make_tuple
 
 
 def test_paper_example_ids_and_errors():

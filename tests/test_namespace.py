@@ -1,5 +1,7 @@
-"""The lazy package namespace: every public name, and what `import opertuple` loads."""
+"""The lazy package namespace: every public name, what `import opertuple` loads, and
+that no module reaches into a sibling's private names."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -22,12 +24,12 @@ EXPORTS = {
     "tuples": [
         "NonCommutingError", "OperatorTuple", "QuasinormalFlags", "adjoint_tuple",
         "conjugate_by_unitary", "hereditary_shift", "is_doubly_commuting", "make_tuple",
-        "null_reducing_check", "permute_tuple", "power_levels", "quasinormal_class", "tuple_power",
+        "permute_tuple", "power_levels", "quasinormal_class", "tuple_power",
     ],
     "defects": [
         "ClassificationReport", "DefectResult", "audit_proposition_2_1", "audit_proposition_2_4",
         "audit_theorem_2_1", "audit_theorem_2_2", "audit_theorem_2_3", "classify",
-        "isometry_defect", "partial_isometry_defect", "scalar_defect",
+        "isometry_defect", "null_reducing_check", "partial_isometry_defect", "scalar_defect",
     ],
     "spectra": [
         "JointSpectrumResult", "audit_proposition_3_2", "audit_theorem_3_1", "joint_lower_bound",
@@ -97,3 +99,15 @@ def test_import_loads_no_submodule_and_a_name_loads_its_module():
     assert bare == "[]"
     assert "'opertuple.spectra'" in after
     assert "'opertuple.defects'" not in after
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "opertuple").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_a_sibling(path):
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("opertuple"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

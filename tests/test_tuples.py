@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opertuple.defects import Facts, null_reducing_check
 from opertuple.generators import (
     example_2_1_matrix,
     golden_ratio_matrix,
@@ -17,13 +18,11 @@ from opertuple.tuples import (
     QuasinormalFlags,
     _commutator,
     _exponent,
-    _roundoff_scale,
     _scaled_down,
     adjoint_tuple,
     conjugate_by_unitary,
     is_doubly_commuting,
     make_tuple,
-    null_reducing_check,
     permute_tuple,
     quasinormal_class,
     tuple_power,
@@ -338,7 +337,7 @@ def test_roundoff_scale_keeps_small_singular_values_of_invertible_powers():
     # empty null space however small its least singular value is past the cutoff.
     small = np.diag([0.015] + [1.0] * 63)
     t = make_tuple([small] * 4)
-    assert _roundoff_scale(t, (1, 1, 1, 1)) == pytest.approx(1.0, rel=1e-15)
+    assert Facts(t, (1, 1, 1, 1)).roundoff_scale == pytest.approx(1.0, rel=1e-15)
     assert null_reducing_check(t, (1, 1, 1, 1))[1].shape[1] == 0
     single = make_tuple([np.diag([2e-5] + [1.0] * 63)])
     assert null_reducing_check(single, (1,))[1].shape[1] == 0
@@ -350,9 +349,17 @@ def test_roundoff_scale_past_the_float_range():
     # 2^1024. The scale is dropped and sigma_max = 0 alone sets the cutoff, so
     # N(T^2) is the whole space.
     t = make_tuple([2.0**511 * np.outer([1, 1, 1, 1], [1, 1, -1, -1])])
-    assert _roundoff_scale(t, (2,)) == 0.0
+    assert Facts(t, (2,)).roundoff_scale == 0.0
     assert null_reducing_check(t, (2,))[1].shape[1] == 4
     assert null_reducing_check(make_tuple([np.diag([1e200, 2e200])]), (0,))[0]
+
+
+def test_null_reducing_residual_norms_do_not_warn_on_overflow():
+    # T^2 = 0; the residual ||(I - BB*) T* B||_F squares entries of 2e154, past the
+    # float range, and frobenius_norm rescales it without a RuntimeWarning.
+    reducing, basis = null_reducing_check(make_tuple([[[1e154, 1e154], [-1e154, -1e154]]]), (2,))
+    assert not reducing
+    assert basis.shape[1] == 1
 
 
 def _commuting_family(kind, seed, d, dim):
