@@ -37,7 +37,7 @@ import numpy as np
 
 import opertuple as ot  # lazy: ot.<module> imports that module on first use
 from .linalg import NumericalFailureError, ToleranceModel
-from .reports import format_point, report_to_dict
+from .reports import dumps, format_point, report_to_dict
 from .tuples import NonCommutingError, conjugate_by_unitary, make_tuple
 from .tuplefile import MAX_ORDER, TupleFileError, parse_partner, parse_tuple_file
 
@@ -79,7 +79,7 @@ def _load_file(path: str, tol: ToleranceModel):
 
 def _emit(doc: dict, as_json: bool, text_lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        print(dumps(doc))
     else:
         for line in text_lines:
             print(line)

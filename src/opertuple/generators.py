@@ -75,6 +75,11 @@ REPRODUCE_ZERO_TOL = 1e-12  # a norm expected to vanish
 REPRODUCE_NORM_TOL = 1e-10  # a norm expected to equal a nonzero printed value
 REPRODUCE_SPECTRUM_TOL = 1e-8  # L-inf distance of joint eigenvalues, and the spectral radius
 
+# The largest d of a "(d)" example id. It is four times the desk-scale envelope
+# (d <= 4), as tuplefile.MAX_ORDER is for m; make_tuple checks d(d-1)/2
+# commutator pairs, which took seconds per command at d in the thousands.
+MAX_EXAMPLE_D = 16
+
 
 def _row(quantity: str, expected, observed, match) -> dict:
     return {"quantity": quantity, "expected": expected, "observed": observed, "match": bool(match)}
@@ -207,6 +212,8 @@ def paper_example(example_id: str) -> PaperExample:
         raise ValueError(f"bad dimension count in example id {example_id!r}") from None
     if d < 1:
         raise ValueError(f"example id {example_id!r} needs d >= 1")
+    if d > MAX_EXAMPLE_D:
+        raise ValueError(f"example id {example_id!r} needs d <= MAX_EXAMPLE_D = {MAX_EXAMPLE_D}")
     return EXAMPLES[key](example_id, d)
 
 

@@ -7,6 +7,11 @@ named norms that drove each decision.
 ``to_json`` is the package's one JSON encoding: every report, spectrum result
 and tuple-file matrix is written through it, a dataclass as the object of its
 fields and a complex number as an [re, im] pair.
+``dumps`` is the package's one JSON text writer, for the CLI's ``--json``
+output and for tuple files. It writes the bytes of
+``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``, but a float64
+or complex128 array, a list of floats and a list of [float, float] pairs are
+written in bulk, one ``float.__repr__`` per number.
 ``from_fields`` reads a dataclass back from the keys that name its fields;
 round-tripping a report through JSON is exact.
 """
@@ -14,6 +19,8 @@ round-tripping a report through JSON is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -155,12 +162,72 @@ def to_json(value):
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (tuple, list)):
+        if all(isinstance(v, complex) for v in value):
+            return np.array(value, np.complex128).view(np.float64).reshape(-1, 2).tolist()
         return [to_json(v) for v in value]
     if isinstance(value, dict):
         return {k: to_json(v) for k, v in value.items()}
     if is_dataclass(value):
         return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
     return value
+
+
+def dumps(value) -> str:
+    """``value`` as the text of ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``.
+
+    A float64 array, a complex128 array (each entry as [re, im]), a list of
+    floats and a list of [float, float] pairs are written with one
+    ``float.__repr__`` per number; anything else follows json's rules. A
+    non-finite float raises ValueError, and a dict key that is not a str
+    raises TypeError.
+    """
+    return _dumps(value, "\n")
+
+
+def _dumps(value, nl: str) -> str:
+    """``value`` as JSON text whose closing bracket, if any, follows ``nl``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)) and value and (
+        _all_floats(value)
+        or {*map(type, value)} <= {list, tuple} and {*map(len, value)} == {2} and _all_floats(chain(*value))
+    ):
+        value = np.array(value, np.float64)
+    if isinstance(value, float) or isinstance(value, np.ndarray) and value.dtype in (np.float64, np.complex128):
+        a = np.asarray(value)
+        if a.dtype == np.complex128:
+            a = np.ascontiguousarray(a).view(np.float64).reshape(a.shape + (2,))
+        if not np.isfinite(a).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        return _layout(a.shape, nl) % tuple(a.ravel().tolist())
+    inner = nl + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())]
+        return _bracket("{}", items, nl)
+    if isinstance(value, (list, tuple)):
+        return _bracket("[]", [_dumps(v, inner) for v in value], nl)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _all_floats(values) -> bool:
+    return {*map(type, values)} <= {float, np.float64}
+
+
+def _layout(shape: tuple, nl: str) -> str:
+    """The JSON text of a float array of ``shape`` with "%r" for each number."""
+    return _bracket("[]", [_layout(shape[1:], nl + "  ")] * shape[0], nl) if shape else "%r"
+
+
+def _bracket(ends: str, items: list, nl: str) -> str:
+    """``items`` between the two characters of ``ends``, one per line, indented past ``nl``."""
+    if not items:
+        return ends
+    inner = nl + "  "
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{nl}{ends[1]}"
 
 
 def pairs_to_vector(pairs) -> tuple[complex, ...]:

@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceModel
-from .reports import to_json
+from .reports import dumps, to_json
 from .tuples import OperatorTuple, make_tuple
 
 
@@ -175,11 +175,11 @@ def serialize_tuple_file(
     q=None,
     metadata: dict | None = None,
 ) -> str:
-    doc: dict = {"d": t.d, "dim": t.dim, "matrices": matrices_to_json(t.matrices)}
+    doc: dict = {"d": t.d, "dim": t.dim, "matrices": np.stack(t.matrices)}
     if q is not None:
         doc["q"] = [int(v) for v in q]
     if m is not None:
         doc["m"] = int(m)
     if metadata:
         doc["metadata"] = metadata
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return dumps(doc)

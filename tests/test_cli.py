@@ -569,6 +569,21 @@ def test_reproduce_unknown_example_exits_2(capsys, example):
     assert code == 2
 
 
+@pytest.mark.parametrize("example", ["2.1(17)", "3.golden(17)"])
+def test_reproduce_refuses_d_past_the_bound(capsys, example):
+    from opertuple.generators import MAX_EXAMPLE_D
+
+    assert MAX_EXAMPLE_D == 16
+    assert main(["reproduce", "--example", example]) == 2
+    assert capsys.readouterr().err == f"error: example id {example!r} needs d <= MAX_EXAMPLE_D = 16\n"
+
+
+def test_reproduce_runs_at_the_d_bound(capsys):
+    code, out = run(capsys, "reproduce", "--example", "2.1(16)")
+    assert code == 0
+    assert "all quantities match" in out
+
+
 def test_reproduce_names_every_example_id(capsys):
     from opertuple.generators import EXAMPLES
 

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from opertuple.tuplefile import (
     serialize_tuple_file,
 )
 from opertuple.tuples import NonCommutingError
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_parse_minimal_zero_tuple():
@@ -300,3 +304,35 @@ def _encodings():
 @pytest.mark.parametrize("cls, doc", _encodings())
 def test_json_keys_are_the_dataclass_fields(cls, doc):
     assert list(doc) == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_serialized_files_are_the_bytes_of_the_stdlib_writer():
+    ex = paper_example("4.1-corrected")
+    partner = {"matrices": matrices_to_json(ex.partner.matrices)}
+    doc = {"d": 2, "dim": 2, "m": 2, "q": [1, 0], "metadata": {"left_inverse": partner, "note": "é"}}
+    text = serialize_tuple_file(ex.tuple, m=2, q=(1, 0), metadata=doc["metadata"])
+    doc["matrices"] = matrices_to_json(ex.tuple.matrices)
+    assert text == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_non_finite_metadata_is_refused():
+    ex = paper_example("2.2")
+    with pytest.raises(ValueError):
+        serialize_tuple_file(ex.tuple, metadata={"scale": math.nan})
+
+
+def _make_example_files():
+    spec = importlib.util.spec_from_file_location("make_example_files", ROOT / "scripts" / "make_example_files.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_make_example_files_rewrites_the_shipped_data_byte_for_byte(tmp_path, monkeypatch, capsys):
+    script = _make_example_files()
+    monkeypatch.setattr(script, "DATA", tmp_path)
+    script.main()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in (ROOT / "data").glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (ROOT / "data" / name).read_bytes(), name
