@@ -4,9 +4,9 @@ A report records whether a claim's hypotheses held, whether its conclusion
 held wherever the hypotheses did, the witnesses behind any violation, and the
 named norms that drove each decision.
 
-``to_json`` is the package's one JSON encoding: every report, spectrum result
-and tuple-file matrix is written through it, a dataclass as the object of its
-fields and a complex number as an [re, im] pair.
+``to_json`` is the package's one JSON encoding: every report and spectrum
+result is encoded through it, a dataclass as the object of its fields and a
+complex number as an [re, im] pair.
 ``dumps`` is the package's one JSON text writer, for the CLI's ``--json``
 output and for tuple files. It writes the bytes of
 ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``, but a float64
@@ -155,7 +155,8 @@ def to_json(value):
 
     A dataclass becomes an object of its fields in field order, a dict is
     mapped value by value, an array, tuple or list becomes a list, and a
-    complex number becomes its [re, im] pair; anything else is returned as is.
+    complex number becomes its [re, im] pair (a run of complex numbers in one
+    numpy conversion, which keeps every bit); anything else is returned as is.
     """
     if isinstance(value, complex):
         return [float(value.real), float(value.imag)]
@@ -192,7 +193,7 @@ def _dumps(value, nl: str) -> str:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, (list, tuple)) and value and (
+    if isinstance(value, (list, tuple)) and value and (  # floats, or [float, float] pairs
         _all_floats(value)
         or {*map(type, value)} <= {list, tuple} and {*map(len, value)} == {2} and _all_floats(chain(*value))
     ):

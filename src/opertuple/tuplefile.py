@@ -12,8 +12,11 @@ checked for its shape, for numbers as its only leaves and for finiteness, and
 read as complex through a complex128 view, so every part keeps its bits. A
 malformed array is walked entry by entry only to name the offending path.
 
-Serialization writes floats in Python's shortest round-trip form (at most 17
-significant digits), so emit/parse is lossless and byte-stable.
+Serialization goes through ``reports.dumps``, the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)``: the matrices are handed over as
+one stacked complex array and every float is written in Python's shortest
+round-trip form (at most 17 significant digits), so emit/parse is lossless and
+byte-stable. Non-finite metadata is refused with ValueError.
 """
 
 from __future__ import annotations
