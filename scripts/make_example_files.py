@@ -11,7 +11,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from opertuple.generators import paper_example
-from opertuple.tuplefile import matrices_to_json, serialize_tuple_file
+from opertuple.tuplefile import serialize_tuple_file
 from opertuple.tuples import make_tuple
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
@@ -54,7 +54,7 @@ def main() -> None:
                 m=ex.m,
                 metadata={
                     "example": ex.id,
-                    "left_inverse": {"matrices": matrices_to_json(ex.partner.matrices)},
+                    "left_inverse": {"matrices": np.stack(ex.partner.matrices)},
                 },
             ),
         )
@@ -70,7 +70,7 @@ def main() -> None:
             m=1,
             metadata={
                 "example": "thm4.1-counterexample",
-                "left_inverse": {"matrices": matrices_to_json(s.matrices)},
+                "left_inverse": {"matrices": np.stack(s.matrices)},
             },
         ),
     )

@@ -19,7 +19,8 @@ binding conclusion held), 1 when an audit found counterexamples under
 satisfied hypotheses or a reproduction mismatched, 2 on input or usage
 errors and on numerical failures, whose diagnostics follow the error line on
 stderr. An order m outside 1..MAX_ORDER (32), from --m or a tuple file, is
-an input error. The environment variable OPERTUPLE_SEED supplies the default seed;
+an input error, and so is a --random trial count outside 1..MAX_TRIALS
+(10,000). The environment variable OPERTUPLE_SEED supplies the default seed;
 the --seed flag overrides it; a negative seed, from either, is an input error.
 With --json all output is one JSON document, byte-stable for identical inputs
 and seed.
@@ -40,6 +41,12 @@ from .linalg import NumericalFailureError, ToleranceModel
 from .reports import dumps, format_point, report_to_dict
 from .tuples import NonCommutingError, conjugate_by_unitary, make_tuple
 from .tuplefile import MAX_ORDER, TupleFileError, parse_partner, parse_tuple_file
+
+
+# The most random trials one `audit --random` accepts: every child seed is spawned
+# before the first audit runs, and the slowest claim (prop3.2) takes ~1.7 ms a
+# trial (2-CPU machine, 1 BLAS thread), so the bound is ~17 s of audits.
+MAX_TRIALS = 10_000
 
 
 class CliError(Exception):
@@ -261,8 +268,8 @@ def _cmd_audit(args) -> int:
         q = parsed.q if parsed.q is not None else (1,) * parsed.tuple.d
         reports = [claim.audit(s, parsed.tuple, m, q, tol, seed)]
     else:
-        if args.random < 1:
-            raise CliError("--random needs a positive trial count")
+        if not 1 <= args.random <= MAX_TRIALS:
+            raise CliError(f"--random must be a trial count from 1 to {MAX_TRIALS}, got {args.random}")
         children = np.random.SeedSequence(seed).spawn(args.random)
         reports = []
         for trial, child in enumerate(int(c.generate_state(1)[0]) for c in children):

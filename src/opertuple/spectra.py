@@ -13,17 +13,19 @@ A draw whose eigenvalues collide is retried; a defective combination, or
 retries that all fail, hand over to the deterministic fallback, which deflates
 one common eigenvector at a time.
 
-Each call triangularizes once; the point spectrum and the spectral radius
-share its diagonal. A candidate at diagonal position i is confirmed inside
-that Schur basis: its witness x is Q times LAPACK's eigenvector of a fixed
-triangular combination of the factors, and a stacked residual
-||[T_j x - l_j x]_j|| at or below the rank cutoff of a lower bound on the
-stack's sigma_max certifies what its SVD would decide. Candidates the
-certificate cannot settle fall back to the null space of the stacked system,
-the only way a candidate is rejected. Points are Rayleigh quotients; they and
-their residuals come off one product T_j X per component. Every witness has a
-fixed phase: its first entry within a relative 1e-8 of the largest modulus is
-real and positive.
+Each call triangularizes once, and ``_points`` alone turns that into the
+joint point set, as arrays: the Taylor diagonal (and so the spectral radius),
+the confirmed points, their witnesses and residuals. The audits read the
+arrays; ``joint_spectrum`` and ``joint_point_spectrum`` make tuples of them.
+A candidate at diagonal position i is confirmed inside that Schur basis: its
+witness x is Q times LAPACK's eigenvector of a fixed triangular combination
+of the factors, and a stacked residual ||[T_j x - l_j x]_j|| at or below the
+rank cutoff of a lower bound on the stack's sigma_max certifies what its SVD
+would decide. Candidates the certificate cannot settle fall back to the null
+space of the stacked system, the only way a candidate is rejected. Points are
+Rayleigh quotients; they and their residuals come off one product T_j X per
+component. Every witness has a fixed phase: its first entry within a relative
+1e-8 of the largest modulus is real and positive.
 A point claimed to lie in a partner's spectrum (conj(lambda) in sigma_p(T*)
 for prop3.2, 1/(d lambda_j) in sigma_p(S) for thm4.1/4.2) is first put to the
 same certificate with the witness of lambda itself; the partner's points are
@@ -169,8 +171,8 @@ def simultaneous_triangularize(
     )
 
 
-def _diagonal(us) -> list[tuple[complex, ...]]:
-    return list(map(tuple, np.stack([u.diagonal() for u in us], axis=1).tolist()))
+def _rows(a: np.ndarray) -> list[tuple]:  # as tuples of Python numbers
+    return list(map(tuple, a.tolist()))
 
 
 def _linf_distances(a, b, d: int) -> np.ndarray:
@@ -192,21 +194,20 @@ def _first_kept(points, d: int, tol: float) -> list[int]:
     return np.flatnonzero(kept).tolist()
 
 
-def _near_spectrum(points, spectrum_points, d: int) -> list[bool]:
-    """Whether each point lies within CLUSTER_TOL * max(1, ||point||_inf) of a spectrum point."""
-    atol = CLUSTER_TOL * np.maximum(1.0, np.abs(np.reshape(points, (-1, d))).max(axis=1))
-    return (_linf_distances(points, spectrum_points, d) <= atol[:, None]).any(axis=1).tolist()
+def _near_spectrum(points: np.ndarray, spectrum_points: np.ndarray, d: int) -> np.ndarray:
+    """Whether each point (a row) lies within CLUSTER_TOL * max(1, ||point||_inf) of a spectrum point."""
+    atol = CLUSTER_TOL * np.maximum(1.0, np.abs(points).max(axis=1))
+    return (_linf_distances(points, spectrum_points, d) <= atol[:, None]).any(axis=1)
 
 
-def _in_point_spectrum(t: OperatorTuple, points, xs, own_points, tol: ToleranceModel) -> list[bool]:
-    """Whether each joint point (k x d) lies in sigma_p(t). Each point is first certified with
-    its own unit witness xs[c]; only if some point is not are t's confirmed points computed, by
-    ``own_points()``, and a point within CLUSTER_TOL of one of them counts as found."""
-    points = np.reshape(points, (-1, t.d))
-    found = _certified(t, np.reshape(xs, (-1, t.dim)).T, points.T, tol)
-    if not all(found):
-        near = _near_spectrum(points, [mu for mu, _ in own_points()], t.d)
-        found = [c or n for c, n in zip(found, near)]
+def _in_point_spectrum(t: OperatorTuple, points, xs, own_points, tol: ToleranceModel) -> np.ndarray:
+    """Whether each joint point, a row of ``points`` (k x d), lies in sigma_p(t). Each point is
+    first certified with its own unit witness, the column of ``xs`` (n x k); only if some point
+    is not are t's confirmed points computed, by ``own_points()`` (``_points`` of t), and a
+    point within CLUSTER_TOL of one of them counts as found."""
+    found = _certified(t, xs, points.T, tol)
+    if not found.all():
+        found |= _near_spectrum(points, own_points()[1], t.d)
     return found
 
 
@@ -227,7 +228,7 @@ def _certificate_weights(d: int) -> np.ndarray:
     return np.exp(1j * math.sqrt(2.0) * np.arange(1, d + 1))
 
 
-def _certified(t: OperatorTuple, x: np.ndarray, lams: np.ndarray, tol: ToleranceModel) -> list[bool]:
+def _certified(t: OperatorTuple, x: np.ndarray, lams: np.ndarray, tol: ToleranceModel) -> np.ndarray:
     """Whether each unit column x_c proves the column lams[:, c] (d x k) a joint eigenvalue
     of ``t``: its stacked residual ||[T_j x_c - l_j x_c]_j|| is at or below the rank cutoff
     of a lower bound on the stack's sigma_max, so the stack's SVD would find a null space."""
@@ -243,11 +244,11 @@ def _certified(t: OperatorTuple, x: np.ndarray, lams: np.ndarray, tol: Tolerance
             + (np.abs(np.diag(m)[:, None] - lj) ** 2).sum(axis=0)
             for m, lj in zip(t, lams)
         )
-    cutoffs = [tol.rank_cutoff(d * n, math.sqrt(f / n)) for f in frob2]
-    return [bool(r <= c and math.isfinite(c)) for r, c in zip(np.sqrt(residual2), cutoffs)]
+    cutoffs = np.array([tol.rank_cutoff(d * n, math.sqrt(f / n)) for f in frob2])
+    return (np.sqrt(residual2) <= cutoffs) & np.isfinite(cutoffs)
 
 
-def _schur_witnesses(t: OperatorTuple, factors, diag, kept: list[int], tol: ToleranceModel):
+def _schur_witnesses(t: OperatorTuple, factors, diag: np.ndarray, kept: list[int], tol: ToleranceModel):
     """Unit witnesses, one column per kept diagonal position i, and whether each
     one's stacked residual certifies it. Column i is Q times the eigenvector of
     C = triu(sum_j g_j U_j) for C[i, i]: zgeev's balancing isolates every eigenvalue
@@ -259,23 +260,24 @@ def _schur_witnesses(t: OperatorTuple, factors, diag, kept: list[int], tol: Tole
         values, vectors = np.linalg.eig(combo)
         if np.array_equal(values, np.diag(combo)):
             x = q @ vectors[:, kept]
-            return x, _certified(t, x, np.array([diag[i] for i in kept]).T, tol)
-    return None, [False] * len(kept)
+            return x, _certified(t, x, diag[kept].T, tol)
+    return None, np.zeros(len(kept), dtype=bool)
 
 
-def _confirmed_points(t: OperatorTuple, diag, tol: ToleranceModel, factors=None):
-    """Candidates, confirmed by a residual certificate or the stacked null space,
-    and each confirmed point's residual max_j ||T_j x - l_j x||.
+def _points(t: OperatorTuple, factors, tol: ToleranceModel):
+    """The one route from a simultaneous triangularization (Q, [U_j]) of ``t`` to its
+    joint point spectrum: (diag, lams, x, residuals).
 
-    ``factors`` is the (Q, [U_j]) whose diagonal ``diag`` is; with it each
-    candidate first tries the certificate of ``_schur_witnesses``. A candidate
-    it cannot settle, and every candidate without factors, is decided by the
-    SVD of [T_1 - l_1; ...; T_d - l_d] under the same ``rank_cutoff``.
+    ``diag`` is the Taylor diagonal (n x d). Each first-kept diagonal candidate
+    tries the certificate of ``_schur_witnesses``; one it cannot settle is
+    decided by the SVD of [T_1 - l_1; ...; T_d - l_d] under the same
+    ``rank_cutoff``. The confirmed points ``lams`` (k x d) are the Rayleigh
+    quotients of the phase-fixed unit witnesses, the columns of ``x`` (n x k),
+    first-kept once more; ``residuals`` holds each max_j ||T_j x - l_j x||.
     """
+    diag = np.stack([u.diagonal() for u in factors[1]], axis=1)
     kept = _first_kept(diag, t.d, CLUSTER_TOL)
-    certified = [False] * len(kept)
-    if factors is not None:
-        x_cert, certified = _schur_witnesses(t, factors, diag, kept, tol)
+    x_cert, certified = _schur_witnesses(t, factors, diag, kept, tol)
     xs = []
     eye = np.eye(t.dim)
     for c, i in enumerate(kept):
@@ -290,9 +292,8 @@ def _confirmed_points(t: OperatorTuple, diag, tol: ToleranceModel, factors=None)
     tx = np.stack([m @ x for m in t])
     lams = (x.conj() * tx).sum(axis=1)
     residuals = np.linalg.norm(tx - x * lams[:, None, :], axis=1).max(axis=0)
-    points = list(zip(*lams.tolist()))
-    kept = _first_kept(points, t.d, CLUSTER_TOL)
-    return [(points[i], x[:, i]) for i in kept], residuals[kept].tolist()
+    kept = _first_kept(lams.T, t.d, CLUSTER_TOL)
+    return diag, lams.T[kept], x[:, kept], residuals[kept]
 
 
 def joint_point_spectrum(
@@ -308,18 +309,8 @@ def joint_point_spectrum(
     is fixed up to roundoff: its first entry within a relative 1e-8 of the
     largest modulus is real and positive.
     """
-    return _point_spectrum(t, tol, seed)[1]
-
-
-def _point_spectrum(t: OperatorTuple, tol: ToleranceModel, seed: int):
-    """One triangularization: its diagonal, the points it confirms and their residuals."""
-    return _factor_points(t, simultaneous_triangularize(t, seed, tol), tol)
-
-
-def _factor_points(t: OperatorTuple, factors, tol: ToleranceModel):
-    """The diagonal of a triangularization (Q, [U_j]) of ``t``, its points and residuals."""
-    diag = _diagonal(factors[1])
-    return diag, *_confirmed_points(t, diag, tol, factors)
+    _, lams, x, _ = _points(t, simultaneous_triangularize(t, seed, tol), tol)
+    return list(zip(_rows(lams), x.T))
 
 
 def _adjoint_factors(factors):
@@ -335,8 +326,8 @@ def _norm2(lams: np.ndarray) -> np.ndarray:
     return np.hypot.reduce(np.hypot(lams.real, lams.imag), axis=1)
 
 
-def _radius(diag) -> float:
-    return float(_norm2(np.array(diag)).max())
+def _radius(diag: np.ndarray) -> float:
+    return float(_norm2(diag).max())
 
 
 def _in_zero_variety(lams: np.ndarray, tol: ToleranceModel) -> np.ndarray:
@@ -381,12 +372,12 @@ class JointSpectrumResult:
 def joint_spectrum(
     t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
 ) -> JointSpectrumResult:
-    diag, points, residuals = _point_spectrum(t, tol, seed)
+    diag, lams, x, residuals = _points(t, simultaneous_triangularize(t, seed, tol), tol)
     return JointSpectrumResult(
-        point_spectrum=tuple((lam, tuple(x)) for lam, x in points),
-        taylor_diagonal=tuple(diag),
+        point_spectrum=tuple(zip(_rows(lams), _rows(x.T))),
+        taylor_diagonal=tuple(_rows(diag)),
         spectral_radius=_radius(diag),
-        residuals=tuple(residuals),
+        residuals=tuple(residuals.tolist()),
         seed=seed,
     )
 
@@ -402,18 +393,16 @@ def audit_theorem_3_1(
     hypotheses = facts.hypotheses(m)
     hyp = all(hypotheses.values())
 
-    diag, points, _ = _point_spectrum(t, tol, seed)
-    lams = np.reshape([lam for lam, _ in points], (-1, t.d))
+    diag, lams, _, _ = _points(t, simultaneous_triangularize(t, seed, tol), tol)
     located = (np.abs(_norm2(lams) - 1.0) <= SPHERE_TOL) | _in_zero_variety(lams, tol)
-    outside = np.flatnonzero(~located)
-    witnesses = [Witness("eigenvalue outside sphere and zero variety", points[i][0]) for i in outside]
+    witnesses = [Witness("eigenvalue outside sphere and zero variety", lam) for lam in _rows(lams[~located])]
 
     radius = _radius(diag)
     radius_is_one = abs(radius - 1.0) <= SPHERE_TOL
 
     subs = (
         sub_verdict(
-            "sigma_p within sphere or zero variety", hyp, bool(located.all()), points_checked=len(points)
+            "sigma_p within sphere or zero variety", hyp, bool(located.all()), points_checked=len(lams)
         ),
         sub_verdict("cor3.1: spectral radius equals 1", hyp, radius_is_one, spectral_radius=radius),
     )
@@ -447,33 +436,28 @@ def audit_proposition_3_2(
     hyp = all(hypotheses.values())
 
     factors = simultaneous_triangularize(t, seed, tol)
-    _, points, _ = _factor_points(t, factors, tol)
+    _, lams, xs, _ = _points(t, factors, tol)
     adj = adjoint_tuple(t)
-    witnesses = []
+    points = _rows(lams)
 
-    lams = np.reshape([lam for lam, _ in points], (-1, t.d))
-    in_zero = _in_zero_variety(lams, tol)
-    off_zero = [p for p, zero in zip(points, in_zero) if not zero]
+    zero = _in_zero_variety(lams, tol)
     found = _in_point_spectrum(
-        adj, lams[~in_zero].conj(), [x for _, x in off_zero],
-        lambda: _factor_points(adj, _adjoint_factors(factors), tol)[1], tol,
+        adj, lams[~zero].conj(), xs[:, ~zero], lambda: _points(adj, _adjoint_factors(factors), tol), tol
     )
-    for (lam, _x), hit in zip(off_zero, found):
-        if not hit:
-            witnesses.append(Witness("conjugate missing from adjoint spectrum", lam))
+    missing = np.flatnonzero(~zero)[~found]
+    witnesses = [Witness("conjugate missing from adjoint spectrum", points[i]) for i in missing]
 
     # Pairs i < j, row by row: |1 - <lambda_i, lambda_j>| and |<x_i, x_j>|.
-    xs = np.reshape([x for _, x in points], (-1, t.dim)).T
     rows, cols = np.triu_indices(len(points), 1)
     separated = np.abs(1.0 - lams @ lams.conj().T)[rows, cols] >= SEPARATION
     skewed = separated & (np.abs(xs.conj().T @ xs)[rows, cols] > ORTHO_TOL)
     for i, j in zip(rows[skewed].tolist(), cols[skewed].tolist()):
-        witnesses.append(Witness("non-orthogonal witness pair (lambda)", points[i][0]))
-        witnesses.append(Witness("non-orthogonal witness pair (mu)", points[j][0]))
+        witnesses.append(Witness("non-orthogonal witness pair (lambda)", points[i]))
+        witnesses.append(Witness("non-orthogonal witness pair (mu)", points[j]))
     orthogonal_ok, checked_pairs = not skewed.any(), int(separated.sum())
 
     subs = (
-        sub_verdict("conjugates lie in adjoint spectrum", hyp, all(found), eigenvalues_checked=len(off_zero)),
+        sub_verdict("conjugates lie in adjoint spectrum", hyp, all(found), eigenvalues_checked=len(found)),
         sub_verdict(
             "distinct-eigenvalue witnesses orthogonal", hyp, orthogonal_ok, pairs_checked=checked_pairs
         ),
@@ -488,10 +472,6 @@ def audit_proposition_3_2(
         seed=seed,
         notes=(NOTE_FINITE_SURROGATE,),
     )
-
-
-def _mapped_point(lam, d: int) -> tuple[complex, ...]:
-    return tuple(1.0 / (d * complex(lj)) for lj in lam)
 
 
 def spectral_mapping_audit(
@@ -514,26 +494,24 @@ def spectral_mapping_audit(
     and never drives the exit verdict.
     """
     inverse_holds = tol.is_zero(beta_result.norm, beta_result.scale)
-    src_points = joint_point_spectrum(source, tol, seed)
-
-    zero = _in_zero_variety(np.reshape([lam for lam, _ in src_points], (-1, source.d)), tol)
-    in_zero = [lam for (lam, _), z in zip(src_points, zero) if z]
+    _, lams, xs, _ = _points(source, simultaneous_triangularize(source, seed, tol), tol)
+    zero = _in_zero_variety(lams, tol)
+    in_zero, off_zero = _rows(lams[zero]), _rows(lams[~zero])
     strict_reading = not in_zero
     # For d > 1, [0] is an infinite variety; a finite spectrum can never contain it.
     literal_reading = strict_reading or source.d > 1
 
-    off_zero = [p for p, z in zip(src_points, zero) if not z]
-    images = [_mapped_point(lam, source.d) for lam, _ in off_zero]
+    # Python complex division: numpy's can differ in the last bit.
+    images = [tuple(1.0 / (source.d * lj) for lj in lam) for lam in off_zero]
     found = _in_point_spectrum(
-        target, images, [x for _, x in off_zero], lambda: joint_point_spectrum(target, tol, seed + 1), tol
+        target, np.reshape(images, (-1, source.d)), xs[:, ~zero],
+        lambda: _points(target, simultaneous_triangularize(target, seed + 1, tol), tol), tol,
     )
-    witnesses = []
-    for (lam, _x), image, hit in zip(off_zero, images, found):
-        if not hit:
-            witnesses.append(Witness("eigenvalue whose image is missing", lam))
-            witnesses.append(Witness("missing image point", image))
-    for lam in in_zero:
-        witnesses.append(Witness("eigenvalue in zero variety", lam))
+    witnesses = [
+        w for lam, image, hit in zip(off_zero, images, found) if not hit
+        for w in (Witness("eigenvalue whose image is missing", lam), Witness("missing image point", image))
+    ]
+    witnesses += [Witness("eigenvalue in zero variety", lam) for lam in in_zero]
 
     subs = (
         sub_verdict(

@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceModel
-from .reports import dumps, to_json
+from .reports import dumps
 from .tuples import OperatorTuple, make_tuple
 
 
@@ -123,6 +123,8 @@ def parse_tuple_file(text: str, tol: ToleranceModel = DEFAULT_TOL) -> ParsedTupl
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TupleFileError("/", f"not valid JSON ({exc.msg} at char {exc.pos})") from exc
+    except RecursionError:
+        raise TupleFileError("/", "not valid JSON (nested too deeply)") from None
     if not isinstance(doc, dict):
         raise TupleFileError("/", "top level must be a JSON object")
     for key in ("d", "dim", "matrices"):
@@ -166,10 +168,6 @@ def parse_partner(
         node["matrices"], parsed.tuple.d, parsed.tuple.dim, f"/metadata/{key}/matrices"
     )
     return make_tuple(mats, tol)
-
-
-def matrices_to_json(mats) -> list:
-    return to_json(np.asarray(mats, dtype=np.complex128))
 
 
 def serialize_tuple_file(

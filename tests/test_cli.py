@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from opertuple.cli import main
 from opertuple.linalg import ToleranceModel
 from opertuple.minverse import audit_theorem_4_2
 from opertuple.reports import report_to_dict
-from opertuple.tuplefile import MAX_ORDER, matrices_to_json, serialize_tuple_file
+from opertuple.tuplefile import MAX_ORDER, serialize_tuple_file
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -119,6 +120,28 @@ def test_integer_literal_past_the_float_range_exits_2(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: /matrices/0/0/0/0: expected a finite number")
+
+
+@pytest.mark.parametrize("where", ["bare array", "matrices"])
+@pytest.mark.parametrize("command", [["classify"], ["audit", "--claim", "thm2.1"]], ids=["classify", "audit"])
+def test_deeply_nested_tuple_file_exits_2(capsys, tmp_path, where, command):
+    # json.loads raises RecursionError past ~1000 levels; the file is malformed input
+    nested = "[" * 100000 + "]" * 100000
+    path = tmp_path / "nested.json"
+    path.write_text(nested if where == "bare array" else '{"d": 1, "dim": 1, "matrices": ' + nested + "}")
+    code = main([*command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: /: not valid JSON (nested too deeply)\n"
+
+
+@pytest.mark.parametrize("trials", [0, cli.MAX_TRIALS + 1, 10**23])
+def test_random_trial_count_outside_the_bound_exits_2(capsys, trials):
+    # checked before any child seed is spawned: 10**23 children overflow SeedSequence.spawn
+    code = main(["audit", "--claim", "thm2.1", "--random", str(trials)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: --random must be a trial count from 1 to {cli.MAX_TRIALS}, got {trials}\n"
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -459,7 +482,7 @@ def test_registry_runs_each_claims_own_audit(capsys, claim):
 def test_audit_thm42_reads_right_inverse_from_file(capsys, tmp_path):
     s, t = cli._shifted_invertible_pair(123)
     path = tmp_path / "right_inverse.json"
-    partner = {"right_inverse": {"matrices": matrices_to_json(s.matrices)}}
+    partner = {"right_inverse": {"matrices": np.stack(s.matrices)}}
     path.write_text(serialize_tuple_file(t, m=1, metadata=partner))
     code, out = run(capsys, "audit", "--claim", "thm4.2", "--input", str(path), "--seed", "7", "--json")
     assert code == 0

@@ -32,12 +32,11 @@ from opertuple.spectra import (
     TRIANGULAR_MASS,
     _adjoint_factors,
     _certificate_weights,
-    _confirmed_points,
-    _diagonal,
     _first_kept,
     _fixed_phase,
     _linf_distances,
     _near_spectrum,
+    _points,
     _schur_witnesses,
     audit_proposition_3_2,
     audit_theorem_3_1,
@@ -66,6 +65,18 @@ def unitary_scaled(d, dim=4, seed=1):
 
 def points_of(t, **kw):
     return [lam for lam, _ in joint_point_spectrum(t, **kw)]
+
+
+def diagonal_of(us):
+    """The diagonal of a triangularization [U_j] as an n x d array."""
+    return np.stack([u.diagonal() for u in us], axis=1)
+
+
+def certify_nothing(monkeypatch):
+    """Patch the Schur certificate to certify no candidate: the stacked SVD decides them all."""
+    monkeypatch.setattr(
+        spectra, "_schur_witnesses", lambda t, factors, diag, kept, tol: (None, np.zeros(len(kept), dtype=bool))
+    )
 
 
 def assert_point_in(lam, points, tol=1e-8):
@@ -303,7 +314,8 @@ def test_one_triangularization_matches_standalone_calls(name):
     points = joint_point_spectrum(t, DEFAULT_TOL, seed)
     assert [lam for lam, _ in result.point_spectrum] == [lam for lam, _ in points]
     assert [x for _, x in result.point_spectrum] == [tuple(x) for _, x in points]
-    assert list(result.taylor_diagonal) == _diagonal(simultaneous_triangularize(t, seed)[1])
+    diagonal = diagonal_of(simultaneous_triangularize(t, seed)[1])
+    assert list(result.taylor_diagonal) == list(map(tuple, diagonal.tolist()))
     assert result.spectral_radius == max(math.hypot(*map(abs, lam)) for lam in result.taylor_diagonal)
     report = audit_theorem_3_1(t, 1, (1,) * t.d)
     assert report.norms["spectral_radius"] == joint_spectrum(t).spectral_radius
@@ -323,17 +335,19 @@ def test_greedy_clustering_first_kept_wins():
     assert points_of(t) == [(0.0,), (1.2 * tol,)]
 
 
-def test_refined_dedup_follows_the_same_rule():
+def test_refined_dedup_follows_the_same_rule(monkeypatch):
     # Next to the eigenvalue 1e6 the rank cutoff (~4e-7) exceeds 2 tol, so the
     # candidate 2 tol is confirmed by e_0, refines to 0 and merges into the
-    # first point; the candidate pass alone kept all three apart.
+    # first point; the candidate pass alone kept all three apart. The candidates
+    # are the diagonal of a made-up triangular factor, decided by the stacked SVD.
     tol = CLUSTER_TOL
     t = make_tuple([np.diag([0.0, 1e6])])
-    candidates = [(0.0,), (2 * tol,), (1e6,)]
-    assert _first_kept(candidates, 1, tol) == [0, 1, 2]
-    points, _ = _confirmed_points(t, candidates, DEFAULT_TOL)
-    assert [lam for lam, _ in points] == [(0.0,), (1e6,)]
-    assert abs(points[0][1][0]) == pytest.approx(1.0)
+    candidates = [0.0, 2 * tol, 1e6]
+    assert _first_kept([(c,) for c in candidates], 1, tol) == [0, 1, 2]
+    certify_nothing(monkeypatch)
+    _, lams, x, _ = _points(t, (None, [np.diag(candidates)]), DEFAULT_TOL)
+    assert lams.tolist() == [[0.0], [1e6]]
+    assert abs(x[0, 0]) == pytest.approx(1.0)
 
 
 # ---- the stacked-SVD reference route ---------------------------------------
@@ -387,13 +401,11 @@ def commuting_tuples(draw):
 @settings(max_examples=80, deadline=None)
 @given(commuting_tuples())
 def test_schur_certificate_agrees_with_stacked_svd(t):
-    factors = simultaneous_triangularize(t)
-    diag = _diagonal(factors[1])
-    points, _ = _confirmed_points(t, diag, DEFAULT_TOL, factors)
+    diag, lams, xs, _ = _points(t, simultaneous_triangularize(t), DEFAULT_TOL)
     reference = stacked_svd_points(t, diag)
-    assert len(points) == len(reference)
+    assert len(lams) == len(reference)
     scale = max(1.0, max(frobenius_norm(m) for m in t))
-    for (lam, x), (lam_ref, x_ref, nullity) in zip(points, reference):
+    for lam, x, (lam_ref, x_ref, nullity) in zip(lams, xs.T, reference):
         assert max(abs(a - b) for a, b in zip(lam, lam_ref)) <= 1e-12 * scale
         if nullity == 1:
             assert abs(np.vdot(x, x_ref)) >= 1.0 - 1e-12
@@ -440,7 +452,7 @@ WITNESS_FAMILIES = {
 
 def assert_witnesses_match_back_substitution(t):
     q, us = factors = simultaneous_triangularize(t)
-    diag = _diagonal(us)
+    diag = diagonal_of(us)
     kept = _first_kept(diag, t.d, CLUSTER_TOL)
     x, _ = _schur_witnesses(t, factors, diag, kept, DEFAULT_TOL)
     reference = back_substituted_witnesses(q, us, _certificate_weights(t.d), kept)
@@ -473,20 +485,22 @@ def test_residuals_match_the_per_point_loop(family):
 
 def test_witness_guards_leave_every_candidate_to_the_stacked_svd(monkeypatch):
     t = named_tuple("example_2_2")
-    factors = simultaneous_triangularize(t)
-    diag = _diagonal(factors[1])
+    q, us = factors = simultaneous_triangularize(t)
+    diag = diagonal_of(us)
     kept = _first_kept(diag, t.d, CLUSTER_TOL)
-    reference, _ = _confirmed_points(t, diag, DEFAULT_TOL)
-    q, us = factors
+    with monkeypatch.context() as patch:
+        certify_nothing(patch)
+        reference = _points(t, factors, DEFAULT_TOL)[1]
     overflowed = [u.copy() for u in us]
     overflowed[0][0, -1] = np.inf
-    assert _schur_witnesses(t, (q, overflowed), diag, kept, DEFAULT_TOL) == (None, [False] * len(kept))
+    x, certified = _schur_witnesses(t, (q, overflowed), diag, kept, DEFAULT_TOL)
+    assert x is None and certified.tolist() == [False] * len(kept)
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: tuple(v[..., ::-1] for v in eig(a)))
     nullities = counting_null_spaces(monkeypatch)
-    points, _ = _confirmed_points(t, diag, DEFAULT_TOL, factors)
+    lams = _points(t, factors, DEFAULT_TOL)[1]
     assert len(nullities) == len(kept)
-    assert [lam for lam, _ in points] == [lam for lam, _ in reference]
+    assert lams.tolist() == reference.tolist()
 
 
 def test_certificate_confirms_combination_collision(monkeypatch):
@@ -804,16 +818,20 @@ def test_prop_3_2_triangularizes_once(monkeypatch, name):
 
     t = adjoint_case(name)
     monkeypatch.setattr(spectra, "simultaneous_triangularize", counted)
+    point_sets = counting(monkeypatch, "_points")
     audit_proposition_3_2(t, 1, (1,) * t.d)
     assert calls == [t]
+    # T's witnesses certify every conjugate on a normal T*; otherwise T*'s points
+    # are computed too, from T's factors.
+    assert len(point_sets) == (1 if name == "normal" else 2)
 
 
 def two_schur_conjugate_witnesses(t):
     """prop3.2's first sub-verdict from a second, independent triangularization of
     T*: the shared-basis route's reference on non-defective tuples."""
-    adj_points = joint_point_spectrum(adjoint_tuple(t))
+    adj_points = [mu for mu, _ in joint_point_spectrum(adjoint_tuple(t))]
     off_zero = [lam for lam, _ in joint_point_spectrum(t) if not zero_variety_member(lam)]
-    found = _near_spectrum(np.conj(off_zero), [mu for mu, _ in adj_points], t.d)
+    found = _near_spectrum(np.conj(np.reshape(off_zero, (-1, t.d))), np.reshape(adj_points, (-1, t.d)), t.d)
     missing = [("conjugate missing from adjoint spectrum", lam) for lam, hit in zip(off_zero, found) if not hit]
     return all(found), len(off_zero), missing
 
@@ -853,7 +871,7 @@ def test_prop_3_2_defective_conjugates_share_one_schur_basis(seed):
 def near_only(t, points, xs, own_points, tol):
     """The route before witness certificates: t's whole point spectrum, then ``_near_spectrum``
     alone. Patched over ``spectra._in_point_spectrum``, it is the reference the audits match."""
-    return _near_spectrum(points, [mu for mu, _ in own_points()], t.d)
+    return _near_spectrum(points, own_points()[1], t.d)
 
 
 def shifted_inverse_pair(seed, dim, d):
@@ -934,9 +952,28 @@ def counting(monkeypatch, name):
 def test_mapping_audit_on_an_inverse_pair_triangularizes_once(monkeypatch, audit):
     s, t = shifted_inverse_pair(3, 12, 3)
     triangularizations = counting(monkeypatch, "simultaneous_triangularize")
+    point_sets = counting(monkeypatch, "_points")
     report = audit(s, t, 1)
     assert report.hypotheses_hold and report.conclusion_holds
     assert len(triangularizations) == 1
+    assert len(point_sets) == 1
+
+
+@pytest.mark.parametrize("name", ["joint_spectrum", "joint_point_spectrum", "thm3.1"])
+def test_spectrum_and_thm_3_1_triangularize_and_confirm_once(monkeypatch, name):
+    t = adjoint_case("normal")
+    call = {
+        "joint_spectrum": partial(joint_spectrum, t),
+        "joint_point_spectrum": partial(joint_point_spectrum, t),
+        "thm3.1": partial(audit_theorem_3_1, t, 1, (1,) * t.d),
+    }[name]
+    triangularizations = counting(monkeypatch, "simultaneous_triangularize")
+    point_sets = counting(monkeypatch, "_points")
+    nullities = counting_null_spaces(monkeypatch)
+    call()
+    assert len(triangularizations) == 1
+    assert len(point_sets) == 1
+    assert nullities == []  # every point certified in the Schur basis
 
 
 @pytest.mark.parametrize("name", ["normal", "pi_diagonal", "unitary_scaled"])
@@ -970,8 +1007,27 @@ def diagonal_and_oblique_inverse():
 )
 def test_mapping_audit_takes_the_partner_spectrum_when_a_witness_fails(monkeypatch, case, found):
     s, t = case()
-    spectra_taken = counting(monkeypatch, "joint_point_spectrum")
+    spectra_taken = counting(monkeypatch, "_points")
     mapped = audit_theorem_4_1(s, t, 1).sub_verdicts[2]
     assert mapped.name == "(2)/(3) eigenvalues map via 1/(d lambda_j)"
     assert mapped.conclusion_holds == found
     assert len(spectra_taken) == 2
+
+
+# ---- ROADMAP item 2 on the CLI's own random family -------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the source's double eigenvalue 1 is smeared into two points ~1e-6 apart, "
+    "whose images miss the target's single point by more than CLUSTER_TOL",
+)
+@pytest.mark.parametrize("claim, trial", [("thm4.1", 159), ("thm4.2", 81)])
+def test_cli_random_unipotent_two_inverse_pair_maps_its_eigenvalue(claim, trial):
+    # The trial of `audit --claim C --random 200` (seed 0; child seeds 1351462461 and
+    # 3649273447): a conjugated unipotent left 2-inverse pair from
+    # cli._inverse_pair_instance, on which the claim holds.
+    child = int(np.random.SeedSequence(0).spawn(trial + 1)[trial].generate_state(1)[0])
+    entry = cli.CLAIMS[claim]
+    assert entry.audit(*entry.random_instance(child, trial), DEFAULT_TOL, child).conclusion_holds

@@ -18,11 +18,11 @@ from opertuple.reports import (
     Witness,
     report_from_dict,
     report_to_dict,
+    to_json,
 )
 from opertuple.tuplefile import (
     MAX_ORDER,
     TupleFileError,
-    matrices_to_json,
     parse_partner,
     parse_tuple_file,
     serialize_tuple_file,
@@ -224,7 +224,7 @@ def test_parse_partner_roundtrip_and_missing():
     text = serialize_tuple_file(
         ex.tuple,
         m=2,
-        metadata={"left_inverse": {"matrices": matrices_to_json(ex.partner.matrices)}},
+        metadata={"left_inverse": {"matrices": np.stack(ex.partner.matrices)}},
     )
     parsed = parse_tuple_file(text)
     partner = parse_partner(parsed, "left_inverse")
@@ -308,10 +308,11 @@ def test_json_keys_are_the_dataclass_fields(cls, doc):
 
 def test_serialized_files_are_the_bytes_of_the_stdlib_writer():
     ex = paper_example("4.1-corrected")
-    partner = {"matrices": matrices_to_json(ex.partner.matrices)}
-    doc = {"d": 2, "dim": 2, "m": 2, "q": [1, 0], "metadata": {"left_inverse": partner, "note": "é"}}
-    text = serialize_tuple_file(ex.tuple, m=2, q=(1, 0), metadata=doc["metadata"])
-    doc["matrices"] = matrices_to_json(ex.tuple.matrices)
+    partner = {"matrices": np.stack(ex.partner.matrices)}
+    metadata = {"left_inverse": partner, "note": "é"}
+    text = serialize_tuple_file(ex.tuple, m=2, q=(1, 0), metadata=metadata)
+    doc = {"d": 2, "dim": 2, "m": 2, "q": [1, 0], "metadata": to_json(metadata)}
+    doc["matrices"] = to_json(np.stack(ex.tuple.matrices))
     assert text == json.dumps(doc, indent=2, sort_keys=True)
 
 
