@@ -62,7 +62,6 @@ _EXPORTS = {
         "audit_proposition_3_2",
         "audit_theorem_3_1",
         "joint_lower_bound",
-        "joint_point_spectrum",
         "joint_spectrum",
         "simultaneous_triangularize",
         "zero_variety_member",

@@ -9,14 +9,15 @@ report carries a note saying so.
 Triangularization itself follows the generic-combination recipe (Corless,
 Gianni & Trager, ISSAC 1997): Schur-factor a random complex combination
 sum_j c_j T_j and check that the same unitary triangularizes every component.
-A draw whose eigenvalues collide is retried; a defective combination, or
-retries that all fail, hand over to the deterministic fallback, which deflates
-one common eigenvector at a time.
+One combination is drawn from the seed. When its Schur form fails (a defective
+combination) or leaves some component untriangular (its eigenvalues collide),
+the deterministic fallback deflates one common eigenvector at a time, starting
+from that same combination.
 
 Each call triangularizes once, and ``_points`` alone turns that into the
 joint point set, as arrays: the Taylor diagonal (and so the spectral radius),
 the confirmed points, their witnesses and residuals. The audits read the
-arrays; ``joint_spectrum`` and ``joint_point_spectrum`` make tuples of them.
+arrays; ``joint_spectrum`` makes tuples of them.
 A candidate at diagonal position i is confirmed inside that Schur basis: its
 witness x is Q times LAPACK's eigenvector of a fixed triangular combination
 of the factors, and a stacked residual ||[T_j x - l_j x]_j|| at or below the
@@ -74,7 +75,6 @@ TRIANGULAR_MASS = 1e-7  # below-diagonal mass of each U_j, times max(1, max_j ||
 SPHERE_TOL = 1e-8  # thm3.1: | ||lambda||_2 - 1 | within which a point sits on the unit sphere
 ORTHO_TOL = 1e-8  # prop3.2: largest |<x, y>| of two witnesses that counts as orthogonal
 SEPARATION = 1e-8  # prop3.2: pairs with |1 - <lambda, mu>| below this are not separated
-_TRIANGULARIZE_RETRIES = 8
 
 
 def _component_scale(t: OperatorTuple) -> float:
@@ -82,13 +82,9 @@ def _component_scale(t: OperatorTuple) -> float:
         return max(1.0, max(frobenius_norm(m) for m in t))
 
 
-def _below_diagonal_mass(u: np.ndarray) -> float:
-    return float(np.linalg.norm(np.tril(u, -1), "fro"))
-
-
-def _random_unit_combination(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return z / np.linalg.norm(z)
+def _below_diagonal_mass(us: list[np.ndarray]) -> float:
+    """The largest below-diagonal Frobenius mass of the matrices ``us``."""
+    return max(float(np.linalg.norm(np.tril(u, -1), "fro")) for u in us)
 
 
 def _common_eigenvector(mats: list[np.ndarray], tol: ToleranceModel) -> np.ndarray:
@@ -136,38 +132,33 @@ def simultaneous_triangularize(
     """One unitary Q with every Q* T_j Q upper triangular (within tolerance).
 
     Returns (Q, [U_1, ..., U_d]). Below-diagonal mass of each U_j is at most
-    TRIANGULAR_MASS times max(1, ||T_j||_F). A combination whose Schur form
-    fails is (nearly) defective, and then so is every generic one: deflation,
-    of that combination first, runs at once. A component the Schur form leaves
-    untriangular is an eigenvalue collision, and a new combination is drawn.
+    TRIANGULAR_MASS times max(1, ||T_j||_F). One unit combination is drawn from
+    ``seed`` and Schur-factored. A Schur form that fails (a nearly defective
+    combination, and then so is every generic one) or leaves a component
+    untriangular (an eigenvalue collision) hands over to deflation, of that
+    combination first.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    c = rng.standard_normal(t.d) + 1j * rng.standard_normal(t.d)
+    combo = sum(cj * m for cj, m in zip(c / np.linalg.norm(c), t))
     scale = _component_scale(t)
-    best_mass = None
-    for attempts in range(1, _TRIANGULARIZE_RETRIES + 1):
-        c = _random_unit_combination(rng, t.d)
-        combo = sum(cj * m for cj, m in zip(c, t))
-        try:
-            q, _ = unitary_triangularize(combo)
-        except NumericalFailureError:
-            break
+    schur_mass = None
+    try:
+        q, _ = unitary_triangularize(combo)
+    except NumericalFailureError:
+        pass
+    else:
         us = [adjoint(q) @ m @ q for m in t]
-        mass = max(_below_diagonal_mass(u) for u in us)
-        if mass <= TRIANGULAR_MASS * scale:
+        schur_mass = _below_diagonal_mass(us)
+        if schur_mass <= TRIANGULAR_MASS * scale:
             return q, us
-        best_mass = mass if best_mass is None else min(best_mass, mass)
     q, (_, *us) = _deflation_triangularize([combo, *t.matrices], tol)
-    mass = max(_below_diagonal_mass(u) for u in us)
+    mass = _below_diagonal_mass(us)
     if mass <= TRIANGULAR_MASS * scale:
         return q, us
     raise NumericalFailureError(
         "simultaneous triangularization failed",
-        {
-            "random_attempts": attempts,
-            "best_random_mass": best_mass,
-            "deflation_mass": mass,
-            "scale": scale,
-        },
+        {"schur_mass": schur_mass, "deflation_mass": mass, "scale": scale},
     )
 
 
@@ -294,23 +285,6 @@ def _points(t: OperatorTuple, factors, tol: ToleranceModel):
     residuals = np.linalg.norm(tx - x * lams[:, None, :], axis=1).max(axis=0)
     kept = _first_kept(lams.T, t.d, CLUSTER_TOL)
     return diag, lams.T[kept], x[:, kept], residuals[kept]
-
-
-def joint_point_spectrum(
-    t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0
-) -> list[tuple[tuple[complex, ...], np.ndarray]]:
-    """Joint eigenvalues with one unit witness each.
-
-    Candidates come from the simultaneous-triangularization diagonal. Each is
-    confirmed in the Schur basis when the stacked residual of its
-    back-substituted witness is at or below the rank cutoff, and otherwise by a
-    nonempty numerical null space of the stacked matrix
-    [T_1 - l_1; ...; T_d - l_d]; then refined by a Rayleigh quotient. A witness
-    is fixed up to roundoff: its first entry within a relative 1e-8 of the
-    largest modulus is real and positive.
-    """
-    _, lams, x, _ = _points(t, simultaneous_triangularize(t, seed, tol), tol)
-    return list(zip(_rows(lams), x.T))
 
 
 def _adjoint_factors(factors):

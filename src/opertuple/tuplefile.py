@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -48,25 +49,32 @@ class TupleFileError(ValueError):
         self.path = path
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, cut after 480 characters: a malformed
+    node can be any size, and its message echoes only its start."""
+    text = repr(value)
+    return text if len(text) <= 480 else text[:480] + "..."
+
+
 def _require_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TupleFileError(path, f"expected an integer, got {value!r}")
+        raise TupleFileError(path, f"expected an integer, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise TupleFileError(path, f"expected an integer >= {minimum}, got {value}")
+        raise TupleFileError(path, f"expected an integer >= {minimum}, got {_shown(value)}")
     if maximum is not None and value > maximum:
-        raise TupleFileError(path, f"expected an integer <= {maximum}, got {value}")
+        raise TupleFileError(path, f"expected an integer <= {maximum}, got {_shown(value)}")
     return value
 
 
 def _require_number(value, path: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TupleFileError(path, f"expected a number, got {value!r}")
+        raise TupleFileError(path, f"expected a number, got {_shown(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer literal past the float range
         finite = False
     if not finite:
-        raise TupleFileError(path, f"expected a finite number, got {value!r}")
+        raise TupleFileError(path, f"expected a finite number, got {_shown(value)}")
 
 
 def _raise_at_first_fault(value, d: int, dim: int, path: str) -> None:
@@ -84,7 +92,7 @@ def _raise_at_first_fault(value, d: int, dim: int, path: str) -> None:
             for c, entry in enumerate(row):
                 epath = f"{rpath}/{c}"
                 if not isinstance(entry, list) or len(entry) != 2:
-                    raise TupleFileError(epath, f"expected an [re, im] pair, got {entry!r}")
+                    raise TupleFileError(epath, f"expected an [re, im] pair, got {_shown(entry)}")
                 _require_number(entry[0], epath + "/0")
                 _require_number(entry[1], epath + "/1")
 
@@ -123,6 +131,9 @@ def parse_tuple_file(text: str, tol: ToleranceModel = DEFAULT_TOL) -> ParsedTupl
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TupleFileError("/", f"not valid JSON ({exc.msg} at char {exc.pos})") from exc
+    except ValueError as exc:  # an integer literal past Python's int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise TupleFileError("/", f"not valid JSON (an integer literal exceeds {limit} digits)") from exc
     except RecursionError:
         raise TupleFileError("/", "not valid JSON (nested too deeply)") from None
     if not isinstance(doc, dict):

@@ -17,7 +17,7 @@ from opertuple.generators import paper_example, polynomial_family, random_unitar
 from opertuple.linalg import frobenius_norm
 from opertuple.minverse import _beta_enumeration, beta, expand_power_sum
 from opertuple.multiindex import multinomial_weight
-from opertuple.spectra import audit_theorem_3_1, joint_point_spectrum, joint_spectrum
+from opertuple.spectra import audit_theorem_3_1, joint_spectrum
 from opertuple.tuples import make_tuple
 
 from multiindex_oracle import enumerate_multiindices, pascal_multinomial
@@ -63,7 +63,7 @@ def test_criterion_03_golden_ratio_example():
         ex = paper_example(f"3.golden({d})")
         ok &= partial_isometry_defect(ex.tuple, 2, ex.q).norm <= 1e-12
     ex2 = paper_example("3.golden(2)")
-    points = [lam for lam, _ in joint_point_spectrum(ex2.tuple)]
+    points = [lam for lam, _ in joint_spectrum(ex2.tuple).point_spectrum]
     expected = [(GOLDEN_A, 0.0), (0.0, 0.0)]
     ok &= len(points) == 2
     for target in expected:
@@ -129,7 +129,7 @@ def test_criterion_07_theorem_3_1_audit():
     ok = True
     for seed in range(5):
         t = unitary_scaled(2, 4, seed)
-        for lam, _ in joint_point_spectrum(t):
+        for lam, _ in joint_spectrum(t).point_spectrum:
             norm2 = math.sqrt(sum(abs(z) ** 2 for z in lam))
             ok &= abs(norm2 - 1.0) <= 1e-8
         rep = audit_theorem_3_1(t, 1, (1, 1))
@@ -201,7 +201,7 @@ def test_criterion_10_proposition_3_2_orthogonality():
     ok = True
     for seed in range(5):
         t = unitary_scaled(2, 5, 100 + seed)
-        points = joint_point_spectrum(t)
+        points = joint_spectrum(t).point_spectrum
         pairs = 0
         for i in range(len(points)):
             for j in range(i + 1, len(points)):

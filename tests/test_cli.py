@@ -122,6 +122,41 @@ def test_integer_literal_past_the_float_range_exits_2(capsys, tmp_path):
     assert captured.err.startswith("error: /matrices/0/0/0/0: expected a finite number")
 
 
+# Tuple files whose malformed node is large: the error line echoes only its start.
+LARGE_NODES = {
+    "long-entry": '{"d": 1, "dim": 1, "matrices": [[[[' + ", ".join(["0"] * 100000) + "]]]]}",
+    "long-d": '{"d": [' + ", ".join(["0"] * 50000) + '], "dim": 1, "matrices": [[[[0, 0]]]]}',
+    "long-q": '{"d": 1, "dim": 1, "matrices": [[[[0, 0]]]], "q": [[' + ", ".join(["0"] * 50000) + "]]}",
+    "deep-entry": '{"d": 1, "dim": 1, "matrices": [[[' + "[" * 900 + "]" * 900 + "]]]}",
+}
+
+
+@pytest.mark.parametrize("text", LARGE_NODES.values(), ids=list(LARGE_NODES))
+def test_large_malformed_node_echoes_a_bounded_value(capsys, tmp_path, text):
+    path = tmp_path / "large.json"
+    path.write_text(text)
+    code = main(["classify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: /") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 600
+
+
+@pytest.mark.parametrize("where", ["d", "matrices"])
+def test_integer_literal_past_the_digit_limit_exits_2(capsys, tmp_path, where):
+    # json.loads refuses an integer literal past sys.get_int_max_str_digits() (4300) with ValueError
+    literal = "1" + "0" * 5000
+    path = tmp_path / "long_literal.json"
+    path.write_text(
+        f'{{"d": {literal}, "dim": 1, "matrices": [[[[0, 0]]]]}}' if where == "d"
+        else f'{{"d": 1, "dim": 1, "matrices": [[[[{literal}, 0]]]]}}'
+    )
+    code = main(["classify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: /: not valid JSON")
+
+
 @pytest.mark.parametrize("where", ["bare array", "matrices"])
 @pytest.mark.parametrize("command", [["classify"], ["audit", "--claim", "thm2.1"]], ids=["classify", "audit"])
 def test_deeply_nested_tuple_file_exits_2(capsys, tmp_path, where, command):

@@ -33,7 +33,7 @@ EXPORTS = {
     ],
     "spectra": [
         "JointSpectrumResult", "audit_proposition_3_2", "audit_theorem_3_1", "joint_lower_bound",
-        "joint_point_spectrum", "joint_spectrum", "simultaneous_triangularize", "zero_variety_member",
+        "joint_spectrum", "simultaneous_triangularize", "zero_variety_member",
     ],
     "minverse": [
         "BetaResult", "audit_proposition_4_1", "audit_theorem_4_1", "audit_theorem_4_2", "beta",

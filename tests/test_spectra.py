@@ -41,7 +41,6 @@ from opertuple.spectra import (
     audit_proposition_3_2,
     audit_theorem_3_1,
     joint_lower_bound,
-    joint_point_spectrum,
     joint_spectrum,
     simultaneous_triangularize,
     zero_variety_member,
@@ -64,7 +63,7 @@ def unitary_scaled(d, dim=4, seed=1):
 
 
 def points_of(t, **kw):
-    return [lam for lam, _ in joint_point_spectrum(t, **kw)]
+    return [lam for lam, _ in joint_spectrum(t, **kw).point_spectrum]
 
 
 def diagonal_of(us):
@@ -100,7 +99,7 @@ def test_joint_point_spectrum_golden_pair():
     assert_point_in((GOLDEN_A, 0.0), pts)
     assert_point_in((0.0, 0.0), pts)
     # witnesses: (a, 1)/norm for a and e2 for 0
-    for lam, x in joint_point_spectrum(t):
+    for lam, x in joint_spectrum(t).point_spectrum:
         if abs(lam[0]) > 0.5:
             expected = np.array([GOLDEN_A, 1.0]) / math.hypot(GOLDEN_A, 1.0)
         else:
@@ -120,7 +119,8 @@ def test_joint_point_spectrum_example_2_2():
 def test_witness_residuals_within_contract():
     t = paper_example("2.2").tuple
     scale = max(1.0, max(frobenius_norm(m) for m in t))
-    for lam, x in joint_point_spectrum(t):
+    for lam, x in joint_spectrum(t).point_spectrum:
+        x = np.asarray(x)
         residual = max(np.linalg.norm(m @ x - lj * x) for m, lj in zip(t, lam))
         assert residual <= 1e-8 * scale
 
@@ -172,7 +172,8 @@ def test_defective_matrix_points_are_residual_certified():
     j = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]], dtype=complex)
     t = make_tuple([j, j @ j / 4.0])
     scale = max(1.0, max(frobenius_norm(m) for m in t))
-    for lam, x in joint_point_spectrum(t):
+    for lam, x in joint_spectrum(t).point_spectrum:
+        x = np.asarray(x)
         assert max(np.linalg.norm(m @ x - lj * x) for m, lj in zip(t, lam)) <= 1e-8 * scale
         assert abs(lam[0] - 2.0) < 1e-4 and abs(lam[1] - 1.0) < 1e-4
 
@@ -311,15 +312,15 @@ def test_one_triangularization_matches_standalone_calls(name):
     }[name]()
     seed = 7
     result = joint_spectrum(t, DEFAULT_TOL, seed)
-    points = joint_point_spectrum(t, DEFAULT_TOL, seed)
-    assert [lam for lam, _ in result.point_spectrum] == [lam for lam, _ in points]
-    assert [x for _, x in result.point_spectrum] == [tuple(x) for _, x in points]
+    _, lams, xs, _ = _points(t, simultaneous_triangularize(t, seed), DEFAULT_TOL)
+    assert [lam for lam, _ in result.point_spectrum] == list(map(tuple, lams.tolist()))
+    assert [x for _, x in result.point_spectrum] == list(map(tuple, xs.T.tolist()))
     diagonal = diagonal_of(simultaneous_triangularize(t, seed)[1])
     assert list(result.taylor_diagonal) == list(map(tuple, diagonal.tolist()))
     assert result.spectral_radius == max(math.hypot(*map(abs, lam)) for lam in result.taylor_diagonal)
     report = audit_theorem_3_1(t, 1, (1,) * t.d)
     assert report.norms["spectral_radius"] == joint_spectrum(t).spectral_radius
-    assert report.sub_verdicts[0].details["points_checked"] == len(joint_point_spectrum(t))
+    assert report.sub_verdicts[0].details["points_checked"] == len(joint_spectrum(t).point_spectrum)
 
 
 def test_greedy_clustering_first_kept_wins():
@@ -511,7 +512,7 @@ def test_certificate_confirms_combination_collision(monkeypatch):
     g = _certificate_weights(2)
     t = make_tuple([np.diag([0.0, g[1], 1.0]), np.diag([0.0, -g[0], 1.0])])
     nullities = counting_null_spaces(monkeypatch)
-    points = joint_point_spectrum(t)
+    points = joint_spectrum(t).point_spectrum
     assert nullities == []
     expected = [(0j, 0j), (complex(g[1]), complex(-g[0])), (1 + 0j, 1 + 0j)]
     assert [lam for lam, _ in points] == expected
@@ -527,7 +528,7 @@ def test_certificate_fallback_confirms_non_normal_combination_collision(monkeypa
     s = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     t = make_tuple([s @ np.diag(lam) @ np.linalg.inv(s) for lam in ([0.0, g[1], 1.0], [0.0, -g[0], 1.0])])
     nullities = counting_null_spaces(monkeypatch)
-    points = joint_point_spectrum(t)
+    points = joint_spectrum(t).point_spectrum
     assert nullities == [1]
     expected = [(0, 0), (g[1], -g[0]), (1, 1)]
     assert len(points) == 3
@@ -543,7 +544,7 @@ def test_certificate_fallback_rejects_near_commuting_candidates(monkeypatch):
     eps = 3e-11
     t = make_tuple([np.diag([1.0, 2.0]), np.array([[0.0, eps], [eps, 1.0]])])
     nullities = counting_null_spaces(monkeypatch)
-    assert joint_point_spectrum(t) == []
+    assert joint_spectrum(t).point_spectrum == ()
     assert nullities == [0, 0]
     assert len(joint_spectrum(t).taylor_diagonal) == 2
 
@@ -555,18 +556,18 @@ def witnesses_by_lambda(points):
 @pytest.mark.parametrize("name", ["example_2_2", "golden_ratio"])
 def test_witnesses_of_simple_eigenvalues_are_fixed(name):
     t = named_tuple(name)
-    reference = witnesses_by_lambda(joint_point_spectrum(t, seed=0))
+    reference = witnesses_by_lambda(joint_spectrum(t, seed=0).point_spectrum)
     v = random_unitary(t.dim, np.random.default_rng(17))
     moved = conjugate_by_unitary(t, v)
-    runs = [joint_point_spectrum(t, seed=seed) for seed in range(1, 4)]
+    runs = [joint_spectrum(t, seed=seed).point_spectrum for seed in range(1, 4)]
     for seed in range(4):
-        runs.append([(lam, _fixed_phase(v @ x)) for lam, x in joint_point_spectrum(moved, seed=seed)])
+        runs.append([(lam, _fixed_phase(v @ x)) for lam, x in joint_spectrum(moved, seed=seed).point_spectrum])
     for points in runs:
         points = witnesses_by_lambda(points)
         assert len(points) == len(reference)
         for (lam, x), (lam_ref, x_ref) in zip(points, reference):
             assert max(abs(a - b) for a, b in zip(lam, lam_ref)) <= 1e-12
-            assert np.linalg.norm(x - x_ref) <= 1e-12
+            assert np.linalg.norm(np.asarray(x) - x_ref) <= 1e-12
 
 
 @st.composite
@@ -678,15 +679,56 @@ def test_deflation_starts_from_the_combination(monkeypatch):
     assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= TRIANGULAR_MASS
 
 
-def test_triangularization_failure_reports_its_attempts(monkeypatch):
-    # With the fallback also failing, the diagnostics must hold even though no
-    # random combination produced a Schur form.
-    t = jordan_tuple(8, 1, np.random.default_rng(0).standard_normal((8, 8)))
-    monkeypatch.setattr(spectra, "_deflation_triangularize", lambda mats, tol: (np.eye(8), mats))
+def colliding_pair(monkeypatch):
+    """A normal commuting pair whose eig + QR is patched to Schur-factor T_1 in place
+    of the drawn combination: T_1's double eigenvalue leaves T_2 untriangular, as a
+    collision of the combination's eigenvalues would. Returns (t, its scale)."""
+    v = random_unitary(3, np.random.default_rng(2))
+    t = make_tuple([v @ np.diag(lam) @ adjoint(v) for lam in ([1.0, 1.0, 2.0], [3.0, 4.0, 5.0])])
+    monkeypatch.setattr(spectra, "unitary_triangularize", lambda a: unitary_triangularize(t.matrices[0]))
+    scale = max(1.0, max(frobenius_norm(m) for m in t))
+    q, _ = unitary_triangularize(t.matrices[0])
+    assert np.linalg.norm(np.tril(adjoint(q) @ t.matrices[1] @ q, -1)) > TRIANGULAR_MASS * scale
+    return t, scale
+
+
+def test_collision_deflates_the_drawn_combination(monkeypatch):
+    # A Schur form that meets eig + QR's contract but leaves a component
+    # untriangular hands over to deflation at once; no second combination is drawn.
+    t, scale = colliding_pair(monkeypatch)
+    counts = counting_triangularizations(monkeypatch)
+    sizes, deflation = [], spectra._deflation_triangularize
+
+    def sized(mats, tol):
+        sizes.append(mats[0].shape[0])
+        return deflation(mats, tol)
+
+    monkeypatch.setattr(spectra, "_deflation_triangularize", sized)
+    _, us = simultaneous_triangularize(t)
+    assert counts["eig_qr"] == 1
+    assert sizes == [3, 2, 1]  # one deflation, one common eigenvector per level
+    assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= TRIANGULAR_MASS * scale
+
+
+@pytest.mark.parametrize("schur", ["collision", "defective"])
+def test_triangularization_failure_reports_both_masses(monkeypatch, schur):
+    # With deflation failing as well, the diagnostics hold the Schur form's mass
+    # (None when eig + QR itself failed), deflation's mass and the scale.
+    if schur == "collision":
+        t, _ = colliding_pair(monkeypatch)
+    else:
+        t = jordan_tuple(8, 1, np.random.default_rng(0).standard_normal((8, 8)))
+    monkeypatch.setattr(spectra, "_deflation_triangularize", lambda mats, tol: (np.eye(t.dim), mats))
     with pytest.raises(NumericalFailureError) as info:
         simultaneous_triangularize(t)
-    assert info.value.diagnostics["random_attempts"] == 1
-    assert info.value.diagnostics["best_random_mass"] is None
+    diagnostics = info.value.diagnostics
+    assert sorted(diagnostics) == ["deflation_mass", "scale", "schur_mass"]
+    if schur == "collision":
+        assert isinstance(diagnostics["schur_mass"], float)
+        assert diagnostics["schur_mass"] > TRIANGULAR_MASS * diagnostics["scale"]
+    else:
+        assert diagnostics["schur_mass"] is None
+    assert diagnostics["deflation_mass"] > TRIANGULAR_MASS * diagnostics["scale"]
 
 
 def loop_pair_witnesses(points):
@@ -713,7 +755,7 @@ def test_prop_3_2_pairs_match_the_pair_loop(family):
         "diagonal_conjugate": lambda: diagonal_conjugate(rng, 5, 2, True, False),
     }[family]()
     report = audit_proposition_3_2(t, 1, (1, 1))
-    expected, checked = loop_pair_witnesses(joint_point_spectrum(t))
+    expected, checked = loop_pair_witnesses(joint_spectrum(t).point_spectrum)
     pairs = [(w.label, w.value) for w in report.witnesses if w.label.startswith("non-orthogonal")]
     assert pairs == expected
     assert report.sub_verdicts[1].details["pairs_checked"] == checked
@@ -829,8 +871,8 @@ def test_prop_3_2_triangularizes_once(monkeypatch, name):
 def two_schur_conjugate_witnesses(t):
     """prop3.2's first sub-verdict from a second, independent triangularization of
     T*: the shared-basis route's reference on non-defective tuples."""
-    adj_points = [mu for mu, _ in joint_point_spectrum(adjoint_tuple(t))]
-    off_zero = [lam for lam, _ in joint_point_spectrum(t) if not zero_variety_member(lam)]
+    adj_points = [mu for mu, _ in joint_spectrum(adjoint_tuple(t)).point_spectrum]
+    off_zero = [lam for lam, _ in joint_spectrum(t).point_spectrum if not zero_variety_member(lam)]
     found = _near_spectrum(np.conj(np.reshape(off_zero, (-1, t.d))), np.reshape(adj_points, (-1, t.d)), t.d)
     missing = [("conjugate missing from adjoint spectrum", lam) for lam, hit in zip(off_zero, found) if not hit]
     return all(found), len(off_zero), missing
@@ -841,7 +883,7 @@ def test_prop_3_2_matches_the_two_schur_route(name):
     t = adjoint_case(name)
     report = audit_proposition_3_2(t, 1, (1,) * t.d)
     holds, checked, missing = two_schur_conjugate_witnesses(t)
-    pairs, pairs_checked = loop_pair_witnesses(joint_point_spectrum(t))
+    pairs, pairs_checked = loop_pair_witnesses(joint_spectrum(t).point_spectrum)
     conj_sub, ortho_sub = report.sub_verdicts
     assert (conj_sub.conclusion_holds, conj_sub.details["eigenvalues_checked"]) == (holds, checked)
     assert ortho_sub.details["pairs_checked"] == pairs_checked
@@ -959,12 +1001,11 @@ def test_mapping_audit_on_an_inverse_pair_triangularizes_once(monkeypatch, audit
     assert len(point_sets) == 1
 
 
-@pytest.mark.parametrize("name", ["joint_spectrum", "joint_point_spectrum", "thm3.1"])
+@pytest.mark.parametrize("name", ["joint_spectrum", "thm3.1"])
 def test_spectrum_and_thm_3_1_triangularize_and_confirm_once(monkeypatch, name):
     t = adjoint_case("normal")
     call = {
         "joint_spectrum": partial(joint_spectrum, t),
-        "joint_point_spectrum": partial(joint_point_spectrum, t),
         "thm3.1": partial(audit_theorem_3_1, t, 1, (1,) * t.d),
     }[name]
     triangularizations = counting(monkeypatch, "simultaneous_triangularize")

@@ -211,6 +211,19 @@ def test_not_json_at_all():
     assert err.value.path == "/"
 
 
+@pytest.mark.parametrize("where", ["d", "matrices"])
+def test_integer_literal_past_the_digit_limit_is_not_valid_json(where):
+    literal = "1" + "0" * 5000
+    text = (
+        f'{{"d": {literal}, "dim": 1, "matrices": [[[[0, 0]]]]}}' if where == "d"
+        else f'{{"d": 1, "dim": 1, "matrices": [[[[{literal}, 0]]]]}}'
+    )
+    with pytest.raises(TupleFileError) as err:
+        parse_tuple_file(text)
+    assert err.value.path == "/"
+    assert str(err.value).startswith("/: not valid JSON (")
+
+
 def test_non_commuting_file_rejected():
     n = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
     nt = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]
