@@ -6,10 +6,10 @@ Lemma 4.1's recurrence on Phi_{S,T}(X) = sum_j S_j X T_j (``tuples.hereditary_sh
 
     beta_{k+1} = -beta_k + Phi_{S,T}(beta_k),  beta_0 = I.
 
-Enumeration over multi-indices is kept as the independent oracle, which the
-default cross-checks for small m. The power-sum left side is the level
-Phi_{S,T}^n(I) from ``tuples.power_levels``. Only internal commutativity of S
-and of T is assumed; components of S need not commute with components of T.
+Enumeration over multi-indices is the tests' independent oracle, not run here.
+The power-sum left side is the level Phi_{S,T}^n(I) from ``tuples.power_levels``.
+Only internal commutativity of S and of T is assumed; components of S need not
+commute with components of T.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ from functools import cache
 import numpy as np
 
 from .linalg import DEFAULT_TOL, NumericalFailureError, ToleranceModel, frobenius_norm
-from .multiindex import pochhammer_descending, prefix_tree
+from .multiindex import pochhammer_descending
 from .reports import NOTE_POCHHAMMER_ZERO, NOTE_PROP41_COEFF, AuditReport, build_report, sub_verdict
-from .tuples import OperatorTuple, alternating_binomial_sum, hereditary_shift, power_levels
+from .tuples import OperatorTuple, hereditary_shift, power_levels
 
-_CROSS_CHECK_MAX_M = 4
 PASS_TOL = 1e-10  # prop4.1: largest relative deviation of an expansion that passes
-CROSS_CHECK_TOL = 1e-10  # beta: recurrence vs enumeration gap allowed, times max(1, scale)
 
 
 @dataclass(frozen=True)
@@ -44,25 +42,6 @@ def _check_shapes(s: OperatorTuple, t: OperatorTuple) -> None:
         )
 
 
-def _enumerated_levels(s: OperatorTuple, t: OperatorTuple, kmax: int) -> list[np.ndarray]:
-    """sum_{|alpha|=k} (k!/alpha!) S^alpha T^alpha for k = 0..kmax, by enumeration.
-
-    The monomials grow on the prefix tree: one product per node for S and for T.
-    """
-    eye = np.eye(t.dim, dtype=np.complex128)
-    levels = [np.zeros_like(eye) for _ in range(kmax + 1)]
-    pairs = prefix_tree(t.d, kmax, (eye, eye), lambda j, pair: (s[j] @ pair[0], t[j] @ pair[1]))
-    for k, weight, (s_alpha, t_alpha) in pairs:
-        levels[k] += weight * (s_alpha @ t_alpha)
-    return levels
-
-
-def _beta_enumeration(s: OperatorTuple, t: OperatorTuple, m: int) -> tuple[np.ndarray, float]:
-    """beta_m with its (-1)^(m-k) signs: the (-1)^k sum of the enumerated levels, times (-1)^m."""
-    total, scale = alternating_binomial_sum(_enumerated_levels(s, t, m), m)
-    return (-1) ** m * total, scale
-
-
 def _beta_levels(s: OperatorTuple, t: OperatorTuple, m: int, betas=None) -> list[np.ndarray]:
     """beta_0..beta_m (or more) by beta_{k+1} = -beta_k + Phi_{S,T}(beta_k), after ``betas``."""
     betas = list(betas or [np.eye(t.dim, dtype=np.complex128)])
@@ -77,34 +56,24 @@ def beta(
     m: int,
     method: str = "auto",
 ) -> BetaResult:
-    """beta_m(S, T) by the recurrence.
+    """beta_m(S, T) by the recurrence, with scale max_k ||beta_k||_F over k = 0..m.
 
-    ``method`` "auto" also cross-checks it, for m <= 4, against direct enumeration; a gap
-    beyond CROSS_CHECK_TOL * max(1, scale) raises, and so does a beta whose norm or scale
-    overflows. "recurrence" skips the cross-check.
+    ``method`` is "auto" or "recurrence"; both run the same recurrence. A beta whose norm
+    or scale overflows raises NumericalFailureError.
     """
     _check_shapes(s, t)
-    return _beta(s, t, m, method)
+    if method not in ("auto", "recurrence"):
+        raise ValueError(f"unknown beta method {method!r}")
+    return _beta(s, t, m)
 
 
-def _beta(s: OperatorTuple, t: OperatorTuple, m: int, method: str, betas=None) -> BetaResult:
+def _beta(s: OperatorTuple, t: OperatorTuple, m: int, betas=None) -> BetaResult:
     """``beta`` on tuples of one shape; the recurrence reads or continues given levels ``betas``."""
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-    if method not in ("auto", "recurrence"):
-        raise ValueError(f"unknown beta method {method!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite beta raises below
         betas = _beta_levels(s, t, m, betas)[: m + 1]
         matrix, scale = betas[-1], max(frobenius_norm(b) for b in betas)
-        if method == "auto" and m <= _CROSS_CHECK_MAX_M:
-            other, other_scale = _beta_enumeration(s, t, m)
-            scale = max(scale, other_scale)
-            gap = frobenius_norm(matrix - other)
-            if gap > CROSS_CHECK_TOL * max(1.0, scale):
-                raise NumericalFailureError(
-                    "beta recurrence and enumeration disagree",
-                    {"gap": gap, "scale": scale, "m": m},
-                )
         norm = frobenius_norm(matrix)
     if not (math.isfinite(norm) and math.isfinite(scale)):
         raise NumericalFailureError(
@@ -247,7 +216,7 @@ def audit_proposition_4_1(
     norms = {"max_pochhammer_deviation": poch, "max_binomial_deviation": binom}
 
     if inverse_order is not None:
-        inverse = _beta(s, t, inverse_order, "auto", betas)
+        inverse = _beta(s, t, inverse_order, betas)
         holds = tol.is_zero(inverse.norm, inverse.scale)
         breakdown["left_m_inverse"] = holds
         poch = max_deviation("pochhammer", inverse_order - 1)

@@ -183,7 +183,7 @@ def alternating_binomial_sum(levels, m: int) -> tuple[np.ndarray, float]:
     """sum_k (-1)^k C(m,k) L_k over the m + 1 given levels, and its scale max_k ||C(m,k) L_k||_F.
 
     The terms alternate and cancel, so a zero-test of the sum is relative to the
-    largest term. The defects and the enumerated beta are this sum.
+    largest term. The defects, and the tests' enumerated beta, are this sum.
     """
     terms = [math.comb(m, k) * level for k, level in enumerate(levels)]
     total = sum((-1) ** k * term for k, term in enumerate(terms))

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 
-from opertuple.multiindex import MultiIndex, validate_multiindex
+import numpy as np
+
+from opertuple.multiindex import MultiIndex, prefix_tree, validate_multiindex
+from opertuple.tuples import alternating_binomial_sum
 
 
 def enumerate_multiindices(d: int, k: int) -> list[MultiIndex]:
@@ -29,6 +32,28 @@ def enumerate_multiindices(d: int, k: int) -> list[MultiIndex]:
         for rest in enumerate_multiindices(d - 1, k - first):
             out.append((first,) + rest)
     return out
+
+
+def enumerated_levels(s, t, kmax: int) -> list[np.ndarray]:
+    """sum_{|alpha|=k} (k!/alpha!) S^alpha T^alpha for k = 0..kmax, by enumeration.
+
+    The monomials grow on the prefix tree: one product per node for S and for T.
+    """
+    eye = np.eye(t.dim, dtype=np.complex128)
+    levels = [np.zeros_like(eye) for _ in range(kmax + 1)]
+    pairs = prefix_tree(t.d, kmax, (eye, eye), lambda j, pair: (s[j] @ pair[0], t[j] @ pair[1]))
+    for k, weight, (s_alpha, t_alpha) in pairs:
+        levels[k] += weight * (s_alpha @ t_alpha)
+    return levels
+
+
+def beta_enumeration(s, t, m: int) -> tuple[np.ndarray, float]:
+    """beta_m with its (-1)^(m-k) signs: the (-1)^k sum of the enumerated levels, times (-1)^m.
+
+    Returns (beta_m, scale), the scale being the largest term of the alternating sum.
+    """
+    total, scale = alternating_binomial_sum(enumerated_levels(s, t, m), m)
+    return (-1) ** m * total, scale
 
 
 def pascal_multinomial(n: int, parts) -> tuple[int, int]:

@@ -15,12 +15,12 @@ from opertuple.cli import main
 from opertuple.defects import null_reducing_check, partial_isometry_defect
 from opertuple.generators import paper_example, polynomial_family, random_unitary, scaled_family
 from opertuple.linalg import frobenius_norm
-from opertuple.minverse import _beta_enumeration, beta, expand_power_sum
+from opertuple.minverse import beta, expand_power_sum
 from opertuple.multiindex import multinomial_weight
 from opertuple.spectra import audit_theorem_3_1, joint_spectrum
 from opertuple.tuples import make_tuple
 
-from multiindex_oracle import enumerate_multiindices, pascal_multinomial
+from multiindex_oracle import beta_enumeration, enumerate_multiindices, pascal_multinomial
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
@@ -87,7 +87,7 @@ def test_criterion_04_lemma_4_1_recurrence_agreement():
         m = int(rng.integers(1, 5))
         s = polynomial_family(np.random.default_rng(10_000 + trial), dim, d, 3)
         t = polynomial_family(np.random.default_rng(20_000 + trial), dim, d, 3)
-        en, en_scale = _beta_enumeration(s, t, m)
+        en, en_scale = beta_enumeration(s, t, m)
         re = beta(s, t, m, method="recurrence")
         scale = max(en_scale, re.scale)
         ok &= frobenius_norm(en - re.matrix) <= 1e-10 * scale

@@ -18,6 +18,8 @@ from opertuple.minverse import (
 )
 from opertuple.tuples import adjoint_tuple, make_tuple
 
+from multiindex_oracle import beta_enumeration
+
 
 def random_pair(seed, dim=3, d=2, degree=2):
     s = polynomial_family(np.random.default_rng(seed), dim, d, degree)
@@ -57,10 +59,28 @@ def test_beta_methods_agree_on_random_pairs():
     for seed in range(10):
         s, t = random_pair(seed)
         for m in (1, 2, 3, 4):
-            en, en_scale = minverse._beta_enumeration(s, t, m)
+            en, en_scale = beta_enumeration(s, t, m)
             re = beta(s, t, m, method="recurrence")
             scale = max(en_scale, re.scale, 1.0)
             assert frobenius_norm(en - re.matrix) <= 1e-10 * scale
+
+
+def test_beta_methods_are_one_recurrence():
+    # "auto" and "recurrence" take the same route; the scale is the largest level of it
+    for seed in range(10):
+        s, t = random_pair(seed)
+        for m in (1, 2, 3, 4):
+            auto, rec = beta(s, t, m, "auto"), beta(s, t, m, "recurrence")
+            np.testing.assert_array_equal(auto.matrix, rec.matrix)
+            assert (auto.norm, auto.scale) == (rec.norm, rec.scale)
+            levels = minverse._beta_levels(s, t, m)
+            assert auto.scale == max(frobenius_norm(level) for level in levels)
+
+
+def test_beta_rejects_unknown_method():
+    s, t = random_pair(0)
+    with pytest.raises(ValueError, match="unknown beta method"):
+        beta(s, t, 2, "enumeration")
 
 
 def test_beta_rejects_shape_mismatch():
@@ -217,21 +237,6 @@ def test_audit_prop_4_1_truncated_with_inverse():
     assert any(n.startswith("(2)") for n in names)
     binom2 = [sv for sv in rep.sub_verdicts if sv.name.startswith("(2')")][0]
     assert binom2.conclusion_holds
-
-
-@pytest.mark.parametrize("n_max, inverse_order", [(4, 2), (4, 4), (2, 4)])
-def test_prop_4_1_keeps_the_enumeration_cross_check(monkeypatch, n_max, inverse_order):
-    s, t = _unipotent_two_inverse_pair(3)
-    audit_proposition_4_1(s, t, n_max=n_max, inverse_order=inverse_order)
-    enumerated = minverse._beta_enumeration
-
-    def disagreeing(*args):
-        matrix, scale = enumerated(*args)
-        return matrix + 1.0, scale
-
-    monkeypatch.setattr(minverse, "_beta_enumeration", disagreeing)
-    with pytest.raises(NumericalFailureError, match="recurrence and enumeration disagree"):
-        audit_proposition_4_1(s, t, n_max=n_max, inverse_order=inverse_order)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 6])

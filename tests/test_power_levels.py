@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from opertuple import defects, minverse, tuples
 from opertuple.generators import diagonal_conjugate, polynomial_family
 from opertuple.linalg import adjoint, frobenius_norm
-from opertuple.minverse import _beta_levels, _enumerated_levels
+from opertuple.minverse import _beta_levels
 from opertuple.multiindex import multinomial_weight
 from opertuple.tuples import adjoint_tuple, hereditary_shift, make_tuple, power_levels, tuple_power
 
-from multiindex_oracle import enumerate_multiindices
+from multiindex_oracle import enumerate_multiindices, enumerated_levels
 
 GAP = 1e-12
 
@@ -56,7 +56,7 @@ def level_bound(s, t, k):
 def test_levels_match_enumeration(pair):
     s, t, k = pair
     levels = power_levels(s, t, k)
-    oracle = _enumerated_levels(s, t, k)
+    oracle = enumerated_levels(s, t, k)
     for order, (level, expected) in enumerate(zip(levels, oracle)):
         assert relative_gap(level, expected, level_bound(s, t, order)) <= GAP
 
@@ -77,7 +77,7 @@ def test_beta_recurrence_is_binomial_difference_of_levels(pair):
 def test_prefix_tree_visits_every_multiindex_once(d, k):
     s = commuting("polynomial_family", 11, 4, d)
     t = commuting("polynomial_family", 12, 4, d)
-    levels = _enumerated_levels(s, t, k)
+    levels = enumerated_levels(s, t, k)
     for order in range(k + 1):
         brute = sum(
             multinomial_weight(alpha) * (tuple_power(s, alpha) @ tuple_power(t, alpha))
@@ -122,6 +122,7 @@ SHIFTS_PER_OPERATION = {
     "classify": (lambda s, t: defects.classify(t, WORK_M, (1, 1)), WORK_M),
     "thm2.3": (lambda s, t: defects.audit_theorem_2_3(t, WORK_M, (1, 1)), WORK_M + 2),
     "prop2.4": (lambda s, t: defects.audit_proposition_2_4(t, WORK_M, (1, 1)), WORK_M + 1),
+    "beta.auto": (lambda s, t: minverse.beta(s, t, WORK_M, "auto"), WORK_M),
     "beta.recurrence": (lambda s, t: minverse.beta(s, t, WORK_M, "recurrence"), WORK_M),
     "prop4.1": (lambda s, t: minverse.audit_proposition_4_1(s, t, n_max=4, inverse_order=3), 8),
     "prop4.1.at_n_max": (lambda s, t: minverse.audit_proposition_4_1(s, t, n_max=4, inverse_order=4), 8),
