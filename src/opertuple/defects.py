@@ -333,25 +333,19 @@ def audit_theorem_2_1(
     if not scalar_all_zero:
         witnesses.append(Witness("max-scalar-defect state", tuple(states[:, magnitudes.argmax()])))
 
-    sub = sub_verdict(
-        "operator-zero iff vector-state-zero", reducing, both_directions,
-        operator_defect_zero=operator.is_zero, scalar_defect_all_zero=scalar_all_zero,
-        max_scalar_defect=worst, polarized_states=polarize,
-    )
     return build_report(
-        claim_id="thm2.1",
-        hypothesis_breakdown={"null_space_reducing": reducing},
-        sub_verdicts=(sub,),
-        witnesses=witnesses,
-        norms={
-            "partial_defect_norm": operator.norm,
-            "partial_defect_scale": operator.scale,
-            "max_scalar_defect": worst,
-            "null_dim": float(basis.shape[1]),
+        "thm2.1", {"null_space_reducing": reducing},
+        [sub_verdict(
+            "operator-zero iff vector-state-zero", both_directions,
+            operator_defect_zero=operator.is_zero, scalar_defect_all_zero=scalar_all_zero,
+            max_scalar_defect=worst, polarized_states=polarize,
+        )],
+        witnesses,
+        {
+            "partial_defect_norm": operator.norm, "partial_defect_scale": operator.scale,
+            "max_scalar_defect": worst, "null_dim": float(basis.shape[1]),
         },
-        tolerances=tol,
-        seed=seed,
-        notes=(NOTE_THM21_SIGN,),
+        tolerances=tol, seed=seed, notes=(NOTE_THM21_SIGN,),
     )
 
 
@@ -386,23 +380,18 @@ def audit_theorem_2_3(
     facts = Facts(t, q, tol)
     base, up1, up2 = facts.defects(m, m + 1, m + 2)
     hypotheses = facts.hypotheses(m)
-    sub = sub_verdict(
-        "defect stays zero at m+1 and m+2", all(hypotheses.values()), up1.is_zero and up2.is_zero,
-        defect_m_zero=base.is_zero, null_space_reducing=hypotheses["null_space_reducing"],
-        defect_m_plus_1_norm=up1.norm, defect_m_plus_2_norm=up2.norm,
-    )
     return build_report(
-        claim_id="thm2.3",
-        hypothesis_breakdown=hypotheses,
-        sub_verdicts=(sub,),
+        "thm2.3", hypotheses,
+        [sub_verdict(
+            "defect stays zero at m+1 and m+2", up1.is_zero and up2.is_zero,
+            defect_m_zero=base.is_zero, null_space_reducing=hypotheses["null_space_reducing"],
+            defect_m_plus_1_norm=up1.norm, defect_m_plus_2_norm=up2.norm,
+        )],
         norms={
-            "defect_m_norm": base.norm,
-            "defect_m_plus_1_norm": up1.norm,
-            "defect_m_plus_2_norm": up2.norm,
-            "defect_scale": base.scale,
+            "defect_m_norm": base.norm, "defect_m_plus_1_norm": up1.norm,
+            "defect_m_plus_2_norm": up2.norm, "defect_scale": base.scale,
         },
-        tolerances=tol,
-        seed=seed,
+        tolerances=tol, seed=seed,
     )
 
 
@@ -414,17 +403,14 @@ def audit_theorem_2_2(
     base = facts.defect(m)
     stable = _null_spaces_stable(t, tol)
     ones = (facts if facts.q == ones_q else facts.at(ones_q)).defect(m)
-    sub = sub_verdict(
-        "collapse to q = (1,...,1)", base.is_zero and stable, ones.is_zero,
-        defect_q_zero=base.is_zero, null_spaces_stable=stable, defect_ones_norm=ones.norm,
-    )
     return build_report(
-        claim_id="thm2.2",
-        hypothesis_breakdown={"partial_isometry": base.is_zero, "null_spaces_stable": stable},
-        sub_verdicts=(sub,),
+        "thm2.2", {"partial_isometry": base.is_zero, "null_spaces_stable": stable},
+        [sub_verdict(
+            "collapse to q = (1,...,1)", ones.is_zero,
+            defect_q_zero=base.is_zero, null_spaces_stable=stable, defect_ones_norm=ones.norm,
+        )],
         norms={"defect_q_norm": base.norm, "defect_ones_norm": ones.norm},
-        tolerances=tol,
-        seed=seed,
+        tolerances=tol, seed=seed,
     )
 
 
@@ -439,19 +425,15 @@ def audit_proposition_2_1(
     """
     flags = quasinormal_class(t, tol)
     base, first = Facts(t, (1,) * t.d, tol).defects(m, 1)
-    sub = sub_verdict(
-        "order drops to m = 1", flags.joint and base.is_zero, first.is_zero,
-        jointly_quasinormal=flags.joint, matricially_quasinormal=flags.matricial,
-        defect_m_zero=base.is_zero, defect_1_norm=first.norm,
-    )
     return build_report(
-        claim_id="prop2.1",
-        hypothesis_breakdown={"jointly_quasinormal": flags.joint, "partial_isometry": base.is_zero},
-        sub_verdicts=(sub,),
+        "prop2.1", {"jointly_quasinormal": flags.joint, "partial_isometry": base.is_zero},
+        [sub_verdict(
+            "order drops to m = 1", first.is_zero,
+            jointly_quasinormal=flags.joint, matricially_quasinormal=flags.matricial,
+            defect_m_zero=base.is_zero, defect_1_norm=first.norm,
+        )],
         norms={"defect_m_norm": base.norm, "defect_1_norm": first.norm},
-        tolerances=tol,
-        seed=seed,
-        notes=(NOTE_PROP21_HYPOTHESIS,),
+        tolerances=tol, seed=seed, notes=(NOTE_PROP21_HYPOTHESIS,),
     )
 
 
@@ -465,20 +447,13 @@ def audit_proposition_2_4(
     base, up = facts.defects(m, m + 1)
     worst = float(np.abs(_state_sums(t, m, adjoint(facts.power), ascent=1)).max())
     identity_zero = tol.is_zero(worst, max(1.0, base.scale))
-    sub = sub_verdict(
-        "(m+1; q) iff shifted identity vanishes", base.is_zero, up.is_zero == identity_zero,
-        defect_m_plus_1_zero=up.is_zero, identity_sum_zero=identity_zero, max_identity_sum=worst,
-    )
     return build_report(
-        claim_id="prop2.4",
-        hypothesis_breakdown={"partial_isometry": base.is_zero},
-        sub_verdicts=(sub,),
-        norms={
-            "defect_m_norm": base.norm,
-            "defect_m_plus_1_norm": up.norm,
-            "max_identity_sum": worst,
-        },
-        tolerances=tol,
-        seed=seed,
+        "prop2.4", {"partial_isometry": base.is_zero},
+        [sub_verdict(
+            "(m+1; q) iff shifted identity vanishes", up.is_zero == identity_zero,
+            defect_m_plus_1_zero=up.is_zero, identity_sum_zero=identity_zero, max_identity_sum=worst,
+        )],
+        norms={"defect_m_norm": base.norm, "defect_m_plus_1_norm": up.norm, "max_identity_sum": worst},
+        tolerances=tol, seed=seed,
     )
 

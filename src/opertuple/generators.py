@@ -289,7 +289,11 @@ def diagonal_conjugate(
     """T_j = V diag(D_j) V^-1, V unitary or a random similarity with condition number <= e^1.4.
 
     With ``pi_diagonals`` each coordinate's column of D is either a unit vector (on the
-    sphere) or has a zero entry, so the (m; 1...1) defect is exactly zero.
+    sphere) or has a zero entry. The (m; 1...1) defect is then zero only when V is unitary
+    and ``_bounded`` rescales no T_j (every ||T_j||_F <= 10). Both hold at dim <= 64 for
+    d <= 4; past dim ~100 the rescaling sets in (every draw at dim 128, d = 4), and the
+    defect is no longer zero. With a similarity V, T_j* is not V diag(conj D_j) V^-1, and
+    the defect is of order 1.
     """
     if pi_diagonals:
         diag = np.zeros((d, dim), dtype=np.complex128)

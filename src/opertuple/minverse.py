@@ -204,12 +204,12 @@ def audit_proposition_4_1(
     poch, binom = max_deviation("pochhammer", n_max), max_deviation("binomial", n_max)
     subs = [
         sub_verdict(
-            "(1) expansion with printed pochhammer coefficients", True, poch <= PASS_TOL,
-            max_deviation=poch, n_max=n_max,
+            "(1) expansion with printed pochhammer coefficients", poch <= PASS_TOL,
+            binds_under=("commuting_pair",), max_deviation=poch, n_max=n_max,
         ),
         sub_verdict(  # the corrected variant
-            "(1') expansion with binomial coefficients", True, binom <= PASS_TOL,
-            informational=True, max_deviation=binom, n_max=n_max,
+            "(1') expansion with binomial coefficients", binom <= PASS_TOL,
+            informational=True, binds_under=("commuting_pair",), max_deviation=binom, n_max=n_max,
         ),
     ]
     breakdown = {"commuting_pair": True}
@@ -217,27 +217,20 @@ def audit_proposition_4_1(
 
     if inverse_order is not None:
         inverse = _beta(s, t, inverse_order, betas)
-        holds = tol.is_zero(inverse.norm, inverse.scale)
-        breakdown["left_m_inverse"] = holds
+        breakdown["left_m_inverse"] = tol.is_zero(inverse.norm, inverse.scale)
         poch = max_deviation("pochhammer", inverse_order - 1)
         binom = max_deviation("binomial", inverse_order - 1)
         subs += [
             sub_verdict(
-                "(2) truncated expansion, pochhammer coefficients", holds, poch <= PASS_TOL,
-                max_deviation=poch,
+                "(2) truncated expansion, pochhammer coefficients", poch <= PASS_TOL, max_deviation=poch
             ),
             sub_verdict(
-                "(2') truncated expansion, binomial coefficients", holds, binom <= PASS_TOL,
+                "(2') truncated expansion, binomial coefficients", binom <= PASS_TOL,
                 informational=True, max_deviation=binom,
             ),
         ]
 
     return build_report(
-        claim_id="prop4.1",
-        hypothesis_breakdown=breakdown,
-        sub_verdicts=subs,
-        norms=norms,
-        tolerances=tol,
-        seed=seed,
-        notes=(NOTE_PROP41_COEFF, NOTE_POCHHAMMER_ZERO),
+        "prop4.1", breakdown, subs, norms=norms,
+        tolerances=tol, seed=seed, notes=(NOTE_PROP41_COEFF, NOTE_POCHHAMMER_ZERO),
     )

@@ -2,7 +2,10 @@
 
 A report records whether a claim's hypotheses held, whether its conclusion
 held wherever the hypotheses did, the witnesses behind any violation, and the
-named norms that drove each decision.
+named norms that drove each decision. ``build_report`` derives each report's
+verdicts from an audit's hypothesis breakdown and its ``sub_verdict`` specs,
+which carry no hypothesis value: every sub-claim binds under the whole
+breakdown, except prop4.1's item (1), which binds under the commuting pair.
 
 ``to_json`` is the package's one JSON encoding: every report and spectrum
 result is encoded through it, a dataclass as the object of its fields and a
@@ -78,7 +81,8 @@ class SubVerdict:
     """One named sub-claim: its hypothesis status and raw conclusion.
 
     ``vacuous`` marks conclusions that never count against the aggregate
-    verdict; ``sub_verdict`` is the rule that sets it.
+    verdict. ``build_report`` is the one place that sets it and
+    ``hypotheses_hold``.
     """
 
     name: str
@@ -89,11 +93,14 @@ class SubVerdict:
 
 
 def sub_verdict(
-    name: str, hypotheses_hold: bool, conclusion_holds: bool, *, informational: bool = False, **details
-) -> SubVerdict:
-    """A sub-claim with its ``details`` in keyword order, vacuous exactly when it is
-    informational (beyond the claim as printed) or its hypotheses fail."""
-    return SubVerdict(name, hypotheses_hold, conclusion_holds, informational or not hypotheses_hold, details)
+    name: str, conclusion_holds: bool, *, informational: bool = False, binds_under=None, **details
+):
+    """A sub-claim for ``build_report``: its conclusion and ``details`` (in keyword order), no hypothesis.
+
+    ``informational`` marks a sub-claim beyond the claim as printed. ``binds_under`` names the
+    breakdown entries that are its hypotheses where these are not all of them (prop4.1's item (1)).
+    """
+    return name, conclusion_holds, informational, binds_under, details
 
 
 @dataclass(frozen=True)
@@ -110,33 +117,31 @@ class AuditReport:
     paper_discrepancy_notes: tuple[str, ...] = ()
 
 
-def aggregate_conclusion(sub_verdicts) -> bool:
-    """True iff every binding sub-claim's conclusion holds.
-
-    Sub-verdicts marked vacuous (failed hypotheses, or informational extras
-    beyond the claim as printed) are recorded but never count against the
-    aggregate.
-    """
-    return all(sv.conclusion_holds for sv in sub_verdicts if not sv.vacuous)
-
-
 def build_report(
     claim_id: str,
     hypothesis_breakdown: dict,
     sub_verdicts,
     witnesses=(),
     norms=None,
-    tolerances: ToleranceModel = ToleranceModel(),
-    seed: int = 0,
+    *,
+    tolerances: ToleranceModel,
+    seed: int,
     notes=(),
 ) -> AuditReport:
-    subs = tuple(sub_verdicts)
+    """A claim's report from its hypothesis breakdown and its ``sub_verdict`` specs: the one place
+    the vacuity rule is written. A sub-claim's hypotheses hold when its breakdown entries all do;
+    it is vacuous exactly when it is informational or they fail; the conclusion holds when every
+    binding (non-vacuous) sub-claim's does."""
+    subs = []
+    for name, conclusion, informational, under, details in sub_verdicts:
+        hyp = all(hypothesis_breakdown[k] for k in under or hypothesis_breakdown)
+        subs.append(SubVerdict(name, hyp, conclusion, informational or not hyp, details))
     return AuditReport(
         claim_id=claim_id,
         hypotheses_hold=all(hypothesis_breakdown.values()),
         hypothesis_breakdown=dict(hypothesis_breakdown),
-        conclusion_holds=aggregate_conclusion(subs),
-        sub_verdicts=subs,
+        conclusion_holds=all(sv.conclusion_holds for sv in subs if not sv.vacuous),
+        sub_verdicts=tuple(subs),
         witnesses=tuple(witnesses),
         norms=dict(norms or {}),
         tolerances=tolerances,

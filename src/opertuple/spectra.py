@@ -364,9 +364,6 @@ def audit_theorem_3_1(
     from .defects import Facts
 
     facts = Facts(t, q, tol)
-    hypotheses = facts.hypotheses(m)
-    hyp = all(hypotheses.values())
-
     diag, lams, _, _ = _points(t, simultaneous_triangularize(t, seed, tol), tol)
     located = (np.abs(_norm2(lams) - 1.0) <= SPHERE_TOL) | _in_zero_variety(lams, tol)
     witnesses = [Witness("eigenvalue outside sphere and zero variety", lam) for lam in _rows(lams[~located])]
@@ -374,20 +371,17 @@ def audit_theorem_3_1(
     radius = _radius(diag)
     radius_is_one = abs(radius - 1.0) <= SPHERE_TOL
 
-    subs = (
-        sub_verdict(
-            "sigma_p within sphere or zero variety", hyp, bool(located.all()), points_checked=len(lams)
-        ),
-        sub_verdict("cor3.1: spectral radius equals 1", hyp, radius_is_one, spectral_radius=radius),
-    )
     return build_report(
-        claim_id="thm3.1",
-        hypothesis_breakdown=hypotheses,
-        sub_verdicts=subs,
-        witnesses=witnesses,
-        norms={"defect_norm": facts.defect(m).norm, "spectral_radius": radius},
-        tolerances=tol,
-        seed=seed,
+        "thm3.1", facts.hypotheses(m),
+        [
+            sub_verdict(
+                "sigma_p within sphere or zero variety", bool(located.all()), points_checked=len(lams)
+            ),
+            sub_verdict("cor3.1: spectral radius equals 1", radius_is_one, spectral_radius=radius),
+        ],
+        witnesses,
+        {"defect_norm": facts.defect(m).norm, "spectral_radius": radius},
+        tolerances=tol, seed=seed,
         notes=(NOTE_FINITE_SURROGATE, NOTE_REMARK31_EXPONENT, NOTE_COR31_DICHOTOMY),
     )
 
@@ -406,9 +400,6 @@ def audit_proposition_3_2(
     from .defects import Facts
 
     facts = Facts(t, q, tol)
-    hypotheses = facts.hypotheses(m)
-    hyp = all(hypotheses.values())
-
     factors = simultaneous_triangularize(t, seed, tol)
     _, lams, xs, _ = _points(t, factors, tol)
     adj = adjoint_tuple(t)
@@ -430,21 +421,17 @@ def audit_proposition_3_2(
         witnesses.append(Witness("non-orthogonal witness pair (mu)", points[j]))
     orthogonal_ok, checked_pairs = not skewed.any(), int(separated.sum())
 
-    subs = (
-        sub_verdict("conjugates lie in adjoint spectrum", hyp, all(found), eigenvalues_checked=len(found)),
-        sub_verdict(
-            "distinct-eigenvalue witnesses orthogonal", hyp, orthogonal_ok, pairs_checked=checked_pairs
-        ),
-    )
     return build_report(
-        claim_id="prop3.2",
-        hypothesis_breakdown=hypotheses,
-        sub_verdicts=subs,
-        witnesses=witnesses,
-        norms={"defect_norm": facts.defect(m).norm, "joint_lower_bound": joint_lower_bound(t)},
-        tolerances=tol,
-        seed=seed,
-        notes=(NOTE_FINITE_SURROGATE,),
+        "prop3.2", facts.hypotheses(m),
+        [
+            sub_verdict("conjugates lie in adjoint spectrum", all(found), eigenvalues_checked=len(found)),
+            sub_verdict(
+                "distinct-eigenvalue witnesses orthogonal", orthogonal_ok, pairs_checked=checked_pairs
+            ),
+        ],
+        witnesses,
+        {"defect_norm": facts.defect(m).norm, "joint_lower_bound": joint_lower_bound(t)},
+        tolerances=tol, seed=seed, notes=(NOTE_FINITE_SURROGATE,),
     )
 
 
@@ -467,7 +454,6 @@ def spectral_mapping_audit(
     sigma_ap(source); the stronger disjointness reading is recorded separately
     and never drives the exit verdict.
     """
-    inverse_holds = tol.is_zero(beta_result.norm, beta_result.scale)
     _, lams, xs, _ = _points(source, simultaneous_triangularize(source, seed, tol), tol)
     zero = _in_zero_variety(lams, tol)
     in_zero, off_zero = _rows(lams[zero]), _rows(lams[~zero])
@@ -487,27 +473,22 @@ def spectral_mapping_audit(
     ]
     witnesses += [Witness("eigenvalue in zero variety", lam) for lam in in_zero]
 
-    subs = (
-        sub_verdict(
-            "(1) zero variety not contained in sigma_ap (as printed)", inverse_holds, literal_reading,
-            eigenvalues_in_zero_variety=len(in_zero),
-        ),
-        sub_verdict(  # not part of the claim as printed
-            "(1') strict reading: sigma_p disjoint from zero variety", inverse_holds, strict_reading,
-            informational=True, eigenvalues_in_zero_variety=len(in_zero),
-        ),
-        sub_verdict(
-            "(2)/(3) eigenvalues map via 1/(d lambda_j)", inverse_holds, all(found),
-            eigenvalues_mapped=len(off_zero),
-        ),
-    )
     return build_report(
-        claim_id=claim_id,
-        hypothesis_breakdown={"m_inverse": inverse_holds},
-        sub_verdicts=subs,
-        witnesses=witnesses,
-        norms={"beta_norm": beta_result.norm},
-        tolerances=tol,
-        seed=seed,
-        notes=(NOTE_THM41_SET, NOTE_FINITE_SURROGATE),
+        claim_id, {"m_inverse": tol.is_zero(beta_result.norm, beta_result.scale)},
+        [
+            sub_verdict(
+                "(1) zero variety not contained in sigma_ap (as printed)", literal_reading,
+                eigenvalues_in_zero_variety=len(in_zero),
+            ),
+            sub_verdict(  # not part of the claim as printed
+                "(1') strict reading: sigma_p disjoint from zero variety", strict_reading,
+                informational=True, eigenvalues_in_zero_variety=len(in_zero),
+            ),
+            sub_verdict(
+                "(2)/(3) eigenvalues map via 1/(d lambda_j)", all(found), eigenvalues_mapped=len(off_zero)
+            ),
+        ],
+        witnesses,
+        {"beta_norm": beta_result.norm},
+        tolerances=tol, seed=seed, notes=(NOTE_THM41_SET, NOTE_FINITE_SURROGATE),
     )

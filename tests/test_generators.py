@@ -152,6 +152,16 @@ def test_diagonal_conjugate_pi_diagonals_gives_partial_isometry():
         assert partial_isometry_defect(t, 1, (1, 1, 1)).is_zero
 
 
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_diagonal_conjugate_pi_diagonals_are_unscaled_partial_isometries_at_dim_64(d):
+    # Inside the desk-scale envelope no component reaches the Frobenius radius 10 at which
+    # the generator would rescale it (and so lose the zero defect).
+    for seed in range(10):
+        t = diagonal_conjugate(rng(seed), 64, d, True, True)
+        assert all(frobenius_norm(m) < 9.999 for m in t)
+        assert partial_isometry_defect(t, 1, (1,) * d).is_zero
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_scaled_family_is_a_partial_isometry(rank):
     for seed in range(3):

@@ -295,6 +295,37 @@ def test_random_instance_reports_roundtrip(claim_id):
         assert report_from_dict(through_json) == report
 
 
+def _assert_vacuity_rule(report: AuditReport) -> None:
+    """Every sub-verdict binds under the report's hypotheses (prop4.1's item (1) under the
+    commuting pair alone), is vacuous when they fail, and only binding ones decide the report."""
+    for sv in report.sub_verdicts:
+        if report.claim_id == "prop4.1" and sv.name.startswith(("(1) ", "(1') ")):
+            assert sv.hypotheses_hold
+        else:
+            assert sv.hypotheses_hold == report.hypotheses_hold
+        assert sv.hypotheses_hold or sv.vacuous
+        if sv.name.startswith("(1') "):
+            assert sv.vacuous
+    assert report.conclusion_holds == all(sv.conclusion_holds for sv in report.sub_verdicts if not sv.vacuous)
+
+
+@pytest.mark.parametrize("claim_id", CLAIMS)
+def test_random_instance_sub_verdicts_follow_the_vacuity_rule(claim_id):
+    claim = CLAIMS[claim_id]
+    for trial in range(4):
+        _assert_vacuity_rule(claim.audit(*claim.random_instance(5, trial), ToleranceModel(), 5))
+
+
+def test_prop41_item_1_binds_when_the_left_inverse_fails():
+    ex = paper_example("4.1-as-printed")
+    report = CLAIMS["prop4.1"].audit(ex.partner, ex.tuple, 2, None, ToleranceModel(), 0)
+    assert report.hypothesis_breakdown == {"commuting_pair": True, "left_m_inverse": False}
+    _assert_vacuity_rule(report)
+    item1, _, item2, _ = report.sub_verdicts
+    assert item1.name.startswith("(1) ") and not item1.vacuous
+    assert item2.name.startswith("(2) ") and item2.vacuous
+
+
 def test_report_decoder_ignores_unknown_keys():
     doc = report_to_dict(sample_report())
     doc["extra"] = 1
