@@ -36,6 +36,7 @@ from .linalg import (
     adjoint,
     frobenius_norm,
     null_space_basis,
+    unit_scaled,
 )
 from .multiindex import prefix_tree, validate_multiindex
 from .reports import (
@@ -349,23 +350,12 @@ def audit_theorem_2_1(
     )
 
 
-def _unit_scaled(m: np.ndarray) -> np.ndarray:
-    """m times the power of two that brings its largest real or imaginary part into [1, 2);
-    a zero m as it is. np.ldexp on the float64 view scales exactly in both directions, where
-    math.ldexp(1.0, e) would overflow for the e > 1023 of subnormal input."""
-    parts = np.ascontiguousarray(m).view(np.float64)
-    largest = float(np.abs(parts).max())
-    if largest == 0.0:
-        return m
-    return np.ldexp(parts, 1 - math.frexp(largest)[1]).view(np.complex128)
-
-
 def _null_spaces_stable(t: OperatorTuple, tol: ToleranceModel) -> bool:
     """N(T_j) = N(T_j^2) for every j. N(T_j) lies in N(T_j^2), so T_j must annihilate N(T_j^2)'s
     basis at T_j's rank cutoff, and the nullities, each at its own cutoff, must be equal. Each
-    T_j is first scaled to unit magnitude (``_unit_scaled``), so T_j^2 neither underflows nor
+    T_j is first scaled to unit magnitude (``unit_scaled``), so T_j^2 neither underflows nor
     overflows and the verdict does not depend on the input's units."""
-    for m in map(_unit_scaled, t):
+    for m in map(unit_scaled, t):
         b2 = null_space_basis(m @ m, tol)
         annihilated = frobenius_norm(m @ b2) <= tol.rank_cutoff(t.dim, frobenius_norm(m))
         if _nullity(m, tol) != b2.shape[1] or not annihilated:

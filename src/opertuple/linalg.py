@@ -1,8 +1,8 @@
 """Dense complex matrix primitives shared by every other module.
 
 Thin, contract-checked wrappers around numpy's LAPACK routines: adjoints,
-Frobenius norms, rank-revealing null spaces, and complex Schur
-triangularization. Rank decisions use a scale-invariant singular-value
+Frobenius norms, exact power-of-two scaling to unit magnitude, rank-revealing
+null spaces, and complex Schur triangularization. Rank decisions use a scale-invariant singular-value
 cutoff instead of a fixed epsilon. The Schur form is built from eigenvectors,
 so numpy is the only dependency.
 """
@@ -95,6 +95,17 @@ def frobenius_norm(a: np.ndarray) -> float:
     if math.isinf(norm) and math.isfinite(big := float(np.abs(x).max())):
         norm = big * frobenius_norm(x / big)
     return norm
+
+
+def unit_scaled(m: np.ndarray) -> np.ndarray:
+    """m times the power of two that brings its largest real or imaginary part into [1, 2);
+    a zero m as it is. np.ldexp on the float64 view scales exactly in both directions, where
+    math.ldexp(1.0, e) would overflow for the e > 1023 of subnormal input."""
+    parts = np.ascontiguousarray(m).view(np.float64)
+    largest = float(np.abs(parts).max())
+    if largest == 0.0:
+        return m
+    return np.ldexp(parts, 1 - math.frexp(largest)[1]).view(np.complex128)
 
 
 def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:

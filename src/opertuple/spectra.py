@@ -8,11 +8,16 @@ report carries a note saying so.
 
 Triangularization itself follows the generic-combination recipe (Corless,
 Gianni & Trager, ISSAC 1997): Schur-factor a random complex combination
-sum_j c_j T_j and check that the same unitary triangularizes every component.
-One combination is drawn from the seed. When its Schur form fails (a defective
-combination) or leaves some component untriangular (its eigenvalues collide),
-the deterministic fallback deflates one common eigenvector at a time, starting
-from that same combination.
+C = sum_j c_j T_j and check that the same unitary triangularizes every
+component. One combination is drawn from the seed. A normal C (C*C = CC*,
+decided through the ToleranceModel on a power-of-two scaled copy) has its
+spectral decomposition for a Schur form: the eigenvectors of its Hermitian
+part, from ``np.linalg.eigh`` (Golub & Van Loan, Matrix Computations, 4th ed.,
+7.1 and 8.1). A non-normal C, or a Hermitian basis that leaves a component
+untriangular (two eigenvalues of C with one real part), goes to eig + QR. When
+that Schur form fails (a defective combination) or leaves some component
+untriangular (its eigenvalues collide), the deterministic fallback deflates one
+common eigenvector at a time, starting from that same combination.
 
 Each call triangularizes once, and ``_points`` alone turns that into the
 joint point set, as arrays: the Taylor diagonal (and so the spectral radius),
@@ -24,9 +29,9 @@ of the factors, and a stacked residual ||[T_j x - l_j x]_j|| at or below the
 rank cutoff of a lower bound on the stack's sigma_max certifies what its SVD
 would decide. Candidates the certificate cannot settle fall back to the null
 space of the stacked system, the only way a candidate is rejected. Points are
-Rayleigh quotients; they and their residuals come off one product T_j X per
-component. Every witness has a fixed phase: its first entry within a relative
-1e-8 of the largest modulus is real and positive.
+Rayleigh quotients; they and their residuals come off the certificate's one
+product T_j X per component. Every witness has a fixed phase: its first entry
+within a relative 1e-8 of the largest modulus is real and positive.
 A point claimed to lie in a partner's spectrum (conj(lambda) in sigma_p(T*)
 for prop3.2, 1/(d lambda_j) in sigma_p(S) for thm4.1/4.2) is first put to the
 same certificate with the witness of lambda itself; the partner's points are
@@ -54,6 +59,7 @@ from .linalg import (
     adjoint,
     frobenius_norm,
     null_space_basis,
+    unit_scaled,
     unitary_triangularize,
 )
 from .reports import (
@@ -84,7 +90,16 @@ def _component_scale(t: OperatorTuple) -> float:
 
 def _below_diagonal_mass(us: list[np.ndarray]) -> float:
     """The largest below-diagonal Frobenius mass of the matrices ``us``."""
-    return max(float(np.linalg.norm(np.tril(u, -1), "fro")) for u in us)
+    with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
+        return max(frobenius_norm(np.tril(u, -1)) for u in us)
+
+
+def _is_normal(c: np.ndarray, tol: ToleranceModel) -> bool:
+    """Whether C*C = CC*: ||C*C - CC*||_F against ||C||_F^2, for C at unit magnitude
+    (``unit_scaled``), where the products cannot overflow; the decision is then the
+    same at every power-of-two scale of the matrix C was scaled from."""
+    ch = adjoint(c)
+    return tol.is_zero(frobenius_norm(ch @ c - c @ ch), frobenius_norm(c) ** 2)
 
 
 def _common_eigenvector(mats: list[np.ndarray], tol: ToleranceModel) -> np.ndarray:
@@ -132,16 +147,30 @@ def simultaneous_triangularize(
     """One unitary Q with every Q* T_j Q upper triangular (within tolerance).
 
     Returns (Q, [U_1, ..., U_d]). Below-diagonal mass of each U_j is at most
-    TRIANGULAR_MASS times max(1, ||T_j||_F). One unit combination is drawn from
-    ``seed`` and Schur-factored. A Schur form that fails (a nearly defective
-    combination, and then so is every generic one) or leaves a component
-    untriangular (an eigenvalue collision) hands over to deflation, of that
-    combination first.
+    TRIANGULAR_MASS times max(1, ||T_j||_F). One unit combination C is drawn
+    from ``seed`` and Schur-factored by the first of three routes whose factors
+    meet that bound:
+
+    1. A normal C (``_is_normal``, through ``tol``, on C times a power of two)
+       has its spectral decomposition for a Schur form: Q holds the
+       eigenvectors of the Hermitian part (C + C*)/2 from ``np.linalg.eigh``,
+       which separate C's eigenvalues wherever their real parts differ.
+    2. Otherwise, or when two real parts tie, ``unitary_triangularize`` (eig +
+       QR) factors C.
+    3. A Schur form that fails (a nearly defective combination, and then so is
+       every generic one) or leaves a component untriangular (an eigenvalue
+       collision) hands over to deflation, of that combination first.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     c = rng.standard_normal(t.d) + 1j * rng.standard_normal(t.d)
     combo = sum(cj * m for cj, m in zip(c / np.linalg.norm(c), t))
     scale = _component_scale(t)
+    unit = unit_scaled(combo)
+    if _is_normal(unit, tol):
+        q = np.linalg.eigh(unit + adjoint(unit))[1]  # a multiple of the Hermitian part: its vectors
+        us = [adjoint(q) @ m @ q for m in t]
+        if _below_diagonal_mass(us) <= TRIANGULAR_MASS * scale:
+            return q, us
     schur_mass = None
     try:
         q, _ = unitary_triangularize(combo)
@@ -196,7 +225,7 @@ def _in_point_spectrum(t: OperatorTuple, points, xs, own_points, tol: ToleranceM
     first certified with its own unit witness, the column of ``xs`` (n x k); only if some point
     is not are t's confirmed points computed, by ``own_points()`` (``_points`` of t), and a
     point within CLUSTER_TOL of one of them counts as found."""
-    found = _certified(t, xs, points.T, tol)
+    found = _certified(t, xs, _images(t, xs), points.T, tol)
     if not found.all():
         found |= _near_spectrum(points, own_points()[1], t.d)
     return found
@@ -219,17 +248,34 @@ def _certificate_weights(d: int) -> np.ndarray:
     return np.exp(1j * math.sqrt(2.0) * np.arange(1, d + 1))
 
 
-def _certified(t: OperatorTuple, x: np.ndarray, lams: np.ndarray, tol: ToleranceModel) -> np.ndarray:
+def _images(t: OperatorTuple, x: np.ndarray) -> np.ndarray:
+    """The products T_j X, stacked (d x n x k)."""
+    return np.stack([m @ x for m in t])
+
+
+def _column_norms(r: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of each matrix in the stack ``r`` (... x n x k), each
+    column divided by its largest modulus first, so no square overflows."""
+    mod = np.abs(r)
+    big = mod.max(axis=-2, keepdims=True)
+    big[big == 0.0] = 1.0
+    return np.linalg.norm(mod / big, axis=-2) * big[..., 0, :]
+
+
+def _certified(
+    t: OperatorTuple, x: np.ndarray, tx: np.ndarray, lams: np.ndarray, tol: ToleranceModel
+) -> np.ndarray:
     """Whether each unit column x_c proves the column lams[:, c] (d x k) a joint eigenvalue
-    of ``t``: its stacked residual ||[T_j x_c - l_j x_c]_j|| is at or below the rank cutoff
-    of a lower bound on the stack's sigma_max, so the stack's SVD would find a null space."""
+    of ``t``: its stacked residual ||[T_j x_c - l_j x_c]_j|| (``tx`` holds the T_j X) is at
+    or below the rank cutoff of a lower bound on the stack's sigma_max, so the stack's SVD
+    would find a null space."""
     n, d = t.dim, t.d
     # The (d·n) x n stack has sigma_max >= ||stack||_F / sqrt(n). Each
     # ||T_j - l_j I||_F^2 is summed as its off-diagonal part plus the
     # |t_kk - l_j|^2, so nothing cancels when T_j is close to l_j I.
     # A cutoff that overflows certifies nothing; the stacked SVD decides.
     with np.errstate(over="ignore", invalid="ignore"):
-        residual2 = sum(np.linalg.norm(m @ x - x * lj, axis=0) ** 2 for m, lj in zip(t, lams))
+        residual2 = sum(np.linalg.norm(mx - x * lj, axis=0) ** 2 for mx, lj in zip(tx, lams))
         frob2 = sum(
             np.square(frobenius_norm(m - np.diag(np.diag(m))))
             + (np.abs(np.diag(m)[:, None] - lj) ** 2).sum(axis=0)
@@ -240,19 +286,41 @@ def _certified(t: OperatorTuple, x: np.ndarray, lams: np.ndarray, tol: Tolerance
 
 
 def _schur_witnesses(t: OperatorTuple, factors, diag: np.ndarray, kept: list[int], tol: ToleranceModel):
-    """Unit witnesses, one column per kept diagonal position i, and whether each
-    one's stacked residual certifies it. Column i is Q times the eigenvector of
-    C = triu(sum_j g_j U_j) for C[i, i]: zgeev's balancing isolates every eigenvalue
-    of a triangular C, so only xTREVC's back-substitution runs, vanishing pivots
-    floored. A non-finite C, or eigenvalues other than C's diagonal in order, certify none."""
+    """Unit witnesses X, one column per kept diagonal position i, their products
+    T_j X, and whether each column's stacked residual certifies it. Column i is Q
+    times the eigenvector of C = triu(sum_j g_j U_j) for C[i, i]: zgeev's balancing
+    isolates every eigenvalue of a triangular C, so only xTREVC's back-substitution
+    runs, vanishing pivots floored. A non-finite C, or eigenvalues other than C's
+    diagonal in order, certify none (and give no X)."""
     q, us = factors
     combo = np.triu(sum(gj * u for gj, u in zip(_certificate_weights(t.d), us)))
     if np.isfinite(combo).all():
         values, vectors = np.linalg.eig(combo)
         if np.array_equal(values, np.diag(combo)):
             x = q @ vectors[:, kept]
-            return x, _certified(t, x, diag[kept].T, tol)
-    return None, np.zeros(len(kept), dtype=bool)
+            tx = _images(t, x)
+            return x, tx, _certified(t, x, tx, diag[kept].T, tol)
+    return None, None, np.zeros(len(kept), dtype=bool)
+
+
+def _stacked_svd_witnesses(t: OperatorTuple, candidates: np.ndarray, x, tx, certified, tol: ToleranceModel):
+    """The confirmed columns of (X, T_j X) once each candidate (a row of
+    ``candidates``) the certificate left undecided is put to the SVD of
+    [T_1 - l_1; ...; T_d - l_d] under ``rank_cutoff``: a null vector replaces its
+    column, and only those columns are multiplied by the T_j."""
+    if x is None:
+        x = np.zeros((t.dim, len(candidates)), dtype=np.complex128)
+        tx = np.zeros((t.d, t.dim, len(candidates)), dtype=np.complex128)
+    found = certified.copy()
+    eye = np.eye(t.dim)
+    for c in np.flatnonzero(~certified):
+        basis = null_space_basis(np.vstack([m - lj * eye for m, lj in zip(t, candidates[c])]), tol)
+        if basis.shape[1] > 0:
+            x[:, c], found[c] = basis[:, 0], True
+    fresh = found & ~certified
+    if fresh.any():
+        tx[..., fresh] = _images(t, x[:, fresh])
+    return x[:, found], tx[..., found]
 
 
 def _points(t: OperatorTuple, factors, tol: ToleranceModel):
@@ -263,28 +331,21 @@ def _points(t: OperatorTuple, factors, tol: ToleranceModel):
     tries the certificate of ``_schur_witnesses``; one it cannot settle is
     decided by the SVD of [T_1 - l_1; ...; T_d - l_d] under the same
     ``rank_cutoff``. The confirmed points ``lams`` (k x d) are the Rayleigh
-    quotients of the phase-fixed unit witnesses, the columns of ``x`` (n x k),
-    first-kept once more; ``residuals`` holds each max_j ||T_j x - l_j x||.
+    quotients of the unit witnesses, first-kept once more, and ``residuals``
+    holds each max_j ||T_j x - l_j x||, both read off the products T_j X the
+    certificate formed (only stacked-SVD witnesses are multiplied again): a unit
+    scalar times x changes neither, so the witnesses, the columns of ``x``
+    (n x k), are phase-fixed last.
     """
     diag = np.stack([u.diagonal() for u in factors[1]], axis=1)
     kept = _first_kept(diag, t.d, CLUSTER_TOL)
-    x_cert, certified = _schur_witnesses(t, factors, diag, kept, tol)
-    xs = []
-    eye = np.eye(t.dim)
-    for c, i in enumerate(kept):
-        if certified[c]:
-            xs.append(x_cert[:, c])
-        else:
-            stacked = np.vstack([m - lj * eye for m, lj in zip(t, diag[i])])
-            basis = null_space_basis(stacked, tol)
-            if basis.shape[1] > 0:
-                xs.append(basis[:, 0])
-    x = _fixed_phase(np.reshape(xs, (-1, t.dim)).T)
-    tx = np.stack([m @ x for m in t])
+    x, tx, certified = _schur_witnesses(t, factors, diag, kept, tol)
+    if not certified.all():
+        x, tx = _stacked_svd_witnesses(t, diag[kept], x, tx, certified, tol)
     lams = (x.conj() * tx).sum(axis=1)
-    residuals = np.linalg.norm(tx - x * lams[:, None, :], axis=1).max(axis=0)
+    residuals = _column_norms(tx - x * lams[:, None, :]).max(axis=0)
     kept = _first_kept(lams.T, t.d, CLUSTER_TOL)
-    return diag, lams.T[kept], x[:, kept], residuals[kept]
+    return diag, lams.T[kept], _fixed_phase(x[:, kept]), residuals[kept]
 
 
 def _adjoint_factors(factors):

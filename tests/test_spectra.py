@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pathlib
+import warnings
 from functools import partial
 
 import numpy as np
@@ -74,7 +75,8 @@ def diagonal_of(us):
 def certify_nothing(monkeypatch):
     """Patch the Schur certificate to certify no candidate: the stacked SVD decides them all."""
     monkeypatch.setattr(
-        spectra, "_schur_witnesses", lambda t, factors, diag, kept, tol: (None, np.zeros(len(kept), dtype=bool))
+        spectra, "_schur_witnesses",
+        lambda t, factors, diag, kept, tol: (None, None, np.zeros(len(kept), dtype=bool)),
     )
 
 
@@ -455,7 +457,7 @@ def assert_witnesses_match_back_substitution(t):
     q, us = factors = simultaneous_triangularize(t)
     diag = diagonal_of(us)
     kept = _first_kept(diag, t.d, CLUSTER_TOL)
-    x, _ = _schur_witnesses(t, factors, diag, kept, DEFAULT_TOL)
+    x, _, _ = _schur_witnesses(t, factors, diag, kept, DEFAULT_TOL)
     reference = back_substituted_witnesses(q, us, _certificate_weights(t.d), kept)
     assert np.abs(_fixed_phase(x) - _fixed_phase(reference)).max() <= 1e-12
 
@@ -494,7 +496,7 @@ def test_witness_guards_leave_every_candidate_to_the_stacked_svd(monkeypatch):
         reference = _points(t, factors, DEFAULT_TOL)[1]
     overflowed = [u.copy() for u in us]
     overflowed[0][0, -1] = np.inf
-    x, certified = _schur_witnesses(t, (q, overflowed), diag, kept, DEFAULT_TOL)
+    x, _, certified = _schur_witnesses(t, (q, overflowed), diag, kept, DEFAULT_TOL)
     assert x is None and certified.tolist() == [False] * len(kept)
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: tuple(v[..., ::-1] for v in eig(a)))
@@ -508,15 +510,16 @@ def test_certificate_confirms_combination_collision(monkeypatch):
     # (g_2, -g_1) and (0, 0) are distinct joint eigenvalues that the fixed
     # combination sum_j g_j l_j maps to the same value. The triangular
     # eigenvector routine replaces the zero pivot by its small-pivot floor and
-    # divides a zero coupling by it, so the second witness is e_2, exactly.
+    # divides a zero coupling by it, so the witness of (g_2, -g_1) is e_2, exactly.
+    # The pair is normal, so its Schur basis orders the points by the real parts
+    # of the drawn combination's eigenvalues: the point set is compared, not the order.
     g = _certificate_weights(2)
     t = make_tuple([np.diag([0.0, g[1], 1.0]), np.diag([0.0, -g[0], 1.0])])
     nullities = counting_null_spaces(monkeypatch)
-    points = joint_spectrum(t).point_spectrum
+    points = dict(joint_spectrum(t).point_spectrum)
     assert nullities == []
-    expected = [(0j, 0j), (complex(g[1]), complex(-g[0])), (1 + 0j, 1 + 0j)]
-    assert [lam for lam, _ in points] == expected
-    assert np.array_equal(points[1][1], [0, 1, 0])
+    assert set(points) == {(0j, 0j), (complex(g[1]), complex(-g[0])), (1 + 0j, 1 + 0j)}
+    assert np.array_equal(points[(complex(g[1]), complex(-g[0]))], [0, 1, 0])
 
 
 def test_certificate_fallback_confirms_non_normal_combination_collision(monkeypatch):
@@ -680,22 +683,30 @@ def test_deflation_starts_from_the_combination(monkeypatch):
 
 
 def colliding_pair(monkeypatch):
-    """A normal commuting pair whose eig + QR is patched to Schur-factor T_1 in place
-    of the drawn combination: T_1's double eigenvalue leaves T_2 untriangular, as a
-    collision of the combination's eigenvalues would. Returns (t, its scale)."""
+    """A normal commuting pair whose two Schur routes are patched to factor T_1 in place
+    of the drawn combination C: np.linalg.eigh gets T_1 + T_1* for C + C*, and eig + QR
+    gets T_1. T_1's double eigenvalue leaves T_2 untriangular in both bases, as a
+    collision of C's eigenvalues would. Returns (t, its scale, the eigh calls)."""
     v = random_unitary(3, np.random.default_rng(2))
     t = make_tuple([v @ np.diag(lam) @ adjoint(v) for lam in ([1.0, 1.0, 2.0], [3.0, 4.0, 5.0])])
+    eigh, hermitian, eigh_calls = np.linalg.eigh, t.matrices[0] + adjoint(t.matrices[0]), []
+
+    def collided_eigh(a):
+        eigh_calls.append(a)
+        return eigh(hermitian)
+
+    monkeypatch.setattr(np.linalg, "eigh", collided_eigh)
     monkeypatch.setattr(spectra, "unitary_triangularize", lambda a: unitary_triangularize(t.matrices[0]))
     scale = max(1.0, max(frobenius_norm(m) for m in t))
-    q, _ = unitary_triangularize(t.matrices[0])
-    assert np.linalg.norm(np.tril(adjoint(q) @ t.matrices[1] @ q, -1)) > TRIANGULAR_MASS * scale
-    return t, scale
+    for q in (eigh(hermitian)[1], unitary_triangularize(t.matrices[0])[0]):
+        assert np.linalg.norm(np.tril(adjoint(q) @ t.matrices[1] @ q, -1)) > TRIANGULAR_MASS * scale
+    return t, scale, eigh_calls
 
 
 def test_collision_deflates_the_drawn_combination(monkeypatch):
-    # A Schur form that meets eig + QR's contract but leaves a component
-    # untriangular hands over to deflation at once; no second combination is drawn.
-    t, scale = colliding_pair(monkeypatch)
+    # Schur forms that meet their contracts but leave a component untriangular
+    # hand over to deflation at once; no second combination is drawn.
+    t, scale, eigh_calls = colliding_pair(monkeypatch)
     counts = counting_triangularizations(monkeypatch)
     sizes, deflation = [], spectra._deflation_triangularize
 
@@ -705,7 +716,7 @@ def test_collision_deflates_the_drawn_combination(monkeypatch):
 
     monkeypatch.setattr(spectra, "_deflation_triangularize", sized)
     _, us = simultaneous_triangularize(t)
-    assert counts["eig_qr"] == 1
+    assert len(eigh_calls) == 1 and counts["eig_qr"] == 1
     assert sizes == [3, 2, 1]  # one deflation, one common eigenvector per level
     assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= TRIANGULAR_MASS * scale
 
@@ -715,7 +726,7 @@ def test_triangularization_failure_reports_both_masses(monkeypatch, schur):
     # With deflation failing as well, the diagnostics hold the Schur form's mass
     # (None when eig + QR itself failed), deflation's mass and the scale.
     if schur == "collision":
-        t, _ = colliding_pair(monkeypatch)
+        t, _, _ = colliding_pair(monkeypatch)
     else:
         t = jordan_tuple(8, 1, np.random.default_rng(0).standard_normal((8, 8)))
     monkeypatch.setattr(spectra, "_deflation_triangularize", lambda mats, tol: (np.eye(t.dim), mats))
@@ -1053,6 +1064,168 @@ def test_mapping_audit_takes_the_partner_spectrum_when_a_witness_fails(monkeypat
     assert mapped.name == "(2)/(3) eigenvalues map via 1/(d lambda_j)"
     assert mapped.conclusion_holds == found
     assert len(spectra_taken) == 2
+
+
+# ---- the Hermitian route for a normal combination ---------------------------
+
+
+@st.composite
+def normal_tuples(draw):
+    """d <= 3, dim <= 12: unitary conjugates of diagonals, some with repeated joint
+    eigenvalues, some with zero components."""
+    d, dim = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    values = rng.standard_normal((d, dim)) + 1j * rng.standard_normal((d, dim))
+    if draw(st.booleans()):
+        values = values[:, rng.integers(max(1, dim // 2), size=dim)]
+    values[draw(st.lists(st.booleans(), min_size=d, max_size=d))] = 0.0
+    v = random_unitary(dim, rng)
+    return make_tuple([v @ np.diag(row) @ v.conj().T for row in values])
+
+
+def assert_rows_match(a, b, atol):
+    """Every row of ``a`` is within ``atol`` (L-inf) of its own row of ``b``: a multiset match."""
+    assert len(a) == len(b)
+    unused = list(range(len(b)))
+    for row in np.asarray(a):
+        gaps = _linf_distances(row, np.asarray(b)[unused], len(row))[0]
+        k = int(np.argmin(gaps))
+        assert gaps[k] <= atol, f"{row} not matched within {atol}"
+        unused.pop(k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(normal_tuples())
+def test_normal_tuples_take_the_hermitian_route(t):
+    with pytest.MonkeyPatch.context() as patch:
+        counts = counting_triangularizations(patch)
+        _, us = simultaneous_triangularize(t)
+        result = joint_spectrum(t)
+    assert counts == {"eig_qr": 0, "deflation": 0}
+    scale = max(1.0, max(frobenius_norm(m) for m in t))
+    assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= TRIANGULAR_MASS * scale
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_is_normal", lambda c, tol: False)
+        reference = joint_spectrum(t)
+    points = [lam for lam, _ in result.point_spectrum]
+    reference_points = [lam for lam, _ in reference.point_spectrum]
+    assert len(points) == len(reference_points)
+    for lam in points:
+        assert_point_in(lam, reference_points, tol=CLUSTER_TOL * max(1.0, max(map(abs, lam))))
+    assert_rows_match(result.taylor_diagonal, reference.taylor_diagonal, 1e-12 * scale)
+    assert result.spectral_radius == pytest.approx(reference.spectral_radius, abs=1e-12 * scale)
+
+
+@st.composite
+def similar_tuples(draw):
+    """d <= 3, 2 <= dim <= 12: diagonals with distinct entries moved by a non-unitary similarity."""
+    d, dim = draw(st.integers(1, 3)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    values = rng.standard_normal((d, dim)) + 1j * rng.standard_normal((d, dim))
+    w = random_unitary(dim, rng) @ np.diag(np.exp(rng.uniform(-0.7, 0.7, dim))) @ random_unitary(dim, rng)
+    return make_tuple([w @ np.diag(row) @ np.linalg.inv(w) for row in values])
+
+
+@settings(max_examples=40, deadline=None)
+@given(similar_tuples())
+def test_non_normal_tuples_never_reach_the_hermitian_eigensolver(t):
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a, *args, **kw):
+        calls.append(a)
+        return eigh(a, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", counted)
+        assert joint_spectrum(t).point_spectrum
+    assert calls == []
+
+
+def counting_products(monkeypatch):
+    """Count the products T_j X that spectra forms, d per call of ``_images``."""
+    products, images = [0], spectra._images
+
+    def counted(t, x):
+        products[0] += t.d
+        return images(t, x)
+
+    monkeypatch.setattr(spectra, "_images", counted)
+    return products
+
+
+def non_normal_collision():
+    """The combination collision of the certificate, moved by the non-normal similarity
+    S = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]: the certificate fails one point."""
+    g = _certificate_weights(2)
+    s = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    return make_tuple([s @ np.diag(lam) @ np.linalg.inv(s) for lam in ([0.0, g[1], 1.0], [0.0, -g[0], 1.0])])
+
+
+@pytest.mark.parametrize(
+    "name, stacked_svds",
+    [("example_2_2", 0), ("golden_ratio", 0), ("pi_diagonal_32_4", 0), ("non_normal_collision", 1)],
+)
+def test_points_and_residuals_come_off_the_certificate_products(monkeypatch, name, stacked_svds):
+    # The certificate's products T_j X give the points and residuals; only a
+    # stacked-SVD witness is multiplied again. Both agree with the Rayleigh
+    # quotients and residuals of the phase-fixed witnesses to roundoff.
+    t = non_normal_collision() if name == "non_normal_collision" else named_tuple(name)
+    products = counting_products(monkeypatch)
+    nullities = counting_null_spaces(monkeypatch)
+    result = joint_spectrum(t)
+    assert len(nullities) == stacked_svds
+    assert products == [t.d * (1 + stacked_svds)]
+    scale = max(1.0, max(frobenius_norm(m) for m in t))
+    for (lam, x), residual in zip(result.point_spectrum, result.residuals):
+        x = np.asarray(x)
+        quotients = [np.vdot(x, m @ x) for m in t]
+        assert max(abs(a - b) for a, b in zip(lam, quotients)) <= 1e-15 * scale
+        loop = max(np.linalg.norm(m @ x - lj * x) for m, lj in zip(t, quotients))
+        assert abs(residual - loop) <= 1e-15 * scale
+
+
+# ---- spectra at any power-of-two scale ---------------------------------------
+
+
+def scaled_pair(kind, e):
+    """A 4x4 pair, normal (unitarily conjugated diagonals) or not (similar to them), times 2^e."""
+    rng = np.random.default_rng(4)
+    v = random_unitary(4, rng)
+    values = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    w, w_inv = v, v.conj().T
+    if kind == "non_normal":
+        w = v @ np.diag(np.exp(rng.uniform(-0.7, 0.7, 4))) @ random_unitary(4, rng)
+        w_inv = np.linalg.inv(w)
+    mats = [w @ np.diag(row) @ w_inv for row in values]
+    return make_tuple([np.ldexp(m.view(np.float64), e).view(np.complex128) for m in mats])
+
+
+def assert_spectrum_scales(kind, e):
+    reference = joint_spectrum(scaled_pair(kind, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = joint_spectrum(scaled_pair(kind, e))
+    assert len(result.point_spectrum) == len(reference.point_spectrum)
+    assert math.ldexp(result.spectral_radius, -e) == pytest.approx(reference.spectral_radius, rel=1e-14)
+    assert all(math.isfinite(r) and math.ldexp(r, -e) <= 1e-12 for r in result.residuals)
+
+
+@pytest.mark.parametrize("kind", ["normal", "non_normal"])
+@pytest.mark.parametrize("e", [0, 600, 900])
+def test_joint_spectrum_past_the_square_root_of_the_float_range(kind, e):
+    # At 2^600 and 2^900 every squared entry overflows; the below-diagonal mass
+    # and the residuals are taken without squaring an unscaled entry.
+    assert_spectrum_scales(kind, e)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 4: CLUSTER_TOL is absolute, so at 2^-530 every candidate merges into one point",
+)
+@pytest.mark.parametrize("kind", ["normal", "non_normal"])
+def test_joint_spectrum_far_below_unit_scale(kind):
+    assert_spectrum_scales(kind, -530)
 
 
 # ---- ROADMAP item 2 on the CLI's own random family -------------------------
