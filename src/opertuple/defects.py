@@ -210,14 +210,16 @@ def _state_sums(t: OperatorTuple, m: int, y: np.ndarray, ascent: int = 0) -> np.
     """Per state y_c (column c of Y), sum_k (-1)^k C(m,k) level_(k+ascent)(y_c); finite or raises.
 
     level_k(y) = sum_{|alpha|=k} (k!/alpha!) <T^alpha y, T^alpha y>, from one product T_j Z per node
-    of the monomial prefix tree; each <z, z> = ||z||^2 is real, so the levels are float64. With
-    ascent 1 it is sum_j of the sum on T_j Y, as sum_{j: beta_j>0} k!/(beta-e_j)! = (k+1)!/beta!.
+    of the monomial prefix tree and one fused conjugate dot ``np.vecdot`` over Z's columns, which
+    neither copies conj(Z) nor runs einsum's generic loop; each <z, z> = ||z||^2 is real, so the
+    levels are float64. With ascent 1 it is sum_j of the sum on T_j Y, as
+    sum_{j: beta_j>0} k!/(beta-e_j)! = (k+1)!/beta!.
     """
     signs = np.array([(-1) ** k * math.comb(m, k) for k in range(m + 1)])[:, None]
     levels = np.zeros((m + ascent + 1, y.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
         for k, weight, z in prefix_tree(t.d, m + ascent, y, lambda j, z: t[j] @ z):
-            levels[k] += weight * np.einsum("ij,ij->j", z.conj(), z).real
+            levels[k] += weight * np.vecdot(z.T, z.T).real
         totals = (signs * levels[ascent:]).sum(axis=0)
     if not np.isfinite(totals).all():
         raise NumericalFailureError("scalar defect is not finite: state levels overflow", {"m": m})
@@ -325,9 +327,10 @@ def audit_theorem_2_1(
     operator = facts.defect(m)
 
     states = _scalar_states(t.dim, polarize)
-    magnitudes = np.abs(_state_sums(t, m, adjoint(facts.power) @ states))
+    shift = adjoint(facts.power)
+    magnitudes = np.abs(_state_sums(t, m, shift @ states if polarize else shift))
     worst = float(magnitudes.max())
-    scalar_all_zero = all(tol.is_zero(v, operator.scale) for v in magnitudes)
+    scalar_all_zero = bool((magnitudes <= tol.threshold(operator.scale)).all())
 
     both_directions = operator.is_zero == scalar_all_zero
     witnesses = []

@@ -67,7 +67,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
         raise ValueError("matrix dimension must be positive")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m.ravel(order="K").view(np.float64)).all():  # both parts, one pass
         raise ValueError("matrix entries must be finite")
     return m
 

@@ -81,6 +81,7 @@ TRIANGULAR_MASS = 1e-7  # below-diagonal mass of each U_j, times max(1, max_j ||
 SPHERE_TOL = 1e-8  # thm3.1: | ||lambda||_2 - 1 | within which a point sits on the unit sphere
 ORTHO_TOL = 1e-8  # prop3.2: largest |<x, y>| of two witnesses that counts as orthogonal
 SEPARATION = 1e-8  # prop3.2: pairs with |1 - <lambda, mu>| below this are not separated
+_EIG_EXPONENTS = 458  # largest |frexp exponent| of a part that zgeev's own rescaling leaves alone
 
 
 def _component_scale(t: OperatorTuple) -> float:
@@ -268,19 +269,24 @@ def _certified(
     """Whether each unit column x_c proves the column lams[:, c] (d x k) a joint eigenvalue
     of ``t``: its stacked residual ||[T_j x_c - l_j x_c]_j|| (``tx`` holds the T_j X) is at
     or below the rank cutoff of a lower bound on the stack's sigma_max, so the stack's SVD
-    would find a null space."""
+    would find a null space. Every quantity is multiplied by one power of two s = 2^-e before
+    it is squared, with e >= 0 the least that brings max_j (||T_j - diag(T_j)||_F +
+    max_k |t_kk|), a bound on every ||T_j||_2 and so on every |T_j x| and joint eigenvalue,
+    below 2: that is exact, so each decision is the one on the unscaled quantities wherever
+    their squares stay finite, and no square overflows while that bound is finite."""
     n, d = t.dim, t.d
     # The (d·n) x n stack has sigma_max >= ||stack||_F / sqrt(n). Each
     # ||T_j - l_j I||_F^2 is summed as its off-diagonal part plus the
     # |t_kk - l_j|^2, so nothing cancels when T_j is close to l_j I.
-    # A cutoff that overflows certifies nothing; the stacked SVD decides.
+    # A non-finite residual or cutoff certifies nothing; the stacked SVD decides.
+    diags = np.array([m.diagonal() for m in t])
     with np.errstate(over="ignore", invalid="ignore"):
-        residual2 = sum(np.linalg.norm(mx - x * lj, axis=0) ** 2 for mx, lj in zip(tx, lams))
-        frob2 = sum(
-            np.square(frobenius_norm(m - np.diag(np.diag(m))))
-            + (np.abs(np.diag(m)[:, None] - lj) ** 2).sum(axis=0)
-            for m, lj in zip(t, lams)
-        )
+        offs = np.array([frobenius_norm(m - np.diag(dg)) for m, dg in zip(t, diags)])
+        bound = float((offs + np.abs(diags).max(axis=1)).max())
+        s = math.ldexp(1.0, -max(0, math.frexp(bound)[1] - 1))
+        residual2 = sum(np.linalg.norm(s * (mx - x * lj), axis=0) ** 2 for mx, lj in zip(tx, lams))
+        gaps = np.abs(s * diags[:, :, None] - s * lams[:, None, :])
+        frob2 = (np.square(s * offs)[:, None] + (gaps**2).sum(axis=1)).sum(axis=0)
     cutoffs = np.array([tol.rank_cutoff(d * n, math.sqrt(f / n)) for f in frob2])
     return (np.sqrt(residual2) <= cutoffs) & np.isfinite(cutoffs)
 
@@ -290,11 +296,17 @@ def _schur_witnesses(t: OperatorTuple, factors, diag: np.ndarray, kept: list[int
     T_j X, and whether each column's stacked residual certifies it. Column i is Q
     times the eigenvector of C = triu(sum_j g_j U_j) for C[i, i]: zgeev's balancing
     isolates every eigenvalue of a triangular C, so only xTREVC's back-substitution
-    runs, vanishing pivots floored. A non-finite C, or eigenvalues other than C's
-    diagonal in order, certify none (and give no X)."""
+    runs, vanishing pivots floored. zgeev would rescale a C whose largest modulus lies
+    outside [2^-459, 2^459] by a factor that is not a power of two, moving its
+    eigenvalues off C's diagonal, so such a C is brought to unit magnitude first
+    (``unit_scaled``, exact); every other C is taken as it is. A non-finite C, or
+    eigenvalues other than C's diagonal in order, certify none (and give no X)."""
     q, us = factors
     combo = np.triu(sum(gj * u for gj, u in zip(_certificate_weights(t.d), us)))
-    if np.isfinite(combo).all():
+    largest = float(np.abs(combo.ravel(order="K").view(np.float64)).max())  # nan or inf if C is not finite
+    if math.isfinite(largest):
+        if abs(math.frexp(largest)[1]) > _EIG_EXPONENTS:
+            combo = unit_scaled(combo)
         values, vectors = np.linalg.eig(combo)
         if np.array_equal(values, np.diag(combo)):
             x = q @ vectors[:, kept]

@@ -75,12 +75,19 @@ def _scaled_down(a: np.ndarray, e: int) -> np.ndarray:
     return a * math.ldexp(1.0, -e) if e else a
 
 
+def _commutator_norm(x: np.ndarray, y: np.ndarray) -> float:
+    """||XY - YX||_F, YX subtracted in place from XY."""
+    c = x @ y
+    c -= y @ x
+    return frobenius_norm(c)
+
+
 def _commutator(x: np.ndarray, y: np.ndarray) -> tuple[float, float, int]:
     """``(norm, scale, e)`` for ``tol.is_zero(norm, scale, e)``: ||XY - YX||_F and its
     scale ||X||_F ||Y||_F, taken on X / 2^ex and Y / 2^ey (``_exponent``), e = ex + ey."""
     ex, ey = _exponent(x), _exponent(y)
     xs, ys = _scaled_down(x, ex), _scaled_down(y, ey)
-    return frobenius_norm(xs @ ys - ys @ xs), frobenius_norm(xs) * frobenius_norm(ys), ex + ey
+    return _commutator_norm(xs, ys), frobenius_norm(xs) * frobenius_norm(ys), ex + ey
 
 
 def _times_power_of_two(value: float, e: int) -> float:
@@ -114,7 +121,7 @@ def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
     worst = 0.0
     for i, j in combinations(range(len(mats)), 2):
         x, y, e = scaled[i], scaled[j], exponents[i] + exponents[j]
-        norm, scale = frobenius_norm(x @ y - y @ x), norms[i] * norms[j]
+        norm, scale = _commutator_norm(x, y), norms[i] * norms[j]
         if not tol.is_zero(norm, scale, e):
             threshold = tol.threshold(scale, e)
             raise NonCommutingError(
@@ -249,8 +256,7 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
         return p, frobenius_norm(p)
 
     def commutes(i: int, y: np.ndarray, y_norm: float) -> bool:
-        x = mats[i]
-        return tol.is_zero(frobenius_norm(x @ y - y @ x), norms[i] * y_norm, 3 * a)
+        return tol.is_zero(_commutator_norm(mats[i], y), norms[i] * y_norm, 3 * a)
 
     matricial = all(
         commutes(i, *product(j, k)) for i in range(d) for j in range(d) for k in range(d)

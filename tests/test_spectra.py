@@ -1218,6 +1218,22 @@ def test_joint_spectrum_past_the_square_root_of_the_float_range(kind, e):
     assert_spectrum_scales(kind, e)
 
 
+@pytest.mark.parametrize("kind", ["normal", "non_normal"])
+@pytest.mark.parametrize("e", [500, 600, 900])
+def test_certificate_settles_every_point_past_2_to_the_500(monkeypatch, kind, e):
+    # The certificate's squared norms would overflow here, and zgeev would rescale
+    # the triangular combination inexactly; both are taken at unit magnitude.
+    reference = np.array([lam for lam, _ in joint_spectrum(scaled_pair(kind, 0)).point_spectrum])
+    nullities = counting_null_spaces(monkeypatch)
+    scaled = np.array([lam for lam, _ in joint_spectrum(scaled_pair(kind, e)).point_spectrum])
+    assert nullities == []
+    assert len(scaled) == len(reference) == 4
+    points = np.ldexp(scaled.view(np.float64), -e).view(np.complex128)
+    gaps = np.abs(points[:, None, :] - reference[None, :, :]).max(axis=2)
+    assert (gaps.min(axis=0) <= 1e-12 * np.abs(reference).max()).all()
+    assert sorted(gaps.argmin(axis=0)) == [0, 1, 2, 3]
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

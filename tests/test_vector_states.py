@@ -20,7 +20,7 @@ from opertuple.defects import (
     scalar_defect,
 )
 from opertuple.generators import diagonal_conjugate, paper_example, polynomial_family
-from opertuple.linalg import NumericalFailureError, adjoint
+from opertuple.linalg import DEFAULT_TOL, NumericalFailureError, ToleranceModel, adjoint
 from opertuple.multiindex import multinomial_weight
 from opertuple.tuples import make_tuple, power_levels, tuple_power
 
@@ -78,6 +78,54 @@ def test_theorem_2_1_states_match_reference_and_operator_route(instance):
         scale = np.abs(terms).max()
         assert abs(values[c] - terms.sum().real) <= GAP * scale
         assert abs(values[c] - operator_value(t, m, q, states[:, c], ascent=0)) <= GAP * scale
+
+
+@pytest.mark.parametrize("polarize", [False, True], ids=["basis", "polarized"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_theorem_2_1_states_match_reference_at_dim_16(family, polarize):
+    # d = 3, m = 4: 35 tree nodes per state, 16 or 496 states through the fused dot.
+    t = FAMILIES[family](np.random.default_rng(16), 16, 3)
+    m, q = 4, (1, 0, 2)
+    states = _scalar_states(t.dim, polarize)
+    shift = adjoint(tuple_power(t, q))
+    values = _state_sums(t, m, shift @ states)
+    assert values.shape == (16 + 4 * 120 * polarize,)
+    for c in range(states.shape[1]):
+        terms = termwise_terms(t, m, shift @ states[:, c])
+        assert abs(values[c] - terms.sum().real) <= GAP * np.abs(terms).max()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_proposition_2_4_sums_match_reference_at_dim_16(family):
+    t = FAMILIES[family](np.random.default_rng(16), 16, 3)
+    m, q = 4, (1, 0, 2)
+    shift = adjoint(tuple_power(t, q))
+    values = _state_sums(t, m, shift, ascent=1)
+    for i, x in enumerate(np.eye(t.dim, dtype=np.complex128).T):
+        terms = sum(termwise_terms(t, m, tj @ shift @ x) for tj in t)
+        assert abs(values[i] - terms.sum().real) <= GAP * np.abs(terms).max()
+
+
+def test_theorem_2_1_all_states_zero_decision_matches_is_zero_at_the_threshold(monkeypatch):
+    # Magnitudes at the threshold and one ulp either side, with either sign: the one
+    # array comparison decides as the per-state ToleranceModel.is_zero would.
+    t, outcomes = polynomial_family(np.random.default_rng(3), 6, 2, 2), set()
+    for tol in (DEFAULT_TOL, ToleranceModel(abs_tol=0.0, rel_tol=1e-6), ToleranceModel(abs_tol=1e-3, rel_tol=0.0)):
+        scale = audit_theorem_2_1(t, 2, (1, 1), tol).norms["partial_defect_scale"]
+        at = tol.threshold(scale)
+        above, below = np.nextafter(at, np.inf), np.nextafter(at, 0.0)
+        cases = [
+            [at] * 6, [below] * 6, [above] * 6, [below] * 5 + [above], [at] * 5 + [-above],
+            [-at] * 6, [-below, at, 0.0, below, -at, 0.0], [0.0] * 5 + [np.nextafter(above, np.inf)],
+        ]
+        for values in cases:
+            monkeypatch.setattr(defects, "_state_sums", lambda *args, **kw: np.array(values))
+            report = audit_theorem_2_1(t, 2, (1, 1), tol)
+            expected = all(tol.is_zero(abs(v), scale) for v in values)
+            assert report.sub_verdicts[0].details["scalar_defect_all_zero"] is expected
+            outcomes.add(expected)
+            monkeypatch.undo()
+    assert outcomes == {True, False}
 
 
 def block_sums(t, m, shift):
