@@ -47,6 +47,7 @@ hands it the beta that decides the m-inverse hypothesis.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -84,17 +85,6 @@ SEPARATION = 1e-8  # prop3.2: pairs with |1 - <lambda, mu>| below this are not s
 _EIG_EXPONENTS = 458  # largest |frexp exponent| of a part that zgeev's own rescaling leaves alone
 
 
-def _component_scale(t: OperatorTuple) -> float:
-    with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
-        return max(1.0, max(frobenius_norm(m) for m in t))
-
-
-def _below_diagonal_mass(us: list[np.ndarray]) -> float:
-    """The largest below-diagonal Frobenius mass of the matrices ``us``."""
-    with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
-        return max(frobenius_norm(np.tril(u, -1)) for u in us)
-
-
 def _is_normal(c: np.ndarray, tol: ToleranceModel) -> bool:
     """Whether C*C = CC*: ||C*C - CC*||_F against ||C||_F^2, for C at unit magnitude
     (``unit_scaled``), where the products cannot overflow; the decision is then the
@@ -120,12 +110,11 @@ def _common_eigenvector(mats: list[np.ndarray], tol: ToleranceModel) -> np.ndarr
     return v / np.linalg.norm(v)
 
 
-def _deflation_triangularize(
-    mats: list[np.ndarray], tol: ToleranceModel
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _deflation_triangularize(mats: list[np.ndarray], tol: ToleranceModel) -> np.ndarray:
+    """A unitary Q proposed to triangularize every matrix of ``mats``, one common eigenvector per level."""
     n = mats[0].shape[0]
     if n == 1:
-        return np.eye(1, dtype=np.complex128), [m.copy() for m in mats]
+        return np.eye(1, dtype=np.complex128)
     v = _common_eigenvector(mats, tol)
     # Unitary completion of v via QR of [v | I].
     q, _ = np.linalg.qr(np.column_stack([v, np.eye(n, dtype=np.complex128)[:, : n - 1]]), mode="reduced")
@@ -133,13 +122,33 @@ def _deflation_triangularize(
     phase = np.vdot(q[:, 0], v)
     if abs(phase) > 0:
         q[:, 0] *= phase / abs(phase)
-    transformed = [adjoint(q) @ m @ q for m in mats]
-    tails = [m[1:, 1:] for m in transformed]
-    q_sub, _ = _deflation_triangularize(tails, tol)
     full = np.eye(n, dtype=np.complex128)
-    full[1:, 1:] = q_sub
-    q_total = q @ full
-    return q_total, [adjoint(q_total) @ m @ q_total for m in mats]
+    full[1:, 1:] = _deflation_triangularize([(adjoint(q) @ m @ q)[1:, 1:] for m in mats], tol)
+    return q @ full
+
+
+def _combination(weights, mats) -> np.ndarray:
+    """sum_j w_j M_j; where that overflows, the sum with every w_j divided by 2^e, bit for bit the
+    sum on the M_j / 2^e: e >= 0 is the least under which 2 sum_j |w_j| times the largest part
+    of an M_j, a bound on every part of the sum, stays finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(wj * m for wj, m in zip(weights, mats))
+    if np.isfinite(total).all():
+        return total
+    largest = max(float(np.abs(np.ascontiguousarray(m).view(np.float64)).max()) for m in mats)
+    e = max(0, math.frexp(largest)[1] + math.frexp(2.0 * float(np.abs(weights).sum()))[1] - 1023)
+    return sum(math.ldexp(1.0, -e) * wj * m for wj, m in zip(weights, mats))
+
+
+def _proposed_bases(t: OperatorTuple, combo: np.ndarray, tol: ToleranceModel):
+    """(route, Q) for each Schur basis of ``combo`` proposed in turn, each computed only
+    when the one before it is turned down; eig + QR proposes none when it fails."""
+    unit = unit_scaled(combo)
+    if _is_normal(unit, tol):
+        yield "hermitian", np.linalg.eigh(unit + adjoint(unit))[1]  # a multiple of the Hermitian part
+    with contextlib.suppress(NumericalFailureError):
+        yield "schur", unitary_triangularize(combo)[0]
+    yield "deflation", _deflation_triangularize([combo, *t.matrices], tol)
 
 
 def simultaneous_triangularize(
@@ -149,8 +158,8 @@ def simultaneous_triangularize(
 
     Returns (Q, [U_1, ..., U_d]). Below-diagonal mass of each U_j is at most
     TRIANGULAR_MASS times max(1, ||T_j||_F). One unit combination C is drawn
-    from ``seed`` and Schur-factored by the first of three routes whose factors
-    meet that bound:
+    from ``seed`` (``_combination``), and three routes propose a Schur basis of
+    it in turn; the first whose U_j meet that bound is taken:
 
     1. A normal C (``_is_normal``, through ``tol``, on C times a power of two)
        has its spectral decomposition for a Schur form: Q holds the
@@ -164,31 +173,19 @@ def simultaneous_triangularize(
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     c = rng.standard_normal(t.d) + 1j * rng.standard_normal(t.d)
-    combo = sum(cj * m for cj, m in zip(c / np.linalg.norm(c), t))
-    scale = _component_scale(t)
-    unit = unit_scaled(combo)
-    if _is_normal(unit, tol):
-        q = np.linalg.eigh(unit + adjoint(unit))[1]  # a multiple of the Hermitian part: its vectors
+    combo = _combination(c / np.linalg.norm(c), t.matrices)
+    with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
+        scale = max(1.0, max(frobenius_norm(m) for m in t))
+    masses = {}  # the largest below-diagonal mass of the U_j, by route
+    for route, q in _proposed_bases(t, combo, tol):
         us = [adjoint(q) @ m @ q for m in t]
-        if _below_diagonal_mass(us) <= TRIANGULAR_MASS * scale:
+        with np.errstate(over="ignore"):
+            masses[route] = max(frobenius_norm(np.tril(u, -1)) for u in us)
+        if masses[route] <= TRIANGULAR_MASS * scale:
             return q, us
-    schur_mass = None
-    try:
-        q, _ = unitary_triangularize(combo)
-    except NumericalFailureError:
-        pass
-    else:
-        us = [adjoint(q) @ m @ q for m in t]
-        schur_mass = _below_diagonal_mass(us)
-        if schur_mass <= TRIANGULAR_MASS * scale:
-            return q, us
-    q, (_, *us) = _deflation_triangularize([combo, *t.matrices], tol)
-    mass = _below_diagonal_mass(us)
-    if mass <= TRIANGULAR_MASS * scale:
-        return q, us
     raise NumericalFailureError(
         "simultaneous triangularization failed",
-        {"schur_mass": schur_mass, "deflation_mass": mass, "scale": scale},
+        {"schur_mass": masses.get("schur"), "deflation_mass": masses["deflation"], "scale": scale},
     )
 
 
@@ -294,15 +291,15 @@ def _certified(
 def _schur_witnesses(t: OperatorTuple, factors, diag: np.ndarray, kept: list[int], tol: ToleranceModel):
     """Unit witnesses X, one column per kept diagonal position i, their products
     T_j X, and whether each column's stacked residual certifies it. Column i is Q
-    times the eigenvector of C = triu(sum_j g_j U_j) for C[i, i]: zgeev's balancing
-    isolates every eigenvalue of a triangular C, so only xTREVC's back-substitution
-    runs, vanishing pivots floored. zgeev would rescale a C whose largest modulus lies
-    outside [2^-459, 2^459] by a factor that is not a power of two, moving its
-    eigenvalues off C's diagonal, so such a C is brought to unit magnitude first
-    (``unit_scaled``, exact); every other C is taken as it is. A non-finite C, or
+    times the eigenvector of C = triu(sum_j g_j U_j) (``_combination``) for C[i, i]:
+    zgeev's balancing isolates every eigenvalue of a triangular C, so only xTREVC's
+    back-substitution runs, vanishing pivots floored. zgeev would rescale a C whose
+    largest modulus lies outside [2^-459, 2^459] by a factor that is not a power of
+    two, moving its eigenvalues off C's diagonal, so such a C is brought to unit
+    magnitude first (``unit_scaled``, exact); every other C is taken as it is. A non-finite C, or
     eigenvalues other than C's diagonal in order, certify none (and give no X)."""
     q, us = factors
-    combo = np.triu(sum(gj * u for gj, u in zip(_certificate_weights(t.d), us)))
+    combo = np.triu(_combination(_certificate_weights(t.d), us))
     largest = float(np.abs(combo.ravel(order="K").view(np.float64)).max())  # nan or inf if C is not finite
     if math.isfinite(largest):
         if abs(math.frexp(largest)[1]) > _EIG_EXPONENTS:

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,24 @@ def test_spectrum_on_a_commuting_pair_whose_products_overflow(capsys, tmp_path):
     assert captured.err == ""
     points = sorted(point["lambda"][1][0] for point in json.loads(captured.out)["point_spectrum"])
     assert points == pytest.approx([1e160, 2e160], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spectrum_of_a_nilpotent_pair_near_the_float_maximum(capsys, tmp_path, seed):
+    # (N, N) with N = [[0, 1.5e308], [0, 0]]: finite entries, whose drawn combination and
+    # certificate sum sum_j g_j U_j would overflow if formed as written
+    big = [[[0, 0], [1.5e308, 0]], [[0, 0], [0, 0]]]
+    path = tmp_path / "huge_nilpotent_pair.json"
+    path.write_text(json.dumps({"d": 2, "dim": 2, "matrices": [big, big]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["spectrum", "--input", str(path), "--seed", str(seed), "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "" and [str(w.message) for w in caught] == []
+    doc = json.loads(captured.out)
+    assert [point["lambda"] for point in doc["point_spectrum"]] == [[[0.0, 0.0], [0.0, 0.0]]]
+    assert doc["spectral_radius"] == 0.0
 
 
 @pytest.mark.parametrize("command", [["classify"], ["audit", "--claim", "prop2.1"]])

@@ -4,7 +4,8 @@
 commands and for the ``scripts/run_paper_audits.py --trials 3`` battery:
 
 - the exit code;
-- every ``error:`` line of stderr;
+- every ``error:`` line of stderr (a ``diagnostics:`` line may follow it; any
+  other stderr line, a leaked warning say, fails the check outright);
 - for JSON output, its skeleton: every key path, every bool, string and int
   leaf, every list length, and each float named by a key (a norm, a scale, a
   residual, a radius) to a relative ``REL_TOL`` above an absolute ``ABS_FLOOR``;
@@ -31,12 +32,15 @@ import runpy
 import sys
 import warnings
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONTRACT = pathlib.Path(__file__).with_name("cli_contract.json")
 BATTERY_ARGV = ["--trials", "3"]
 REL_TOL = 1e-6
 ABS_FLOOR = 1e-10  # the default abs_tol: a gap below it is under every zero test's resolution
 FLOAT = "~float"
+REPORTED = ("error:", "diagnostics:")  # the only stderr lines a command may leave
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?j?")
 
 
@@ -95,33 +99,51 @@ def _mismatches(expected, actual, path: str = ""):
         yield f"{path}: expected {expected!r}, got {actual!r}"
 
 
-def observed() -> list[dict]:
-    """The entries of this checkout, floats in full: each snapshot command, then the battery."""
+def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    """Print a warning to the current ``sys.stderr``, as Python does outside a test runner."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def observed() -> tuple[list[dict], dict[str, list[str]]]:
+    """The entries of this checkout, floats in full: each snapshot command, then the
+    battery; and the stderr lines other than ``REPORTED`` ones, by command."""
     snapshot = runpy.run_path(str(ROOT / "scripts" / "snapshot_cli.py"))
     battery = runpy.run_path(str(ROOT / "scripts" / "run_paper_audits.py"))
-    entries, cwd, saved_argv = [], pathlib.Path.cwd(), sys.argv
-    try:
-        os.chdir(ROOT)
-        for argv in snapshot["commands"]():
-            record = snapshot["run"](argv)
-            head, rest = record.split("\n--- stdout\n", 1)
-            stdout, stderr = rest.split("--- stderr\n", 1)
-            code = int(head.rsplit("exit: ", 1)[1])
-            entries.append(_record(" ".join(argv), code, stdout, stderr))
-        stdout, sys.argv = io.StringIO(), ["run_paper_audits.py", *BATTERY_ARGV]
-        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
-            warnings.simplefilter("default")
-            code = battery["main"]()
-    finally:
-        os.chdir(cwd)
-        sys.argv = saved_argv
-    entries.append(_record("run_paper_audits.py " + " ".join(BATTERY_ARGV), code, stdout.getvalue(), ""))
-    return entries
+    entries, stderrs, cwd, saved_argv = [], [], pathlib.Path.cwd(), sys.argv
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_on_stderr
+        try:
+            os.chdir(ROOT)
+            for argv in snapshot["commands"]():
+                record = snapshot["run"](argv)
+                head, rest = record.split("\n--- stdout\n", 1)
+                stdout, stderr = rest.split("--- stderr\n", 1)
+                code = int(head.rsplit("exit: ", 1)[1])
+                entries.append(_record(" ".join(argv), code, stdout, stderr))
+                stderrs.append(stderr)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            sys.argv = ["run_paper_audits.py", *BATTERY_ARGV]
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("default")
+                code = battery["main"]()
+        finally:
+            os.chdir(cwd)
+            sys.argv = saved_argv
+    stderrs.append(stderr.getvalue())
+    entries.append(_record("run_paper_audits.py " + " ".join(BATTERY_ARGV), code, stdout.getvalue(), stderrs[-1]))
+    stray = {e["argv"]: [line for line in text.splitlines() if not line.startswith(REPORTED)]
+             for e, text in zip(entries, stderrs)}
+    return entries, {argv: lines for argv, lines in stray.items() if lines}
 
 
-def test_cli_contract_holds():
+@pytest.fixture(scope="module")
+def observation():
+    return observed()
+
+
+def test_cli_contract_holds(observation):
     expected = json.loads(CONTRACT.read_text(encoding="utf-8"))
-    actual = observed()
+    actual, _ = observation
     assert [e["argv"] for e in actual] == [e["argv"] for e in expected]
     failures = []
     for exp, act in zip(expected, actual):
@@ -129,6 +151,13 @@ def test_cli_contract_holds():
         if found:
             failures.append(f"{exp['argv']}:\n    " + "\n    ".join(found[:5]))
     assert not failures, "the CLI contract changed:\n" + "\n".join(failures)
+
+
+def test_commands_leave_only_error_and_diagnostics_lines_on_stderr(observation):
+    _, stray = observation
+    assert not stray, "stray stderr lines:\n" + "\n".join(
+        f"{argv}:\n    " + "\n    ".join(lines[:5]) for argv, lines in stray.items()
+    )
 
 
 def test_contract_tolerates_roundoff_and_flags_a_verdict():
@@ -149,6 +178,6 @@ def test_contract_tolerates_roundoff_and_flags_a_verdict():
 
 
 if __name__ == "__main__":
-    entries = [{**e, "stdout": _skeleton(e["stdout"])} for e in observed()]
+    entries = [{**e, "stdout": _skeleton(e["stdout"])} for e in observed()[0]]
     CONTRACT.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {CONTRACT}")

@@ -24,6 +24,7 @@ from opertuple.linalg import (
     adjoint,
     frobenius_norm,
     null_space_basis,
+    unit_scaled,
     unitary_triangularize,
 )
 from opertuple.spectra import (
@@ -33,6 +34,7 @@ from opertuple.spectra import (
     TRIANGULAR_MASS,
     _adjoint_factors,
     _certificate_weights,
+    _combination,
     _first_kept,
     _fixed_phase,
     _linf_distances,
@@ -161,9 +163,10 @@ def test_deflation_fallback_triangularizes():
     j = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]], dtype=complex)
     v = random_unitary(3, np.random.default_rng(5))
     mats = [adjoint(v) @ j @ v, adjoint(v) @ (j @ j / 4.0) @ v]
-    q, us = _deflation_triangularize(mats, DEFAULT_TOL)
+    q = _deflation_triangularize(mats, DEFAULT_TOL)
     assert frobenius_norm(adjoint(q) @ q - np.eye(3)) < 1e-12
-    for u, m in zip(us, mats):
+    for m in mats:
+        u = adjoint(q) @ m @ q
         assert np.linalg.norm(np.tril(u, -1)) < 1e-10
         assert frobenius_norm(q @ u @ adjoint(q) - m) < 1e-10
 
@@ -729,7 +732,7 @@ def test_triangularization_failure_reports_both_masses(monkeypatch, schur):
         t, _, _ = colliding_pair(monkeypatch)
     else:
         t = jordan_tuple(8, 1, np.random.default_rng(0).standard_normal((8, 8)))
-    monkeypatch.setattr(spectra, "_deflation_triangularize", lambda mats, tol: (np.eye(t.dim), mats))
+    monkeypatch.setattr(spectra, "_deflation_triangularize", lambda mats, tol: np.eye(t.dim))
     with pytest.raises(NumericalFailureError) as info:
         simultaneous_triangularize(t)
     diagnostics = info.value.diagnostics
@@ -740,6 +743,22 @@ def test_triangularization_failure_reports_both_masses(monkeypatch, schur):
     else:
         assert diagnostics["schur_mass"] is None
     assert diagnostics["deflation_mass"] > TRIANGULAR_MASS * diagnostics["scale"]
+
+
+def test_combination_is_the_plain_sum_unless_that_overflows():
+    # A finite plain sum is returned bit for bit; one that overflows is formed on the
+    # components divided by a power of two, which unit scaling then cancels.
+    rng = np.random.default_rng(3)
+    mats = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
+    weights = _certificate_weights(3)
+    assert np.array_equal(_combination(weights, mats), sum(w * m for w, m in zip(weights, mats)))
+    huge = [m * (1.7e308 / np.abs(m).max()) for m in mats]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(sum(w * m for w, m in zip(weights, huge))).all()
+    combined = _combination(weights, huge)
+    assert np.isfinite(combined).all()
+    reference = sum(w * (m / 256.0) for w, m in zip(weights, huge))
+    assert np.array_equal(unit_scaled(combined), unit_scaled(reference))
 
 
 def loop_pair_witnesses(points):

@@ -5,7 +5,9 @@ from ``tuple_power``. The operator route is Re<T^q D T*^q x, x>, with D the
 binomial combination of the levels L_k from ``power_levels``.
 """
 
+import importlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -212,3 +214,20 @@ def test_polarized_pi_diagonal_at_dim_32():
     assert _scalar_states(32, True).shape[1] == 2016
     assert _verdicts(polarized) == _verdicts(basis)
     assert polarized.conclusion_holds and not polarized.sub_verdicts[0].vacuous
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known false negative (ROADMAP item 1): the order-5 defect of this partial isometry "
+    "is 6.66e-10 against a threshold of 2.41e-10, which ignores the input's own roundoff floor",
+)
+def test_prop_2_4_on_the_benchmark_pi_diagonal_at_seed_2901():
+    # Every diagonal column is a unit vector or has a zero coordinate, so every
+    # (k; 1,...,1) defect vanishes exactly; the order-4 one sits at 0.27x its threshold.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+        build = importlib.import_module("build")
+    t = make_tuple(build.pi_diagonal(2901, 32, 4, 0).matrices)
+    report = audit_proposition_2_4(t, 4, (1, 1, 1, 1))
+    assert report.hypotheses_hold
+    assert report.conclusion_holds
