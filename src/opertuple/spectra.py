@@ -47,7 +47,6 @@ hands it the beta that decides the m-inverse hypothesis.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -128,13 +127,10 @@ def _deflation_triangularize(mats: list[np.ndarray], tol: ToleranceModel) -> np.
 
 
 def _combination(weights, mats) -> np.ndarray:
-    """sum_j w_j M_j; where that overflows, the sum with every w_j divided by 2^e, bit for bit the
-    sum on the M_j / 2^e: e >= 0 is the least under which 2 sum_j |w_j| times the largest part
-    of an M_j, a bound on every part of the sum, stays finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(wj * m for wj, m in zip(weights, mats))
-    if np.isfinite(total).all():
-        return total
+    """sum_j w_j M_j, formed on the M_j divided by 2^e (the weights carry the power of two):
+    e >= 0 is the least under which 2 sum_j |w_j| times the largest part of an M_j, a bound
+    on every part of the sum, stays finite. So e = 0, and the sum is the plain one, whenever
+    every part of every M_j is below the float maximum divided by 8 sum_j |w_j|."""
     largest = max(float(np.abs(np.ascontiguousarray(m).view(np.float64)).max()) for m in mats)
     e = max(0, math.frexp(largest)[1] + math.frexp(2.0 * float(np.abs(weights).sum()))[1] - 1023)
     return sum(math.ldexp(1.0, -e) * wj * m for wj, m in zip(weights, mats))
@@ -146,8 +142,12 @@ def _proposed_bases(t: OperatorTuple, combo: np.ndarray, tol: ToleranceModel):
     unit = unit_scaled(combo)
     if _is_normal(unit, tol):
         yield "hermitian", np.linalg.eigh(unit + adjoint(unit))[1]  # a multiple of the Hermitian part
-    with contextlib.suppress(NumericalFailureError):
-        yield "schur", unitary_triangularize(combo)[0]
+    try:
+        q = unitary_triangularize(combo)[0]
+    except NumericalFailureError:
+        pass
+    else:
+        yield "schur", q
     yield "deflation", _deflation_triangularize([combo, *t.matrices], tol)
 
 

@@ -745,9 +745,9 @@ def test_triangularization_failure_reports_both_masses(monkeypatch, schur):
     assert diagnostics["deflation_mass"] > TRIANGULAR_MASS * diagnostics["scale"]
 
 
-def test_combination_is_the_plain_sum_unless_that_overflows():
-    # A finite plain sum is returned bit for bit; one that overflows is formed on the
-    # components divided by a power of two, which unit scaling then cancels.
+def test_combination_is_the_plain_sum_far_below_the_float_maximum():
+    # Far below the float maximum the plain sum is returned bit for bit; near it the sum
+    # is formed on the components divided by a power of two, which unit scaling cancels.
     rng = np.random.default_rng(3)
     mats = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
     weights = _certificate_weights(3)

@@ -216,18 +216,26 @@ def test_polarized_pi_diagonal_at_dim_32():
     assert polarized.conclusion_holds and not polarized.sub_verdicts[0].vacuous
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known false negative (ROADMAP item 1): the order-5 defect of this partial isometry "
-    "is 6.66e-10 against a threshold of 2.41e-10, which ignores the input's own roundoff floor",
-)
-def test_prop_2_4_on_the_benchmark_pi_diagonal_at_seed_2901():
+def _benchmark_pi_diagonal_report():
+    # prop2.4 at m = 4 on benchmarks/build.pi_diagonal(2901, 32, 4, 0), imported read-only.
     # Every diagonal column is a unit vector or has a zero coordinate, so every
     # (k; 1,...,1) defect vanishes exactly; the order-4 one sits at 0.27x its threshold.
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
         build = importlib.import_module("build")
     t = make_tuple(build.pi_diagonal(2901, 32, 4, 0).matrices)
-    report = audit_proposition_2_4(t, 4, (1, 1, 1, 1))
-    assert report.hypotheses_hold
-    assert report.conclusion_holds
+    return audit_proposition_2_4(t, 4, (1, 1, 1, 1))
+
+
+def test_prop_2_4_hypotheses_hold_on_the_benchmark_pi_diagonal_at_seed_2901():
+    assert _benchmark_pi_diagonal_report().hypotheses_hold
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known false negative (ROADMAP item 1): the order-5 defect of this partial isometry "
+    "is 6.66e-10 against a threshold of 2.41e-10, which ignores the input's own roundoff floor",
+)
+def test_prop_2_4_on_the_benchmark_pi_diagonal_at_seed_2901():
+    assert _benchmark_pi_diagonal_report().conclusion_holds
