@@ -74,7 +74,6 @@ _EXPORTS = {
         "beta",
         "expand_power_sum",
         "is_left_m_inverse",
-        "is_right_m_inverse",
     ),
     "generators": (
         "PaperExample",
@@ -86,7 +85,7 @@ _EXPORTS = {
         "scaled_family",
         "scaled_single",
     ),
-    "reports": ("AuditReport", "SubVerdict", "Witness", "report_from_dict", "report_to_dict"),
+    "reports": ("AuditReport", "SubVerdict", "Witness", "report_to_dict"),
     "tuplefile": (
         "ParsedTupleFile",
         "TupleFileError",

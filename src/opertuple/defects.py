@@ -9,13 +9,14 @@ the inner alternating sum (with (-1)^k signs) by the monomial T^q. The two
 sign conventions differ by a global factor (-1)^m, so zero-tests agree; norms
 are reported under the (-1)^k convention.
 
-Every audit of an (m; q) claim reads its facts off one ``Facts(t, q, tol)``:
+Every audit of an (m; q) claim reads its facts off one ``Facts(t, q, tol, seed)``:
 q and T^q, the level sums L_k = Phi_{T*,T}^k(I) from ``tuples.power_levels``
-and the fronted levels T^q L_k, each order's defect and the N(T^q) reducing
-test, each formed once, when first asked for. Multi-index enumeration is kept
-as the oracle in ``minverse``. The vector-state forms never go through L_k: all
-states are the columns of one matrix, pushed along one monomial prefix tree per
-call, so even the 2·dim² polarized states are affordable at dim 64.
+and the fronted levels T^q L_k, each order's defect, the N(T^q) reducing test
+and T's triangularization, each formed once, when first asked for. Multi-index
+enumeration is kept as the oracle in ``minverse``. The vector-state forms never
+go through L_k: all states are the columns of one matrix, pushed along one
+monomial prefix tree per call, so even the 2·dim² polarized states are
+affordable at dim 64.
 
 Because the sums alternate and cancel, every zero-test is relative to the
 largest level summand rather than to the final value.
@@ -97,16 +98,16 @@ class Facts:
 
     q is validated and T^q (``power``) formed at construction. The levels L_k
     and the fronted levels T^q L_k are formed up to the highest order asked
-    for, each (m; q)-partial-isometry defect is kept by m, and ``null_space``
-    is the N(T^q) reducing test with the basis it tested. ``at(q)`` gives the
-    facts of another q on the same levels.
+    for, each (m; q)-partial-isometry defect is kept by m, ``null_space`` is the
+    N(T^q) reducing test with the basis it tested, and ``triangularization`` is
+    T's at ``seed``. ``at(q)`` gives the facts of another q on the same levels.
     """
 
-    def __init__(self, t: OperatorTuple, q, tol: ToleranceModel = DEFAULT_TOL):
+    def __init__(self, t: OperatorTuple, q, tol: ToleranceModel = DEFAULT_TOL, seed: int = 0):
         q = validate_multiindex(q)
         if len(q) != t.d:
             raise ValueError(f"exponent vector has {len(q)} entries, tuple has d = {t.d}")
-        self.t, self.q, self.tol = t, q, tol
+        self.t, self.q, self.tol, self.seed = t, q, tol, seed
         self.power = tuple_power(t, q)
         self._levels: list[np.ndarray] = []
         self._fronted: list[np.ndarray] = []
@@ -114,7 +115,7 @@ class Facts:
 
     def at(self, q) -> Facts:
         """The facts of (T, q) for another q, sharing these levels L_k."""
-        other = Facts(self.t, q, self.tol)
+        other = Facts(self.t, q, self.tol, self.seed)
         other._levels = self._levels
         return other
 
@@ -151,12 +152,11 @@ class Facts:
         eps dim times this matrix, entry by entry (Higham, Accuracy and Stability of
         Numerical Algorithms, 2nd ed., 3.5), so a T^q zero up to roundoff has the
         whole space as null space. For diagonal T it is ||T^q||_2 itself. 0 when it
-        passes the float range, and then sigma_max alone sets the cutoff.
+        or this matrix passes the float range; then sigma_max alone sets the cutoff.
         """
         bound = monomial([np.abs(m) for m in self.t], self.q)
-        if not np.isfinite(bound).all():
-            return 0.0
-        return float(np.linalg.svd(bound, compute_uv=False)[0])
+        sigma = float(np.linalg.svd(bound, compute_uv=False)[0]) if np.isfinite(bound).all() else math.inf
+        return sigma if math.isfinite(sigma) else 0.0
 
     @cached_property
     def null_space(self) -> tuple[bool, np.ndarray]:
@@ -178,6 +178,13 @@ class Facts:
             scale = max(frobenius_norm(m) for m in t)
             residual = max(0.0, *(frobenius_norm(outside @ x @ basis) for m in t for x in (m, adjoint(m))))
         return tol.is_zero(residual, scale), basis
+
+    @cached_property
+    def triangularization(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(Q, [U_j]) of ``spectra.simultaneous_triangularize`` at ``seed``, for the section-3 audits."""
+        from . import spectra
+
+        return spectra.simultaneous_triangularize(self.t, self.seed, self.tol)
 
     def hypotheses(self, m: int) -> dict:
         """The section-2/3 hypotheses of an (m; q) claim: T is an (m; q)-partial

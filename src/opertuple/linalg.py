@@ -118,7 +118,8 @@ def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL, scale: fl
     magnitude of the operands ``a`` was computed from, whose roundoff can leave
     a zero ``a`` with a sigma_max of that roundoff alone. A tall or square input
     needs only the thin SVD; a wide one needs the full ``vh``, whose extra rows
-    span the null space.
+    span the null space. A sigma_max past the float range is decided on ``a`` and
+    ``scale`` times the power of two of ``unit_scaled``(a), which is exact.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
@@ -128,6 +129,9 @@ def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL, scale: fl
     sigma = np.zeros(n)
     sigma[: len(s)] = s
     sigma_max = float(sigma[0]) if n else 0.0
+    if math.isinf(sigma_max):
+        shift = 1 - math.frexp(float(max(np.abs(a.real).max(), np.abs(a.imag).max())))[1]
+        return null_space_basis(unit_scaled(a), tol, math.ldexp(scale, shift))
     cutoff = tol.rank_cutoff(max(a.shape), max(sigma_max, scale))
     mask = sigma <= cutoff
     return vh.conj().T[:, mask]

@@ -86,16 +86,9 @@ def _beta(s: OperatorTuple, t: OperatorTuple, m: int, betas=None) -> BetaResult:
 def is_left_m_inverse(
     s: OperatorTuple, t: OperatorTuple, m: int, tol: ToleranceModel = DEFAULT_TOL
 ) -> bool:
-    """Whether beta_m(S, T) vanishes, i.e. S is a joint left m-inverse of T."""
+    """Whether beta_m(S, T) vanishes: S is a joint left m-inverse of T, and T a right one of S."""
     result = beta(s, t, m)
     return tol.is_zero(result.norm, result.scale)
-
-
-def is_right_m_inverse(
-    r: OperatorTuple, t: OperatorTuple, m: int, tol: ToleranceModel = DEFAULT_TOL
-) -> bool:
-    """Right variant: the monomial roles swap, so this is beta_m(T, R) = 0."""
-    return is_left_m_inverse(t, r, m, tol)
 
 
 def _power_sum_sides(s: OperatorTuple, t: OperatorTuple, n: int) -> tuple[list, list]:

@@ -1,4 +1,4 @@
-"""Structured audit verdicts and their lossless JSON serialization.
+"""Structured audit verdicts and their JSON serialization.
 
 A report records whether a claim's hypotheses held, whether its conclusion
 held wherever the hypotheses did, the witnesses behind any violation, and the
@@ -15,8 +15,6 @@ output and for tuple files. It writes the bytes of
 ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``, but a float64
 or complex128 array, a list of floats and a list of [float, float] pairs are
 written in bulk, one ``float.__repr__`` per number.
-``from_fields`` reads a dataclass back from the keys that name its fields;
-round-tripping a report through JSON is exact.
 """
 
 from __future__ import annotations
@@ -236,35 +234,6 @@ def _bracket(ends: str, items: list, nl: str) -> str:
     return f"{ends[0]}{inner}{(',' + inner).join(items)}{nl}{ends[1]}"
 
 
-def pairs_to_vector(pairs) -> tuple[complex, ...]:
-    return tuple(complex(re, im) for re, im in pairs)
-
-
 def report_to_dict(report: AuditReport) -> dict:
     return to_json(report)
 
-
-def from_fields(cls, data: dict, **decoders):
-    """An instance of the dataclass ``cls`` from the keys of ``data`` that name its fields.
-
-    Each field's value passes through its entry in ``decoders``, if it has one;
-    keys that name no field are ignored.
-    """
-    return cls(**{f.name: decoders.get(f.name, _same)(data[f.name]) for f in fields(cls)})
-
-
-def _same(value):
-    return value
-
-
-def report_from_dict(data: dict) -> AuditReport:
-    return from_fields(
-        AuditReport,
-        data,
-        hypothesis_breakdown=dict,
-        sub_verdicts=lambda svs: tuple(from_fields(SubVerdict, sv, details=dict) for sv in svs),
-        witnesses=lambda ws: tuple(from_fields(Witness, w, value=pairs_to_vector) for w in ws),
-        norms=dict,
-        tolerances=lambda tol: from_fields(ToleranceModel, tol),
-        paper_discrepancy_notes=tuple,
-    )

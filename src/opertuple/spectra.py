@@ -40,9 +40,9 @@ reads T*'s triangularization off T's factors, in the reversed basis.
 Proximity of joint eigenvalues is one L-infinity distance matrix.
 
 The section-3 audits read their hypotheses (an (m; q)-partial isometry with
-N(T^q) reducing) off ``defects.Facts``. ``spectral_mapping_audit``, the body of
-thm4.1/4.2, lives here beside the point-spectrum tests it runs; ``minverse``
-hands it the beta that decides the m-inverse hypothesis.
+N(T^q) reducing) and T's triangularization off one ``defects.Facts``.
+``joint_spectrum`` and ``spectral_mapping_audit`` (thm4.1/4.2, whose beta
+``minverse`` hands it) have no q, and triangularize themselves.
 """
 
 from __future__ import annotations
@@ -433,8 +433,8 @@ def audit_theorem_3_1(
     sphere or in the zero variety; the corollary's r(T) = 1 rides along."""
     from .defects import Facts
 
-    facts = Facts(t, q, tol)
-    diag, lams, _, _ = _points(t, simultaneous_triangularize(t, seed, tol), tol)
+    facts = Facts(t, q, tol, seed)
+    diag, lams, _, _ = _points(t, facts.triangularization, tol)
     located = (np.abs(_norm2(lams) - 1.0) <= SPHERE_TOL) | _in_zero_variety(lams, tol)
     witnesses = [Witness("eigenvalue outside sphere and zero variety", lam) for lam in _rows(lams[~located])]
 
@@ -462,15 +462,15 @@ def audit_proposition_3_2(
     """Adjoint conjugation of eigenvalues off the zero variety, and
     orthogonality of witnesses for suitably separated eigenvalue pairs.
 
-    T is triangularized once. If Q* T_j Q = U_j is upper triangular, then
-    Q* T_j* Q = U_j* is lower triangular, and reversing the basis (P) makes
-    (QP)* T_j* (QP) = P U_j* P upper triangular: T*'s points are confirmed
-    from those factors, each by a witness residual on T* itself. A conjugate
-    that T's own witness already certifies on T* needs none of them."""
+    T is triangularized once, by ``Facts``. If Q* T_j Q = U_j is upper
+    triangular, then Q* T_j* Q = U_j* is lower triangular, and reversing the
+    basis (P) makes (QP)* T_j* (QP) = P U_j* P upper triangular: T*'s points
+    are confirmed from those factors, each by a witness residual on T* itself.
+    A conjugate that T's own witness already certifies on T* needs none of them."""
     from .defects import Facts
 
-    facts = Facts(t, q, tol)
-    factors = simultaneous_triangularize(t, seed, tol)
+    facts = Facts(t, q, tol, seed)
+    factors = facts.triangularization
     _, lams, xs, _ = _points(t, factors, tol)
     adj = adjoint_tuple(t)
     points = _rows(lams)

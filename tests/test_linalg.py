@@ -97,6 +97,18 @@ def test_null_space_cutoff_takes_the_larger_scale():
     assert null_space_basis(np.eye(3), scale=1e-3).shape == (3, 0)
 
 
+def test_null_space_past_the_float_range_is_decided_at_unit_magnitude():
+    # [N; N] has sigma_max = sqrt(2) 1.5e308, past the float range. An infinite cutoff
+    # counted e_2 as null too, though N e_2 = 1.5e308 e_1; on the copy scaled by
+    # 2^-1023 only e_1 is.
+    n = np.array([[0.0, 1.5e308], [0.0, 0.0]])
+    stack = np.vstack([n, n])
+    basis = null_space_basis(stack)
+    assert np.array_equal(basis, null_space_basis(np.ldexp(stack, -1023)))
+    assert basis.shape == (2, 1)
+    np.testing.assert_allclose(np.abs(basis[:, 0]), [1.0, 0.0], atol=0.0)
+
+
 def test_null_space_golden_column():
     # T = [[a, 0], [1, 0]]: T x = (a x1, x1) vanishes iff x1 = 0
     a = np.sqrt((1 + np.sqrt(5.0)) / 2)

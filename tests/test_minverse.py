@@ -14,7 +14,6 @@ from opertuple.minverse import (
     beta,
     expand_power_sum,
     is_left_m_inverse,
-    is_right_m_inverse,
 )
 from opertuple.tuples import adjoint_tuple, make_tuple
 
@@ -105,7 +104,7 @@ def test_left_inverse_printed_vs_corrected():
 def test_right_inverse_reciprocal_family():
     s, t = _shifted_invertible_pair(123)
     assert is_left_m_inverse(s, t, 1)
-    assert is_right_m_inverse(s, t, 1)
+    assert is_left_m_inverse(t, s, 1)  # S is a right 1-inverse of T: beta_1(T, S) = 0
 
 
 def test_adjoint_duality_norm_equality():

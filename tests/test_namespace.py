@@ -37,13 +37,13 @@ EXPORTS = {
     ],
     "minverse": [
         "BetaResult", "audit_proposition_4_1", "audit_theorem_4_1", "audit_theorem_4_2", "beta",
-        "expand_power_sum", "is_left_m_inverse", "is_right_m_inverse",
+        "expand_power_sum", "is_left_m_inverse",
     ],
     "generators": [
         "PaperExample", "diagonal_conjugate", "paper_example", "polynomial_family",
         "random_partial_isometry", "random_unitary", "scaled_family", "scaled_single",
     ],
-    "reports": ["AuditReport", "SubVerdict", "Witness", "report_from_dict", "report_to_dict"],
+    "reports": ["AuditReport", "SubVerdict", "Witness", "report_to_dict"],
     "tuplefile": [
         "ParsedTupleFile", "TupleFileError", "parse_partner", "parse_tuple_file",
         "serialize_tuple_file",

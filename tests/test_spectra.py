@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opertuple import cli, spectra
+from opertuple.defects import Facts
 from opertuple.generators import (
     diagonal_conjugate,
     example_2_1_matrix,
@@ -1053,6 +1054,22 @@ def test_prop_3_2_on_a_normal_tuple_builds_no_adjoint_factors(monkeypatch, name)
     adjoint_factors = counting(monkeypatch, "_adjoint_factors")
     assert audit_proposition_3_2(t, 1, (1,) * t.d).sub_verdicts[0].conclusion_holds
     assert adjoint_factors == []
+
+
+def test_facts_hold_the_one_triangularization_at_their_seed():
+    t = adjoint_case("non_normal")
+    q = (1,) * t.d
+    bases = []
+    for seed in (0, 7):
+        facts = Facts(t, q, DEFAULT_TOL, seed)
+        held = facts.triangularization
+        assert facts.triangularization is held
+        reference = simultaneous_triangularize(t, seed)
+        assert np.array_equal(held[0], reference[0])
+        assert all(np.array_equal(u, r) for u, r in zip(held[1], reference[1], strict=True))
+        assert facts.at((2,) + q[1:]).seed == seed
+        bases.append(held[0])
+    assert not np.array_equal(*bases)  # the seed reaches the triangularization
 
 
 def scalar_counterexample():

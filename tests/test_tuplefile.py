@@ -16,7 +16,6 @@ from opertuple.reports import (
     AuditReport,
     SubVerdict,
     Witness,
-    report_from_dict,
     report_to_dict,
     to_json,
 )
@@ -277,6 +276,28 @@ def sample_report() -> AuditReport:
         tolerances=ToleranceModel(),
         seed=41,
         paper_discrepancy_notes=("a note",),
+    )
+
+
+def _decoded(cls, doc: dict, **decoders):
+    """An instance of the dataclass ``cls`` from the keys of ``doc`` that name its fields, each
+    value through its entry in ``decoders``; keys that name no field are ignored."""
+    return cls(**{f.name: decoders.get(f.name, lambda v: v)(doc[f.name]) for f in dataclasses.fields(cls)})
+
+
+def report_from_dict(doc: dict) -> AuditReport:
+    """The inverse of ``report_to_dict``, kept here as its oracle: a report that comes back
+    equal from its JSON lost nothing in the encoding."""
+    return _decoded(
+        AuditReport, doc,
+        hypothesis_breakdown=dict,
+        sub_verdicts=lambda svs: tuple(_decoded(SubVerdict, sv, details=dict) for sv in svs),
+        witnesses=lambda ws: tuple(
+            _decoded(Witness, w, value=lambda pairs: tuple(complex(*p) for p in pairs)) for w in ws
+        ),
+        norms=dict,
+        tolerances=lambda tol: _decoded(ToleranceModel, tol),
+        paper_discrepancy_notes=tuple,
     )
 
 

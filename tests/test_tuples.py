@@ -354,6 +354,24 @@ def test_roundoff_scale_past_the_float_range():
     assert null_reducing_check(make_tuple([np.diag([1e200, 2e200])]), (0,))[0]
 
 
+def test_roundoff_scale_is_zero_when_its_singular_value_overflows():
+    # |T| = T = 1e308 J, J the 2x2 all-ones matrix: every entry is finite, but
+    # sigma_max = 2e308 is not.
+    assert Facts(make_tuple([np.full((2, 2), 1e308)]), (1,)).roundoff_scale == 0.0
+    assert Facts(make_tuple([np.full((2, 2), 1e298)]), (1,)).roundoff_scale == pytest.approx(2e298)
+
+
+@pytest.mark.parametrize("size", [1e298, 1e308])
+def test_null_space_of_a_power_past_the_float_range_does_not_depend_on_units(size):
+    # T = size J has null space span(e_1 - e_2) at every size. At 1e308 sigma_max
+    # overflowed, the cutoff was inf, and N(T) came out the whole space, though T
+    # maps e_1 to norm 2e308.
+    t = make_tuple([np.full((2, 2), size)])
+    reducing, basis = null_reducing_check(t, (1,))
+    assert reducing and basis.shape == (2, 1)
+    assert np.abs(t[0] @ basis).max() <= 1e-14 * size
+
+
 def test_null_reducing_residual_norms_do_not_warn_on_overflow():
     # T^2 = 0; the residual ||(I - BB*) T* B||_F squares entries of 2e154, past the
     # float range, and frobenius_norm rescales it without a RuntimeWarning.
