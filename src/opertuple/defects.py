@@ -60,6 +60,12 @@ from .tuples import (
 )
 
 
+# The most prefix-tree nodes of one vector-state walk, C(m + d, d) (C(m + 1 + d, d) for prop2.4):
+# 2^19 admits d = 5 at m = MAX_ORDER (435,897 nodes, 501,942 for prop2.4), while thm2.1 on a
+# dim-1 file at d = 6, m = 24 walked 593,775 nodes in 4.6 s.
+MAX_STATE_NODES = 524288
+
+
 @dataclass(frozen=True)
 class DefectResult:
     """A defect operator with the norm and reference scale of its zero-test."""
@@ -68,14 +74,6 @@ class DefectResult:
     norm: float
     scale: float
     is_zero: bool
-
-
-def _levels(t: OperatorTuple, kmax: int) -> list[np.ndarray]:
-    """The level sums sum_{|alpha|=k} (k!/alpha!) (T^alpha)* (T^alpha), k = 0..kmax.
-
-    Levels that overflow are left non-finite for ``_defect``, which raises on them."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return power_levels([adjoint(m) for m in t], t, kmax)
 
 
 def _defect(terms: list[np.ndarray], m: int, tol: ToleranceModel) -> DefectResult:
@@ -123,7 +121,7 @@ class Facts:
         """L_0, L_1, ..., at least up to L_kmax. An order past those held forms the list
         anew, in place, so the facts that share it (``at``) see it."""
         if len(self._levels) <= kmax:
-            self._levels[:] = _levels(self.t, kmax)
+            self._levels[:] = power_levels([adjoint(m) for m in self.t], self.t, kmax)
         return self._levels
 
     def fronted(self, kmax: int) -> list[np.ndarray]:
@@ -202,7 +200,7 @@ def null_reducing_check(
 
 def isometry_defect(t: OperatorTuple, m: int, tol: ToleranceModel = DEFAULT_TOL) -> DefectResult:
     """The m-isometry defect, with its (-1)^(m-k) signs as defined."""
-    result = _defect(_levels(t, m), m, tol)
+    result = _defect(power_levels([adjoint(x) for x in t], t, m), m, tol)
     return replace(result, matrix=(-1) ** m * result.matrix)
 
 
@@ -220,8 +218,11 @@ def _state_sums(t: OperatorTuple, m: int, y: np.ndarray, ascent: int = 0) -> np.
     of the monomial prefix tree and one fused conjugate dot ``np.vecdot`` over Z's columns, which
     neither copies conj(Z) nor runs einsum's generic loop; each <z, z> = ||z||^2 is real, so the
     levels are float64. With ascent 1 it is sum_j of the sum on T_j Y, as
-    sum_{j: beta_j>0} k!/(beta-e_j)! = (k+1)!/beta!.
+    sum_{j: beta_j>0} k!/(beta-e_j)! = (k+1)!/beta!. A walk past MAX_STATE_NODES raises first.
     """
+    if (nodes := math.comb(m + ascent + t.d, t.d)) > MAX_STATE_NODES:
+        walk = f"the vector-state walk at d = {t.d}, order {m + ascent} has {nodes} nodes"
+        raise ValueError(f"{walk}, more than MAX_STATE_NODES = {MAX_STATE_NODES}")
     signs = np.array([(-1) ** k * math.comb(m, k) for k in range(m + 1)])[:, None]
     levels = np.zeros((m + ascent + 1, y.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below

@@ -22,6 +22,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceModel, adjoint, as_matrix, frobenius_norm
 from .reports import NOTE_EX41_SCALING, format_point
+from .tuplefile import MAX_EXAMPLE_D
 from .tuples import OperatorTuple, make_tuple
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -74,11 +75,6 @@ class PaperExample:
 REPRODUCE_ZERO_TOL = 1e-12  # a norm expected to vanish
 REPRODUCE_NORM_TOL = 1e-10  # a norm expected to equal a nonzero printed value
 REPRODUCE_SPECTRUM_TOL = 1e-8  # L-inf distance of joint eigenvalues, and the spectral radius
-
-# The largest d of a "(d)" example id. It is four times the desk-scale envelope
-# (d <= 4), as tuplefile.MAX_ORDER is for m; make_tuple checks d(d-1)/2
-# commutator pairs, which took seconds per command at d in the thousands.
-MAX_EXAMPLE_D = 16
 
 
 def _row(quantity: str, expected, observed, match) -> dict:

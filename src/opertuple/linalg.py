@@ -1,10 +1,10 @@
 """Dense complex matrix primitives shared by every other module.
 
-Thin, contract-checked wrappers around numpy's LAPACK routines: adjoints,
-Frobenius norms, exact power-of-two scaling to unit magnitude, rank-revealing
-null spaces, and complex Schur triangularization. Rank decisions use a scale-invariant singular-value
-cutoff instead of a fixed epsilon. The Schur form is built from eigenvectors,
-so numpy is the only dependency.
+Thin, contract-checked wrappers around numpy's LAPACK routines: adjoints, Frobenius norms,
+``binary_exponent`` (which every exact power-of-two scaling reads), scaling to unit magnitude,
+rank-revealing null spaces, and complex Schur triangularization. Rank decisions use a scale-invariant
+singular-value cutoff instead of a fixed epsilon. The Schur form is built from eigenvectors, so numpy
+is the only dependency.
 """
 
 from __future__ import annotations
@@ -97,15 +97,17 @@ def frobenius_norm(a: np.ndarray) -> float:
     return norm
 
 
+def binary_exponent(a) -> int:
+    """``math.frexp``'s exponent e of the largest real or imaginary part of ``a`` (a complex128 or
+    float64 array, or a float), which lies in [2^(e-1), 2^e); 0 for a zero or non-finite ``a``."""
+    return math.frexp(float(np.abs(np.ascontiguousarray(a).view(np.float64)).max()))[1]
+
+
 def unit_scaled(m: np.ndarray) -> np.ndarray:
-    """m times the power of two that brings its largest real or imaginary part into [1, 2);
-    a zero m as it is. np.ldexp on the float64 view scales exactly in both directions, where
-    math.ldexp(1.0, e) would overflow for the e > 1023 of subnormal input."""
-    parts = np.ascontiguousarray(m).view(np.float64)
-    largest = float(np.abs(parts).max())
-    if largest == 0.0:
-        return m
-    return np.ldexp(parts, 1 - math.frexp(largest)[1]).view(np.complex128)
+    """m times the power of two that brings its largest real or imaginary part into [1, 2), zero for
+    a zero m; np.ldexp scales the parts exactly even where that power passes the float range."""
+    x = np.ascontiguousarray(m)
+    return np.ldexp(x.view(np.float64), 1 - binary_exponent(x)).view(x.dtype)
 
 
 def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
@@ -130,8 +132,7 @@ def null_space_basis(a: np.ndarray, tol: ToleranceModel = DEFAULT_TOL, scale: fl
     sigma[: len(s)] = s
     sigma_max = float(sigma[0]) if n else 0.0
     if math.isinf(sigma_max):
-        shift = 1 - math.frexp(float(max(np.abs(a.real).max(), np.abs(a.imag).max())))[1]
-        return null_space_basis(unit_scaled(a), tol, math.ldexp(scale, shift))
+        return null_space_basis(unit_scaled(a), tol, math.ldexp(scale, 1 - binary_exponent(a)))
     cutoff = tol.rank_cutoff(max(a.shape), max(sigma_max, scale))
     mask = sigma <= cutoff
     return vh.conj().T[:, mask]

@@ -45,8 +45,9 @@ def _check_shapes(s: OperatorTuple, t: OperatorTuple) -> None:
 def _beta_levels(s: OperatorTuple, t: OperatorTuple, m: int, betas=None) -> list[np.ndarray]:
     """beta_0..beta_m (or more) by beta_{k+1} = -beta_k + Phi_{S,T}(beta_k), after ``betas``."""
     betas = list(betas or [np.eye(t.dim, dtype=np.complex128)])
-    while len(betas) <= m:
-        betas.append(hereditary_shift(s, t, betas[-1]) - betas[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite past the float range, as power_levels
+        while len(betas) <= m:
+            betas.append(hereditary_shift(s, t, betas[-1]) - betas[-1])
     return betas
 
 
@@ -71,8 +72,8 @@ def _beta(s: OperatorTuple, t: OperatorTuple, m: int, betas=None) -> BetaResult:
     """``beta`` on tuples of one shape; the recurrence reads or continues given levels ``betas``."""
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    betas = _beta_levels(s, t, m, betas)[: m + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite beta raises below
-        betas = _beta_levels(s, t, m, betas)[: m + 1]
         matrix, scale = betas[-1], max(frobenius_norm(b) for b in betas)
         norm = frobenius_norm(matrix)
     if not (math.isfinite(norm) and math.isfinite(scale)):
@@ -95,8 +96,7 @@ def _power_sum_sides(s: OperatorTuple, t: OperatorTuple, n: int) -> tuple[list, 
     """The levels Phi_{S,T}^k(I) and beta_k(S, T), k = 0..n: both sides of every expansion.
 
     A non-finite one raises NumericalFailureError, as in ``beta``, before any deviation."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite level raises below
-        levels, betas = power_levels(s, t, n), _beta_levels(s, t, n)
+    levels, betas = power_levels(s, t, n), _beta_levels(s, t, n)
     for k in range(n + 1):
         if not (np.isfinite(levels[k]).all() and np.isfinite(betas[k]).all()):
             raise NumericalFailureError(

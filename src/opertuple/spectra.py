@@ -57,6 +57,7 @@ from .linalg import (
     NumericalFailureError,
     ToleranceModel,
     adjoint,
+    binary_exponent,
     frobenius_norm,
     null_space_basis,
     unit_scaled,
@@ -81,7 +82,7 @@ TRIANGULAR_MASS = 1e-7  # below-diagonal mass of each U_j, times max(1, max_j ||
 SPHERE_TOL = 1e-8  # thm3.1: | ||lambda||_2 - 1 | within which a point sits on the unit sphere
 ORTHO_TOL = 1e-8  # prop3.2: largest |<x, y>| of two witnesses that counts as orthogonal
 SEPARATION = 1e-8  # prop3.2: pairs with |1 - <lambda, mu>| below this are not separated
-_EIG_EXPONENTS = 458  # largest |frexp exponent| of a part that zgeev's own rescaling leaves alone
+_EIG_EXPONENTS = 458  # largest |binary_exponent| of a C that zgeev's own rescaling leaves alone
 
 
 def _is_normal(c: np.ndarray, tol: ToleranceModel) -> bool:
@@ -131,8 +132,7 @@ def _combination(weights, mats) -> np.ndarray:
     e >= 0 is the least under which 2 sum_j |w_j| times the largest part of an M_j, a bound
     on every part of the sum, stays finite. So e = 0, and the sum is the plain one, whenever
     every part of every M_j is below the float maximum divided by 8 sum_j |w_j|."""
-    largest = max(float(np.abs(np.ascontiguousarray(m).view(np.float64)).max()) for m in mats)
-    e = max(0, math.frexp(largest)[1] + math.frexp(2.0 * float(np.abs(weights).sum()))[1] - 1023)
+    e = max(0, max(map(binary_exponent, mats)) + binary_exponent(2.0 * np.abs(weights).sum()) - 1023)
     return sum(math.ldexp(1.0, -e) * wj * m for wj, m in zip(weights, mats))
 
 
@@ -171,7 +171,7 @@ def simultaneous_triangularize(
        every generic one) or leaves a component untriangular (an eigenvalue
        collision) hands over to deflation, of that combination first.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     c = rng.standard_normal(t.d) + 1j * rng.standard_normal(t.d)
     combo = _combination(c / np.linalg.norm(c), t.matrices)
     with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
@@ -280,7 +280,7 @@ def _certified(
     with np.errstate(over="ignore", invalid="ignore"):
         offs = np.array([frobenius_norm(m - np.diag(dg)) for m, dg in zip(t, diags)])
         bound = float((offs + np.abs(diags).max(axis=1)).max())
-        s = math.ldexp(1.0, -max(0, math.frexp(bound)[1] - 1))
+        s = math.ldexp(1.0, -max(0, binary_exponent(bound) - 1))
         residual2 = sum(np.linalg.norm(s * (mx - x * lj), axis=0) ** 2 for mx, lj in zip(tx, lams))
         gaps = np.abs(s * diags[:, :, None] - s * lams[:, None, :])
         frob2 = (np.square(s * offs)[:, None] + (gaps**2).sum(axis=1)).sum(axis=0)
@@ -300,10 +300,8 @@ def _schur_witnesses(t: OperatorTuple, factors, diag: np.ndarray, kept: list[int
     eigenvalues other than C's diagonal in order, certify none (and give no X)."""
     q, us = factors
     combo = np.triu(_combination(_certificate_weights(t.d), us))
-    largest = float(np.abs(combo.ravel(order="K").view(np.float64)).max())  # nan or inf if C is not finite
-    if math.isfinite(largest):
-        if abs(math.frexp(largest)[1]) > _EIG_EXPONENTS:
-            combo = unit_scaled(combo)
+    combo = unit_scaled(combo) if abs(binary_exponent(combo)) > _EIG_EXPONENTS else combo
+    if np.isfinite(combo).all():
         values, vectors = np.linalg.eig(combo)
         if np.array_equal(values, np.diag(combo)):
             x = q @ vectors[:, kept]

@@ -1,11 +1,10 @@
 """The tuple-file JSON format: the toolkit's only interchange surface.
 
-A tuple file is a JSON object with integer fields "d" and "dim", a
-"matrices" array of shape d x dim x dim whose innermost entries are [re, im]
-pairs, and optional "q" (integer list), "m" (integer, 1 <= m <= MAX_ORDER),
-and "metadata" (object) fields. For m-inverse audits the metadata may embed a
-partner tuple under "left_inverse" or "right_inverse" as {"matrices": [...]}
-with the same encoding and shape.
+A tuple file is a JSON object with integer fields "d" (1 <= d <= MAX_EXAMPLE_D) and "dim", a
+"matrices" array of shape d x dim x dim whose innermost entries are [re, im] pairs, and optional
+"q" (integer list), "m" (integer, 1 <= m <= MAX_ORDER), and "metadata" (object) fields. For m-inverse
+audits the metadata may embed a partner tuple under "left_inverse" or "right_inverse" as
+{"matrices": [...]} with the same encoding and shape.
 
 A "matrices" array is converted in one pass: one numpy conversion to float64,
 checked for its shape, for numbers as its only leaves and for finiteness, and
@@ -39,6 +38,11 @@ from .tuples import OperatorTuple, make_tuple
 # C(m + 4, 4) monomials, ~59k at m = 32, and every C(m, k) stays far inside
 # the float range (it leaves it at m = 1030).
 MAX_ORDER = 32
+
+# The largest d of a tuple file and of a "(d)" example id, four times the envelope's d <= 4 as
+# MAX_ORDER is for m: make_tuple checks d(d-1)/2 commutator pairs and quasinormal_class d^3
+# commutators, so `classify` on dim-1 files took 0.30 s at d = 32 and 12.8 s at d = 128.
+MAX_EXAMPLE_D = 16
 
 
 class TupleFileError(ValueError):
@@ -145,7 +149,7 @@ def parse_tuple_file(text: str, tol: ToleranceModel = DEFAULT_TOL) -> ParsedTupl
         if key not in ("d", "dim", "matrices", "q", "m", "metadata"):
             raise TupleFileError(f"/{key}", "unknown field")
 
-    d = _require_int(doc["d"], "/d", minimum=1)
+    d = _require_int(doc["d"], "/d", minimum=1, maximum=MAX_EXAMPLE_D)
     dim = _require_int(doc["dim"], "/dim", minimum=1)
     mats = parse_matrices(doc["matrices"], d, dim, "/matrices")
 

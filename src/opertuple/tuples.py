@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceModel, adjoint, as_matrix, frobenius_norm
+from .linalg import DEFAULT_TOL, ToleranceModel, adjoint, as_matrix, binary_exponent, frobenius_norm
 from .multiindex import validate_multiindex
 
 UNITARY_TOL = 1e-8  # conjugate_by_unitary: largest ||V*V - I||_F accepted as unitary
@@ -66,8 +66,7 @@ def _exponent(a: np.ndarray) -> int:
     Dividing by 2^e is exact away from underflow, so decisions on scaled factors
     are the plain ones wherever those are finite, and their products cannot overflow.
     """
-    largest = np.abs(np.ascontiguousarray(a).view(np.float64)).max()  # unlike |a_ij|, finite
-    return max(0, math.frexp(largest)[1] - 1)
+    return max(0, binary_exponent(a) - 1)
 
 
 def _scaled_down(a: np.ndarray, e: int) -> np.ndarray:
@@ -173,16 +172,16 @@ def hereditary_shift(s, t, x: np.ndarray) -> np.ndarray:
 
 
 def power_levels(s, t, kmax: int) -> list[np.ndarray]:
-    """L_k = Phi_{S,T}^k(I), k = 0..kmax, for two sequences of d matrices.
-
-    For commuting S and T, L_k = sum_{|alpha|=k} (k!/alpha!) S^alpha T^alpha:
-    the defects' level sums (S = T*) and the power-sum left sides.
+    """L_k = Phi_{S,T}^k(I), k = 0..kmax, for two sequences of d matrices, non-finite without numpy's
+    warnings past the float range (as ``monomial``). For commuting S and T, L_k = sum_{|alpha|=k}
+    (k!/alpha!) S^alpha T^alpha: the defects' level sums (S = T*) and the power-sum left sides.
     """
     if len(s) != len(t):
         raise ValueError(f"sequences have {len(s)} and {len(t)} components")
     levels = [np.eye(t[0].shape[0], dtype=np.complex128)]
-    for _ in range(kmax):
-        levels.append(hereditary_shift(s, t, levels[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(kmax):
+            levels.append(hereditary_shift(s, t, levels[-1]))
     return levels
 
 

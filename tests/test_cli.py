@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opertuple import cli, defects, spectra
+from opertuple import cli, defects, spectra, tuples
 from opertuple.cli import main
 from opertuple.linalg import ToleranceModel
 from opertuple.minverse import audit_theorem_4_2
 from opertuple.reports import report_to_dict
-from opertuple.tuplefile import MAX_ORDER, serialize_tuple_file
+from opertuple.tuplefile import MAX_EXAMPLE_D, MAX_ORDER, serialize_tuple_file
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -294,6 +294,52 @@ def test_thm2_1_at_maximum_order_with_weights_past_int64(capsys, tmp_path):
     assert "all binding conclusions hold" in captured.out
 
 
+def test_tuple_file_d_above_the_bound_exits_2_before_any_commutator(capsys, monkeypatch, tmp_path):
+    def no_commutator(*args):
+        raise AssertionError("a commutator was formed")
+
+    monkeypatch.setattr(tuples, "_commutator_norm", no_commutator)
+    path = tmp_path / "d17.json"
+    d = MAX_EXAMPLE_D + 1
+    path.write_text(json.dumps({"d": d, "dim": 1, "m": 1, "q": [1] * d, "matrices": [[[[0.5, 0.0]]]] * d}))
+    for argv in (["classify"], ["spectrum"], ["audit", "--claim", "thm2.1"]):
+        assert main([*argv, "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: /d: expected an integer <= 16, got 17\n")
+
+
+def _dim1_m32_file(tmp_path, d):
+    """A tuple file of d commuting 1 x 1 components, m = MAX_ORDER and q = 0."""
+    path = tmp_path / f"d{d}_m32.json"
+    matrices = [[[[0.5, 0.0]]]] * d
+    path.write_text(json.dumps({"d": d, "dim": 1, "m": MAX_ORDER, "q": [0] * d, "matrices": matrices}))
+    return path
+
+
+@pytest.mark.parametrize("claim, order, nodes", [("thm2.1", 32, 2760681), ("prop2.4", 33, 3262623)])
+def test_vector_state_walk_past_the_bound_exits_2_before_any_node(
+    capsys, monkeypatch, tmp_path, claim, order, nodes
+):
+    # d = 6, m = 32: C(m + d, d) nodes, C(m + 1 + d, d) for prop2.4's tree of depth m + 1
+    def no_walk(*args):
+        raise AssertionError("a prefix-tree node was formed")
+
+    monkeypatch.setattr(defects, "prefix_tree", no_walk)
+    assert main(["audit", "--claim", claim, "--input", str(_dim1_m32_file(tmp_path, 6))]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: the vector-state walk at d = 6, order {order} has {nodes} nodes, "
+        "more than MAX_STATE_NODES = 524288\n",
+    )
+
+
+def test_vector_state_bound_admits_d5_at_maximum_order(capsys, monkeypatch, tmp_path):
+    # prop2.4 at d = 5, m = 32 walks C(38, 5) = 501,942 nodes; thm2.1's 435,897 run in
+    # test_thm2_1_at_maximum_order_with_weights_past_int64. Here the walk is left empty.
+    monkeypatch.setattr(defects, "prefix_tree", lambda *args: iter(()))
+    assert main(["audit", "--claim", "prop2.4", "--input", str(_dim1_m32_file(tmp_path, 5))]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_overflowing_defect_is_a_numerical_failure(capsys, tmp_path):
     # ||L_k|| = 1e20^k leaves the float range at k = 16 <= MAX_ORDER; no numpy warning
     # may reach stderr ahead of the two documented lines
@@ -469,6 +515,13 @@ def test_package_source_never_imports_scipy():
     assert sources
     assert [path.name for path in sources if _SCIPY_IMPORT.search(path.read_text())] == []
     assert _SCIPY_IMPORT.search("    import scipy.linalg  # lazily")
+
+
+def test_package_source_calls_frexp_only_in_linalg():
+    # every power-of-two scaling reads its exponent off linalg.binary_exponent
+    sources = sorted((ROOT / "src" / "opertuple").rglob("*.py"))
+    assert sources
+    assert [path.name for path in sources if "frexp" in path.read_text()] == ["linalg.py"]
 
 
 # A string literal that starts with a worked-example id.

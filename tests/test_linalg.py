@@ -10,8 +10,10 @@ from opertuple.linalg import (
     ToleranceModel,
     adjoint,
     as_matrix,
+    binary_exponent,
     frobenius_norm,
     null_space_basis,
+    unit_scaled,
     unitary_triangularize,
 )
 from opertuple.spectra import joint_spectrum
@@ -77,6 +79,34 @@ def test_frobenius_is_numpys_norm():
     top = float(np.abs(big).max())
     assert np.linalg.norm(big, "fro") == np.inf
     np.testing.assert_array_max_ulp(frobenius_norm(big), top * np.linalg.norm(big / top, "fro"), maxulp=4)
+
+
+# (input, math.frexp's exponent of its largest real or imaginary part)
+BINARY_EXPONENT_CASES = [
+    (np.zeros((2, 2), dtype=complex), 0),
+    (np.array([[5e-324, 0.0], [0.0, -0.0]], dtype=complex), -1073),  # 2^-1074, the least subnormal
+    (np.array([[1.5e308 + 1j, 0.0], [0.0, 0.0]]), 1024),
+    (np.array([[1.0 + 12.0j, 0.25], [-3.0 - 0.5j, 0.0]]), 4),  # the imaginary part 12 is the largest
+    (np.array([[3.0, -7.0], [0.5, 6.0]]), 3),  # real
+]
+
+
+@pytest.mark.parametrize(
+    "m, e", BINARY_EXPONENT_CASES, ids=["zero", "subnormal", "huge", "imaginary", "real"]
+)
+def test_binary_exponent_and_unit_scaled(m, e):
+    assert binary_exponent(m) == e
+    scaled = unit_scaled(m)
+    assert scaled.dtype == m.dtype and scaled.shape == m.shape
+    np.testing.assert_array_equal(np.ldexp(scaled.view(np.float64), e - 1).view(m.dtype), m)  # exact
+    largest = float(np.abs(scaled.view(np.float64)).max())
+    assert largest == 0.0 if e == 0 else 1.0 <= largest < 2.0
+
+
+def test_binary_exponent_of_numbers_and_non_finite_input():
+    assert binary_exponent(6.0) == 3 and binary_exponent(0.75) == 0 and binary_exponent(0.0) == 0
+    assert binary_exponent(np.array([[np.inf, 1.0]])) == 0
+    assert binary_exponent(np.array([[1.0, complex(0.0, np.nan)]])) == 0
 
 
 def test_null_space_zero_matrix_full_basis():

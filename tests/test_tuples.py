@@ -280,6 +280,15 @@ def test_quasinormal_nilpotent_all_false():
     assert not flags.matricial and not flags.joint and not flags.spherical
 
 
+@pytest.mark.parametrize("largest", [0.0, 5e-324, 1e-300, 0.75, 1.0, 1.99, 2.0, 1e300, 1.5e308])
+def test_exponent_is_never_negative(largest):
+    a = np.array([[largest, 0.5 * largest], [0.0, 1j * largest]])
+    e = _exponent(a)
+    assert e >= 0
+    assert e == 0 or 1.0 <= largest / 2.0**e < 2.0  # the least e that brings every part below 2
+    assert math.ldexp(largest, -e) < 2.0
+
+
 def test_quasinormal_scaled_unitary_all_true():
     u = random_unitary(4, RNG)
     flags = quasinormal_class(make_tuple([0.7 * u, 0.2j * u]))
