@@ -14,13 +14,13 @@ reached through the lazy package namespace (``ot.<module>.<name>``) when a
 handler, claim adapter or random-instance builder runs, so ``classify`` never
 loads ``spectra`` and ``spectrum`` never loads ``defects``.
 
-Exit codes: 0 when the requested verdict was computed (and, for audits, every
-binding conclusion held), 1 when an audit found counterexamples under
-satisfied hypotheses or a reproduction mismatched, 2 on input or usage
-errors and on numerical failures, whose diagnostics follow the error line on
-stderr. An order m outside 1..MAX_ORDER (32), from --m or a tuple file, is an input error,
-and so are a file's d above MAX_EXAMPLE_D (16), a vector-state walk past
-defects.MAX_STATE_NODES (2^19) and a --random trial count outside 1..MAX_TRIALS (10,000).
+Exit codes: 0 when the requested verdict was computed (and, for audits, every binding conclusion
+held), 1 when an audit found counterexamples under satisfied hypotheses or a reproduction
+mismatched, 2 on input or usage errors and on numerical failures, whose diagnostics follow the
+error line on stderr. An order m outside 1..MAX_ORDER (32), from --m or a tuple file, is an input
+error, and so are a file's d above MAX_EXAMPLE_D (16), a vector-state walk past
+defects.MAX_STATE_NODES (2^19) nodes or defects.MAX_STATE_PRODUCTS (2^32) multiply-adds,
+and a --random trial count outside 1..MAX_TRIALS (10,000).
 The environment variable OPERTUPLE_SEED supplies the default seed; the --seed flag overrides
 it; a negative seed, from either, is an input error. With --json all output is one JSON
 document, byte-stable for identical inputs and seed.

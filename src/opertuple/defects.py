@@ -16,7 +16,7 @@ and T's triangularization, each formed once, when first asked for. Multi-index
 enumeration is kept as the oracle in ``minverse``. The vector-state forms never
 go through L_k: all states are the columns of one matrix, pushed along one
 monomial prefix tree per call, so even the 2·dim² polarized states are
-affordable at dim 64.
+affordable at dim 64 (up to m = 5 at d = 4, under MAX_STATE_PRODUCTS).
 
 Because the sums alternate and cancel, every zero-test is relative to the
 largest level summand rather than to the final value.
@@ -60,10 +60,11 @@ from .tuples import (
 )
 
 
-# The most prefix-tree nodes of one vector-state walk, C(m + d, d) (C(m + 1 + d, d) for prop2.4):
-# 2^19 admits d = 5 at m = MAX_ORDER (435,897 nodes, 501,942 for prop2.4), while thm2.1 on a
-# dim-1 file at d = 6, m = 24 walked 593,775 nodes in 4.6 s.
+# The most prefix-tree nodes of one vector-state walk, C(m + d, d) (C(m + 1 + d, d) for prop2.4),
+# and its most complex multiply-adds, nodes x dim^2 x states: 2^19 nodes admit d = 5 at m = MAX_ORDER,
+# and 2^32 multiply-adds take about 1 s (0.18-0.23 ns each at dim 64, 1 BLAS thread).
 MAX_STATE_NODES = 524288
+MAX_STATE_PRODUCTS = 2**32
 
 
 @dataclass(frozen=True)
@@ -161,20 +162,18 @@ class Facts:
         """Whether N(T^q) is invariant under every T_j and T_j*, and its basis B.
 
         B is orthonormal, at the rank cutoff of ``roundoff_scale``; the residual
-        is the largest ||(I - BB*) X B||_F over X = T_j, T_j*. The trivial null
-        space is reducing by convention. A T^q past the float range raises
+        is the largest ||(I - BB*) X B||_F over X = T_j, T_j*, 0 for the trivial
+        null space, which is reducing. A T^q past the float range raises
         NumericalFailureError, as the defects do on levels that overflow.
         """
         t, tol = self.t, self.tol
         if not np.isfinite(self.power).all():
             raise NumericalFailureError("T^q is not finite: the power overflows", {"q": list(self.q)})
         basis = null_space_basis(self.power, tol, self.roundoff_scale)
-        if basis.shape[1] == 0:
-            return True, basis
         outside = np.eye(t.dim) - basis @ adjoint(basis)
         with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
             scale = max(frobenius_norm(m) for m in t)
-            residual = max(0.0, *(frobenius_norm(outside @ x @ basis) for m in t for x in (m, adjoint(m))))
+            residual = max(0.0, *(frobenius_norm(outside @ (x @ basis)) for m in t for x in (m, adjoint(m))))
         return tol.is_zero(residual, scale), basis
 
     @cached_property
@@ -218,11 +217,16 @@ def _state_sums(t: OperatorTuple, m: int, y: np.ndarray, ascent: int = 0) -> np.
     of the monomial prefix tree and one fused conjugate dot ``np.vecdot`` over Z's columns, which
     neither copies conj(Z) nor runs einsum's generic loop; each <z, z> = ||z||^2 is real, so the
     levels are float64. With ascent 1 it is sum_j of the sum on T_j Y, as
-    sum_{j: beta_j>0} k!/(beta-e_j)! = (k+1)!/beta!. A walk past MAX_STATE_NODES raises first.
+    sum_{j: beta_j>0} k!/(beta-e_j)! = (k+1)!/beta!. A walk past MAX_STATE_NODES or
+    MAX_STATE_PRODUCTS raises first.
     """
-    if (nodes := math.comb(m + ascent + t.d, t.d)) > MAX_STATE_NODES:
-        walk = f"the vector-state walk at d = {t.d}, order {m + ascent} has {nodes} nodes"
-        raise ValueError(f"{walk}, more than MAX_STATE_NODES = {MAX_STATE_NODES}")
+    nodes = math.comb(m + ascent + t.d, t.d)
+    walk = f"the vector-state walk at d = {t.d}, order {m + ascent}"
+    if nodes > MAX_STATE_NODES:
+        raise ValueError(f"{walk} has {nodes} nodes, more than MAX_STATE_NODES = {MAX_STATE_NODES}")
+    if (products := nodes * t.dim**2 * y.shape[1]) > MAX_STATE_PRODUCTS:
+        work = f"on {y.shape[1]} states of dim {t.dim} takes {products} multiply-adds"
+        raise ValueError(f"{walk} {work}, more than MAX_STATE_PRODUCTS = {MAX_STATE_PRODUCTS}")
     signs = np.array([(-1) ** k * math.comb(m, k) for k in range(m + 1)])[:, None]
     levels = np.zeros((m + ascent + 1, y.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below

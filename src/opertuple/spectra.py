@@ -9,11 +9,12 @@ report carries a note saying so.
 Triangularization itself follows the generic-combination recipe (Corless,
 Gianni & Trager, ISSAC 1997): Schur-factor a random complex combination
 C = sum_j c_j T_j and check that the same unitary triangularizes every
-component. One combination is drawn from the seed. A normal C (C*C = CC*,
-decided through the ToleranceModel on a power-of-two scaled copy) has its
-spectral decomposition for a Schur form: the eigenvectors of its Hermitian
-part, from ``np.linalg.eigh`` (Golub & Van Loan, Matrix Computations, 4th ed.,
-7.1 and 8.1). A non-normal C, or a Hermitian basis that leaves a component
+component. One combination is drawn from the seed; every eigen-solve, the
+certificate's too, takes its combination at unit magnitude (``unit_scaled``,
+exact). A normal C (C*C = CC*, through the ToleranceModel) has its spectral
+decomposition for a Schur form: the eigenvectors of its Hermitian part, from
+``np.linalg.eigh`` (Golub & Van Loan, Matrix Computations, 4th ed., 7.1 and
+8.1). A non-normal C, or a Hermitian basis that leaves a component
 untriangular (two eigenvalues of C with one real part), goes to eig + QR. When
 that Schur form fails (a defective combination) or leaves some component
 untriangular (its eigenvalues collide), the deterministic fallback deflates one
@@ -82,7 +83,6 @@ TRIANGULAR_MASS = 1e-7  # below-diagonal mass of each U_j, times max(1, max_j ||
 SPHERE_TOL = 1e-8  # thm3.1: | ||lambda||_2 - 1 | within which a point sits on the unit sphere
 ORTHO_TOL = 1e-8  # prop3.2: largest |<x, y>| of two witnesses that counts as orthogonal
 SEPARATION = 1e-8  # prop3.2: pairs with |1 - <lambda, mu>| below this are not separated
-_EIG_EXPONENTS = 458  # largest |binary_exponent| of a C that zgeev's own rescaling leaves alone
 
 
 def _is_normal(c: np.ndarray, tol: ToleranceModel) -> bool:
@@ -118,10 +118,6 @@ def _deflation_triangularize(mats: list[np.ndarray], tol: ToleranceModel) -> np.
     v = _common_eigenvector(mats, tol)
     # Unitary completion of v via QR of [v | I].
     q, _ = np.linalg.qr(np.column_stack([v, np.eye(n, dtype=np.complex128)[:, : n - 1]]), mode="reduced")
-    # Align the first column with v (QR may flip phase).
-    phase = np.vdot(q[:, 0], v)
-    if abs(phase) > 0:
-        q[:, 0] *= phase / abs(phase)
     full = np.eye(n, dtype=np.complex128)
     full[1:, 1:] = _deflation_triangularize([(adjoint(q) @ m @ q)[1:, 1:] for m in mats], tol)
     return q @ full
@@ -137,18 +133,18 @@ def _combination(weights, mats) -> np.ndarray:
 
 
 def _proposed_bases(t: OperatorTuple, combo: np.ndarray, tol: ToleranceModel):
-    """(route, Q) for each Schur basis of ``combo`` proposed in turn, each computed only
-    when the one before it is turned down; eig + QR proposes none when it fails."""
+    """(route, Q) for each Schur basis of ``unit_scaled(combo)`` proposed in turn, each
+    computed only when the one before it is turned down; eig + QR proposes none when it fails."""
     unit = unit_scaled(combo)
     if _is_normal(unit, tol):
         yield "hermitian", np.linalg.eigh(unit + adjoint(unit))[1]  # a multiple of the Hermitian part
     try:
-        q = unitary_triangularize(combo)[0]
+        q = unitary_triangularize(unit)[0]
     except NumericalFailureError:
         pass
     else:
         yield "schur", q
-    yield "deflation", _deflation_triangularize([combo, *t.matrices], tol)
+    yield "deflation", _deflation_triangularize([unit, *t.matrices], tol)
 
 
 def simultaneous_triangularize(
@@ -159,12 +155,12 @@ def simultaneous_triangularize(
     Returns (Q, [U_1, ..., U_d]). Below-diagonal mass of each U_j is at most
     TRIANGULAR_MASS times max(1, ||T_j||_F). One unit combination C is drawn
     from ``seed`` (``_combination``), and three routes propose a Schur basis of
-    it in turn; the first whose U_j meet that bound is taken:
+    its ``unit_scaled`` copy in turn; the first whose U_j meet that bound is taken:
 
-    1. A normal C (``_is_normal``, through ``tol``, on C times a power of two)
-       has its spectral decomposition for a Schur form: Q holds the
-       eigenvectors of the Hermitian part (C + C*)/2 from ``np.linalg.eigh``,
-       which separate C's eigenvalues wherever their real parts differ.
+    1. A normal C (``_is_normal``, through ``tol``) has its spectral decomposition
+       for a Schur form: Q holds the eigenvectors of the Hermitian part (C + C*)/2
+       from ``np.linalg.eigh``, which separate C's eigenvalues wherever their real
+       parts differ.
     2. Otherwise, or when two real parts tie, ``unitary_triangularize`` (eig +
        QR) factors C.
     3. A Schur form that fails (a nearly defective combination, and then so is
@@ -291,16 +287,13 @@ def _certified(
 def _schur_witnesses(t: OperatorTuple, factors, diag: np.ndarray, kept: list[int], tol: ToleranceModel):
     """Unit witnesses X, one column per kept diagonal position i, their products
     T_j X, and whether each column's stacked residual certifies it. Column i is Q
-    times the eigenvector of C = triu(sum_j g_j U_j) (``_combination``) for C[i, i]:
-    zgeev's balancing isolates every eigenvalue of a triangular C, so only xTREVC's
-    back-substitution runs, vanishing pivots floored. zgeev would rescale a C whose
-    largest modulus lies outside [2^-459, 2^459] by a factor that is not a power of
-    two, moving its eigenvalues off C's diagonal, so such a C is brought to unit
-    magnitude first (``unit_scaled``, exact); every other C is taken as it is. A non-finite C, or
-    eigenvalues other than C's diagonal in order, certify none (and give no X)."""
+    times the eigenvector of C = triu(sum_j g_j U_j) (``_combination``) for C[i, i],
+    C taken at unit magnitude (``unit_scaled``, exact), where zgeev does not rescale
+    it: zgeev's balancing isolates every eigenvalue of a triangular C, so only xTREVC's
+    back-substitution runs, vanishing pivots floored. A non-finite C, or eigenvalues
+    other than C's diagonal in order, certify none (and give no X)."""
     q, us = factors
-    combo = np.triu(_combination(_certificate_weights(t.d), us))
-    combo = unit_scaled(combo) if abs(binary_exponent(combo)) > _EIG_EXPONENTS else combo
+    combo = unit_scaled(np.triu(_combination(_certificate_weights(t.d), us)))
     if np.isfinite(combo).all():
         values, vectors = np.linalg.eig(combo)
         if np.array_equal(values, np.diag(combo)):
@@ -325,8 +318,7 @@ def _stacked_svd_witnesses(t: OperatorTuple, candidates: np.ndarray, x, tx, cert
         if basis.shape[1] > 0:
             x[:, c], found[c] = basis[:, 0], True
     fresh = found & ~certified
-    if fresh.any():
-        tx[..., fresh] = _images(t, x[:, fresh])
+    tx[..., fresh] = _images(t, x[:, fresh])
     return x[:, found], tx[..., found]
 
 

@@ -307,11 +307,11 @@ def test_tuple_file_d_above_the_bound_exits_2_before_any_commutator(capsys, monk
         assert capsys.readouterr() == ("", "error: /d: expected an integer <= 16, got 17\n")
 
 
-def _dim1_m32_file(tmp_path, d):
-    """A tuple file of d commuting 1 x 1 components, m = MAX_ORDER and q = 0."""
-    path = tmp_path / f"d{d}_m32.json"
-    matrices = [[[[0.5, 0.0]]]] * d
-    path.write_text(json.dumps({"d": d, "dim": 1, "m": MAX_ORDER, "q": [0] * d, "matrices": matrices}))
+def _m32_file(tmp_path, d, dim=1):
+    """A tuple file of d components 0.5 I (dim x dim), m = MAX_ORDER and q = 0."""
+    path = tmp_path / f"d{d}_dim{dim}_m32.json"
+    half = [[[0.5 * (i == j), 0.0] for j in range(dim)] for i in range(dim)]
+    path.write_text(json.dumps({"d": d, "dim": dim, "m": MAX_ORDER, "q": [0] * d, "matrices": [half] * d}))
     return path
 
 
@@ -324,7 +324,7 @@ def test_vector_state_walk_past_the_bound_exits_2_before_any_node(
         raise AssertionError("a prefix-tree node was formed")
 
     monkeypatch.setattr(defects, "prefix_tree", no_walk)
-    assert main(["audit", "--claim", claim, "--input", str(_dim1_m32_file(tmp_path, 6))]) == 2
+    assert main(["audit", "--claim", claim, "--input", str(_m32_file(tmp_path, 6))]) == 2
     assert capsys.readouterr() == (
         "",
         f"error: the vector-state walk at d = 6, order {order} has {nodes} nodes, "
@@ -332,11 +332,29 @@ def test_vector_state_walk_past_the_bound_exits_2_before_any_node(
     )
 
 
+@pytest.mark.parametrize("claim, order, products", [("thm2.1", 32, 114267783168), ("prop2.4", 33, 131581083648)])
+def test_vector_state_walk_past_the_work_bound_exits_2_before_any_node(
+    capsys, monkeypatch, tmp_path, claim, order, products
+):
+    # d = 5, m = 32 at dim 64 on the 64 basis states: the nodes pass MAX_STATE_NODES'
+    # test, but C(m + d, d) x 64^2 x 64 multiply-adds are about 2^37
+    def no_walk(*args):
+        raise AssertionError("a prefix-tree node was formed")
+
+    monkeypatch.setattr(defects, "prefix_tree", no_walk)
+    assert main(["audit", "--claim", claim, "--input", str(_m32_file(tmp_path, 5, dim=64))]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: the vector-state walk at d = 5, order {order} on 64 states of dim 64 takes {products} "
+        "multiply-adds, more than MAX_STATE_PRODUCTS = 4294967296\n",
+    )
+
+
 def test_vector_state_bound_admits_d5_at_maximum_order(capsys, monkeypatch, tmp_path):
     # prop2.4 at d = 5, m = 32 walks C(38, 5) = 501,942 nodes; thm2.1's 435,897 run in
     # test_thm2_1_at_maximum_order_with_weights_past_int64. Here the walk is left empty.
     monkeypatch.setattr(defects, "prefix_tree", lambda *args: iter(()))
-    assert main(["audit", "--claim", "prop2.4", "--input", str(_dim1_m32_file(tmp_path, 5))]) in (0, 1)
+    assert main(["audit", "--claim", "prop2.4", "--input", str(_m32_file(tmp_path, 5))]) in (0, 1)
     assert capsys.readouterr().err == ""
 
 

@@ -1237,6 +1237,8 @@ def scaled_pair(kind, e):
 
 
 def assert_spectrum_scales(kind, e):
+    # sigma(2^e T) = 2^e sigma(T) exactly: every eigen-solve sees the same unit-scaled
+    # combination, so the witnesses are bit-identical and the points exact multiples.
     reference = joint_spectrum(scaled_pair(kind, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1244,13 +1246,19 @@ def assert_spectrum_scales(kind, e):
     assert len(result.point_spectrum) == len(reference.point_spectrum)
     assert math.ldexp(result.spectral_radius, -e) == pytest.approx(reference.spectral_radius, rel=1e-14)
     assert all(math.isfinite(r) and math.ldexp(r, -e) <= 1e-12 for r in result.residuals)
+    (points, witnesses), (ref_points, ref_witnesses) = (
+        [np.array(column, dtype=np.complex128) for column in zip(*r.point_spectrum)] for r in (result, reference)
+    )
+    np.testing.assert_array_equal(witnesses, ref_witnesses)
+    np.testing.assert_array_equal(points, np.ldexp(ref_points.view(np.float64), e).view(np.complex128))
 
 
 @pytest.mark.parametrize("kind", ["normal", "non_normal"])
-@pytest.mark.parametrize("e", [0, 600, 900])
+@pytest.mark.parametrize("e", [0, 458, 470, 520, 600, 900])
 def test_joint_spectrum_past_the_square_root_of_the_float_range(kind, e):
     # At 2^600 and 2^900 every squared entry overflows; the below-diagonal mass
-    # and the residuals are taken without squaring an unscaled entry.
+    # and the residuals are taken without squaring an unscaled entry. From 2^459
+    # up, zgeev would rescale a matrix by a factor that is not a power of two.
     assert_spectrum_scales(kind, e)
 
 
@@ -1273,11 +1281,13 @@ def test_certificate_settles_every_point_past_2_to_the_500(monkeypatch, kind, e)
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 4: CLUSTER_TOL is absolute, so at 2^-530 every candidate merges into one point",
+    reason="ROADMAP item 4: CLUSTER_TOL is absolute, so at 2^-530 every candidate merges into one "
+    "point, and already at 2^-24 two of the four do",
 )
 @pytest.mark.parametrize("kind", ["normal", "non_normal"])
-def test_joint_spectrum_far_below_unit_scale(kind):
-    assert_spectrum_scales(kind, -530)
+@pytest.mark.parametrize("e", [-530, -24])
+def test_joint_spectrum_far_below_unit_scale(kind, e):
+    assert_spectrum_scales(kind, e)
 
 
 # ---- ROADMAP item 2 on the CLI's own random family -------------------------
