@@ -100,8 +100,8 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 def binary_exponent(a) -> int:
     """``math.frexp``'s exponent e of the largest real or imaginary part of ``a`` (a complex128 or
-    float64 array, or a float), which lies in [2^(e-1), 2^e); 0 for a zero or non-finite ``a``."""
-    return math.frexp(float(np.abs(np.ascontiguousarray(a).view(np.float64)).max()))[1]
+    float64 array, or a float), which lies in [2^(e-1), 2^e); 0 for a zero, empty or non-finite ``a``."""
+    return math.frexp(float(np.abs(np.ascontiguousarray(a).view(np.float64)).max(initial=0.0)))[1]
 
 
 def unit_scaled(m: np.ndarray) -> np.ndarray:
@@ -144,9 +144,9 @@ def unitary_triangularize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Q is the QR factor of the eigenvector matrix and U = triu(Q* A Q) (Golub &
     Van Loan, Matrix Computations, 4th ed., 7.1). The contract is the residual alone, the dropped
-    lower triangle of Q* A Q (so a defective A fails), which is ||A - Q U Q*||_F to roundoff since
-    Householder QR makes Q unitary to O(n eps) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 19.3).
+    lower triangle of Q* A Q, at most 1e-8 ||A||_F (so a defective A fails), which is
+    ||A - Q U Q*||_F to roundoff since Householder QR makes Q unitary to O(n eps) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 19.3).
     """
     a = as_matrix(a)
     try:
@@ -158,7 +158,7 @@ def unitary_triangularize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     full = adjoint(q) @ a @ q
     u = np.triu(full)
     with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
-        scale = max(1.0, frobenius_norm(a))
+        scale = frobenius_norm(a)
         residual = frobenius_norm(np.tril(full, -1))
     if residual > 1e-8 * scale:
         raise NumericalFailureError(

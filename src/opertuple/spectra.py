@@ -6,9 +6,16 @@ commuting tuple is the diagonal of any simultaneous unitary triangularization.
 Both facts replace their infinite-dimensional counterparts throughout; every
 report carries a note saying so.
 
+The joint spectrum is homogeneous (sigma(2^k T) = 2^k sigma(T), same witnesses),
+so every decision is taken on T's unit-scaled copy T' (``_unit_copy``), and only
+the factors, diagonal, points and residuals are scaled back (``_scaled``), both
+exactly: CLUSTER_TOL and TRIANGULAR_MASS are relative to T's scale, and no step
+overflows on finite input. The unit sphere (SPHERE_TOL, r(T) = 1, SEPARATION)
+and the zero variety stay in T's units.
+
 Triangularization itself follows the generic-combination recipe (Corless,
 Gianni & Trager, ISSAC 1997): Schur-factor a random complex combination
-C = sum_j c_j T_j and check that the same unitary triangularizes every
+C = sum_j c_j T'_j and check that the same unitary triangularizes every
 component. One combination is drawn from the seed; every eigen-solve, the
 certificate's too, takes its combination at unit magnitude (``unit_scaled``,
 exact). A normal C (C*C = CC*, through the ToleranceModel) has its spectral
@@ -78,8 +85,9 @@ from .reports import (
 from .tuples import OperatorTuple, adjoint_tuple
 
 # Fixed bounds of the spectral decisions; zeros and ranks go through ToleranceModel.
+# CLUSTER_TOL and TRIANGULAR_MASS act on T's unit-scaled copy T' (``_unit_copy``).
 CLUSTER_TOL = 1e-7  # L-inf merge distance; times max(1, ||point||_inf) when matching
-TRIANGULAR_MASS = 1e-7  # below-diagonal mass of each U_j, times max(1, max_j ||T_j||_F)
+TRIANGULAR_MASS = 1e-7  # below-diagonal mass of each Q* T'_j Q, times max_j ||T'_j||_F
 SPHERE_TOL = 1e-8  # thm3.1: | ||lambda||_2 - 1 | within which a point sits on the unit sphere
 ORTHO_TOL = 1e-8  # prop3.2: largest |<x, y>| of two witnesses that counts as orthogonal
 SEPARATION = 1e-8  # prop3.2: pairs with |1 - <lambda, mu>| below this are not separated
@@ -123,15 +131,6 @@ def _deflation_triangularize(mats: list[np.ndarray], tol: ToleranceModel) -> np.
     return q @ full
 
 
-def _combination(weights, mats) -> np.ndarray:
-    """sum_j w_j M_j, formed on the M_j divided by 2^e (the weights carry the power of two):
-    e >= 0 is the least under which 2 sum_j |w_j| times the largest part of an M_j, a bound
-    on every part of the sum, stays finite. So e = 0, and the sum is the plain one, whenever
-    every part of every M_j is below the float maximum divided by 8 sum_j |w_j|."""
-    e = max(0, max(map(binary_exponent, mats)) + binary_exponent(2.0 * np.abs(weights).sum()) - 1023)
-    return sum(math.ldexp(1.0, -e) * wj * m for wj, m in zip(weights, mats))
-
-
 def _proposed_bases(t: OperatorTuple, combo: np.ndarray, tol: ToleranceModel):
     """(route, Q) for each Schur basis of ``unit_scaled(combo)`` proposed in turn, each
     computed only when the one before it is turned down; eig + QR proposes none when it fails."""
@@ -147,38 +146,48 @@ def _proposed_bases(t: OperatorTuple, combo: np.ndarray, tol: ToleranceModel):
     yield "deflation", _deflation_triangularize([unit, *t.matrices], tol)
 
 
+def _unit_copy(t: OperatorTuple) -> tuple[OperatorTuple, int]:
+    """(T', e) with T' = T / 2^e, e the one exponent of the whole tuple that brings T's largest
+    real or imaginary part into [1, 2), as ``unit_scaled`` does. Every spectral decision is taken on T',
+    whose outputs ``_scaled`` multiplies by 2^e; both scalings are exact."""
+    stack = np.stack(t.matrices)
+    e = binary_exponent(stack) - 1
+    return OperatorTuple(tuple(_scaled(stack, -e)), float(np.ldexp(t.max_commutator_norm, -2 * e))), e
+
+
+def _scaled(a: np.ndarray, e: int) -> np.ndarray:
+    """a times 2^e, exactly; NumericalFailureError when its largest part passes the float range."""
+    x = np.ascontiguousarray(a)
+    if e > 0 and (top := binary_exponent(x) + e) > 1024:  # the largest part is in [2^(top-1), 2^top)
+        raise NumericalFailureError("a spectral value passes the float range", {"binary_exponent": top})
+    return np.ldexp(x.view(np.float64), e).view(x.dtype)
+
+
 def simultaneous_triangularize(
     t: OperatorTuple, seed: int = 0, tol: ToleranceModel = DEFAULT_TOL
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One unitary Q with every Q* T_j Q upper triangular (within tolerance).
 
-    Returns (Q, [U_1, ..., U_d]). Below-diagonal mass of each U_j is at most
-    TRIANGULAR_MASS times max(1, ||T_j||_F). One unit combination C is drawn
-    from ``seed`` (``_combination``), and three routes propose a Schur basis of
-    its ``unit_scaled`` copy in turn; the first whose U_j meet that bound is taken:
-
-    1. A normal C (``_is_normal``, through ``tol``) has its spectral decomposition
-       for a Schur form: Q holds the eigenvectors of the Hermitian part (C + C*)/2
-       from ``np.linalg.eigh``, which separate C's eigenvalues wherever their real
-       parts differ.
-    2. Otherwise, or when two real parts tie, ``unitary_triangularize`` (eig +
-       QR) factors C.
-    3. A Schur form that fails (a nearly defective combination, and then so is
-       every generic one) or leaves a component untriangular (an eigenvalue
-       collision) hands over to deflation, of that combination first.
+    Returns (Q, [U_1, ..., U_d]). Q is found for T' = T / 2^e (``_unit_copy``) and
+    U_j is Q* T'_j Q times 2^e, so 2^k T gets T's Q and U_j exactly 2^k times T's.
+    One unit combination C of the T'_j is drawn from ``seed``, and three routes
+    propose a Schur basis of its ``unit_scaled`` copy in turn, each only when the
+    one before it fails (the module docstring): eigh of C's Hermitian part for a
+    normal C (``_is_normal``), eig + QR (``unitary_triangularize``), deflation. The
+    first whose Q* T'_j Q have below-diagonal mass at most TRIANGULAR_MASS times
+    max_j ||T'_j||_F is taken; those masses and that scale are a failure's diagnostics.
     """
+    copy, e = _unit_copy(t)
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(t.d) + 1j * rng.standard_normal(t.d)
-    combo = _combination(c / np.linalg.norm(c), t.matrices)
-    with np.errstate(over="ignore"):  # frobenius_norm rescales what overflows
-        scale = max(1.0, max(frobenius_norm(m) for m in t))
+    combo = sum(wj * m for wj, m in zip(c / np.linalg.norm(c), copy))
+    scale = max(frobenius_norm(m) for m in copy)
     masses = {}  # the largest below-diagonal mass of the U_j, by route
-    for route, q in _proposed_bases(t, combo, tol):
-        us = [adjoint(q) @ m @ q for m in t]
-        with np.errstate(over="ignore"):
-            masses[route] = max(frobenius_norm(np.tril(u, -1)) for u in us)
+    for route, q in _proposed_bases(copy, combo, tol):
+        us = [adjoint(q) @ m @ q for m in copy]
+        masses[route] = max(frobenius_norm(np.tril(u, -1)) for u in us)
         if masses[route] <= TRIANGULAR_MASS * scale:
-            return q, us
+            return q, list(_scaled(np.stack(us), e))
     raise NumericalFailureError(
         "simultaneous triangularization failed",
         {"schur_mass": masses.get("schur"), "deflation_mass": masses["deflation"], "scale": scale},
@@ -218,10 +227,15 @@ def _in_point_spectrum(t: OperatorTuple, points, xs, own_points, tol: ToleranceM
     """Whether each joint point, a row of ``points`` (k x d), lies in sigma_p(t). Each point is
     first certified with its own unit witness, the column of ``xs`` (n x k); only if some point
     is not are t's confirmed points computed, by ``own_points()`` (``_points`` of t), and a
-    point within CLUSTER_TOL of one of them counts as found."""
-    found = _certified(t, xs, _images(t, xs), points.T, tol)
+    point within CLUSTER_TOL of one of them counts as found. Both tests are taken in the units
+    of t's ``_unit_copy`` T'. A joint eigenvalue l of T' has every |l_j| <= ||T'_j||_2, so a
+    point past twice the largest ||T'_j||_F, whose squares could overflow, is certified by none."""
+    copy, e = _unit_copy(t)
+    points = _scaled(points, -e)
+    outside = np.abs(points).max(axis=1) > 2.0 * max(frobenius_norm(m) for m in copy)
+    found = ~outside & _certified(copy, xs, _images(copy, xs), np.where(outside[:, None], 0, points).T, tol)
     if not found.all():
-        found |= _near_spectrum(points, own_points()[1], t.d)
+        found |= _near_spectrum(points, _scaled(own_points()[1], -e), t.d)
     return found
 
 
@@ -247,60 +261,42 @@ def _images(t: OperatorTuple, x: np.ndarray) -> np.ndarray:
     return np.stack([m @ x for m in t])
 
 
-def _column_norms(r: np.ndarray) -> np.ndarray:
-    """The 2-norm of each column of each matrix in the stack ``r`` (... x n x k), each
-    column divided by its largest modulus first, so no square overflows."""
-    mod = np.abs(r)
-    big = mod.max(axis=-2, keepdims=True)
-    big[big == 0.0] = 1.0
-    return np.linalg.norm(mod / big, axis=-2) * big[..., 0, :]
-
-
 def _certified(
     t: OperatorTuple, x: np.ndarray, tx: np.ndarray, lams: np.ndarray, tol: ToleranceModel
 ) -> np.ndarray:
     """Whether each unit column x_c proves the column lams[:, c] (d x k) a joint eigenvalue
     of ``t``: its stacked residual ||[T_j x_c - l_j x_c]_j|| (``tx`` holds the T_j X) is at
     or below the rank cutoff of a lower bound on the stack's sigma_max, so the stack's SVD
-    would find a null space. Every quantity is multiplied by one power of two s = 2^-e before
-    it is squared, with e >= 0 the least that brings max_j (||T_j - diag(T_j)||_F +
-    max_k |t_kk|), a bound on every ||T_j||_2 and so on every |T_j x| and joint eigenvalue,
-    below 2: that is exact, so each decision is the one on the unscaled quantities wherever
-    their squares stay finite, and no square overflows while that bound is finite."""
+    would find a null space."""
     n, d = t.dim, t.d
     # The (d·n) x n stack has sigma_max >= ||stack||_F / sqrt(n). Each
     # ||T_j - l_j I||_F^2 is summed as its off-diagonal part plus the
     # |t_kk - l_j|^2, so nothing cancels when T_j is close to l_j I.
-    # A non-finite residual or cutoff certifies nothing; the stacked SVD decides.
     diags = np.array([m.diagonal() for m in t])
-    with np.errstate(over="ignore", invalid="ignore"):
-        offs = np.array([frobenius_norm(m - np.diag(dg)) for m, dg in zip(t, diags)])
-        bound = float((offs + np.abs(diags).max(axis=1)).max())
-        s = math.ldexp(1.0, -max(0, binary_exponent(bound) - 1))
-        residual2 = sum(np.linalg.norm(s * (mx - x * lj), axis=0) ** 2 for mx, lj in zip(tx, lams))
-        gaps = np.abs(s * diags[:, :, None] - s * lams[:, None, :])
-        frob2 = (np.square(s * offs)[:, None] + (gaps**2).sum(axis=1)).sum(axis=0)
+    offs = np.array([frobenius_norm(m - np.diag(dg)) for m, dg in zip(t, diags)])
+    residual2 = sum(np.linalg.norm(mx - x * lj, axis=0) ** 2 for mx, lj in zip(tx, lams))
+    gaps = np.abs(diags[:, :, None] - lams[:, None, :])
+    frob2 = (np.square(offs)[:, None] + (gaps**2).sum(axis=1)).sum(axis=0)
     cutoffs = np.array([tol.rank_cutoff(d * n, math.sqrt(f / n)) for f in frob2])
-    return (np.sqrt(residual2) <= cutoffs) & np.isfinite(cutoffs)
+    return np.sqrt(residual2) <= cutoffs
 
 
 def _schur_witnesses(t: OperatorTuple, factors, diag: np.ndarray, kept: list[int], tol: ToleranceModel):
     """Unit witnesses X, one column per kept diagonal position i, their products
     T_j X, and whether each column's stacked residual certifies it. Column i is Q
-    times the eigenvector of C = triu(sum_j g_j U_j) (``_combination``) for C[i, i],
-    C taken at unit magnitude (``unit_scaled``, exact), where zgeev does not rescale
-    it: zgeev's balancing isolates every eigenvalue of a triangular C, so only xTREVC's
-    back-substitution runs, vanishing pivots floored. A non-finite C, or eigenvalues
-    other than C's diagonal in order, certify none (and give no X)."""
+    times the eigenvector of C = triu(sum_j g_j U_j) for C[i, i], C taken at unit
+    magnitude (``unit_scaled``, exact), where zgeev does not rescale it: zgeev's
+    balancing isolates every eigenvalue of a triangular C, so only xTREVC's
+    back-substitution runs, vanishing pivots floored. Eigenvalues other than C's
+    diagonal in order certify none (and give no X)."""
     q, us = factors
-    combo = unit_scaled(np.triu(_combination(_certificate_weights(t.d), us)))
-    if np.isfinite(combo).all():
-        values, vectors = np.linalg.eig(combo)
-        if np.array_equal(values, np.diag(combo)):
-            x = q @ vectors[:, kept]
-            tx = _images(t, x)
-            return x, tx, _certified(t, x, tx, diag[kept].T, tol)
-    return None, None, np.zeros(len(kept), dtype=bool)
+    combo = unit_scaled(np.triu(sum(g * u for g, u in zip(_certificate_weights(t.d), us))))
+    values, vectors = np.linalg.eig(combo)
+    if not np.array_equal(values, np.diag(combo)):
+        return None, None, np.zeros(len(kept), dtype=bool)
+    x = q @ vectors[:, kept]
+    tx = _images(t, x)
+    return x, tx, _certified(t, x, tx, diag[kept].T, tol)
 
 
 def _stacked_svd_witnesses(t: OperatorTuple, candidates: np.ndarray, x, tx, certified, tol: ToleranceModel):
@@ -326,25 +322,28 @@ def _points(t: OperatorTuple, factors, tol: ToleranceModel):
     """The one route from a simultaneous triangularization (Q, [U_j]) of ``t`` to its
     joint point spectrum: (diag, lams, x, residuals).
 
-    ``diag`` is the Taylor diagonal (n x d). Each first-kept diagonal candidate
-    tries the certificate of ``_schur_witnesses``; one it cannot settle is
-    decided by the SVD of [T_1 - l_1; ...; T_d - l_d] under the same
-    ``rank_cutoff``. The confirmed points ``lams`` (k x d) are the Rayleigh
-    quotients of the unit witnesses, first-kept once more, and ``residuals``
-    holds each max_j ||T_j x - l_j x||, both read off the products T_j X the
-    certificate formed (only stacked-SVD witnesses are multiplied again): a unit
-    scalar times x changes neither, so the witnesses, the columns of ``x``
-    (n x k), are phase-fixed last.
+    Every step runs on T' = T / 2^e (``_unit_copy``) and U_j / 2^e; ``diag``, ``lams``
+    and ``residuals`` are multiplied back by 2^e. ``diag`` is the Taylor diagonal
+    (n x d). Each first-kept diagonal candidate tries the certificate of
+    ``_schur_witnesses``; one it cannot settle is decided by the SVD of
+    [T_1 - l_1; ...; T_d - l_d] under the same ``rank_cutoff``. The confirmed points
+    ``lams`` (k x d) are the Rayleigh quotients of the unit witnesses, first-kept once
+    more, and ``residuals`` holds each max_j ||T_j x - l_j x||, both read off the
+    products T_j X the certificate formed (only stacked-SVD witnesses are multiplied
+    again). A unit scalar times x changes neither, so the witnesses, the columns of
+    ``x`` (n x k), are phase-fixed last.
     """
-    diag = np.stack([u.diagonal() for u in factors[1]], axis=1)
+    copy, e = _unit_copy(t)
+    q, us = factors[0], _scaled(np.stack(factors[1]), -e)
+    diag = np.stack([u.diagonal() for u in us], axis=1)
     kept = _first_kept(diag, t.d, CLUSTER_TOL)
-    x, tx, certified = _schur_witnesses(t, factors, diag, kept, tol)
+    x, tx, certified = _schur_witnesses(copy, (q, us), diag, kept, tol)
     if not certified.all():
-        x, tx = _stacked_svd_witnesses(t, diag[kept], x, tx, certified, tol)
+        x, tx = _stacked_svd_witnesses(copy, diag[kept], x, tx, certified, tol)
     lams = (x.conj() * tx).sum(axis=1)
-    residuals = _column_norms(tx - x * lams[:, None, :]).max(axis=0)
+    residuals = np.linalg.norm(tx - x * lams[:, None, :], axis=-2).max(axis=0)
     kept = _first_kept(lams.T, t.d, CLUSTER_TOL)
-    return diag, lams.T[kept], _fixed_phase(x[:, kept]), residuals[kept]
+    return _scaled(diag, e), _scaled(lams.T[kept], e), _fixed_phase(x[:, kept]), _scaled(residuals[kept], e)
 
 
 def _adjoint_factors(factors):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -243,6 +244,25 @@ def test_overflowing_defect_on_a_huge_commuting_pair_prints_the_two_lines(capsys
         "error: defect is not finite: its level sums overflow",
         'diagnostics: {"m": 1, "norm": "nan", "scale": "nan"}',
     ]
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["audit", "--claim", "thm3.1"], ["audit", "--claim", "prop3.2"]])
+def test_eigenvalue_past_the_float_range_prints_the_two_lines(capsys, tmp_path, command):
+    # T = [[1e308, 1e308], [1e308, 1e308]]: finite entries, but the eigenvalue 2e308 is not;
+    # its factors are found at unit magnitude and refused where they are scaled back
+    big = [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]
+    path = tmp_path / "huge_eigenvalue.json"
+    path.write_text(json.dumps({"d": 1, "dim": 2, "m": 1, "q": [1], "matrices": [big]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [
+        "error: a spectral value passes the float range",
+        'diagnostics: {"binary_exponent": 1025}',
+    ]
+    assert [str(w.message) for w in caught] == []
 
 
 def test_thm2_1_on_an_overflowing_power_prints_the_two_lines(capsys, tmp_path):
@@ -540,6 +560,23 @@ def test_package_source_calls_frexp_only_in_linalg():
     sources = sorted((ROOT / "src" / "opertuple").rglob("*.py"))
     assert sources
     assert [path.name for path in sources if "frexp" in path.read_text()] == ["linalg.py"]
+
+
+# What scales a spectral quantity by a power of two, or silences the overflow of an unscaled one.
+_SCALING = re.compile(r"np\.errstate|math\.ldexp|binary_exponent")
+
+
+def test_spectra_scales_only_in_its_unit_copy_step():
+    # every spectral decision is taken on one unit-scaled copy of T (spectra._unit_copy),
+    # whose outputs spectra._scaled multiplies back; no other code there rescales
+    source = (ROOT / "src" / "opertuple" / "spectra.py").read_text()
+    scaling = [
+        getattr(node, "name", type(node).__name__)
+        for node in ast.parse(source).body
+        if _SCALING.search(ast.get_source_segment(source, node))
+    ]
+    assert scaling == ["ImportFrom", "_unit_copy", "_scaled"]
+    assert _SCALING.search("    with np.errstate(over='ignore'):")
 
 
 # A string literal that starts with a worked-example id.

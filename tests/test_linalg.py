@@ -7,6 +7,7 @@ import pytest
 from opertuple.generators import example_2_1_matrix, example_2_2_matrices
 from opertuple.linalg import (
     DEFAULT_TOL,
+    NumericalFailureError,
     ToleranceModel,
     adjoint,
     as_matrix,
@@ -114,6 +115,11 @@ def test_binary_exponent_of_numbers_and_non_finite_input():
     assert binary_exponent(6.0) == 3 and binary_exponent(0.75) == 0 and binary_exponent(0.0) == 0
     assert binary_exponent(np.array([[np.inf, 1.0]])) == 0
     assert binary_exponent(np.array([[1.0, complex(0.0, np.nan)]])) == 0
+
+
+def test_binary_exponent_of_an_empty_array_is_0():
+    # spectra scales an empty point set (no candidate confirmed) back to T's units
+    assert binary_exponent(np.zeros((0, 2), dtype=complex)) == 0 == binary_exponent(np.zeros(0))
 
 
 def test_null_space_zero_matrix_full_basis():
@@ -243,6 +249,19 @@ def test_unitary_triangularize_contracts():
         assert frobenius_norm(a - q @ u @ adjoint(q)) <= 1e-8 * max(1, frobenius_norm(a))
         assert frobenius_norm(adjoint(q) @ q - np.eye(n)) <= 1e-10
         assert np.linalg.norm(np.tril(u, -1)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [-40, -10, 0, 10])
+def test_unitary_triangularize_contract_is_relative(k):
+    # A similar Jordan block breaks the contract at every scale: its residual and ||A||_F
+    # both scale with 2^k, and no absolute floor lets a small one through.
+    rng = np.random.default_rng(0)
+    s = rng.standard_normal((8, 8))
+    jordan = s @ (0.5 * np.eye(8) + np.eye(8, k=1)) @ np.linalg.inv(s)
+    a = np.ldexp(jordan, k).astype(np.complex128)
+    with pytest.raises(NumericalFailureError) as info:
+        unitary_triangularize(a)
+    assert info.value.diagnostics["residual"] > 1e-8 * info.value.diagnostics["scale"]
 
 
 def test_unitary_triangularize_hermitian_gives_diagonal():
