@@ -228,14 +228,17 @@ def _in_point_spectrum(t: OperatorTuple, points, xs, own_points, tol: ToleranceM
     first certified with its own unit witness, the column of ``xs`` (n x k); only if some point
     is not are t's confirmed points computed, by ``own_points()`` (``_points`` of t), and a
     point within CLUSTER_TOL of one of them counts as found. Both tests are taken in the units
-    of t's ``_unit_copy`` T'. A joint eigenvalue l of T' has every |l_j| <= ||T'_j||_2, so a
-    point past twice the largest ||T'_j||_F, whose squares could overflow, is certified by none."""
+    of t's ``_unit_copy`` T' = T / 2^e. A joint eigenvalue l of T' has every |l_j| <= ||T'_j||_2,
+    so a point past twice the largest ||T'_j||_F, whose squares could overflow, is in sigma_p(t)
+    by no test; it is found outside in T's units (the reach 2^e times that, capped at the largest
+    float, 0 for t = 0), so that only the points inside are scaled into T's copy."""
     copy, e = _unit_copy(t)
-    points = _scaled(points, -e)
-    outside = np.abs(points).max(axis=1) > 2.0 * max(frobenius_norm(m) for m in copy)
-    found = ~outside & _certified(copy, xs, _images(copy, xs), np.where(outside[:, None], 0, points).T, tol)
+    reach = min(2.0 * max(frobenius_norm(m) for m in copy) * 2.0**e, np.finfo(np.float64).max)
+    outside = np.abs(points).max(axis=1) > reach
+    points = _scaled(np.where(outside[:, None], 0, points), -e)
+    found = ~outside & _certified(copy, xs, _images(copy, xs), points.T, tol)
     if not found.all():
-        found |= _near_spectrum(points, _scaled(own_points()[1], -e), t.d)
+        found |= ~outside & _near_spectrum(points, _scaled(own_points()[1], -e), t.d)
     return found
 
 

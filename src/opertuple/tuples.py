@@ -241,27 +241,63 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     The implication chain is enforced on the outputs.
 
     Each commutator here is homogeneous of degree 3 in T, so every one is
-    decided on T / 2^a, with a the largest ``_exponent`` of the components, at
-    exponent 3a: the products and their sum are then bounded by 8 d dim. Each
-    T_j* T_k and its norm are formed once, when a commutator first needs them.
+    decided on A = T / 2^a, with a the largest ``_exponent`` of the components, at
+    exponent 3a: the products and their sum are then bounded by 8 d dim.
+
+    A triple (i, j, k) is first put to a certificate. The Leibniz rule
+    [A_i, A_j* A_k] = [A_i, A_j*] A_k + A_j* [A_i, A_k] bounds its norm by
+    c_ij a_k + a_j k_ik (Frobenius norms: c_ij = ||[A_i, A_j*]||, k_ik = ||[A_i, A_k]||,
+    a_j = ||A_j||). Widened by the roundoff of the computed products, 16 dim eps
+    a_i a_j a_k (Higham, Accuracy and Stability, 2nd ed., 3.5: |fl(XY) - XY| <= gamma_n |X||Y|),
+    and by what squares that underflow can hide in the norms, a bound at most half the
+    threshold proves that the exact test of the computed T_j* T_k passes. Only a triple the
+    bound cannot settle runs that test, so the flags are the exact tests' own. Each c_ij,
+    k_ik, product and norm is formed once, when first needed, and c_ji = c_ij, k_ki = k_ik,
+    k_ii = 0 and ||A_k* A_j|| = ||A_j* A_k|| are read, not formed: a quasinormal tuple costs
+    d^2 commutators and d(d + 1)/2 products (42 matrix products at d = 4, not 2 d^3 + d^2).
     """
     a = max(_exponent(m) for m in t)
-    mats, d = [_scaled_down(m, a) for m in t], t.d
+    mats, d, n = [_scaled_down(m, a) for m in t], t.d, t.dim
     grams, norms = [adjoint(m) for m in mats], [frobenius_norm(m) for m in mats]
+    # a norm's underflowing squares hide at most n 2^-537 of it; with every a_j < 3 n and every
+    # c_ij, k_ik < 18 n^2, n^3 2^-530 covers that in c_ij a_k + a_j k_ik and in the exact test
+    roundoff, underflow = 16 * n * np.finfo(np.float64).eps, math.ldexp(n**3, -530)
 
     @cache
     def product(j: int, k: int) -> tuple[np.ndarray, float]:
         p = grams[j] @ mats[k]
         return p, frobenius_norm(p)
 
+    @cache
+    def adjoint_commutator(i: int, j: int) -> float:  # c_ij = c_ji
+        if i > j:
+            return adjoint_commutator(j, i)
+        return _commutator_norm(mats[i], grams[j])
+
+    @cache
+    def commutator(i: int, k: int) -> float:  # k_ik = k_ki, k_ii = 0
+        if i > k:
+            return commutator(k, i)
+        return 0.0 if i == k else _commutator_norm(mats[i], mats[k])
+
     def commutes(i: int, y: np.ndarray, y_norm: float) -> bool:
         return tol.is_zero(_commutator_norm(mats[i], y), norms[i] * y_norm, 3 * a)
 
-    matricial = all(
-        commutes(i, *product(j, k)) for i in range(d) for j in range(d) for k in range(d)
-    )
-    joint = matricial or all(commutes(i, *product(j, j)) for i in range(d) for j in range(d))
-    ball = sum(product(k, k)[0] for k in range(d))
-    ball_norm = frobenius_norm(ball)
-    spherical = joint or all(commutes(j, ball, ball_norm) for j in range(d))
+    @cache
+    def holds(i: int, j: int, k: int) -> bool:
+        threshold = tol.threshold(norms[i] * product(min(j, k), max(j, k))[1], 3 * a)
+        bound = (
+            1.01 * (adjoint_commutator(i, j) * norms[k] + norms[j] * commutator(i, k))
+            + roundoff * norms[i] * norms[j] * norms[k] + underflow
+        )
+        return bound <= 0.5 * threshold or commutes(i, *product(j, k))
+
+    def ball_commutes() -> bool:
+        ball = sum(product(k, k)[0] for k in range(d))
+        ball_norm = frobenius_norm(ball)
+        return all(commutes(j, ball, ball_norm) for j in range(d))
+
+    matricial = all(holds(i, j, k) for i in range(d) for j in range(d) for k in range(d))
+    joint = matricial or all(holds(i, j, j) for i in range(d) for j in range(d))
+    spherical = joint or ball_commutes()
     return QuasinormalFlags(matricial=matricial, joint=joint, spherical=spherical)

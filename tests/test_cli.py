@@ -435,6 +435,21 @@ def test_overflowing_power_sum_prints_the_two_lines(capsys, tmp_path):
     ]
 
 
+def test_a_partner_below_the_images_scale_exits_zero(capsys, tmp_path):
+    # S = diag(1e-300, 2e-300) beside T = diag(1e-9, 2): in S's unit-scaled copy the image
+    # 1e9 of T's point 1e-9 passes the float range; it is reported missing, not a failure
+    path = tmp_path / "tiny_partner.json"
+    t = [[[1e-9, 0], [0, 0]], [[0, 0], [2, 0]]]
+    s = [[[1e-300, 0], [0, 0]], [[0, 0], [2e-300, 0]]]
+    doc = {"d": 1, "dim": 2, "m": 1, "matrices": [t], "metadata": {"left_inverse": {"matrices": [s]}}}
+    path.write_text(json.dumps(doc))
+    code = main(["audit", "--claim", "thm4.1", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "witness: missing image point = (1000000000+0j)" in captured.out
+
+
 def test_overflowing_commutator_prints_only_the_error_line(capsys, tmp_path):
     path = tmp_path / "huge_pair.json"
     rows = [[[1e200, 0], [1e200, 0]], [[0, 0], [0, 0]]]

@@ -1334,6 +1334,19 @@ def test_images_past_the_partners_reach_are_missing():
     assert report.sub_verdicts[2].details == {"eigenvalues_mapped": 2}
 
 
+@pytest.mark.parametrize(
+    "audit, order", [(audit_theorem_4_1, slice(None)), (audit_theorem_4_2, slice(None, None, -1))]
+)
+def test_images_past_the_float_range_of_the_partners_copy_are_missing(audit, order):
+    # S's copy is S * 2^996, where the image 1e9 of T's point 1e-9 would be ~6.7e308: the reach
+    # is decided in T's units, before any scaling, so both images are missing, not a failure
+    s, t = make_tuple([np.diag([1e-300, 2e-300])]), make_tuple([np.diag([1e-9, 2.0])])
+    report = audit(*(s, t)[order], 1)
+    assert not report.sub_verdicts[2].conclusion_holds
+    assert report.sub_verdicts[2].details == {"eigenvalues_mapped": 2}
+    assert [w.label for w in report.witnesses].count("missing image point") == 2
+
+
 # ---- ROADMAP item 2 on the CLI's own random family -------------------------
 
 

@@ -18,7 +18,6 @@ from opertuple.tuples import (
     QuasinormalFlags,
     _commutator,
     _exponent,
-    _scaled_down,
     adjoint_tuple,
     conjugate_by_unitary,
     is_doubly_commuting,
@@ -27,6 +26,8 @@ from opertuple.tuples import (
     quasinormal_class,
     tuple_power,
 )
+
+from quasinormal_oracle import matricial_flip, quasinormal_reference
 
 RNG = np.random.default_rng(7)
 
@@ -439,25 +440,6 @@ def test_adjoint_tuple_roundtrip():
         np.testing.assert_array_equal(m1, m2)
 
 
-def _quasinormal_reference(t, tol):
-    """The flags by the plain triple loop, each T_j* T_k and each norm formed anew per commutator."""
-    a = max(_exponent(m) for m in t)
-    mats, d = [_scaled_down(m, a) for m in t], t.d
-
-    def commutes(x, y):
-        norm, scale = frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(y)
-        return tol.is_zero(norm, scale, 3 * a)
-
-    grams = [adjoint(m) for m in mats]
-    matricial = all(
-        commutes(mats[i], grams[j] @ mats[k]) for i in range(d) for j in range(d) for k in range(d)
-    )
-    joint = matricial or all(commutes(mats[i], grams[j] @ mats[j]) for i in range(d) for j in range(d))
-    ball = sum(grams[k] @ mats[k] for k in range(d))
-    spherical = joint or all(commutes(mats[j], ball) for j in range(d))
-    return QuasinormalFlags(matricial=matricial, joint=joint, spherical=spherical)
-
-
 def _quasinormal_inputs(seed):
     """Normal tuples, polynomials in one non-normal matrix, nilpotents, and normal (+) non-normal."""
     rng = np.random.default_rng(seed)
@@ -474,10 +456,16 @@ def _quasinormal_inputs(seed):
     shift = np.diag(np.ones(3), 1)
     nilpotent = [shift, (1 + 2j) * shift @ shift, shift + shift @ shift @ shift]
     near_normal = np.diag(cplx(2)) + 1e-6 * NILPOTENT
-    blocks = [
-        np.block([[np.diag(cplx(2)), np.zeros((2, 2))], [np.zeros((2, 2)), c * near_normal]])
-        for c in cplx(3)
-    ]
+
+    def block(c):
+        return np.block([[np.diag(cplx(2)), np.zeros((2, 2))], [np.zeros((2, 2)), c * near_normal]])
+
+    blocks = [block(c) for c in cplx(3)]
+    # each family's fourth member, for d = 4, drawn after the first three
+    normal.append(u @ np.diag(cplx(4)) @ adjoint(u))
+    polynomial.append(base @ base @ base / 8.0)
+    nilpotent.append((1 - 1j) * shift @ shift @ shift)
+    blocks.append(block(cplx(1)[0]))
     return {"normal": normal, "polynomial": polynomial, "nilpotent": nilpotent, "direct_sum": blocks}
 
 
@@ -494,7 +482,90 @@ QUASINORMAL_TOLERANCES = (
 def test_quasinormal_class_matches_the_triple_loop(family, k):
     for seed in range(4):
         mats = [math.ldexp(1.0, k) * m for m in _quasinormal_inputs(seed)[family]]
-        for d in (1, 2, 3):
+        for d in (1, 2, 3, 4):
             t = make_tuple(mats[:d])
             for tol in QUASINORMAL_TOLERANCES:
-                assert quasinormal_class(t, tol) == _quasinormal_reference(t, tol), (seed, d, tol)
+                assert quasinormal_class(t, tol) == quasinormal_reference(t, tol), (seed, d, tol)
+
+
+def _near_normal_polynomials(seed, dim, d, size):
+    """Polynomials in one matrix B = diag + ``size`` strictly upper: normal as ``size`` -> 0."""
+    rng = np.random.default_rng(seed)
+    base = np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    base += size * np.triu(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), 1)
+    return [base, base @ base / 4.0, np.eye(dim) + 0.5j * base, base @ base @ base / 8.0][:d]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12), d=st.integers(1, 4), size=st.integers(-12, -3)
+)
+def test_quasinormal_class_matches_the_triple_loop_through_the_flip(seed, dim, d, size):
+    # rel_tol on a grid of 20 steps per decade through the tolerance at which the tuple turns
+    # matricially quasinormal: below it some triple fails, and a certificate must not pass it
+    t = make_tuple(_near_normal_polynomials(seed, dim, d, 10.0**size))
+    flip = matricial_flip(t)
+    for step in range(-10, 11):
+        tol = ToleranceModel(abs_tol=0.0, rel_tol=flip * 10.0 ** (step / 20))
+        assert quasinormal_class(t, tol) == quasinormal_reference(t, tol), (step, tol)
+
+
+class _CountedProducts(np.ndarray):
+    """A component that counts every matrix product it is a factor of, on either side."""
+
+    count = 0
+
+    def __matmul__(self, other):
+        _CountedProducts.count += 1
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        _CountedProducts.count += 1
+        return np.asarray(other) @ np.asarray(self)
+
+
+def quasinormal_work(monkeypatch, t):
+    """quasinormal_class(t) on components that count their products (every product there has a
+    component of t as a factor), with the second factor Y of each ||XY - YX|| it takes:
+    (flags, the Y's, the number of products outside those commutators)."""
+    from opertuple import tuples
+
+    factors, commutator_norm = [], tuples._commutator_norm
+
+    def counted(x, y):
+        factors.append(np.asarray(y))
+        return commutator_norm(x, y)
+
+    monkeypatch.setattr(tuples, "_commutator_norm", counted)
+    monkeypatch.setattr(_CountedProducts, "count", 0)
+    counting = OperatorTuple(tuple(m.view(_CountedProducts) for m in t), t.max_commutator_norm)
+    flags = quasinormal_class(counting)
+    return flags, factors, _CountedProducts.count - 2 * len(factors)
+
+
+def test_quasinormal_class_certifies_a_normal_tuple_without_an_exact_commutator(monkeypatch):
+    # d = 4: c_ij = ||[A_i, A_j*]|| for i <= j (10), k_ik = ||[A_i, A_k]|| for i < k (6) and
+    # A_j* A_k for j <= k (10), where the triple loop forms 2 d^3 + d^2 = 144 products
+    rng = np.random.default_rng(11)
+    u = random_unitary(6, rng)
+    eigenvalues = 0.3 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
+    t = make_tuple([u @ np.diag(lam) @ adjoint(u) for lam in eigenvalues])
+    assert max(_exponent(m) for m in t) == 0  # A = T
+    flags, factors, products = quasinormal_work(monkeypatch, t)
+    assert flags == QuasinormalFlags(True, True, True)
+    assert len(factors) <= 16
+    assert products <= 10
+    components = [*t, *(adjoint(m) for m in t)]
+    assert all(any(np.array_equal(y, m) for m in components) for y in factors)  # no [A_i, A_j* A_k]
+
+
+def test_quasinormal_class_decides_matricial_on_the_first_triple(monkeypatch):
+    # [N, N* N] != 0 fails the triple (0, 0, 0) after its certificate, c_00 = ||[N, N*]||; joint
+    # reads that triple's decision, and spherical forms the ball N* N + N* N and fails at j = 0
+    flags, factors, products = quasinormal_work(monkeypatch, make_tuple([NILPOTENT, NILPOTENT]))
+    assert flags == QuasinormalFlags(False, False, False)
+    gram = adjoint(NILPOTENT) @ NILPOTENT
+    assert len(factors) == 3
+    for y, expected in zip(factors, [adjoint(NILPOTENT), gram, 2 * gram]):
+        np.testing.assert_array_equal(y, expected)
+    assert products == 2  # N* N, as (0, 0) and as (1, 1) for the ball
