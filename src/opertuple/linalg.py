@@ -31,10 +31,10 @@ class ToleranceModel:
 
     A quantity of norm ``x`` with reference magnitude ``scale`` counts as zero
     when ``x <= threshold(scale) = abs_tol + rel_tol * scale``; a non-finite norm
-    and a NaN scale are never zero. Both may be given in units of ``2^exponent``
-    (the threshold is then ``abs_tol 2^-exponent + rel_tol * scale``), so a decision
-    on operands past the float range is taken where both are finite. Rank cutoffs
-    are ``rank_factor * eps * dim * sigma_max``.
+    and a NaN scale are never zero. Both may be given in units of ``2^exponent`` (the threshold
+    is then ``abs_tol 2^-exponent + rel_tol * scale``, inf past the float range), so a decision on
+    operands past the float range, or scaled up from far below 1, is taken where both are finite.
+    Rank cutoffs are ``rank_factor * eps * dim * sigma_max``.
     """
 
     abs_tol: float = 1e-10
@@ -48,7 +48,7 @@ class ToleranceModel:
 
     def threshold(self, scale: float = 0.0, exponent: int = 0) -> float:
         """The largest norm that counts as zero at reference magnitude ``scale``."""
-        return math.ldexp(self.abs_tol, -exponent) + self.rel_tol * scale
+        return times_power_of_two(self.abs_tol, -exponent) + self.rel_tol * scale
 
     def is_zero(self, norm: float, scale: float = 0.0, exponent: int = 0) -> bool:
         return math.isfinite(norm) and norm <= self.threshold(scale, exponent)
@@ -96,6 +96,14 @@ def frobenius_norm(a: np.ndarray) -> float:
     if math.isinf(norm) and math.isfinite(big := float(np.abs(x).max())):
         norm = big * frobenius_norm(x / big)
     return norm
+
+
+def times_power_of_two(value: float, e: int) -> float:
+    """value * 2^e for value >= 0, inf past the float range."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.inf
 
 
 def binary_exponent(a) -> int:

@@ -7,9 +7,9 @@ Both facts replace their infinite-dimensional counterparts throughout; every
 report carries a note saying so.
 
 The joint spectrum is homogeneous (sigma(2^k T) = 2^k sigma(T), same witnesses),
-so every decision is taken on T's unit-scaled copy T' (``_unit_copy``), and only
-the factors, diagonal, points and residuals are scaled back (``_scaled``), both
-exactly: CLUSTER_TOL and TRIANGULAR_MASS are relative to T's scale, and no step
+so every decision is taken on T's unit-scaled copy T' (``tuples.unit_copy``), and
+only the factors, diagonal, points and residuals are scaled back (``tuples.scaled``),
+both exactly: CLUSTER_TOL and TRIANGULAR_MASS are relative to T's scale, and no step
 overflows on finite input. The unit sphere (SPHERE_TOL, r(T) = 1, SEPARATION)
 and the zero variety stay in T's units.
 
@@ -18,11 +18,11 @@ Gianni & Trager, ISSAC 1997): Schur-factor a random complex combination
 C = sum_j c_j T'_j and check that the same unitary triangularizes every
 component. One combination is drawn from the seed; every eigen-solve, the
 certificate's too, takes its combination at unit magnitude (``unit_scaled``,
-exact). A normal C (C*C = CC*, through the ToleranceModel) has its spectral
-decomposition for a Schur form: the eigenvectors of its Hermitian part, from
-``np.linalg.eigh`` (Golub & Van Loan, Matrix Computations, 4th ed., 7.1 and
-8.1). A non-normal C, or a Hermitian basis that leaves a component
-untriangular (two eigenvalues of C with one real part), goes to eig + QR. When
+exact). A normal tuple, decided component by component (Fuglede: a commuting
+tuple of normal matrices is unitarily diagonalizable), takes ``tuples.normal_basis``,
+the eigenvectors of C's Hermitian part, accepted at the rank cutoff the points are
+certified at. A non-normal tuple, or a Hermitian basis not accepted (two
+eigenvalues of C with one real part), goes to eig + QR. When
 that Schur form fails (a defective combination) or leaves some component
 untriangular (its eigenvalues collide), the deterministic fallback deflates one
 common eigenvector at a time, starting from that same combination.
@@ -65,7 +65,6 @@ from .linalg import (
     NumericalFailureError,
     ToleranceModel,
     adjoint,
-    binary_exponent,
     frobenius_norm,
     null_space_basis,
     unit_scaled,
@@ -82,23 +81,15 @@ from .reports import (
     sub_verdict,
     to_json,
 )
-from .tuples import OperatorTuple, adjoint_tuple
+from .tuples import OperatorTuple, adjoint_tuple, combination, conjugated, normal_basis, scaled, unit_copy
 
 # Fixed bounds of the spectral decisions; zeros and ranks go through ToleranceModel.
-# CLUSTER_TOL and TRIANGULAR_MASS act on T's unit-scaled copy T' (``_unit_copy``).
+# CLUSTER_TOL and TRIANGULAR_MASS act on T's unit-scaled copy T' (``unit_copy``).
 CLUSTER_TOL = 1e-7  # L-inf merge distance; times max(1, ||point||_inf) when matching
 TRIANGULAR_MASS = 1e-7  # below-diagonal mass of each Q* T'_j Q, times max_j ||T'_j||_F
 SPHERE_TOL = 1e-8  # thm3.1: | ||lambda||_2 - 1 | within which a point sits on the unit sphere
 ORTHO_TOL = 1e-8  # prop3.2: largest |<x, y>| of two witnesses that counts as orthogonal
 SEPARATION = 1e-8  # prop3.2: pairs with |1 - <lambda, mu>| below this are not separated
-
-
-def _is_normal(c: np.ndarray, tol: ToleranceModel) -> bool:
-    """Whether C*C = CC*: ||C*C - CC*||_F against ||C||_F^2, for C at unit magnitude
-    (``unit_scaled``), where the products cannot overflow; the decision is then the
-    same at every power-of-two scale of the matrix C was scaled from."""
-    ch = adjoint(c)
-    return tol.is_zero(frobenius_norm(ch @ c - c @ ch), frobenius_norm(c) ** 2)
 
 
 def _common_eigenvector(mats: list[np.ndarray], tol: ToleranceModel) -> np.ndarray:
@@ -131,63 +122,40 @@ def _deflation_triangularize(mats: list[np.ndarray], tol: ToleranceModel) -> np.
     return q @ full
 
 
-def _proposed_bases(t: OperatorTuple, combo: np.ndarray, tol: ToleranceModel):
-    """(route, Q) for each Schur basis of ``unit_scaled(combo)`` proposed in turn, each
-    computed only when the one before it is turned down; eig + QR proposes none when it fails."""
-    unit = unit_scaled(combo)
-    if _is_normal(unit, tol):
-        yield "hermitian", np.linalg.eigh(unit + adjoint(unit))[1]  # a multiple of the Hermitian part
+def _proposed_bases(copy: OperatorTuple, seed: int, tol: ToleranceModel):
+    """(route, Q, [Q* T'_j Q]) for each Schur basis of T's unit copy T' proposed in turn, each only when the
+    one before it is turned down; eig + QR (none when it fails) and deflation start from ``combination``."""
+    if (normal := normal_basis(copy, seed, tol)) is not None:
+        yield "hermitian", *normal
+    unit = combination(copy, seed)
     try:
         q = unitary_triangularize(unit)[0]
     except NumericalFailureError:
         pass
     else:
-        yield "schur", q
-    yield "deflation", _deflation_triangularize([unit, *t.matrices], tol)
-
-
-def _unit_copy(t: OperatorTuple) -> tuple[OperatorTuple, int]:
-    """(T', e) with T' = T / 2^e, e the one exponent of the whole tuple that brings T's largest
-    real or imaginary part into [1, 2), as ``unit_scaled`` does. Every spectral decision is taken on T',
-    whose outputs ``_scaled`` multiplies by 2^e; both scalings are exact."""
-    stack = np.stack(t.matrices)
-    e = binary_exponent(stack) - 1
-    return OperatorTuple(tuple(_scaled(stack, -e)), float(np.ldexp(t.max_commutator_norm, -2 * e))), e
-
-
-def _scaled(a: np.ndarray, e: int) -> np.ndarray:
-    """a times 2^e, exactly; NumericalFailureError when its largest part passes the float range."""
-    x = np.ascontiguousarray(a)
-    if e > 0 and (top := binary_exponent(x) + e) > 1024:  # the largest part is in [2^(top-1), 2^top)
-        raise NumericalFailureError("a spectral value passes the float range", {"binary_exponent": top})
-    return np.ldexp(x.view(np.float64), e).view(x.dtype)
+        yield "schur", q, conjugated(q, copy)
+    q = _deflation_triangularize([unit, *copy.matrices], tol)
+    yield "deflation", q, conjugated(q, copy)
 
 
 def simultaneous_triangularize(
     t: OperatorTuple, seed: int = 0, tol: ToleranceModel = DEFAULT_TOL
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One unitary Q with every Q* T_j Q upper triangular (within tolerance).
+    """One unitary Q with every Q* T_j Q upper triangular (within tolerance): (Q, [U_1, ..., U_d]).
 
-    Returns (Q, [U_1, ..., U_d]). Q is found for T' = T / 2^e (``_unit_copy``) and
-    U_j is Q* T'_j Q times 2^e, so 2^k T gets T's Q and U_j exactly 2^k times T's.
-    One unit combination C of the T'_j is drawn from ``seed``, and three routes
-    propose a Schur basis of its ``unit_scaled`` copy in turn, each only when the
-    one before it fails (the module docstring): eigh of C's Hermitian part for a
-    normal C (``_is_normal``), eig + QR (``unitary_triangularize``), deflation. The
-    first whose Q* T'_j Q have below-diagonal mass at most TRIANGULAR_MASS times
-    max_j ||T'_j||_F is taken; those masses and that scale are a failure's diagnostics.
+    Q is found for T' = T / 2^e (``unit_copy``) and U_j is Q* T'_j Q times 2^e, so 2^k T gets T's Q
+    and U_j exactly 2^k times T's. Of the bases ``_proposed_bases`` proposes (``normal_basis`` for a tuple
+    normal component by component, eig + QR, deflation), the first whose Q* T'_j Q have below-diagonal
+    mass at most TRIANGULAR_MASS times max_j ||T'_j||_F is taken; those masses and that scale are a
+    failure's diagnostics.
     """
-    copy, e = _unit_copy(t)
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(t.d) + 1j * rng.standard_normal(t.d)
-    combo = sum(wj * m for wj, m in zip(c / np.linalg.norm(c), copy))
+    copy, e = unit_copy(t)
     scale = max(frobenius_norm(m) for m in copy)
     masses = {}  # the largest below-diagonal mass of the U_j, by route
-    for route, q in _proposed_bases(copy, combo, tol):
-        us = [adjoint(q) @ m @ q for m in copy]
+    for route, q, us in _proposed_bases(copy, seed, tol):
         masses[route] = max(frobenius_norm(np.tril(u, -1)) for u in us)
         if masses[route] <= TRIANGULAR_MASS * scale:
-            return q, list(_scaled(np.stack(us), e))
+            return q, list(scaled(us, e))
     raise NumericalFailureError(
         "simultaneous triangularization failed",
         {"schur_mass": masses.get("schur"), "deflation_mass": masses["deflation"], "scale": scale},
@@ -228,17 +196,17 @@ def _in_point_spectrum(t: OperatorTuple, points, xs, own_points, tol: ToleranceM
     first certified with its own unit witness, the column of ``xs`` (n x k); only if some point
     is not are t's confirmed points computed, by ``own_points()`` (``_points`` of t), and a
     point within CLUSTER_TOL of one of them counts as found. Both tests are taken in the units
-    of t's ``_unit_copy`` T' = T / 2^e. A joint eigenvalue l of T' has every |l_j| <= ||T'_j||_2,
+    of t's ``unit_copy`` T' = T / 2^e. A joint eigenvalue l of T' has every |l_j| <= ||T'_j||_2,
     so a point past twice the largest ||T'_j||_F, whose squares could overflow, is in sigma_p(t)
     by no test; it is found outside in T's units (the reach 2^e times that, capped at the largest
     float, 0 for t = 0), so that only the points inside are scaled into T's copy."""
-    copy, e = _unit_copy(t)
+    copy, e = unit_copy(t)
     reach = min(2.0 * max(frobenius_norm(m) for m in copy) * 2.0**e, np.finfo(np.float64).max)
     outside = np.abs(points).max(axis=1) > reach
-    points = _scaled(np.where(outside[:, None], 0, points), -e)
+    points = scaled(np.where(outside[:, None], 0, points), -e)
     found = ~outside & _certified(copy, xs, _images(copy, xs), points.T, tol)
     if not found.all():
-        found |= ~outside & _near_spectrum(points, _scaled(own_points()[1], -e), t.d)
+        found |= ~outside & _near_spectrum(points, scaled(own_points()[1], -e), t.d)
     return found
 
 
@@ -269,8 +237,8 @@ def _certified(
 ) -> np.ndarray:
     """Whether each unit column x_c proves the column lams[:, c] (d x k) a joint eigenvalue
     of ``t``: its stacked residual ||[T_j x_c - l_j x_c]_j|| (``tx`` holds the T_j X) is at
-    or below the rank cutoff of a lower bound on the stack's sigma_max, so the stack's SVD
-    would find a null space."""
+    or below the rank cutoff of a lower bound on the stack's sigma_max, floored at the stack's
+    roundoff scale max_j ||T_j||_F / sqrt(n), so the stack's SVD would find a null space."""
     n, d = t.dim, t.d
     # The (d·n) x n stack has sigma_max >= ||stack||_F / sqrt(n). Each
     # ||T_j - l_j I||_F^2 is summed as its off-diagonal part plus the
@@ -280,7 +248,8 @@ def _certified(
     residual2 = sum(np.linalg.norm(mx - x * lj, axis=0) ** 2 for mx, lj in zip(tx, lams))
     gaps = np.abs(diags[:, :, None] - lams[:, None, :])
     frob2 = (np.square(offs)[:, None] + (gaps**2).sum(axis=1)).sum(axis=0)
-    cutoffs = np.array([tol.rank_cutoff(d * n, math.sqrt(f / n)) for f in frob2])
+    floor = max(frobenius_norm(m) for m in t) / math.sqrt(n)  # the stack of l I + E can be E alone
+    cutoffs = np.array([tol.rank_cutoff(d * n, max(math.sqrt(f / n), floor)) for f in frob2])
     return np.sqrt(residual2) <= cutoffs
 
 
@@ -305,15 +274,16 @@ def _schur_witnesses(t: OperatorTuple, factors, diag: np.ndarray, kept: list[int
 def _stacked_svd_witnesses(t: OperatorTuple, candidates: np.ndarray, x, tx, certified, tol: ToleranceModel):
     """The confirmed columns of (X, T_j X) once each candidate (a row of
     ``candidates``) the certificate left undecided is put to the SVD of
-    [T_1 - l_1; ...; T_d - l_d] under ``rank_cutoff``: a null vector replaces its
-    column, and only those columns are multiplied by the T_j."""
+    [T_1 - l_1; ...; T_d - l_d] under ``rank_cutoff``, floored as ``_certified`` floors it: a
+    null vector replaces its column, and only those columns are multiplied by the T_j."""
     if x is None:
         x = np.zeros((t.dim, len(candidates)), dtype=np.complex128)
         tx = np.zeros((t.d, t.dim, len(candidates)), dtype=np.complex128)
     found = certified.copy()
     eye = np.eye(t.dim)
+    floor = max(frobenius_norm(m) for m in t) / math.sqrt(t.dim)
     for c in np.flatnonzero(~certified):
-        basis = null_space_basis(np.vstack([m - lj * eye for m, lj in zip(t, candidates[c])]), tol)
+        basis = null_space_basis(np.vstack([m - lj * eye for m, lj in zip(t, candidates[c])]), tol, floor)
         if basis.shape[1] > 0:
             x[:, c], found[c] = basis[:, 0], True
     fresh = found & ~certified
@@ -325,7 +295,7 @@ def _points(t: OperatorTuple, factors, tol: ToleranceModel):
     """The one route from a simultaneous triangularization (Q, [U_j]) of ``t`` to its
     joint point spectrum: (diag, lams, x, residuals).
 
-    Every step runs on T' = T / 2^e (``_unit_copy``) and U_j / 2^e; ``diag``, ``lams``
+    Every step runs on T' = T / 2^e (``unit_copy``) and U_j / 2^e; ``diag``, ``lams``
     and ``residuals`` are multiplied back by 2^e. ``diag`` is the Taylor diagonal
     (n x d). Each first-kept diagonal candidate tries the certificate of
     ``_schur_witnesses``; one it cannot settle is decided by the SVD of
@@ -336,8 +306,8 @@ def _points(t: OperatorTuple, factors, tol: ToleranceModel):
     again). A unit scalar times x changes neither, so the witnesses, the columns of
     ``x`` (n x k), are phase-fixed last.
     """
-    copy, e = _unit_copy(t)
-    q, us = factors[0], _scaled(np.stack(factors[1]), -e)
+    copy, e = unit_copy(t)
+    q, us = factors[0], scaled(np.stack(factors[1]), -e)
     diag = np.stack([u.diagonal() for u in us], axis=1)
     kept = _first_kept(diag, t.d, CLUSTER_TOL)
     x, tx, certified = _schur_witnesses(copy, (q, us), diag, kept, tol)
@@ -346,7 +316,7 @@ def _points(t: OperatorTuple, factors, tol: ToleranceModel):
     lams = (x.conj() * tx).sum(axis=1)
     residuals = np.linalg.norm(tx - x * lams[:, None, :], axis=-2).max(axis=0)
     kept = _first_kept(lams.T, t.d, CLUSTER_TOL)
-    return _scaled(diag, e), _scaled(lams.T[kept], e), _fixed_phase(x[:, kept]), _scaled(residuals[kept], e)
+    return scaled(diag, e), scaled(lams.T[kept], e), _fixed_phase(x[:, kept]), scaled(residuals[kept], e)
 
 
 def _adjoint_factors(factors):

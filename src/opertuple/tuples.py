@@ -15,7 +15,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceModel, adjoint, as_matrix, binary_exponent, frobenius_norm
+from .linalg import (
+    DEFAULT_TOL, NumericalFailureError, ToleranceModel, adjoint, as_matrix, binary_exponent, frobenius_norm,
+    times_power_of_two, unit_scaled,
+)
 from .multiindex import validate_multiindex
 
 UNITARY_TOL = 1e-8  # conjugate_by_unitary: largest ||V*V - I||_F accepted as unitary
@@ -61,17 +64,9 @@ class OperatorTuple:
 
 
 def _exponent(a: np.ndarray) -> int:
-    """The least e >= 0 that brings every real and imaginary part of A / 2^e below 2.
-
-    Dividing by 2^e is exact away from underflow, so decisions on scaled factors
-    are the plain ones wherever those are finite, and their products cannot overflow.
-    """
+    """The least e >= 0 that brings every real and imaginary part of A / 2^e below 2: exact away from
+    underflow, so decisions on scaled factors are the plain ones, and their products cannot overflow."""
     return max(0, binary_exponent(a) - 1)
-
-
-def _scaled_down(a: np.ndarray, e: int) -> np.ndarray:
-    """A / 2^e; A itself for e = 0."""
-    return a * math.ldexp(1.0, -e) if e else a
 
 
 def _commutator_norm(x: np.ndarray, y: np.ndarray) -> float:
@@ -81,29 +76,42 @@ def _commutator_norm(x: np.ndarray, y: np.ndarray) -> float:
     return frobenius_norm(c)
 
 
-def _commutator(x: np.ndarray, y: np.ndarray) -> tuple[float, float, int]:
-    """``(norm, scale, e)`` for ``tol.is_zero(norm, scale, e)``: ||XY - YX||_F and its
-    scale ||X||_F ||Y||_F, taken on X / 2^ex and Y / 2^ey (``_exponent``), e = ex + ey."""
-    ex, ey = _exponent(x), _exponent(y)
-    xs, ys = _scaled_down(x, ex), _scaled_down(y, ey)
-    return _commutator_norm(xs, ys), frobenius_norm(xs) * frobenius_norm(ys), ex + ey
+def unit_copy(t: OperatorTuple) -> tuple[OperatorTuple, int]:
+    """(T', e) with T' = T / 2^e, e the one exponent of the whole tuple that brings T's largest real or
+    imaginary part into [1, 2), as ``unit_scaled`` does. The normal basis and every spectral decision are
+    taken on T', whose outputs ``scaled`` multiplies by 2^e; both are exact, so 2^k T has T's T'."""
+    stack = np.stack(t.matrices)
+    e = binary_exponent(stack) - 1
+    return OperatorTuple(tuple(scaled(stack, -e)), float(np.ldexp(t.max_commutator_norm, -2 * e))), e
 
 
-def _times_power_of_two(value: float, e: int) -> float:
-    """value * 2^e for value >= 0, inf past the float range."""
-    try:
-        return math.ldexp(value, e)
-    except OverflowError:
-        return math.inf
+def scaled(a: np.ndarray, e: int) -> np.ndarray:
+    """a times 2^e, exactly; NumericalFailureError when its largest part passes the float range."""
+    x = np.ascontiguousarray(a)
+    if e > 0 and (top := binary_exponent(x) + e) > 1024:  # the largest part is in [2^(top-1), 2^top)
+        raise NumericalFailureError("a spectral value passes the float range", {"binary_exponent": top})
+    return np.ldexp(x.view(np.float64), e).view(x.dtype)
+
+
+def combination(t: OperatorTuple, seed: int) -> np.ndarray:
+    """sum_j c_j T_j at unit magnitude (``unit_scaled``), c a unit vector of complex normals drawn from
+    ``seed``: the one combination every Schur basis of T is proposed from (on T' it cannot overflow)."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(t.d) + 1j * rng.standard_normal(t.d)
+    return unit_scaled(sum(wj * m for wj, m in zip(c / np.linalg.norm(c), t)))
+
+
+def conjugated(q: np.ndarray, t: OperatorTuple) -> np.ndarray:
+    """The Q* T_j Q, stacked."""
+    return np.stack([adjoint(q) @ m @ q for m in t])
 
 
 def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
     """Validate shapes and pairwise commutators; reject non-commuting input.
 
-    Each pair i < j is judged as ``_commutator`` judges it, with each component
-    scaled down once and reused for all its pairs. The norm and threshold
-    reported on rejection are in the input's units, inf where they pass the
-    float range.
+    Each pair i < j is judged on T_i / 2^ei and T_j / 2^ej (``_exponent``) at exponent ei + ej, each
+    component scaled down once for all its pairs. The norm and threshold reported on rejection are in
+    the input's units, inf where they pass the float range.
     """
     mats = tuple(as_matrix(m) for m in matrices)
     if not mats:
@@ -115,18 +123,16 @@ def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
                 f"component {j} has dimension {m.shape[0]}, expected {dim}"
             )
     exponents = [_exponent(m) for m in mats]
-    scaled = [_scaled_down(m, e) for m, e in zip(mats, exponents)]
-    norms = [frobenius_norm(m) for m in scaled]
+    down = [scaled(m, -e) if e else m for m, e in zip(mats, exponents)]
+    norms = [frobenius_norm(m) for m in down]
     worst = 0.0
     for i, j in combinations(range(len(mats)), 2):
-        x, y, e = scaled[i], scaled[j], exponents[i] + exponents[j]
+        x, y, e = down[i], down[j], exponents[i] + exponents[j]
         norm, scale = _commutator_norm(x, y), norms[i] * norms[j]
         if not tol.is_zero(norm, scale, e):
             threshold = tol.threshold(scale, e)
-            raise NonCommutingError(
-                i, j, _times_power_of_two(norm, e), _times_power_of_two(threshold, e)
-            )
-        worst = max(worst, _times_power_of_two(norm, e))
+            raise NonCommutingError(i, j, times_power_of_two(norm, e), times_power_of_two(threshold, e))
+        worst = max(worst, times_power_of_two(norm, e))
     return OperatorTuple(matrices=mats, max_commutator_norm=worst)
 
 
@@ -136,11 +142,26 @@ def adjoint_tuple(t: OperatorTuple) -> OperatorTuple:
     return OperatorTuple(tuple(adjoint(m) for m in t), t.max_commutator_norm)
 
 
+class _AdjointCommutators:
+    """c(i, j) = c(j, i) = ||[A_i, A_j*]||_F on T's unit copy A = T / 2^e, as [A_j, A_i*] = [A_i, A_j*]*, formed
+    when first read; zero at scale ||A_i||_F ||A_j||_F in T's units (exponent 2e) or, for ``normal``, in A's."""
+
+    def __init__(self, t: OperatorTuple):
+        self.mats, self.e = unit_copy(t)
+        self.adjoints, self.norms = [adjoint(m) for m in self.mats], [frobenius_norm(m) for m in self.mats]
+        entry = cache(lambda i, j, x=self.mats, y=self.adjoints: _commutator_norm(x[i], y[j]))
+        self.c = lambda i, j: entry(min(i, j), max(i, j))  # no reference to self: no cycle to collect
+
+    def normal(self, tol: ToleranceModel) -> bool:
+        """Every A_j normal, stopping at the first that is not: for a commuting T, T normal (Fuglede)."""
+        return all(tol.is_zero(self.c(j, j), self.norms[j] ** 2) for j in range(len(self.mats)))
+
+
 def is_doubly_commuting(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> bool:
-    """True when additionally T_i T_j* = T_j* T_i for all i != j; since
-    [T_j, T_i*] = [T_i, T_j*]*, each unordered pair i < j is judged once."""
-    pairs = combinations(range(t.d), 2)
-    return all(tol.is_zero(*_commutator(t[i], adjoint(t[j]))) for i, j in pairs)
+    """True when additionally T_i T_j* = T_j* T_i for all i != j, in T's units: each unordered
+    pair i < j reads c(i, j) of ``_AdjointCommutators`` once."""
+    table, pairs = _AdjointCommutators(t), combinations(range(t.d), 2)
+    return all(tol.is_zero(table.c(i, j), table.norms[i] * table.norms[j], 2 * table.e) for i, j in pairs)
 
 
 def tuple_power(t: OperatorTuple, alpha) -> np.ndarray:
@@ -240,9 +261,8 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     spherical: [T_j, sum_k T_k* T_k] = 0 for all j.
     The implication chain is enforced on the outputs.
 
-    Each commutator here is homogeneous of degree 3 in T, so every one is
-    decided on A = T / 2^a, with a the largest ``_exponent`` of the components, at
-    exponent 3a: the products and their sum are then bounded by 8 d dim.
+    Each commutator here is homogeneous of degree 3 in T, so every one is decided on T's unit copy
+    A = T / 2^a (``_AdjointCommutators``) at exponent 3a, where products and sums are bounded by 8 d dim.
 
     A triple (i, j, k) is first put to a certificate. The Leibniz rule
     [A_i, A_j* A_k] = [A_i, A_j*] A_k + A_j* [A_i, A_k] bounds its norm by
@@ -256,9 +276,8 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     k_ii = 0 and ||A_k* A_j|| = ||A_j* A_k|| are read, not formed: a quasinormal tuple costs
     d^2 commutators and d(d + 1)/2 products (42 matrix products at d = 4, not 2 d^3 + d^2).
     """
-    a = max(_exponent(m) for m in t)
-    mats, d, n = [_scaled_down(m, a) for m in t], t.d, t.dim
-    grams, norms = [adjoint(m) for m in mats], [frobenius_norm(m) for m in mats]
+    table = _AdjointCommutators(t)
+    mats, grams, norms, a, d, n = table.mats, table.adjoints, table.norms, table.e, t.d, t.dim
     # a norm's underflowing squares hide at most n 2^-537 of it; with every a_j < 3 n and every
     # c_ij, k_ik < 18 n^2, n^3 2^-530 covers that in c_ij a_k + a_j k_ik and in the exact test
     roundoff, underflow = 16 * n * np.finfo(np.float64).eps, math.ldexp(n**3, -530)
@@ -267,12 +286,6 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     def product(j: int, k: int) -> tuple[np.ndarray, float]:
         p = grams[j] @ mats[k]
         return p, frobenius_norm(p)
-
-    @cache
-    def adjoint_commutator(i: int, j: int) -> float:  # c_ij = c_ji
-        if i > j:
-            return adjoint_commutator(j, i)
-        return _commutator_norm(mats[i], grams[j])
 
     @cache
     def commutator(i: int, k: int) -> float:  # k_ik = k_ki, k_ii = 0
@@ -287,7 +300,7 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     def holds(i: int, j: int, k: int) -> bool:
         threshold = tol.threshold(norms[i] * product(min(j, k), max(j, k))[1], 3 * a)
         bound = (
-            1.01 * (adjoint_commutator(i, j) * norms[k] + norms[j] * commutator(i, k))
+            1.01 * (table.c(i, j) * norms[k] + norms[j] * commutator(i, k))
             + roundoff * norms[i] * norms[j] * norms[k] + underflow
         )
         return bound <= 0.5 * threshold or commutes(i, *product(j, k))
@@ -301,3 +314,18 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     joint = matricial or all(holds(i, j, j) for i in range(d) for j in range(d))
     spherical = joint or ball_commutes()
     return QuasinormalFlags(matricial=matricial, joint=joint, spherical=spherical)
+
+
+def normal_basis(t: OperatorTuple, seed: int = 0, tol: ToleranceModel = DEFAULT_TOL):
+    """(Q, ``conjugated``(Q, T')) on T's unit copy T' for a normal T, else None. Q holds the eigenvectors of
+    the Hermitian part of T's seeded unit combination C (``combination``), C's spectral decomposition where
+    its eigenvalues' real parts differ (Golub & Van Loan, 4th ed., 7.1, 8.1), accepted only when every
+    Q* T'_j Q keeps below-diagonal mass within ``tol.rank_cutoff(n, max_j ||T'_j||_F)``, as points are."""
+    table = _AdjointCommutators(t)
+    if not table.normal(tol):
+        return None
+    unit = combination(table.mats, seed)
+    q = np.linalg.eigh(unit + adjoint(unit))[1]  # a multiple of the Hermitian part
+    us = conjugated(q, table.mats)
+    mass = max(frobenius_norm(np.tril(u, -1)) for u in us)
+    return (q, us) if mass <= tol.rank_cutoff(t.dim, max(table.norms)) else None

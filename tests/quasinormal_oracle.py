@@ -10,13 +10,13 @@ commutator anew, on the same power-of-two rescale, and decides each one exactly.
 from __future__ import annotations
 
 from opertuple.linalg import adjoint, frobenius_norm
-from opertuple.tuples import QuasinormalFlags, _exponent, _scaled_down
+from opertuple.tuples import QuasinormalFlags, unit_copy
 
 
 def _scaled(t):
-    """(A, a): the components A_j = T_j / 2^a, a the largest ``_exponent``, as the package takes them."""
-    a = max(_exponent(m) for m in t)
-    return [_scaled_down(m, a) for m in t], a
+    """(A, a): the components of T's unit copy A = T / 2^a (``unit_copy``), as the package takes them."""
+    copy, a = unit_copy(t)
+    return list(copy), a
 
 
 def quasinormal_reference(t, tol) -> QuasinormalFlags:

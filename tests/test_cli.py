@@ -18,7 +18,9 @@ from opertuple.cli import main
 from opertuple.linalg import ToleranceModel
 from opertuple.minverse import audit_theorem_4_2
 from opertuple.reports import report_to_dict
-from opertuple.tuplefile import MAX_EXAMPLE_D, MAX_ORDER, serialize_tuple_file
+from opertuple.generators import random_unitary
+from opertuple.tuplefile import MAX_EXAMPLE_D, MAX_ORDER, parse_partner, parse_tuple_file, serialize_tuple_file
+from opertuple.tuples import make_tuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -582,15 +584,19 @@ _SCALING = re.compile(r"np\.errstate|math\.ldexp|binary_exponent")
 
 
 def test_spectra_scales_only_in_its_unit_copy_step():
-    # every spectral decision is taken on one unit-scaled copy of T (spectra._unit_copy),
-    # whose outputs spectra._scaled multiplies back; no other code there rescales
-    source = (ROOT / "src" / "opertuple" / "spectra.py").read_text()
-    scaling = [
-        getattr(node, "name", type(node).__name__)
-        for node in ast.parse(source).body
-        if _SCALING.search(ast.get_source_segment(source, node))
-    ]
-    assert scaling == ["ImportFrom", "_unit_copy", "_scaled"]
+    # every spectral decision is taken on one unit-scaled copy of T (tuples.unit_copy), whose
+    # outputs tuples.scaled multiplies back; spectra imports both and rescales nowhere itself
+    def scaling(name):
+        source = (ROOT / "src" / "opertuple" / name).read_text()
+        return [
+            getattr(node, "name", type(node).__name__)
+            for node in ast.parse(source).body
+            if _SCALING.search(ast.get_source_segment(source, node))
+        ]
+
+    assert scaling("spectra.py") == []
+    assert {"unit_copy", "scaled"} <= set(scaling("tuples.py"))
+    assert (spectra.unit_copy, spectra.scaled) == (tuples.unit_copy, tuples.scaled)
     assert _SCALING.search("    with np.errstate(over='ignore'):")
 
 
@@ -620,6 +626,22 @@ def test_audit_file_pass_and_fail(capsys):
         "--input",
         str(DATA / "scalar_counterexample_thm4_1.json"),
     )
+    assert code == 1
+    assert "counterexamples found" in out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_audit_thm41_counterexample_fails_under_unitary_conjugation(capsys, tmp_path, seed):
+    # V T V* and V S V* for the shipped scalar counterexample (T, S): the pair is the same up to
+    # roundoff, its one point maps off the partner's, and the audit still finds the counterexample
+    parsed = parse_tuple_file((DATA / "scalar_counterexample_thm4_1.json").read_text())
+    v = random_unitary(2, np.random.default_rng(seed))
+    moved = [np.stack([v @ m @ v.conj().T for m in t]) for t in (parsed.tuple, parse_partner(parsed, "left_inverse"))]
+    path = tmp_path / "conjugated.json"
+    path.write_text(
+        serialize_tuple_file(make_tuple(moved[0]), m=1, metadata={"left_inverse": {"matrices": moved[1]}})
+    )
+    code, out = run(capsys, "audit", "--claim", "thm4.1", "--input", str(path))
     assert code == 1
     assert "counterexamples found" in out
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opertuple import cli, spectra
+from opertuple import cli, spectra, tuples
 from opertuple.defects import Facts
 from opertuple.generators import (
     diagonal_conjugate,
@@ -51,7 +51,16 @@ from opertuple.spectra import (
 from opertuple.minverse import audit_theorem_4_1, audit_theorem_4_2, beta
 from opertuple.reports import report_to_dict
 from opertuple.tuplefile import parse_partner, parse_tuple_file
-from opertuple.tuples import OperatorTuple, adjoint_tuple, conjugate_by_unitary, make_tuple, permute_tuple
+from opertuple.tuples import (
+    OperatorTuple,
+    _AdjointCommutators,
+    adjoint_tuple,
+    conjugate_by_unitary,
+    make_tuple,
+    normal_basis,
+    permute_tuple,
+    unit_copy,
+)
 from witness_oracle import back_substituted_witnesses
 
 RNG = np.random.default_rng(99)
@@ -359,13 +368,21 @@ def test_refined_dedup_follows_the_same_rule(monkeypatch):
 # ---- the stacked-SVD reference route ---------------------------------------
 
 
+def stack_floor(t):
+    """max_j ||T_j||_F / sqrt(n), the roundoff scale of a stack [T_1 - l_1; ...; T_d - l_d]:
+    no rank cutoff of the stack is taken below it."""
+    return max(frobenius_norm(m) for m in t) / math.sqrt(t.dim)
+
+
 def stacked_svd_points(t, diag, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
     """Every kept candidate decided by the null space of its stacked system
-    [T_1 - l_1; ...; T_d - l_d], as (refined lambda, witness, nullity)."""
+    [T_1 - l_1; ...; T_d - l_d], at ``stack_floor`` or above, as (refined lambda, witness,
+    nullity)."""
     confirmed = []
+    floor = stack_floor(t)
     for i in _first_kept(diag, t.d, cluster_tol):
         stacked = np.vstack([m - lj * np.eye(t.dim) for m, lj in zip(t, diag[i])])
-        basis = null_space_basis(stacked, tol)
+        basis = null_space_basis(stacked, tol, floor)
         if basis.shape[1] == 0:
             continue
         x = basis[:, 0]
@@ -376,7 +393,8 @@ def stacked_svd_points(t, diag, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
 def stacked_residual_and_cutoff(t, lam, x):
     stacked = np.vstack([m - lj * np.eye(t.dim) for m, lj in zip(t, lam)])
     sigma_max = float(np.linalg.svd(stacked, compute_uv=False)[0])
-    return float(np.linalg.norm(stacked @ x)), DEFAULT_TOL.rank_cutoff(t.d * t.dim, sigma_max)
+    cutoff = DEFAULT_TOL.rank_cutoff(t.d * t.dim, max(sigma_max, stack_floor(t)))
+    return float(np.linalg.norm(stacked @ x)), cutoff
 
 
 @st.composite
@@ -434,8 +452,8 @@ def counting_null_spaces(monkeypatch):
     """Patch spectra's stacked-SVD route; returns the list of nullities it decided."""
     nullities = []
 
-    def counted(a, tol=DEFAULT_TOL):
-        basis = null_space_basis(a, tol)
+    def counted(a, tol=DEFAULT_TOL, scale=0.0):
+        basis = null_space_basis(a, tol, scale)
         nullities.append(basis.shape[1])
         return basis
 
@@ -1122,7 +1140,7 @@ def test_normal_tuples_take_the_hermitian_route(t):
     scale = max(1.0, max(frobenius_norm(m) for m in t))
     assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= TRIANGULAR_MASS * scale
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectra, "_is_normal", lambda c, tol: False)
+        patch.setattr(tuples._AdjointCommutators, "normal", lambda table, tol: False)
         reference = joint_spectrum(t)
     points = [lam for lam, _ in result.point_spectrum]
     reference_points = [lam for lam, _ in reference.point_spectrum]
@@ -1156,6 +1174,57 @@ def test_non_normal_tuples_never_reach_the_hermitian_eigensolver(t):
         patch.setattr(np.linalg, "eigh", counted)
         assert joint_spectrum(t).point_spectrum
     assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(normal=st.booleans(), data=st.data(), k=st.integers(-600, 600), seed=st.integers(0, 2**32 - 1))
+def test_normality_is_decided_per_component_and_keeps_its_verdict(normal, data, k, seed):
+    # every T_j normal on normal_tuples(), not on similar_tuples(); the normal basis leaves each
+    # component's below-diagonal mass within the rank cutoff; and the verdict is the same for
+    # 2^k T, for V T V* and for the components in another order
+    t = data.draw(normal_tuples() if normal else similar_tuples())
+    assert _AdjointCommutators(t).normal(DEFAULT_TOL) == normal
+    if normal:
+        q, _ = normal_basis(t)
+        copy, _ = unit_copy(t)
+        cutoff = DEFAULT_TOL.rank_cutoff(t.dim, max(frobenius_norm(m) for m in copy))
+        assert max(frobenius_norm(np.tril(adjoint(q) @ m @ q, -1)) for m in copy) <= cutoff
+    else:
+        assert normal_basis(t) is None
+    rng = np.random.default_rng(seed)
+    moved = [
+        make_tuple([math.ldexp(1.0, k) * m for m in t]),
+        conjugate_by_unitary(t, random_unitary(t.dim, rng)),
+        permute_tuple(t, rng.permutation(t.d)),
+    ]
+    assert [_AdjointCommutators(m).normal(DEFAULT_TOL) for m in moved] == [normal] * 3
+
+
+# ---- near-scalar tuples keep their one point --------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 8, 64])
+@pytest.mark.parametrize("seed", range(5))
+def test_a_conjugated_scalar_tuple_keeps_its_point(dim, seed):
+    # V (0.6 I, 0.8i I) V* is the scalar tuple up to roundoff, so each stack T_j - l_j I is that
+    # roundoff alone: a rank cutoff taken from the stack itself rejects the one point
+    v = random_unitary(dim, np.random.default_rng(seed))
+    t = make_tuple([v @ (lam * np.eye(dim)) @ adjoint(v) for lam in (0.6, 0.8j)])
+    [point] = points_of(t)
+    assert max(abs(a - b) for a, b in zip(point, (0.6, 0.8j))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 8, 64])
+@pytest.mark.parametrize("eps", [1e-16, 1e-14, 1e-12, 1e-10, 1e-8])
+def test_a_scalar_tuple_plus_a_small_perturbation_keeps_one_point(dim, eps):
+    # T = (l I + E, m I + 0.5i E), E random with ||E||_F ~ eps: its eigenvalues lie within ~eps
+    # of (l, m), one cluster, confirmed as one point
+    rng = np.random.default_rng(dim)
+    e = eps / math.sqrt(2 * dim) * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    lam = (0.65 * np.exp(0.3j), -0.2 + 0.4j)
+    t = make_tuple([lam[0] * np.eye(dim) + e, lam[1] * np.eye(dim) + 0.5j * e])
+    [point] = points_of(t)
+    assert max(abs(a - b) for a, b in zip(point, lam)) <= 4 * eps + 1e-14
 
 
 def counting_products(monkeypatch):

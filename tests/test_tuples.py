@@ -16,7 +16,7 @@ from opertuple.tuples import (
     NonCommutingError,
     OperatorTuple,
     QuasinormalFlags,
-    _commutator,
+    _AdjointCommutators,
     _exponent,
     adjoint_tuple,
     conjugate_by_unitary,
@@ -25,6 +25,7 @@ from opertuple.tuples import (
     permute_tuple,
     quasinormal_class,
     tuple_power,
+    unit_copy,
 )
 
 from quasinormal_oracle import matricial_flip, quasinormal_reference
@@ -106,17 +107,34 @@ def test_quasinormal_class_past_the_square_root_of_the_float_range(mats):
     assert quasinormal_class(make_tuple(huge)) == quasinormal_class(make_tuple(mats))
 
 
+def _commutator(x, y):
+    """The tests' oracle of a commutation decision: ``(norm, scale, e)`` for
+    ``tol.is_zero(norm, scale, e)``, ||XY - YX||_F and ||X||_F ||Y||_F taken on X / 2^ex
+    and Y / 2^ey (``_exponent``), e = ex + ey."""
+    ex, ey = _exponent(x), _exponent(y)
+    xs, ys = x * math.ldexp(1.0, -ex), y * math.ldexp(1.0, -ey)
+    return frobenius_norm(xs @ ys - ys @ xs), frobenius_norm(xs) * frobenius_norm(ys), ex + ey
+
+
 def test_commutator_in_the_float_range_is_the_plain_computation():
-    # scaled back by 2^e, the norm and scale are the plain values bit for bit
-    for scale in (1e-150, 1.0, 1e60):
+    # the table's c(0, 1) = ||[A_0, A_1*]|| for T = (X, Y*) on A = T / 2^e, scaled back by 2^2e,
+    # and its scale ||A_0|| ||A_1||, are the plain values for X and Y bit for bit wherever the
+    # plain squares do not underflow; at 1e-150 they do, and only the table measures the norm
+    # (the scale's plain squares keep all but their last bits)
+    for scale in (1e-150, 1e-60, 1.0, 1e60):
         for _ in range(20):
             x, y = (scale * (RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5)))
                     for _ in range(2))
-            norm, reference, e = _commutator(x, y)
-            assert (math.ldexp(norm, e), math.ldexp(reference, e)) == (
-                frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(y)
-            )
-            if scale != 1.0:  # at 1 some parts reach 2 and some pairs are scaled
+            table = _AdjointCommutators(OperatorTuple((x, adjoint(y)), 0.0))
+            e = 2 * table.e
+            plain = frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(adjoint(y))
+            norm = math.ldexp(table.c(0, 1), e), math.ldexp(table.norms[0] * table.norms[1], e)
+            assert table.c(1, 0) == table.c(0, 1)
+            if scale == 1e-150:
+                assert plain[0] == 0.0 < norm[0] and norm[1] == pytest.approx(plain[1], rel=1e-14)
+            else:
+                assert norm == plain
+            if scale != 1.0:  # at 1 the largest part is below or above 1
                 assert (e > 0) == (scale > 1.0)
 
 
@@ -147,6 +165,11 @@ COMMUTATION_DECISIONS = {
         == QuasinormalFlags(True, True, True),
         [np.eye(2) + 1e-3 * NILPOTENT],
         lambda mats: (mats[0], adjoint(mats[0]) @ mats[0]),
+    ),
+    "normal": (
+        lambda mats, tol: _AdjointCommutators(make_tuple(mats)).normal(tol),
+        [np.eye(2) + 1e-3 * NILPOTENT],
+        lambda mats: (mats[0], adjoint(mats[0])),
     ),
 }
 
@@ -525,21 +548,25 @@ class _CountedProducts(np.ndarray):
 
 
 def quasinormal_work(monkeypatch, t):
-    """quasinormal_class(t) on components that count their products (every product there has a
-    component of t as a factor), with the second factor Y of each ||XY - YX|| it takes:
-    (flags, the Y's, the number of products outside those commutators)."""
+    """quasinormal_class(t) with the components of t's unit copy A counting their products (every
+    product there has a component of A as a factor), with the second factor Y of each
+    ||XY - YX|| it takes: (flags, the Y's, the number of products outside those commutators)."""
     from opertuple import tuples
 
-    factors, commutator_norm = [], tuples._commutator_norm
+    factors, commutator_norm, copy_of = [], tuples._commutator_norm, tuples.unit_copy
 
     def counted(x, y):
         factors.append(np.asarray(y))
         return commutator_norm(x, y)
 
+    def counting_copy(t):
+        copy, e = copy_of(t)
+        return OperatorTuple(tuple(m.view(_CountedProducts) for m in copy), copy.max_commutator_norm), e
+
     monkeypatch.setattr(tuples, "_commutator_norm", counted)
+    monkeypatch.setattr(tuples, "unit_copy", counting_copy)
     monkeypatch.setattr(_CountedProducts, "count", 0)
-    counting = OperatorTuple(tuple(m.view(_CountedProducts) for m in t), t.max_commutator_norm)
-    flags = quasinormal_class(counting)
+    flags = quasinormal_class(t)
     return flags, factors, _CountedProducts.count - 2 * len(factors)
 
 
@@ -550,12 +577,12 @@ def test_quasinormal_class_certifies_a_normal_tuple_without_an_exact_commutator(
     u = random_unitary(6, rng)
     eigenvalues = 0.3 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
     t = make_tuple([u @ np.diag(lam) @ adjoint(u) for lam in eigenvalues])
-    assert max(_exponent(m) for m in t) == 0  # A = T
     flags, factors, products = quasinormal_work(monkeypatch, t)
     assert flags == QuasinormalFlags(True, True, True)
     assert len(factors) <= 16
     assert products <= 10
-    components = [*t, *(adjoint(m) for m in t)]
+    copy, _ = unit_copy(t)
+    components = [*copy, *(adjoint(m) for m in copy)]
     assert all(any(np.array_equal(y, m) for m in components) for y in factors)  # no [A_i, A_j* A_k]
 
 
