@@ -20,8 +20,8 @@ component. One combination is drawn from the seed; every eigen-solve, the
 certificate's too, takes its combination at unit magnitude (``unit_scaled``,
 exact). A normal tuple, decided component by component (Fuglede: a commuting
 tuple of normal matrices is unitarily diagonalizable), takes ``tuples.normal_basis``,
-the eigenvectors of C's Hermitian part, accepted at the rank cutoff the points are
-certified at. A non-normal tuple, or a Hermitian basis not accepted (two
+the eigenvectors of C's Hermitian part, accepted there at the rank cutoff the points
+are certified at. A non-normal tuple, or a Hermitian basis not accepted (two
 eigenvalues of C with one real part), goes to eig + QR. When
 that Schur form fails (a defective combination) or leaves some component
 untriangular (its eigenvalues collide), the deterministic fallback deflates one
@@ -123,8 +123,8 @@ def _deflation_triangularize(mats: list[np.ndarray], tol: ToleranceModel) -> np.
 
 
 def _proposed_bases(copy: OperatorTuple, seed: int, tol: ToleranceModel):
-    """(route, Q, [Q* T'_j Q]) for each Schur basis of T's unit copy T' proposed in turn, each only when the
-    one before it is turned down; eig + QR (none when it fails) and deflation start from ``combination``."""
+    """(route, Q, [Q* T'_j Q]) for each Schur basis of T's unit copy T' proposed in turn, each only when the one
+    before it is turned down: ``normal_basis``'s, accepted there, then eig + QR and deflation from ``combination``."""
     if (normal := normal_basis(copy, seed, tol)) is not None:
         yield "hermitian", *normal
     unit = combination(copy, seed)
@@ -144,18 +144,20 @@ def simultaneous_triangularize(
     """One unitary Q with every Q* T_j Q upper triangular (within tolerance): (Q, [U_1, ..., U_d]).
 
     Q is found for T' = T / 2^e (``unit_copy``) and U_j is Q* T'_j Q times 2^e, so 2^k T gets T's Q
-    and U_j exactly 2^k times T's. Of the bases ``_proposed_bases`` proposes (``normal_basis`` for a tuple
-    normal component by component, eig + QR, deflation), the first whose Q* T'_j Q have below-diagonal
-    mass at most TRIANGULAR_MASS times max_j ||T'_j||_F is taken; those masses and that scale are a
-    failure's diagnostics.
+    and U_j exactly 2^k times T's. Of the bases ``_proposed_bases`` proposes, ``normal_basis`` (for a tuple
+    normal component by component) comes already accepted at the rank cutoff; eig + QR or deflation is
+    taken when its Q* T'_j Q have below-diagonal mass at most TRIANGULAR_MASS times max_j ||T'_j||_F,
+    and those masses and that scale are a failure's diagnostics.
     """
     copy, e = unit_copy(t)
     scale = max(frobenius_norm(m) for m in copy)
     masses = {}  # the largest below-diagonal mass of the U_j, by route
     for route, q, us in _proposed_bases(copy, seed, tol):
-        masses[route] = max(frobenius_norm(np.tril(u, -1)) for u in us)
-        if masses[route] <= TRIANGULAR_MASS * scale:
-            return q, list(scaled(us, e))
+        if route != "hermitian":
+            masses[route] = max(frobenius_norm(np.tril(u, -1)) for u in us)
+            if masses[route] > TRIANGULAR_MASS * scale:
+                continue
+        return q, list(scaled(us, e))
     raise NumericalFailureError(
         "simultaneous triangularization failed",
         {"schur_mass": masses.get("schur"), "deflation_mass": masses["deflation"], "scale": scale},

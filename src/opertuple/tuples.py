@@ -79,9 +79,10 @@ def _commutator_norm(x: np.ndarray, y: np.ndarray) -> float:
 def unit_copy(t: OperatorTuple) -> tuple[OperatorTuple, int]:
     """(T', e) with T' = T / 2^e, e the one exponent of the whole tuple that brings T's largest real or
     imaginary part into [1, 2), as ``unit_scaled`` does. The normal basis and every spectral decision are
-    taken on T', whose outputs ``scaled`` multiplies by 2^e; both are exact, so 2^k T has T's T'."""
+    taken on T', whose outputs ``scaled`` multiplies by 2^e; both are exact, so 2^k T has T's T' (T' its own)."""
     stack = np.stack(t.matrices)
-    e = binary_exponent(stack) - 1
+    if not (e := binary_exponent(stack) - 1):
+        return t, 0
     return OperatorTuple(tuple(scaled(stack, -e)), float(np.ldexp(t.max_commutator_norm, -2 * e))), e
 
 
@@ -106,29 +107,29 @@ def conjugated(q: np.ndarray, t: OperatorTuple) -> np.ndarray:
     return np.stack([adjoint(q) @ m @ q for m in t])
 
 
-def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
-    """Validate shapes and pairwise commutators; reject non-commuting input.
+def _pair_commutators(mats, partner=lambda m: m):
+    """(i, j, ||[X_i, partner(X_j)]||_F, ||X_i||_F ||X_j||_F, ei + ej) for each pair i < j in turn, X_i = T_i / 2^ei
+    (``_exponent``), once for all its pairs: exact away from underflow, so ``tol.is_zero`` of the last three is the
+    plain decision wherever the plain products are finite, whatever the components' scales, and none overflows."""
+    exponents = [_exponent(m) for m in mats]
+    down = [scaled(m, -e) if e else m for m, e in zip(mats, exponents)]
+    norms = [frobenius_norm(m) for m in down]
+    for i, j in combinations(range(len(mats)), 2):
+        yield i, j, _commutator_norm(down[i], partner(down[j])), norms[i] * norms[j], exponents[i] + exponents[j]
 
-    Each pair i < j is judged on T_i / 2^ei and T_j / 2^ej (``_exponent``) at exponent ei + ej, each
-    component scaled down once for all its pairs. The norm and threshold reported on rejection are in
-    the input's units, inf where they pass the float range.
-    """
+
+def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
+    """Validate shapes and pairwise commutators (``_pair_commutators``); reject non-commuting input, with
+    the norm and threshold in the input's units, inf where they pass the float range."""
     mats = tuple(as_matrix(m) for m in matrices)
     if not mats:
         raise ValueError("an operator tuple needs at least one component")
     dim = mats[0].shape[0]
     for j, m in enumerate(mats):
         if m.shape[0] != dim:
-            raise ValueError(
-                f"component {j} has dimension {m.shape[0]}, expected {dim}"
-            )
-    exponents = [_exponent(m) for m in mats]
-    down = [scaled(m, -e) if e else m for m, e in zip(mats, exponents)]
-    norms = [frobenius_norm(m) for m in down]
+            raise ValueError(f"component {j} has dimension {m.shape[0]}, expected {dim}")
     worst = 0.0
-    for i, j in combinations(range(len(mats)), 2):
-        x, y, e = down[i], down[j], exponents[i] + exponents[j]
-        norm, scale = _commutator_norm(x, y), norms[i] * norms[j]
+    for i, j, norm, scale, e in _pair_commutators(mats):
         if not tol.is_zero(norm, scale, e):
             threshold = tol.threshold(scale, e)
             raise NonCommutingError(i, j, times_power_of_two(norm, e), times_power_of_two(threshold, e))
@@ -142,26 +143,25 @@ def adjoint_tuple(t: OperatorTuple) -> OperatorTuple:
     return OperatorTuple(tuple(adjoint(m) for m in t), t.max_commutator_norm)
 
 
-class _AdjointCommutators:
-    """c(i, j) = c(j, i) = ||[A_i, A_j*]||_F on T's unit copy A = T / 2^e, as [A_j, A_i*] = [A_i, A_j*]*, formed
-    when first read; zero at scale ||A_i||_F ||A_j||_F in T's units (exponent 2e) or, for ``normal``, in A's."""
-
-    def __init__(self, t: OperatorTuple):
-        self.mats, self.e = unit_copy(t)
-        self.adjoints, self.norms = [adjoint(m) for m in self.mats], [frobenius_norm(m) for m in self.mats]
-        entry = cache(lambda i, j, x=self.mats, y=self.adjoints: _commutator_norm(x[i], y[j]))
-        self.c = lambda i, j: entry(min(i, j), max(i, j))  # no reference to self: no cycle to collect
-
-    def normal(self, tol: ToleranceModel) -> bool:
-        """Every A_j normal, stopping at the first that is not: for a commuting T, T normal (Fuglede)."""
-        return all(tol.is_zero(self.c(j, j), self.norms[j] ** 2) for j in range(len(self.mats)))
-
-
 def is_doubly_commuting(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> bool:
-    """True when additionally T_i T_j* = T_j* T_i for all i != j, in T's units: each unordered
-    pair i < j reads c(i, j) of ``_AdjointCommutators`` once."""
-    table, pairs = _AdjointCommutators(t), combinations(range(t.d), 2)
-    return all(tol.is_zero(table.c(i, j), table.norms[i] * table.norms[j], 2 * table.e) for i, j in pairs)
+    """True when additionally T_i T_j* = T_j* T_i for all i != j, each pair judged as ``make_tuple`` judges
+    [T_i, T_j]; since [T_j, T_i*] = [T_i, T_j*]*, each unordered pair i < j is judged once."""
+    return all(tol.is_zero(norm, scale, e) for *_, norm, scale, e in _pair_commutators(t, adjoint))
+
+
+def _adjoint_commutators(t: OperatorTuple):
+    """(A, e, [A_j*], [||A_j||_F], c) on T's unit copy A = T / 2^e (``unit_copy``), c(i, j) = c(j, i) =
+    ||[A_i, A_j*]||_F at scale ||A_i||_F ||A_j||_F, formed when first read: read by quasinormality and normality."""
+    mats, e = unit_copy(t)
+    adjoints = [adjoint(m) for m in mats]
+    entry = cache(lambda i, j: _commutator_norm(mats[i], adjoints[j]))
+    return mats, e, adjoints, [frobenius_norm(m) for m in mats], lambda i, j: entry(min(i, j), max(i, j))
+
+
+def _normal(norms, c, tol: ToleranceModel) -> bool:
+    """Every A_j normal, c(j, j) zero at scale ||A_j||_F^2 in A's units (``_adjoint_commutators``), stopping
+    at the first that is not: for a commuting tuple, its normality (Fuglede)."""
+    return all(tol.is_zero(c(j, j), norms[j] ** 2) for j in range(len(norms)))
 
 
 def tuple_power(t: OperatorTuple, alpha) -> np.ndarray:
@@ -262,7 +262,7 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     The implication chain is enforced on the outputs.
 
     Each commutator here is homogeneous of degree 3 in T, so every one is decided on T's unit copy
-    A = T / 2^a (``_AdjointCommutators``) at exponent 3a, where products and sums are bounded by 8 d dim.
+    A = T / 2^a (``_adjoint_commutators``) at exponent 3a, where products and sums are bounded by 8 d dim.
 
     A triple (i, j, k) is first put to a certificate. The Leibniz rule
     [A_i, A_j* A_k] = [A_i, A_j*] A_k + A_j* [A_i, A_k] bounds its norm by
@@ -276,8 +276,7 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     k_ii = 0 and ||A_k* A_j|| = ||A_j* A_k|| are read, not formed: a quasinormal tuple costs
     d^2 commutators and d(d + 1)/2 products (42 matrix products at d = 4, not 2 d^3 + d^2).
     """
-    table = _AdjointCommutators(t)
-    mats, grams, norms, a, d, n = table.mats, table.adjoints, table.norms, table.e, t.d, t.dim
+    (mats, a, grams, norms, adjoint_commutator), d, n = _adjoint_commutators(t), t.d, t.dim
     # a norm's underflowing squares hide at most n 2^-537 of it; with every a_j < 3 n and every
     # c_ij, k_ik < 18 n^2, n^3 2^-530 covers that in c_ij a_k + a_j k_ik and in the exact test
     roundoff, underflow = 16 * n * np.finfo(np.float64).eps, math.ldexp(n**3, -530)
@@ -300,7 +299,7 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     def holds(i: int, j: int, k: int) -> bool:
         threshold = tol.threshold(norms[i] * product(min(j, k), max(j, k))[1], 3 * a)
         bound = (
-            1.01 * (table.c(i, j) * norms[k] + norms[j] * commutator(i, k))
+            1.01 * (adjoint_commutator(i, j) * norms[k] + norms[j] * commutator(i, k))
             + roundoff * norms[i] * norms[j] * norms[k] + underflow
         )
         return bound <= 0.5 * threshold or commutes(i, *product(j, k))
@@ -321,11 +320,11 @@ def normal_basis(t: OperatorTuple, seed: int = 0, tol: ToleranceModel = DEFAULT_
     the Hermitian part of T's seeded unit combination C (``combination``), C's spectral decomposition where
     its eigenvalues' real parts differ (Golub & Van Loan, 4th ed., 7.1, 8.1), accepted only when every
     Q* T'_j Q keeps below-diagonal mass within ``tol.rank_cutoff(n, max_j ||T'_j||_F)``, as points are."""
-    table = _AdjointCommutators(t)
-    if not table.normal(tol):
+    mats, _, _, norms, c = _adjoint_commutators(t)
+    if not _normal(norms, c, tol):
         return None
-    unit = combination(table.mats, seed)
+    unit = combination(mats, seed)
     q = np.linalg.eigh(unit + adjoint(unit))[1]  # a multiple of the Hermitian part
-    us = conjugated(q, table.mats)
+    us = conjugated(q, mats)
     mass = max(frobenius_norm(np.tril(u, -1)) for u in us)
-    return (q, us) if mass <= tol.rank_cutoff(t.dim, max(table.norms)) else None
+    return (q, us) if mass <= tol.rank_cutoff(t.dim, max(norms)) else None

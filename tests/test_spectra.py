@@ -53,7 +53,8 @@ from opertuple.reports import report_to_dict
 from opertuple.tuplefile import parse_partner, parse_tuple_file
 from opertuple.tuples import (
     OperatorTuple,
-    _AdjointCommutators,
+    _adjoint_commutators,
+    _normal,
     adjoint_tuple,
     conjugate_by_unitary,
     make_tuple,
@@ -1140,7 +1141,7 @@ def test_normal_tuples_take_the_hermitian_route(t):
     scale = max(1.0, max(frobenius_norm(m) for m in t))
     assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= TRIANGULAR_MASS * scale
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tuples._AdjointCommutators, "normal", lambda table, tol: False)
+        patch.setattr(tuples, "_normal", lambda norms, c, tol: False)
         reference = joint_spectrum(t)
     points = [lam for lam, _ in result.point_spectrum]
     reference_points = [lam for lam, _ in reference.point_spectrum]
@@ -1176,6 +1177,12 @@ def test_non_normal_tuples_never_reach_the_hermitian_eigensolver(t):
     assert calls == []
 
 
+def is_normal(t):
+    """The package's normality decision on T at the default tolerance."""
+    _, _, _, norms, c = _adjoint_commutators(t)
+    return _normal(norms, c, DEFAULT_TOL)
+
+
 @settings(max_examples=60, deadline=None)
 @given(normal=st.booleans(), data=st.data(), k=st.integers(-600, 600), seed=st.integers(0, 2**32 - 1))
 def test_normality_is_decided_per_component_and_keeps_its_verdict(normal, data, k, seed):
@@ -1183,7 +1190,7 @@ def test_normality_is_decided_per_component_and_keeps_its_verdict(normal, data, 
     # component's below-diagonal mass within the rank cutoff; and the verdict is the same for
     # 2^k T, for V T V* and for the components in another order
     t = data.draw(normal_tuples() if normal else similar_tuples())
-    assert _AdjointCommutators(t).normal(DEFAULT_TOL) == normal
+    assert is_normal(t) == normal
     if normal:
         q, _ = normal_basis(t)
         copy, _ = unit_copy(t)
@@ -1197,7 +1204,7 @@ def test_normality_is_decided_per_component_and_keeps_its_verdict(normal, data, 
         conjugate_by_unitary(t, random_unitary(t.dim, rng)),
         permute_tuple(t, rng.permutation(t.d)),
     ]
-    assert [_AdjointCommutators(m).normal(DEFAULT_TOL) for m in moved] == [normal] * 3
+    assert [is_normal(m) for m in moved] == [normal] * 3
 
 
 # ---- near-scalar tuples keep their one point --------------------------------

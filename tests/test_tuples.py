@@ -16,8 +16,10 @@ from opertuple.tuples import (
     NonCommutingError,
     OperatorTuple,
     QuasinormalFlags,
-    _AdjointCommutators,
+    _adjoint_commutators,
     _exponent,
+    _normal,
+    _pair_commutators,
     adjoint_tuple,
     conjugate_by_unitary,
     is_doubly_commuting,
@@ -117,6 +119,22 @@ def _commutator(x, y):
 
 
 def test_commutator_in_the_float_range_is_the_plain_computation():
+    # each pair's norm and scale, scaled back by 2^e, are the plain values bit for bit, for
+    # [X, Y] (make_tuple) and [X, Y*] (is_doubly_commuting)
+    for scale in (1e-150, 1.0, 1e60):
+        for _ in range(20):
+            x, y = (scale * (RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5)))
+                    for _ in range(2))
+            for partner in (lambda m: m, adjoint):
+                [(_, _, norm, reference, e)] = _pair_commutators([x, y], partner)
+                assert (math.ldexp(norm, e), math.ldexp(reference, e)) == (
+                    frobenius_norm(x @ partner(y) - partner(y) @ x), frobenius_norm(x) * frobenius_norm(y)
+                )
+                if scale != 1.0:  # at 1 some parts reach 2 and some pairs are scaled
+                    assert (e > 0) == (scale > 1.0)
+
+
+def test_adjoint_commutator_table_in_the_float_range_is_the_plain_computation():
     # the table's c(0, 1) = ||[A_0, A_1*]|| for T = (X, Y*) on A = T / 2^e, scaled back by 2^2e,
     # and its scale ||A_0|| ||A_1||, are the plain values for X and Y bit for bit wherever the
     # plain squares do not underflow; at 1e-150 they do, and only the table measures the norm
@@ -125,17 +143,26 @@ def test_commutator_in_the_float_range_is_the_plain_computation():
         for _ in range(20):
             x, y = (scale * (RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5)))
                     for _ in range(2))
-            table = _AdjointCommutators(OperatorTuple((x, adjoint(y)), 0.0))
-            e = 2 * table.e
+            _, e, _, norms, c = _adjoint_commutators(OperatorTuple((x, adjoint(y)), 0.0))
             plain = frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(adjoint(y))
-            norm = math.ldexp(table.c(0, 1), e), math.ldexp(table.norms[0] * table.norms[1], e)
-            assert table.c(1, 0) == table.c(0, 1)
+            norm = math.ldexp(c(0, 1), 2 * e), math.ldexp(norms[0] * norms[1], 2 * e)
+            assert c(1, 0) == c(0, 1)
             if scale == 1e-150:
                 assert plain[0] == 0.0 < norm[0] and norm[1] == pytest.approx(plain[1], rel=1e-14)
             else:
                 assert norm == plain
             if scale != 1.0:  # at 1 the largest part is below or above 1
                 assert (e > 0) == (scale > 1.0)
+
+
+@pytest.mark.parametrize("big, small", [(1e100, 1e-100), (2.0**300, 2.0**-250)])
+def test_doubly_commuting_is_decided_per_pair_across_scales(big, small):
+    # (big N, small N) commutes, but [big N, (small N)*] = big small [N, N*] is far above abs_tol;
+    # on one copy of the whole tuple small N / big underflows, so each pair keeps its own exponents
+    t = make_tuple([big * NILPOTENT, small * NILPOTENT])
+    gap = frobenius_norm(big * small * (NILPOTENT @ NILPOTENT.T - NILPOTENT.T @ NILPOTENT))
+    assert gap > 1.0
+    assert not is_doubly_commuting(t)
 
 
 def _accepted(mats, tol):
@@ -167,7 +194,7 @@ COMMUTATION_DECISIONS = {
         lambda mats: (mats[0], adjoint(mats[0]) @ mats[0]),
     ),
     "normal": (
-        lambda mats, tol: _AdjointCommutators(make_tuple(mats)).normal(tol),
+        lambda mats, tol: _normal(*_adjoint_commutators(make_tuple(mats))[3:], tol),
         [np.eye(2) + 1e-3 * NILPOTENT],
         lambda mats: (mats[0], adjoint(mats[0])),
     ),
