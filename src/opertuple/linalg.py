@@ -78,7 +78,7 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """||a||_F; finite input whose squared entries overflow is rescaled by max |a_ij|.
+    """||a||_F; finite input whose squares overflow or underflow (a norm below 2^-511) is rescaled by max |a_ij|.
 
     The two dot products ``np.linalg.norm(a, "fro")`` runs, without its argument
     handling, so the value agrees with numpy's to roundoff. Its overflow warning is the caller's
@@ -93,8 +93,8 @@ def frobenius_norm(a: np.ndarray) -> float:
         norm = math.sqrt(re.dot(re) + im.dot(im))
     else:
         norm = math.sqrt(x.dot(x))
-    if math.isinf(norm) and math.isfinite(big := float(np.abs(x).max())):
-        norm = big * frobenius_norm(x / big)
+    if not 2.0**-511 <= norm < math.inf and 0.0 < (big := float(np.abs(x).max(initial=0.0))) < math.inf:
+        norm = big * frobenius_norm(x.view(np.float64) / big)  # the parts: no complex division's 1 / big
     return norm
 
 

@@ -63,12 +63,6 @@ class OperatorTuple:
         return iter(self.matrices)
 
 
-def _exponent(a: np.ndarray) -> int:
-    """The least e >= 0 that brings every real and imaginary part of A / 2^e below 2: exact away from
-    underflow, so decisions on scaled factors are the plain ones, and their products cannot overflow."""
-    return max(0, binary_exponent(a) - 1)
-
-
 def _commutator_norm(x: np.ndarray, y: np.ndarray) -> float:
     """||XY - YX||_F, YX subtracted in place from XY."""
     c = x @ y
@@ -98,7 +92,7 @@ def combination(t: OperatorTuple, seed: int) -> np.ndarray:
     """sum_j c_j T_j at unit magnitude (``unit_scaled``), c a unit vector of complex normals drawn from
     ``seed``: the one combination every Schur basis of T is proposed from (on T' it cannot overflow)."""
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal(t.d) + 1j * rng.standard_normal(t.d)
+    c = rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t))
     return unit_scaled(sum(wj * m for wj, m in zip(c / np.linalg.norm(c), t)))
 
 
@@ -107,20 +101,30 @@ def conjugated(q: np.ndarray, t: OperatorTuple) -> np.ndarray:
     return np.stack([adjoint(q) @ m @ q for m in t])
 
 
-def _pair_commutators(mats, partner=lambda m: m):
-    """(i, j, ||[X_i, partner(X_j)]||_F, ||X_i||_F ||X_j||_F, ei + ej) for each pair i < j in turn, X_i = T_i / 2^ei
-    (``_exponent``), once for all its pairs: exact away from underflow, so ``tol.is_zero`` of the last three is the
-    plain decision wherever the plain products are finite, whatever the components' scales, and none overflows."""
-    exponents = [_exponent(m) for m in mats]
-    down = [scaled(m, -e) if e else m for m, e in zip(mats, exponents)]
-    norms = [frobenius_norm(m) for m in down]
-    for i, j in combinations(range(len(mats)), 2):
-        yield i, j, _commutator_norm(down[i], partner(down[j])), norms[i] * norms[j], exponents[i] + exponents[j]
+def _commutator_table(mats):
+    """(e, X, star, a, commutator), read by every commutation decision: e_i = ``binary_exponent``(T_i) - 1, X_i =
+    T_i / 2^e_i (exact either way, largest part in [1, 2)), a_i = ||X_i||_F and, formed when first read, star(j) =
+    X_j* and commutator(i, j, starred) = ||[X_i, X_j]||_F (0 for i = j), or ||[X_i, X_j*]||_F, as for (j, i). At
+    e_i + e_j (+ e_k) these are the plain decisions wherever the plain products neither overflow nor underflow."""
+    exponents = [binary_exponent(m) - 1 for m in mats]
+    units = [np.ldexp(np.ascontiguousarray(m).view(np.float64), -e).view(m.dtype) if e else m
+             for m, e in zip(mats, exponents)]
+    # one dict, not functools.cache, which would cost a small tuple's gate a third of its time
+    memo = {(i, i, False): 0.0 for i in range(len(exponents))}
+    star = lambda j: memo[j] if j in memo else memo.setdefault(j, adjoint(units[j]))
+
+    def commutator(i: int, j: int, starred: bool = False) -> float:
+        i, j = min(i, j), max(i, j)
+        if (i, j, starred) not in memo:
+            memo[i, j, starred] = _commutator_norm(units[i], star(j) if starred else units[j])
+        return memo[i, j, starred]
+
+    return exponents, units, star, [frobenius_norm(x) for x in units], commutator
 
 
 def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
-    """Validate shapes and pairwise commutators (``_pair_commutators``); reject non-commuting input, with
-    the norm and threshold in the input's units, inf where they pass the float range."""
+    """Validate shapes and pairwise commutators, each ||[X_i, X_j]|| of ``_commutator_table`` judged at e_i + e_j;
+    reject non-commuting input, with the norm and threshold in the input's units, inf past the float range."""
     mats = tuple(as_matrix(m) for m in matrices)
     if not mats:
         raise ValueError("an operator tuple needs at least one component")
@@ -128,8 +132,10 @@ def make_tuple(matrices, tol: ToleranceModel = DEFAULT_TOL) -> OperatorTuple:
     for j, m in enumerate(mats):
         if m.shape[0] != dim:
             raise ValueError(f"component {j} has dimension {m.shape[0]}, expected {dim}")
+    exponents, _, _, norms, commutator = _commutator_table(mats)
     worst = 0.0
-    for i, j, norm, scale, e in _pair_commutators(mats):
+    for i, j in combinations(range(len(mats)), 2):
+        norm, scale, e = commutator(i, j), norms[i] * norms[j], exponents[i] + exponents[j]
         if not tol.is_zero(norm, scale, e):
             threshold = tol.threshold(scale, e)
             raise NonCommutingError(i, j, times_power_of_two(norm, e), times_power_of_two(threshold, e))
@@ -144,24 +150,18 @@ def adjoint_tuple(t: OperatorTuple) -> OperatorTuple:
 
 
 def is_doubly_commuting(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> bool:
-    """True when additionally T_i T_j* = T_j* T_i for all i != j, each pair judged as ``make_tuple`` judges
-    [T_i, T_j]; since [T_j, T_i*] = [T_i, T_j*]*, each unordered pair i < j is judged once."""
-    return all(tol.is_zero(norm, scale, e) for *_, norm, scale, e in _pair_commutators(t, adjoint))
+    """True when additionally T_i T_j* = T_j* T_i for all i != j, each ||[X_i, X_j*]|| of ``_commutator_table``
+    judged at e_i + e_j as ``make_tuple`` judges [X_i, X_j]; as [T_j, T_i*] = [T_i, T_j*]*, each pair once."""
+    exponents, _, _, norms, commutator = _commutator_table(t)
+    return all(tol.is_zero(commutator(i, j, True), norms[i] * norms[j], exponents[i] + exponents[j])
+               for i, j in combinations(range(t.d), 2))
 
 
-def _adjoint_commutators(t: OperatorTuple):
-    """(A, e, [A_j*], [||A_j||_F], c) on T's unit copy A = T / 2^e (``unit_copy``), c(i, j) = c(j, i) =
-    ||[A_i, A_j*]||_F at scale ||A_i||_F ||A_j||_F, formed when first read: read by quasinormality and normality."""
-    mats, e = unit_copy(t)
-    adjoints = [adjoint(m) for m in mats]
-    entry = cache(lambda i, j: _commutator_norm(mats[i], adjoints[j]))
-    return mats, e, adjoints, [frobenius_norm(m) for m in mats], lambda i, j: entry(min(i, j), max(i, j))
-
-
-def _normal(norms, c, tol: ToleranceModel) -> bool:
-    """Every A_j normal, c(j, j) zero at scale ||A_j||_F^2 in A's units (``_adjoint_commutators``), stopping
-    at the first that is not: for a commuting tuple, its normality (Fuglede)."""
-    return all(tol.is_zero(c(j, j), norms[j] ** 2) for j in range(len(norms)))
+def _normal(table, tol: ToleranceModel) -> bool:
+    """Every T_j normal: ||[X_j, X_j*]|| (``_commutator_table``) zero at scale ||X_j||_F^2 in X_j's own units, so
+    each verdict depends on T_j alone; for a commuting tuple, its normality (Fuglede)."""
+    *_, norms, commutator = table
+    return all(tol.is_zero(commutator(j, j, True), norms[j] ** 2) for j in range(len(norms)))
 
 
 def tuple_power(t: OperatorTuple, alpha) -> np.ndarray:
@@ -261,53 +261,45 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
     spherical: [T_j, sum_k T_k* T_k] = 0 for all j.
     The implication chain is enforced on the outputs.
 
-    Each commutator here is homogeneous of degree 3 in T, so every one is decided on T's unit copy
-    A = T / 2^a (``_adjoint_commutators``) at exponent 3a, where products and sums are bounded by 8 d dim.
-
-    A triple (i, j, k) is first put to a certificate. The Leibniz rule
-    [A_i, A_j* A_k] = [A_i, A_j*] A_k + A_j* [A_i, A_k] bounds its norm by
-    c_ij a_k + a_j k_ik (Frobenius norms: c_ij = ||[A_i, A_j*]||, k_ik = ||[A_i, A_k]||,
-    a_j = ||A_j||). Widened by the roundoff of the computed products, 16 dim eps
-    a_i a_j a_k (Higham, Accuracy and Stability, 2nd ed., 3.5: |fl(XY) - XY| <= gamma_n |X||Y|),
-    and by what squares that underflow can hide in the norms, a bound at most half the
-    threshold proves that the exact test of the computed T_j* T_k passes. Only a triple the
-    bound cannot settle runs that test, so the flags are the exact tests' own. Each c_ij,
-    k_ik, product and norm is formed once, when first needed, and c_ji = c_ij, k_ki = k_ik,
-    k_ii = 0 and ||A_k* A_j|| = ||A_j* A_k|| are read, not formed: a quasinormal tuple costs
-    d^2 commutators and d(d + 1)/2 products (42 matrix products at d = 4, not 2 d^3 + d^2).
+    Each triple is decided on the ``_commutator_table``'s X_i = T_i / 2^e_i at exponent e_i + e_j + e_k (3e on
+    T's unit copy T / 2^e wherever nothing underflows); the ball sum_k T_k* T_k is summed in that copy's units.
+    The Leibniz rule [X_i, X_j* X_k] = [X_i, X_j*] X_k + X_j* [X_i, X_k] bounds a triple's norm by
+    c_ij a_k + a_j k_ik (Frobenius norms: c_ij = ||[X_i, X_j*]||, k_ik = ||[X_i, X_k]||, a_j = ||X_j||).
+    Widened by the computed products' roundoff, 16 dim eps a_i a_j a_k (Higham, Accuracy and Stability,
+    2nd ed., 3.5: |fl(XY) - XY| <= gamma_n |X||Y|), and by what underflowing squares can hide, a bound at
+    most half the threshold proves that the exact test of the computed X_j* X_k passes; only the other
+    triples run it, so the flags are the exact tests' own. Each c_ij, k_ik, product and norm is formed once,
+    and ||X_k* X_j|| = ||X_j* X_k|| is read, not formed: a quasinormal tuple costs d^2 commutators and
+    d(d + 1)/2 products (42 matrix products at d = 4, not 2 d^3 + d^2).
     """
-    (mats, a, grams, norms, adjoint_commutator), d, n = _adjoint_commutators(t), t.d, t.dim
+    (exponents, units, star, norms, commutator), d, n = _commutator_table(t), t.d, t.dim
     # a norm's underflowing squares hide at most n 2^-537 of it; with every a_j < 3 n and every
     # c_ij, k_ik < 18 n^2, n^3 2^-530 covers that in c_ij a_k + a_j k_ik and in the exact test
     roundoff, underflow = 16 * n * np.finfo(np.float64).eps, math.ldexp(n**3, -530)
 
     @cache
-    def product(j: int, k: int) -> tuple[np.ndarray, float]:
-        p = grams[j] @ mats[k]
-        return p, frobenius_norm(p)
+    def product(j: int, k: int) -> tuple[np.ndarray, float, int]:  # X_j* X_k, its norm and its exponent
+        p = star(j) @ units[k]
+        return p, frobenius_norm(p), exponents[j] + exponents[k]
 
-    @cache
-    def commutator(i: int, k: int) -> float:  # k_ik = k_ki, k_ii = 0
-        if i > k:
-            return commutator(k, i)
-        return 0.0 if i == k else _commutator_norm(mats[i], mats[k])
-
-    def commutes(i: int, y: np.ndarray, y_norm: float) -> bool:
-        return tol.is_zero(_commutator_norm(mats[i], y), norms[i] * y_norm, 3 * a)
+    def commutes(i: int, y: np.ndarray, y_norm: float, e: int) -> bool:  # [X_i, Y], Y at exponent e
+        return tol.is_zero(_commutator_norm(units[i], y), norms[i] * y_norm, exponents[i] + e)
 
     @cache
     def holds(i: int, j: int, k: int) -> bool:
-        threshold = tol.threshold(norms[i] * product(min(j, k), max(j, k))[1], 3 * a)
+        _, y_norm, e = product(min(j, k), max(j, k))
+        threshold = tol.threshold(norms[i] * y_norm, exponents[i] + e)
         bound = (
-            1.01 * (adjoint_commutator(i, j) * norms[k] + norms[j] * commutator(i, k))
+            1.01 * (commutator(i, j, True) * norms[k] + norms[j] * commutator(i, k))
             + roundoff * norms[i] * norms[j] * norms[k] + underflow
         )
         return bound <= 0.5 * threshold or commutes(i, *product(j, k))
 
     def ball_commutes() -> bool:
-        ball = sum(product(k, k)[0] for k in range(d))
+        a = max(exponents)
+        ball = sum(scaled(product(k, k)[0], 2 * (exponents[k] - a)) for k in range(d))
         ball_norm = frobenius_norm(ball)
-        return all(commutes(j, ball, ball_norm) for j in range(d))
+        return all(commutes(j, ball, ball_norm, 2 * a) for j in range(d))
 
     matricial = all(holds(i, j, k) for i in range(d) for j in range(d) for k in range(d))
     joint = matricial or all(holds(i, j, j) for i in range(d) for j in range(d))
@@ -316,15 +308,18 @@ def quasinormal_class(t: OperatorTuple, tol: ToleranceModel = DEFAULT_TOL) -> Qu
 
 
 def normal_basis(t: OperatorTuple, seed: int = 0, tol: ToleranceModel = DEFAULT_TOL):
-    """(Q, ``conjugated``(Q, T')) on T's unit copy T' for a normal T, else None. Q holds the eigenvectors of
-    the Hermitian part of T's seeded unit combination C (``combination``), C's spectral decomposition where
-    its eigenvalues' real parts differ (Golub & Van Loan, 4th ed., 7.1, 8.1), accepted only when every
-    Q* T'_j Q keeps below-diagonal mass within ``tol.rank_cutoff(n, max_j ||T'_j||_F)``, as points are."""
-    mats, _, _, norms, c = _adjoint_commutators(t)
-    if not _normal(norms, c, tol):
+    """(Q, ``conjugated``(Q, T')) on T' = T / 2^a (a = max_j e_j, T' built from the table's X_j) if ``_normal``, else
+    None. Q holds the eigenvectors of the Hermitian part of T's seeded unit combination C (``combination``), C's
+    spectral decomposition where its eigenvalues' real parts differ (Golub & Van Loan, 4th ed., 7.1, 8.1), accepted
+    if every Q* T'_j Q keeps below-diagonal mass within ``tol.rank_cutoff(n, max_j ||T'_j||_F)``, as points are."""
+    if not _normal(table := _commutator_table(t), tol):
         return None
+    exponents, units, _, norms, _ = table
+    a = max(exponents)
+    mats = t if not a else [scaled(x, e - a) for x, e in zip(units, exponents)]  # T itself for spectra's copy
     unit = combination(mats, seed)
     q = np.linalg.eigh(unit + adjoint(unit))[1]  # a multiple of the Hermitian part
     us = conjugated(q, mats)
     mass = max(frobenius_norm(np.tril(u, -1)) for u in us)
-    return (q, us) if mass <= tol.rank_cutoff(t.dim, max(norms)) else None
+    scale = max(math.ldexp(norm, e - a) for norm, e in zip(norms, exponents))  # max_j ||T'_j||_F
+    return (q, us) if mass <= tol.rank_cutoff(t.dim, scale) else None

@@ -600,6 +600,22 @@ def test_spectra_scales_only_in_its_unit_copy_step():
     assert _SCALING.search("    with np.errstate(over='ignore'):")
 
 
+def test_commutator_norms_are_formed_only_by_the_table_and_the_exact_triple_test():
+    # every commutation decision reads one table (tuples._commutator_table); the one other
+    # call of tuples._commutator_norm is quasinormal_class's exact test of a triple (and of the ball)
+    def calls(node):
+        called = [c.func for c in ast.walk(node) if isinstance(c, ast.Call)]
+        return sum("_commutator_norm" in (getattr(f, "id", None), getattr(f, "attr", None)) for f in called)
+
+    found = {
+        (path.name, getattr(node, "name", type(node).__name__)): count
+        for path in sorted((ROOT / "src" / "opertuple").rglob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if (count := calls(node))
+    }
+    assert found == {("tuples.py", "_commutator_table"): 1, ("tuples.py", "quasinormal_class"): 1}
+
+
 # A string literal that starts with a worked-example id.
 _EXAMPLE_ID_LITERAL = re.compile(r"""["'](?:2\.1|2\.2|3\.golden|4\.1)(?!\d)""")
 

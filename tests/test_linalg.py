@@ -1,3 +1,4 @@
+import math
 import pathlib
 import re
 
@@ -68,6 +69,18 @@ def test_frobenius_rescales_only_past_overflow():
     for _ in range(5):
         a = random_complex(6) * 10.0 ** RNG.integers(-150, 150)
         assert frobenius_norm(a) == float(np.linalg.norm(a, "fro"))
+
+
+def test_frobenius_rescues_squares_that_underflow():
+    # below 2^-511 the sum of squares leaves the normal range (at 1e-170 every square is 0.0);
+    # rescaled by max |a_ij| the norm keeps its digits, down to the subnormal grid 2^-1074
+    assert frobenius_norm(np.full((2, 2), 1e-170)) == pytest.approx(2e-170, rel=1e-15)
+    assert frobenius_norm(np.full((3, 3), 1e-200 * (1 - 1j))) == pytest.approx(3e-200 * math.sqrt(2), rel=1e-15)
+    subnormal = np.array([[3e-310, 4e-310j], [0.0, 0.0]])
+    assert abs(frobenius_norm(subnormal) - math.hypot(3e-310, 4e-310)) <= 2 * 5e-324
+    assert frobenius_norm(np.array([[1e-160, 5e-324]])) == pytest.approx(1e-160, rel=1e-15)
+    assert frobenius_norm(np.full((2, 2), 5e-324)) == 1e-323
+    assert frobenius_norm(np.zeros((2, 0))) == 0.0 == frobenius_norm(np.zeros((2, 2), dtype=complex))
 
 
 def test_frobenius_is_numpys_norm():

@@ -53,7 +53,7 @@ from opertuple.reports import report_to_dict
 from opertuple.tuplefile import parse_partner, parse_tuple_file
 from opertuple.tuples import (
     OperatorTuple,
-    _adjoint_commutators,
+    _commutator_table,
     _normal,
     adjoint_tuple,
     conjugate_by_unitary,
@@ -1141,7 +1141,7 @@ def test_normal_tuples_take_the_hermitian_route(t):
     scale = max(1.0, max(frobenius_norm(m) for m in t))
     assert max(np.linalg.norm(np.tril(u, -1)) for u in us) <= TRIANGULAR_MASS * scale
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tuples, "_normal", lambda norms, c, tol: False)
+        patch.setattr(tuples, "_normal", lambda table, tol: False)
         reference = joint_spectrum(t)
     points = [lam for lam, _ in result.point_spectrum]
     reference_points = [lam for lam, _ in reference.point_spectrum]
@@ -1179,8 +1179,7 @@ def test_non_normal_tuples_never_reach_the_hermitian_eigensolver(t):
 
 def is_normal(t):
     """The package's normality decision on T at the default tolerance."""
-    _, _, _, norms, c = _adjoint_commutators(t)
-    return _normal(norms, c, DEFAULT_TOL)
+    return _normal(_commutator_table(t), DEFAULT_TOL)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1205,6 +1204,20 @@ def test_normality_is_decided_per_component_and_keeps_its_verdict(normal, data, 
         permute_tuple(t, rng.permutation(t.d)),
     ]
     assert [is_normal(m) for m in moved] == [normal] * 3
+
+
+def test_a_component_far_below_the_largest_is_judged_at_its_own_scale(monkeypatch):
+    # T_1 = 1e-100 N is not normal. On one copy of the whole tuple, scaled by 1e100 I's exponent,
+    # [T_1, T_1*] squares below the float range and read as 0; at T_1's own exponent it is measured,
+    # so the tuple takes the eig + QR route and keeps its one joint eigenvalue (1e100, 0)
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    t = make_tuple([1e100 * np.eye(2), 1e-100 * nilpotent])
+    assert not is_normal(t)
+    assert normal_basis(t) is None
+    counts = counting_triangularizations(monkeypatch)
+    [(lam, _)] = joint_spectrum(t).point_spectrum
+    assert counts == {"eig_qr": 1, "deflation": 0}
+    assert lam == pytest.approx((1e100, 0.0), rel=1e-14, abs=1e-114)
 
 
 # ---- near-scalar tuples keep their one point --------------------------------

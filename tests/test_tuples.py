@@ -11,15 +11,13 @@ from opertuple.generators import (
     paper_example,
     random_unitary,
 )
-from opertuple.linalg import DEFAULT_TOL, ToleranceModel, adjoint, frobenius_norm
+from opertuple.linalg import DEFAULT_TOL, ToleranceModel, adjoint, binary_exponent, frobenius_norm
 from opertuple.tuples import (
     NonCommutingError,
     OperatorTuple,
     QuasinormalFlags,
-    _adjoint_commutators,
-    _exponent,
+    _commutator_table,
     _normal,
-    _pair_commutators,
     adjoint_tuple,
     conjugate_by_unitary,
     is_doubly_commuting,
@@ -27,7 +25,6 @@ from opertuple.tuples import (
     permute_tuple,
     quasinormal_class,
     tuple_power,
-    unit_copy,
 )
 
 from quasinormal_oracle import matricial_flip, quasinormal_reference
@@ -112,46 +109,35 @@ def test_quasinormal_class_past_the_square_root_of_the_float_range(mats):
 def _commutator(x, y):
     """The tests' oracle of a commutation decision: ``(norm, scale, e)`` for
     ``tol.is_zero(norm, scale, e)``, ||XY - YX||_F and ||X||_F ||Y||_F taken on X / 2^ex
-    and Y / 2^ey (``_exponent``), e = ex + ey."""
-    ex, ey = _exponent(x), _exponent(y)
+    and Y / 2^ey, each exponent ``binary_exponent`` less one, e = ex + ey."""
+    ex, ey = binary_exponent(x) - 1, binary_exponent(y) - 1
     xs, ys = x * math.ldexp(1.0, -ex), y * math.ldexp(1.0, -ey)
     return frobenius_norm(xs @ ys - ys @ xs), frobenius_norm(xs) * frobenius_norm(ys), ex + ey
 
 
 def test_commutator_in_the_float_range_is_the_plain_computation():
-    # each pair's norm and scale, scaled back by 2^e, are the plain values bit for bit, for
-    # [X, Y] (make_tuple) and [X, Y*] (is_doubly_commuting)
-    for scale in (1e-150, 1.0, 1e60):
-        for _ in range(20):
-            x, y = (scale * (RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5)))
-                    for _ in range(2))
-            for partner in (lambda m: m, adjoint):
-                [(_, _, norm, reference, e)] = _pair_commutators([x, y], partner)
-                assert (math.ldexp(norm, e), math.ldexp(reference, e)) == (
-                    frobenius_norm(x @ partner(y) - partner(y) @ x), frobenius_norm(x) * frobenius_norm(y)
-                )
-                if scale != 1.0:  # at 1 some parts reach 2 and some pairs are scaled
-                    assert (e > 0) == (scale > 1.0)
-
-
-def test_adjoint_commutator_table_in_the_float_range_is_the_plain_computation():
-    # the table's c(0, 1) = ||[A_0, A_1*]|| for T = (X, Y*) on A = T / 2^e, scaled back by 2^2e,
-    # and its scale ||A_0|| ||A_1||, are the plain values for X and Y bit for bit wherever the
-    # plain squares do not underflow; at 1e-150 they do, and only the table measures the norm
-    # (the scale's plain squares keep all but their last bits)
+    # the table's ||[X_0, X_1]||, ||[X_0, X_1*]|| and scale ||X_0|| ||X_1||, scaled back
+    # by 2^(e_0 + e_1), are the plain values for (X, Y) bit for bit wherever the plain squares do not
+    # underflow; at 1e-150 the plain products' squares do, and the plain norms are rescued to roundoff
     for scale in (1e-150, 1e-60, 1.0, 1e60):
         for _ in range(20):
             x, y = (scale * (RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5)))
                     for _ in range(2))
-            _, e, _, norms, c = _adjoint_commutators(OperatorTuple((x, adjoint(y)), 0.0))
-            plain = frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(adjoint(y))
-            norm = math.ldexp(c(0, 1), 2 * e), math.ldexp(norms[0] * norms[1], 2 * e)
-            assert c(1, 0) == c(0, 1)
+            exponents, _, _, norms, commutator = _commutator_table([x, y])
+            e = sum(exponents)
+            values = commutator(0, 1), commutator(0, 1, True), norms[0] * norms[1]
+            table = [math.ldexp(value, e) for value in values]
+            plain = [
+                frobenius_norm(x @ y - y @ x),
+                frobenius_norm(x @ adjoint(y) - adjoint(y) @ x),
+                frobenius_norm(x) * frobenius_norm(y),
+            ]
+            assert (commutator(1, 0), commutator(1, 0, True)) == values[:2]
             if scale == 1e-150:
-                assert plain[0] == 0.0 < norm[0] and norm[1] == pytest.approx(plain[1], rel=1e-14)
+                assert table == pytest.approx(plain, rel=1e-14)
             else:
-                assert norm == plain
-            if scale != 1.0:  # at 1 the largest part is below or above 1
+                assert table == plain
+            if scale != 1.0:  # at 1 the largest parts are below or above 1
                 assert (e > 0) == (scale > 1.0)
 
 
@@ -194,7 +180,7 @@ COMMUTATION_DECISIONS = {
         lambda mats: (mats[0], adjoint(mats[0]) @ mats[0]),
     ),
     "normal": (
-        lambda mats, tol: _normal(*_adjoint_commutators(make_tuple(mats))[3:], tol),
+        lambda mats, tol: _normal(_commutator_table(make_tuple(mats)), tol),
         [np.eye(2) + 1e-3 * NILPOTENT],
         lambda mats: (mats[0], adjoint(mats[0])),
     ),
@@ -220,17 +206,8 @@ def _commutation_verdicts(mats, tol):
     return _accepted(mats, tol), is_doubly_commuting(t, tol), quasinormal_class(t, tol)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    d=st.integers(1, 3),
-    dim=st.integers(1, 6),
-    kind=st.sampled_from(["normal", "polynomial", "random"]),
-    k=st.integers(0, 1000),
-)
-def test_commutation_verdicts_are_invariant_under_powers_of_two(seed, d, dim, kind, k):
-    # 2^k T crosses where products overflowed (~2^512) and cubic ones did (~2^341);
-    # with abs_tol = 0 every decision is homogeneous, so it is the one T gets
+def _verdict_inputs(seed, d, dim, kind):
+    """d random matrices, or powers of one normal or random matrix."""
     rng = np.random.default_rng(seed)
     draws = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(d)]
     base = draws[0]
@@ -238,12 +215,63 @@ def test_commutation_verdicts_are_invariant_under_powers_of_two(seed, d, dim, ki
         u = random_unitary(dim, rng)
         base = u @ np.diag(np.diag(base)) @ adjoint(u)
     if kind == "random":
-        mats = draws
-    else:
-        mats = [np.linalg.matrix_power(base, j + 1) / 4.0**j for j in range(d)]
+        return draws
+    return [np.linalg.matrix_power(base, j + 1) / 4.0**j for j in range(d)]
+
+
+VERDICT_INPUTS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    dim=st.integers(1, 6),
+    kind=st.sampled_from(["normal", "polynomial", "random"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**VERDICT_INPUTS, k=st.integers(0, 1000))
+def test_commutation_verdicts_are_invariant_under_powers_of_two(seed, d, dim, kind, k):
+    # 2^k T crosses where products overflowed (~2^512) and cubic ones did (~2^341);
+    # with abs_tol = 0 every decision is homogeneous, so it is the one T gets
+    mats = _verdict_inputs(seed, d, dim, kind)
     tol = ToleranceModel(abs_tol=0.0)
     huge = [math.ldexp(1.0, k) * m for m in mats]
     assert _commutation_verdicts(huge, tol) == _commutation_verdicts(mats, tol)
+
+
+def _per_component_verdicts(mats, tol):
+    """The gate, is_doubly_commuting, normality and the matricial and joint flags: the decisions
+    homogeneous in each component (the ball of the spherical flag mixes the components' scales)."""
+    t = OperatorTuple(tuple(np.asarray(m, dtype=complex) for m in mats), max_commutator_norm=0.0)
+    flags = quasinormal_class(t, tol)
+    normal = _normal(_commutator_table(t), tol)
+    return _accepted(mats, tol), is_doubly_commuting(t, tol), normal, flags.matricial, flags.joint
+
+
+@settings(max_examples=60, deadline=None)
+@given(**VERDICT_INPUTS, j=st.integers(0, 2), k=st.integers(-600, 600))
+def test_commutation_verdicts_do_not_depend_on_one_components_scale(seed, d, dim, kind, j, k):
+    # each decision is taken at the components' own exponents, so with abs_tol = 0 multiplying
+    # one component by 2^k moves none, even where that component's products would underflow
+    mats = _verdict_inputs(seed, d, dim, kind)
+    tol = ToleranceModel(abs_tol=0.0)
+    moved = list(mats)
+    moved[j % d] = math.ldexp(1.0, k) * mats[j % d]
+    assert _per_component_verdicts(moved, tol) == _per_component_verdicts(mats, tol)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-100, 1e-170])
+def test_make_tuple_rejects_a_non_commuting_pair_far_below_unit_scale(s):
+    # [sN, sN^T] = s^2 [N, N^T] is nonzero at every s; its plain squares underflow below ~1e-77
+    with pytest.raises(NonCommutingError):
+        make_tuple([s * NILPOTENT, s * NILPOTENT.T], ToleranceModel(abs_tol=0.0))
+
+
+def test_quasinormal_class_measures_a_component_far_below_the_largest():
+    # T_1 = 2^-300 (I + N) is not quasinormal: [T_1, T_1* T_1] = 2^-900 [N, N* + N* N] != 0. On one
+    # copy of the whole tuple that commutator underflows; at T_1's own exponent it is measured
+    t = make_tuple([np.eye(2), math.ldexp(1.0, -300) * (np.eye(2) + NILPOTENT)])
+    flags = quasinormal_class(t, ToleranceModel(abs_tol=0.0))
+    assert not flags.matricial and not flags.joint
 
 
 def test_make_tuple_rejects_mixed_dimensions():
@@ -332,12 +360,14 @@ def test_quasinormal_nilpotent_all_false():
 
 
 @pytest.mark.parametrize("largest", [0.0, 5e-324, 1e-300, 0.75, 1.0, 1.99, 2.0, 1e300, 1.5e308])
-def test_exponent_is_never_negative(largest):
+def test_table_brings_each_component_to_unit_magnitude(largest):
+    # e = binary_exponent - 1, either sign, and X = T / 2^e exactly, its largest part in [1, 2)
     a = np.array([[largest, 0.5 * largest], [0.0, 1j * largest]])
-    e = _exponent(a)
-    assert e >= 0
-    assert e == 0 or 1.0 <= largest / 2.0**e < 2.0  # the least e that brings every part below 2
-    assert math.ldexp(largest, -e) < 2.0
+    [e], [x], *_ = _commutator_table([a])
+    assert e == binary_exponent(a) - 1
+    np.testing.assert_array_equal(np.ldexp(x.view(np.float64), e).view(complex), a)
+    assert largest == 0.0 or 1.0 <= np.abs(x.view(np.float64)).max() < 2.0
+    assert (e < 0) == (largest < 1.0)
 
 
 def test_quasinormal_scaled_unitary_all_true():
@@ -575,26 +605,28 @@ class _CountedProducts(np.ndarray):
 
 
 def quasinormal_work(monkeypatch, t):
-    """quasinormal_class(t) with the components of t's unit copy A counting their products (every
-    product there has a component of A as a factor), with the second factor Y of each
-    ||XY - YX|| it takes: (flags, the Y's, the number of products outside those commutators)."""
+    """quasinormal_class(t) with the table's components X counting their products (every product
+    there has an X as a factor), with the second factor Y of each ||XY - YX|| it takes: (flags, the
+    X's, the Y's, the number of products outside those commutators)."""
     from opertuple import tuples
 
-    factors, commutator_norm, copy_of = [], tuples._commutator_norm, tuples.unit_copy
+    factors, units, commutator_norm, table_of = [], [], tuples._commutator_norm, tuples._commutator_table
 
     def counted(x, y):
         factors.append(np.asarray(y))
         return commutator_norm(x, y)
 
-    def counting_copy(t):
-        copy, e = copy_of(t)
-        return OperatorTuple(tuple(m.view(_CountedProducts) for m in copy), copy.max_commutator_norm), e
+    def counting_table(mats):
+        table = table_of(mats)
+        table[1][:] = [x.view(_CountedProducts) for x in table[1]]  # read by the table's closures too
+        units.extend(np.asarray(x) for x in table[1])
+        return table
 
     monkeypatch.setattr(tuples, "_commutator_norm", counted)
-    monkeypatch.setattr(tuples, "unit_copy", counting_copy)
+    monkeypatch.setattr(tuples, "_commutator_table", counting_table)
     monkeypatch.setattr(_CountedProducts, "count", 0)
     flags = quasinormal_class(t)
-    return flags, factors, _CountedProducts.count - 2 * len(factors)
+    return flags, units, factors, _CountedProducts.count - 2 * len(factors)
 
 
 def test_quasinormal_class_certifies_a_normal_tuple_without_an_exact_commutator(monkeypatch):
@@ -604,19 +636,18 @@ def test_quasinormal_class_certifies_a_normal_tuple_without_an_exact_commutator(
     u = random_unitary(6, rng)
     eigenvalues = 0.3 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
     t = make_tuple([u @ np.diag(lam) @ adjoint(u) for lam in eigenvalues])
-    flags, factors, products = quasinormal_work(monkeypatch, t)
+    flags, units, factors, products = quasinormal_work(monkeypatch, t)
     assert flags == QuasinormalFlags(True, True, True)
     assert len(factors) <= 16
     assert products <= 10
-    copy, _ = unit_copy(t)
-    components = [*copy, *(adjoint(m) for m in copy)]
-    assert all(any(np.array_equal(y, m) for m in components) for y in factors)  # no [A_i, A_j* A_k]
+    components = [*units, *(adjoint(x) for x in units)]
+    assert all(any(np.array_equal(y, m) for m in components) for y in factors)  # no [X_i, X_j* X_k]
 
 
 def test_quasinormal_class_decides_matricial_on_the_first_triple(monkeypatch):
     # [N, N* N] != 0 fails the triple (0, 0, 0) after its certificate, c_00 = ||[N, N*]||; joint
     # reads that triple's decision, and spherical forms the ball N* N + N* N and fails at j = 0
-    flags, factors, products = quasinormal_work(monkeypatch, make_tuple([NILPOTENT, NILPOTENT]))
+    flags, _, factors, products = quasinormal_work(monkeypatch, make_tuple([NILPOTENT, NILPOTENT]))
     assert flags == QuasinormalFlags(False, False, False)
     gram = adjoint(NILPOTENT) @ NILPOTENT
     assert len(factors) == 3
