@@ -141,6 +141,27 @@ def test_commutator_in_the_float_range_is_the_plain_computation():
                 assert (e > 0) == (scale > 1.0)
 
 
+def test_adjoint_commutator_table_in_the_float_range_is_the_plain_computation():
+    # the table's ||[X_0, X_1*]|| for T = (X, Y*), scaled back by 2^(e_0 + e_1), and its scale
+    # ||X_0|| ||X_1||, are the plain values for X and Y bit for bit wherever the plain squares do
+    # not underflow; at 1e-150 the plain ones are rescued to roundoff
+    for scale in (1e-150, 1e-60, 1.0, 1e60):
+        for _ in range(20):
+            x, y = (scale * (RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5)))
+                    for _ in range(2))
+            exponents, _, _, norms, commutator = _commutator_table([x, adjoint(y)])
+            e = sum(exponents)
+            plain = frobenius_norm(x @ y - y @ x), frobenius_norm(x) * frobenius_norm(adjoint(y))
+            norm = math.ldexp(commutator(0, 1, True), e), math.ldexp(norms[0] * norms[1], e)
+            assert commutator(1, 0, True) == commutator(0, 1, True)
+            if scale == 1e-150:
+                assert norm == pytest.approx(plain, rel=1e-14)
+            else:
+                assert norm == plain
+            if scale != 1.0:  # at 1 the largest parts are below or above 1
+                assert (e > 0) == (scale > 1.0)
+
+
 @pytest.mark.parametrize("big, small", [(1e100, 1e-100), (2.0**300, 2.0**-250)])
 def test_doubly_commuting_is_decided_per_pair_across_scales(big, small):
     # (big N, small N) commutes, but [big N, (small N)*] = big small [N, N*] is far above abs_tol;
